@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 from sympy import divisors
 
-SCHEMA_HEADER = "# ntlab-schema v1"
+from .records import SCHEMA_HEADER
+
+HURWITZ_COLUMNS = "D,h,hstar12,hfull"
 
 
 def _valid_disc(D: int) -> bool:
@@ -141,10 +143,6 @@ def hurwitz_hstar12(D: int, table: HurwitzTable | None = None) -> int:
     return _single_hstar12(D)
 
 
-def hurwitz_hstar(D: int, table: HurwitzTable | None = None) -> int:
-    return hurwitz_hstar12(D, table)
-
-
 def hurwitz_rational(D: int, table: HurwitzTable | None = None) -> Fraction:
     """The Hurwitz class number H(D) itself, as a Fraction."""
     return Fraction(hurwitz_hstar12(D, table), 12)
@@ -226,30 +224,39 @@ def hurwitz_csv_path(directory: Path | None = None) -> Path:
 
 
 def write_hurwitz_csv(table: HurwitzTable, path: Path | None = None) -> Path:
+    """Write the table through a temporary file and a rename, so a reader
+    never sees a half-written cache."""
     path = path or hurwitz_csv_path()
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [SCHEMA_HEADER, "D,h,hstar12,hfull"]
+    lines = [SCHEMA_HEADER, HURWITZ_COLUMNS]
     for D in range(table.bound + 1):
         lines.append(f"{D},{table.h[D]},{table.hstar12[D]},{table.hfull[D]}")
-    path.write_text("\n".join(lines) + "\n")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
 def read_hurwitz_csv(path: Path | None = None) -> HurwitzTable:
+    """Read a table written by write_hurwitz_csv; ValueError unless D runs
+    0, 1, ..., bound with one row each."""
     path = path or hurwitz_csv_path()
     text = path.read_text().splitlines()
     if not text or text[0].strip() != SCHEMA_HEADER:
         raise ValueError(f"{path}: missing schema header {SCHEMA_HEADER!r}")
-    if text[1].strip() != "D,h,hstar12,hfull":
+    if len(text) < 2 or text[1].strip() != HURWITZ_COLUMNS:
         raise ValueError(f"{path}: unexpected column header")
     rows = [tuple(int(v) for v in line.split(",")) for line in text[2:] if line.strip()]
-    bound = rows[-1][0]
-    h = np.zeros(bound + 1, dtype=np.int64)
-    hstar12 = np.zeros(bound + 1, dtype=np.int64)
-    hfull = np.zeros(bound + 1, dtype=np.int64)
-    for D, hv, hs, hf in rows:
-        h[D], hstar12[D], hfull[D] = hv, hs, hf
-    return HurwitzTable(bound, h, hfull, hstar12)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    D, h, hstar12, hfull = np.array(rows, dtype=np.int64).T.copy()
+    if not np.array_equal(D, np.arange(len(rows))):
+        raise ValueError(f"{path}: D must run 0, 1, ..., bound with no gap "
+                         "or repeat")
+    return HurwitzTable(len(rows) - 1, h, hfull, hstar12)
 
 
 def load_or_build(bound: int, directory: Path | None = None,

@@ -3,20 +3,23 @@ ratio tables, cache management, and direct G-function evaluation.
 
 Exit status contract: `verify` returns 0 iff every emitted record matches.
 Output determinism: timing columns are zeroed unless --timings is given, so
-identical configurations produce byte-identical CSV/JSON at any worker count.
+identical configurations produce byte-identical CSV/JSON at any worker count
+and under any multiprocessing start method.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
+import time
 from collections import Counter
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from sympy import isprime, primerange
@@ -28,13 +31,7 @@ from . import padic as pa
 from .ecurve import ap_table, l_set_sizes, twist_relation_check
 from .ffield import make_field_ctx
 from .records import (SCHEMA_HEADER, VerificationRecord, merge_records,
-                      records_to_csv)
-
-SUITE_NAMES = ("moments", "s4-triroute", "cp-chain", "eichler", "cohen",
-               "curves", "schoof", "counting", "gk", "greene",
-               "prop6.4", "prop6.5", "prop6.6")
-
-SWEEP_NAMES = idn.SWEEP_CLAIMS + ("thm6.2", "thm6.3", "angles")
+                      records_to_csv, records_to_json)
 
 
 @dataclass(frozen=True)
@@ -61,57 +58,19 @@ class RunConfig:
             raise ValueError("output format must be csv or json")
 
 
-# --- shared state handed to forked workers ------------------------------------
+# --- suites -------------------------------------------------------------------
 
-_SHARED: dict = {}
-
-_TABLE_SUITES = {"s4-triroute", "eichler", "cohen", "curves", "schoof",
-                 "counting"}
-
-
-def _prepare_shared(cfg: RunConfig) -> None:
-    if not (_TABLE_SUITES & set(cfg.suites)):
-        return
-    bound = 0
-    if {"eichler", "cohen"} & set(cfg.suites):
-        bound = max(bound, cfg.nmax)
-    if _TABLE_SUITES - {"eichler", "cohen"} & set(cfg.suites):
-        bound = max(bound, 4 * cfg.pmax)
-    prev = _SHARED.get("hurwitz")
-    if prev is None or prev.bound < bound:
-        _SHARED["hurwitz"] = cn.build_hurwitz_table(bound)
-
-
-def _table() -> cn.HurwitzTable:
-    return _SHARED["hurwitz"]
-
-
-# --- per-task record computation ----------------------------------------------
-
-def _guard(p: int, name: str, fn) -> list[VerificationRecord]:
-    """Per-record error capture: failures become mismatching records, the
-    sweep itself never aborts."""
-    try:
-        out = fn()
-        return out if isinstance(out, list) else [out]
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        return [VerificationRecord(p, name, "error", "", False,
-                                   detail=f"{type(exc).__name__}: {exc}")]
-
-
-def _collapse(p: int, name: str, recs: list[VerificationRecord],
-              extra: str = "") -> VerificationRecord:
+def _collapse(p: int, name: str,
+              recs: list[VerificationRecord]) -> VerificationRecord:
     fails = [r for r in recs if not r.match]
     detail = f"checks={len(recs)} fails={len(fails)}"
     if fails:
         detail += " first=" + fails[0].name
-    if extra:
-        detail += " " + extra
     return VerificationRecord(p, name, len(recs) - len(fails), len(recs),
                               not fails, detail=detail)
 
 
-def _suite_moments(p: int, cfg: RunConfig) -> list[VerificationRecord]:
+def _suite_moments(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
     pre = km.kloosterman_table(ctx)
     cf = km.closed_forms(p)
@@ -138,13 +97,13 @@ def _suite_moments(p: int, cfg: RunConfig) -> list[VerificationRecord]:
     return out
 
 
-def _suite_triroute(p: int, cfg: RunConfig) -> list[VerificationRecord]:
+def _suite_triroute(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
     direct = idn.s4_direct(ctx)
     via_ap = idn.s4_via_ap(ctx, corrected=True)
-    via_h = idn.s4_via_classnumbers(ctx, _table(), corrected=True)
+    via_h = idn.s4_via_classnumbers(ctx, table, corrected=True)
     printed_ap = idn.s4_via_ap(ctx, corrected=False)
-    printed_h = idn.s4_via_classnumbers(ctx, _table(), corrected=False)
+    printed_h = idn.s4_via_classnumbers(ctx, table, corrected=False)
     match = direct == via_ap == via_h
     return [VerificationRecord(
         p, "s4-triroute", direct, via_ap, match,
@@ -152,7 +111,7 @@ def _suite_triroute(p: int, cfg: RunConfig) -> list[VerificationRecord]:
                f"printed-h={printed_h}")]
 
 
-def _suite_cp(p: int, cfg: RunConfig) -> list[VerificationRecord]:
+def _suite_cp(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
     out = [idn.ap_second_moment_check(ctx)]
     if p <= cfg.cp_cap:
@@ -163,8 +122,7 @@ def _suite_cp(p: int, cfg: RunConfig) -> list[VerificationRecord]:
     return out
 
 
-def _suite_eichler(cfg: RunConfig) -> list[VerificationRecord]:
-    table = _table()
+def _suite_eichler(_: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     out = []
     for n in range(1, cfg.nmax + 1, 2):
         lhs = cn.eichler_lhs(n, table)
@@ -175,8 +133,7 @@ def _suite_eichler(cfg: RunConfig) -> list[VerificationRecord]:
     return out
 
 
-def _suite_cohen(cfg: RunConfig) -> list[VerificationRecord]:
-    table = _table()
+def _suite_cohen(_: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     out = []
     for ell in range(1, cfg.nmax + 1, 2):
         c = cn.cohen_coefficient(ell, table)
@@ -186,7 +143,7 @@ def _suite_cohen(cfg: RunConfig) -> list[VerificationRecord]:
     return out
 
 
-def _suite_curves(p: int, cfg: RunConfig) -> list[VerificationRecord]:
+def _suite_curves(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
     twists = [lam for lam in range(2, p - 1)
               if not all(twist_relation_check(ctx, lam))]
@@ -201,7 +158,7 @@ def _suite_curves(p: int, cfg: RunConfig) -> list[VerificationRecord]:
                            ok and sum(hist.values()) == p - 3,
                            detail=" ".join(f"{k}:{v}" for k, v
                                            in sorted(hist.items()))),
-        idn.torsion_census_check(ctx, _table()),
+        idn.torsion_census_check(ctx, table),
     ]
     return out
 
@@ -219,18 +176,18 @@ def _admissible_schoof(p: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _suite_schoof(p: int, cfg: RunConfig) -> list[VerificationRecord]:
+def _suite_schoof(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
-    recs = [idn.schoof_count_check(ctx, n, s, _table(), cap=cfg.census_cap)
+    recs = [idn.schoof_count_check(ctx, n, s, table, cap=cfg.census_cap)
             for n, s in _admissible_schoof(p)]
     return [_collapse(p, "schoof-census", recs)]
 
 
-def _suite_counting(p: int, cfg: RunConfig) -> list[VerificationRecord]:
-    return [idn.counting_lemma_check(make_field_ctx(p), _table())]
+def _suite_counting(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
+    return [idn.counting_lemma_check(make_field_ctx(p), table)]
 
 
-def _suite_gk(p: int, cfg: RunConfig) -> list[VerificationRecord]:
+def _suite_gk(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = pa.make_padic_ctx(p, cfg.K)
     q = p - 1
     rng = random.Random(cfg.seed ^ p)
@@ -254,7 +211,7 @@ def _suite_gk(p: int, cfg: RunConfig) -> list[VerificationRecord]:
     return out
 
 
-def _suite_greene(p: int, cfg: RunConfig) -> list[VerificationRecord]:
+def _suite_greene(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = pa.make_padic_ctx(p, max(cfg.K, 4))
     aps = ap_table(ctx.field)
     phim = ctx.field.qr[p - 1]
@@ -264,62 +221,169 @@ def _suite_greene(p: int, cfg: RunConfig) -> list[VerificationRecord]:
     return [VerificationRecord(p, "greene-trace", len(bad), 0, not bad)]
 
 
-_PRIME_SUITES = {
-    "moments": (_suite_moments, 1, 0),
-    "s4-triroute": (_suite_triroute, 1, 0),
-    "cp-chain": (_suite_cp, 1, 0),
-    "curves": (_suite_curves, 1, 0),
-    "schoof": (_suite_schoof, 1, 0),
-    "counting": (_suite_counting, 4, 1),
-    "greene": (_suite_greene, 1, 0),
-    "gk": (_suite_gk, 1, 0),
-    "prop6.4": (lambda p, cfg: [pa.prop64_check(
-        pa.make_padic_ctx(p, max(cfg.K, 6)))], 6, 1),
-    "prop6.5": (lambda p, cfg: [pa.prop65_check(
-        pa.make_padic_ctx(p, max(cfg.K, 6)))], 3, 2),
-    "prop6.6": (lambda p, cfg: [pa.prop66_check(
-        pa.make_padic_ctx(p, max(cfg.K, 6)))], 1, 0),
-}
+def _suite_prop64(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
+    return [pa.prop64_check(pa.make_padic_ctx(p, max(cfg.K, 6)))]
+
+
+def _suite_prop65(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
+    return [pa.prop65_check(pa.make_padic_ctx(p, max(cfg.K, 6)))]
+
+
+def _suite_prop66(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
+    return [pa.prop66_check(pa.make_padic_ctx(p, max(cfg.K, 6)))]
+
+
+def _sweep_window(claim: str, p: int, cfg: RunConfig,
+                  table) -> list[VerificationRecord]:
+    rec = idn.asymptotic_record(p, claim, table)
+    return [] if rec is None else [replace(
+        rec, match=rec.ratio <= cfg.threshold,
+        detail=f"threshold={cfg.threshold:g}")]
+
+
+def _sweep_thm62(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
+    rec = pa.theorem62_record(p, cfg.K)
+    return [] if rec is None else [rec]
+
+
+def _sweep_thm63(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
+    rec = pa.theorem63_record(p, cfg.K)
+    return [] if rec is None else [rec]
+
+
+# --- the suite registry -------------------------------------------------------
+
+@dataclass(frozen=True)
+class Suite:
+    """`run(index, cfg, table)` gives the records of one index of
+    `indices(cfg)`; `bound(cfg)` is the largest Hurwitz D read, if any."""
+    name: str
+    run: Callable[..., list[VerificationRecord]]
+    indices: Callable[[RunConfig], Iterable[int]]
+    bound: Callable[[RunConfig], int] | None = None
+
+
+def _primes(cfg: RunConfig, modulus: int = 1, residue: int = 0) -> list[int]:
+    return [p for p in primerange(cfg.pmin, cfg.pmax + 1)
+            if p % modulus == residue]
+
+
+def _census_primes(cfg: RunConfig) -> Iterable[int]:
+    return primerange(cfg.pmin, min(cfg.pmax, cfg.census_cap) + 1)
+
+
+def _once(cfg: RunConfig) -> tuple[int]:
+    return (0,)   # eichler and cohen sweep odd n <= nmax in one task
+
+
+def _window_bound(cfg: RunConfig) -> int:
+    return 4 * cfg.pmax
+
+
+def _nmax_bound(cfg: RunConfig) -> int:
+    return cfg.nmax
+
+
+_SUITES = {s.name: s for s in (
+    Suite("moments", _suite_moments, _primes),
+    Suite("s4-triroute", _suite_triroute, _primes, _window_bound),
+    Suite("cp-chain", _suite_cp, _primes),
+    Suite("eichler", _suite_eichler, _once, _nmax_bound),
+    Suite("cohen", _suite_cohen, _once, _nmax_bound),
+    Suite("curves", _suite_curves, _primes, _window_bound),
+    Suite("schoof", _suite_schoof, _census_primes, _window_bound),
+    Suite("counting", _suite_counting, partial(_primes, modulus=4, residue=1),
+          _window_bound),
+    Suite("gk", _suite_gk, _primes),
+    Suite("greene", _suite_greene, _primes),
+    Suite("prop6.4", _suite_prop64, partial(_primes, modulus=6, residue=1)),
+    Suite("prop6.5", _suite_prop65, partial(_primes, modulus=3, residue=2)),
+    Suite("prop6.6", _suite_prop66, _primes),
+)}
+
+_SWEEPS = {s.name: s for s in (
+    *(Suite(c, partial(_sweep_window, c), _primes, _window_bound)
+      for c in idn.SWEEP_CLAIMS),
+    Suite("thm6.2", _sweep_thm62, _primes),
+    Suite("thm6.3", _sweep_thm63, _primes),
+)}
+
+SUITE_NAMES = tuple(_SUITES)
+SWEEP_NAMES = tuple(_SWEEPS) + ("angles",)
+
+
+# --- the task runner ----------------------------------------------------------
+
+_worker_table: cn.HurwitzTable | None = None
+
+
+def _init_worker(table: cn.HurwitzTable | None) -> None:
+    """The pool initializer, also called before a serial run."""
+    global _worker_table
+    _worker_table = table
 
 
 def _run_task(task) -> list[VerificationRecord]:
-    suite, idx, cfg = task
-    if suite == "eichler":
-        return _guard(0, "eichler", lambda: _suite_eichler(cfg))
-    if suite == "cohen":
-        return _guard(0, "cohen", lambda: _suite_cohen(cfg))
-    fn = _PRIME_SUITES[suite][0]
-    return _guard(idx, suite, lambda: fn(idx, cfg))
+    """One index of one suite, timed once; the time is split evenly over
+    the task's records. A failure becomes a mismatching `error` record, so
+    the run itself never aborts."""
+    name, run, idx, cfg = task
+    t0 = time.perf_counter()
+    try:
+        recs = run(idx, cfg, _worker_table)
+    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        recs = [VerificationRecord(idx, name, "error", "", False,
+                                   detail=f"{type(exc).__name__}: {exc}")]
+    ms = (time.perf_counter() - t0) * 1e3 / max(len(recs), 1)
+    return [replace(r, elapsed_ms=ms) for r in recs]
 
 
-def _suite_tasks(cfg: RunConfig) -> list[tuple]:
-    tasks = []
-    for suite in cfg.suites:
-        if suite in ("eichler", "cohen"):
-            tasks.append((suite, 0, cfg))
-            continue
-        fn, modulus, residue = _PRIME_SUITES[suite]
-        pmax = cfg.pmax
-        if suite == "schoof":
-            pmax = min(pmax, cfg.census_cap)
-        for p in primerange(cfg.pmin, pmax + 1):
-            if p % modulus == residue % modulus:
-                tasks.append((suite, p, cfg))
-    return tasks
+def _run_tasks(tasks: list[tuple], table: cn.HurwitzTable | None,
+               workers: int) -> list[list[VerificationRecord]]:
+    """The one place tasks are mapped, serially or over a process pool
+    whose workers get the table from the initializer (any start method)."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(table,)) as pool:
+            return list(pool.map(_run_task, tasks))
+    _init_worker(table)
+    return [_run_task(t) for t in tasks]
 
 
-def _emit(records: list[VerificationRecord], cfg: RunConfig) -> None:
-    if not cfg.timings:
-        records = [replace(r, elapsed_ms=0.0) for r in records]
-    if cfg.out == "json":
-        rows = []
-        for r in records:
-            d = asdict(r)
-            d["lhs"], d["rhs"] = str(r.lhs), str(r.rhs)
-            rows.append(d)
-        text = json.dumps(rows, indent=1) + "\n"
-    else:
-        text = records_to_csv(records)
+def _summarize(names: list[str], groups: list[list[VerificationRecord]]) -> None:
+    """Record and mismatch counts, overall and by suite, and the reason for
+    every `error` record, on stderr."""
+    count, fails = Counter(), Counter()
+    errors = []
+    for name, recs in zip(names, groups):
+        count[name] += len(recs)
+        fails[name] += sum(not r.match for r in recs)
+        errors += [r for r in recs if r.lhs == "error"]
+    print(f"{sum(count.values())} records, {sum(fails.values())} mismatches",
+          file=sys.stderr)
+    for name in count:
+        print(f"  {name}: {count[name]} records, {fails[name]} mismatches",
+              file=sys.stderr)
+    for r in errors:
+        print(f"  error {r.p},{r.name}: {r.detail}", file=sys.stderr)
+
+
+def _run_suites(suites: list[Suite], cfg: RunConfig) -> list[VerificationRecord]:
+    """Run, emit and summarize the suites on one Hurwitz table."""
+    bounds = [s.bound(cfg) for s in suites if s.bound is not None]
+    table = cn.build_hurwitz_table(max(bounds)) if bounds else None
+    tasks = [(s.name, s.run, idx, cfg) for s in suites for idx in s.indices(cfg)]
+    groups = _run_tasks(tasks, table, cfg.workers)
+    records = merge_records(*groups)
+    _emit(records, cfg)
+    _summarize([t[0] for t in tasks], groups)
+    return records
+
+
+# --- output -------------------------------------------------------------------
+
+def _write(text: str, cfg: RunConfig) -> None:
+    """A report goes to stdout and, with --file, to that path as well."""
     sys.stdout.write(text)
     if cfg.file:
         path = Path(cfg.file)
@@ -327,31 +391,22 @@ def _emit(records: list[VerificationRecord], cfg: RunConfig) -> None:
         path.write_text(text)
 
 
+def _emit(records: list[VerificationRecord], cfg: RunConfig) -> None:
+    if not cfg.timings:
+        records = [replace(r, elapsed_ms=0.0) for r in records]
+    _write(records_to_json(records) if cfg.out == "json"
+           else records_to_csv(records), cfg)
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.suites:
         raise SystemExit("verify: pick at least one --suite "
                          f"from {', '.join(SUITE_NAMES)} or 'all'")
-    _prepare_shared(cfg)
-    tasks = _suite_tasks(cfg)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            groups = list(pool.map(_run_task, tasks, chunksize=1))
-    else:
-        groups = [_run_task(t) for t in tasks]
-    records = merge_records(*groups)
-    _emit(records, cfg)
-    fails = sum(not r.match for r in records)
-    print(f"{len(records)} records, {fails} mismatches", file=sys.stderr)
-    return 1 if fails else 0
+    records = _run_suites([_SUITES[s] for s in cfg.suites], cfg)
+    return 0 if all(r.match for r in records) else 1
 
 
 # --- sweeps --------------------------------------------------------------------
-
-def _thm6_task(args) -> list[VerificationRecord]:
-    claim, p, K = args
-    fn = pa.theorem62_sweep if claim == "thm6.2" else pa.theorem63_sweep
-    return fn(p, p, K)
-
 
 def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
     if claim == "angles":
@@ -369,43 +424,25 @@ def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
             expect = (p - 1) * (cdf(edges[k + 1]) - cdf(edges[k]))
             lines.append(f"{edges[k]:.6f},{edges[k + 1]:.6f},"
                          f"{int(counts[k])},{expect:.3f}")
-        text = "\n".join(lines) + "\n"
-        sys.stdout.write(text)
-        if cfg.file:
-            Path(cfg.file).write_text(text)
+        _write("\n".join(lines) + "\n", cfg)
         chi = km.semicircle_chisq(counts)
         print(f"semicircle chi^2 = {chi:.2f} over {bins} bins", file=sys.stderr)
         return 0
-    if claim in ("thm6.2", "thm6.3"):
-        admissible = [pp for pp in primerange(cfg.pmin, cfg.pmax + 1)
-                      if (pp % 6 == 1 if claim == "thm6.2" else pp % 3 == 2)]
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                groups = list(pool.map(_thm6_task,
-                                       [(claim, pp, cfg.K) for pp in admissible]))
-            records = merge_records(*groups)
-        else:
-            fn = pa.theorem62_sweep if claim == "thm6.2" else pa.theorem63_sweep
-            records = fn(cfg.pmin, cfg.pmax, cfg.K)
-        _emit(records, cfg)
-        if len(records) >= 2:
-            trend = pa.sweep_trend_ok(records)
-            print(f"normalized ratio falls from first to last prime: {trend}",
-                  file=sys.stderr)
-        return 0
+    if claim not in _SWEEPS:
+        raise SystemExit(f"unknown claim {claim!r}; pick from {SWEEP_NAMES}")
+    records = _run_suites([_SWEEPS[claim]], cfg)
+    ok = all(r.match for r in records)
+    ratios = [r for r in records if r.ratio is not None]
     if claim in idn.SWEEP_CLAIMS:
-        records = idn.asymptotic_sweep(cfg.pmin, cfg.pmax, claim)
-        records = [replace(r, match=(r.ratio is None
-                                     or r.ratio <= cfg.threshold),
-                           detail=f"threshold={cfg.threshold:g}")
-                   for r in records]
-        _emit(records, cfg)
-        worst = max((r.ratio for r in records if r.ratio is not None),
-                    default=0.0)
+        worst = max((r.ratio for r in ratios), default=0.0)
         print(f"max normalized ratio {worst:.4f} "
               f"(threshold {cfg.threshold:g})", file=sys.stderr)
-        return 0 if all(r.match for r in records) else 1
-    raise SystemExit(f"unknown claim {claim!r}; pick from {SWEEP_NAMES}")
+    elif len(ratios) >= 2:
+        trend = pa.sweep_trend_ok(ratios)
+        print(f"normalized ratio falls from first to last prime: {trend}",
+              file=sys.stderr)
+        ok = ok and trend
+    return 0 if ok else 1
 
 
 # --- cache ----------------------------------------------------------------------

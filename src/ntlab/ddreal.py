@@ -67,10 +67,6 @@ def dd_add(xh, xl, yh, yl):
     return quick_two_sum(s, e)
 
 
-def dd_neg(xh, xl):
-    return -xh, -xl
-
-
 def dd_mul(xh, xl, yh, yl):
     P, e = two_prod(xh, yh)
     e = e + (xh * yl + xl * yh)

@@ -2,8 +2,7 @@
 traces and Hurwitz class numbers.
 
 Route independence is the point: each identity is computed by two or three
-pipelines that share nothing beyond FieldCtx, and ROUTES records which
-functions realize which route so the independence claim is auditable.
+pipelines that share nothing beyond FieldCtx.
 
 A recurring theme, flagged where it appears: the published closed form for
 the fourth twisted moment carries a constant-term slip of 2p(p-2). Both the
@@ -15,7 +14,6 @@ slips cancel), while the direct moment matches only the corrected one.
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -25,17 +23,6 @@ from .ecurve import ap_table, curve_census, torsion_class
 from .ffield import FieldCtx, make_field_ctx
 from .kloosterman import twisted_moment
 from .records import VerificationRecord
-
-ROUTES = {
-    "S4phi": ("twisted_moment[dd-cosine]", "s4_via_ap[trace-sum]",
-              "s4_via_classnumbers[hurwitz-window]"),
-    "Cp": ("cp_count[brute]", "cp_count[formula]"),
-    "Ap-chain": ("cp_count[formula]", "ap_second_moment[trace-sum]"),
-    "schoof": ("curve_census[exhaustive]", "hurwitz[hfull/hstar12]"),
-    "counting-1": ("character-sum", "hurwitz[mod-16 window]"),
-    "eichler": ("hurwitz[window-sum]", "divisor-sums"),
-}
-
 
 # --- windows of traces used by the class-number translations ----------------
 
@@ -154,12 +141,10 @@ def cp_count(ctx: FieldCtx, mode: str = "formula", cap: int = 100) -> int:
 
 def ap_second_moment_check(ctx: FieldCtx) -> VerificationRecord:
     """C_p - (p^3 - 4p^2 + 6p - 4) must equal 1 - 3p + p^2 + sum a_p(gamma^2)^2."""
-    t0 = time.perf_counter()
     p = ctx.p
     lhs = cp_count(ctx, "formula") - (p ** 3 - 4 * p ** 2 + 6 * p - 4)
     rhs = 1 - 3 * p + p * p + _sum_ap_sq(ctx)
-    return VerificationRecord(p, "ap-second-moment", lhs, rhs, lhs == rhs,
-                              elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    return VerificationRecord(p, "ap-second-moment", lhs, rhs, lhs == rhs)
 
 
 # --- census-based checks ------------------------------------------------------
@@ -174,7 +159,6 @@ def schoof_count_check(ctx: FieldCtx, n: int, s: int,
     the 1/|Aut|-weighted count matches the Hurwitz one; the record's detail
     says which held, rather than presuming either.
     """
-    t0 = time.perf_counter()
     p = ctx.p
     if p > cap:
         raise ValueError(f"census cap exceeded: p={p} > {cap}")
@@ -202,7 +186,6 @@ def schoof_count_check(ctx: FieldCtx, n: int, s: int,
     ok_weighted = weighted12 == rhs_w12
     return VerificationRecord(
         p, f"schoof-n{n}-s{s}", plain, rhs_plain, ok_plain and ok_weighted,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
         detail=f"plain={'H' if ok_plain else 'mismatch'} "
                f"weighted={'H*' if ok_weighted else 'mismatch'}")
 
@@ -211,7 +194,6 @@ def counting_lemma_check(ctx: FieldCtx,
                          table: cn.HurwitzTable | None = None) -> VerificationRecord:
     """(1/2) sum over lambda not in {0,+-1} of (1 + phi(1-lambda^2))
     against 12 * sum_{s in W16} H*((4p-s^2)/16), exactly (p = 1 mod 4)."""
-    t0 = time.perf_counter()
     p = ctx.p
     if p % 4 != 1:
         raise ValueError(f"p must be 1 mod 4, got {p}")
@@ -222,8 +204,7 @@ def counting_lemma_check(ctx: FieldCtx,
     lhs = twice // 2
     rhs = sum(cn.hurwitz_hstar12((4 * p - s * s) // 16, table)
               for s in window16(p))
-    return VerificationRecord(p, "counting-1", lhs, rhs, lhs == rhs,
-                              elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    return VerificationRecord(p, "counting-1", lhs, rhs, lhs == rhs)
 
 
 def torsion_census_check(ctx: FieldCtx,
@@ -231,7 +212,6 @@ def torsion_census_check(ctx: FieldCtx,
     """4 * sum_{s in W8} H*((4p-s^2)/4) is close to p; the census side counts
     lambda not in {0,+-1} whose E_{lambda^2} has a rational 4-torsion point
     (all of them, if the 2x4 containment claim is right)."""
-    t0 = time.perf_counter()
     p = ctx.p
     acc12 = sum(cn.hurwitz_hstar12((4 * p - s * s) // 4, table)
                 for s in window8(p))
@@ -243,7 +223,6 @@ def torsion_census_check(ctx: FieldCtx,
     return VerificationRecord(
         p, "torsion-census", float(lhs), census, census == p - 3,
         ratio=float(diff) / math.sqrt(p),
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
         detail=f"|lhs-p|={float(diff):.3f}")
 
 
@@ -278,12 +257,31 @@ def _window_quantity(p: int, table: cn.HurwitzTable, which: str) -> Fraction | N
     raise ValueError(f"unknown claim {which!r}")
 
 
+def asymptotic_record(p: int, which: str,
+                      table: cn.HurwitzTable) -> VerificationRecord | None:
+    """One prime of an asymptotic ratio sweep, or None when the claim's
+    window does not apply to p. Moment values come from the (corrected)
+    class-number route, which costs O(sqrt p) per prime once the table
+    exists; the route equalities are enforced elsewhere.
+    """
+    if which in ("thm1.1", "cor1.2"):
+        ctx = make_field_ctx(p)
+        s4 = s4_via_classnumbers(ctx, table, corrected=True)
+        val = s4 if which == "thm1.1" else sheaf_via_s4(ctx, s4)
+        return VerificationRecord(p, which, val, 0, True,
+                                  ratio=abs(val) / p ** 2.5)
+    q = _window_quantity(p, table, which)
+    if q is None:
+        return None
+    return VerificationRecord(p, which, float(q), 0, True,
+                              ratio=abs(float(q)) / p ** 1.5)
+
+
 def asymptotic_sweep(pmin: int, pmax: int, which: str,
                      table: cn.HurwitzTable | None = None) -> list[VerificationRecord]:
     """Normalized-ratio sweep for the O(p^{5/2}) moment bounds and the
-    O(p^{3/2}) class-number window asymptotics. Moment values come from the
-    (corrected) class-number route, which costs O(sqrt p) per prime once the
-    table exists; the route equalities are enforced elsewhere.
+    O(p^{3/2}) class-number window asymptotics: asymptotic_record over the
+    primes in [pmin, pmax].
     """
     from sympy import primerange
     if which not in SWEEP_CLAIMS:
@@ -292,22 +290,6 @@ def asymptotic_sweep(pmin: int, pmax: int, which: str,
         raise ValueError("sweeps start above p = 5")
     if table is None:
         table = cn.build_hurwitz_table(4 * pmax)
-    out = []
-    for p in primerange(pmin, pmax + 1):
-        t0 = time.perf_counter()
-        if which in ("thm1.1", "cor1.2"):
-            ctx = make_field_ctx(p)
-            s4 = s4_via_classnumbers(ctx, table, corrected=True)
-            val = s4 if which == "thm1.1" else sheaf_via_s4(ctx, s4)
-            ratio = abs(val) / p ** 2.5
-            rec = VerificationRecord(p, which, val, 0, True, ratio=ratio,
-                                     elapsed_ms=(time.perf_counter() - t0) * 1e3)
-        else:
-            q = _window_quantity(p, table, which)
-            if q is None:
-                continue
-            ratio = abs(float(q)) / p ** 1.5
-            rec = VerificationRecord(p, which, float(q), 0, True, ratio=ratio,
-                                     elapsed_ms=(time.perf_counter() - t0) * 1e3)
-        out.append(rec)
-    return out
+    recs = (asymptotic_record(p, which, table)
+            for p in primerange(pmin, pmax + 1))
+    return [r for r in recs if r is not None]

@@ -27,7 +27,6 @@ class MomentResult:
     n: int
     twist: CharIdx | None
     value: int
-    backend: str
 
 
 class CosTable:
@@ -144,7 +143,7 @@ def untwisted_moment(ctx: FieldCtx, n: int, precomputed=None) -> MomentResult:
     Ph, Pl = _power_dd(Kh, Kl, n)
     hi, lo = dd_sum(Ph[1:], Pl[1:])
     total = CertifiedReal(hi, _moment_err(p, n, err_k)) + CertifiedReal(lo, 0.0)
-    return MomentResult(p, n, None, total.round_to_integer(), "dd-direct")
+    return MomentResult(p, n, None, total.round_to_integer())
 
 
 def twisted_moment(ctx: FieldCtx, n: int, twist: CharIdx,
@@ -161,7 +160,7 @@ def twisted_moment(ctx: FieldCtx, n: int, twist: CharIdx,
     w = np.array(ctx.qr, dtype=np.float64)
     hi, lo = dd_sum(Ph * w, Pl * w)
     total = CertifiedReal(hi, _moment_err(p, n, err_k)) + CertifiedReal(lo, 0.0)
-    return MomentResult(p, n, twist, total.round_to_integer(), "dd-direct")
+    return MomentResult(p, n, twist, total.round_to_integer())
 
 
 def sheaf_moment(ctx: FieldCtx, n: int, precomputed=None) -> int:

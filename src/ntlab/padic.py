@@ -20,7 +20,6 @@ is kept for small arguments and used as the cross-check oracle.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -384,7 +383,6 @@ def gk_consistency_check(ctx: PadicCtx, a: CharIdx, b: CharIdx) -> VerificationR
     a + b = 0 the right side degenerates and the product must instead equal
     the scalar (-1)^a p, the norm relation for conjugate characters.
     """
-    t0 = time.perf_counter()
     q = ctx.q
     a %= q
     b %= q
@@ -401,14 +399,12 @@ def gk_consistency_check(ctx: PadicCtx, a: CharIdx, b: CharIdx) -> VerificationR
     return VerificationRecord(
         ctx.p, f"gk-j{a}-j{b}", _pi_fingerprint(lhs), _pi_fingerprint(rhs),
         lhs == rhs,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
         detail=detail)
 
 
 def hasse_davenport_check(ctx: PadicCtx, m: int, sidx: CharIdx) -> VerificationRecord:
     """prod_{i<m} g(psi chi^i) = g(psi^m) psi^(-m)(m) prod_{0<i<m} g(chi^i)
     for chi of exact order m, all in the pi-ring."""
-    t0 = time.perf_counter()
     p, q = ctx.p, ctx.q
     if m not in (2, 3):
         raise ValueError("m must be 2 or 3")
@@ -426,8 +422,7 @@ def hasse_davenport_check(ctx: PadicCtx, m: int, sidx: CharIdx) -> VerificationR
     rhs = rhs.scale(ctx.omega(m % p, m * sidx % q))
     return VerificationRecord(
         p, f"hd-m{m}-s{sidx}", _pi_fingerprint(lhs), _pi_fingerprint(rhs),
-        lhs == rhs,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3)
+        lhs == rhs)
 
 
 def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecord:
@@ -438,7 +433,6 @@ def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecor
     (2) the same collapsed through x = <tj/(p-1)>, picking up omega(t^(tj));
     (3) the mirror of (2) with j -> -j.
     """
-    t0 = time.perf_counter()
     p, q, mod = ctx.p, ctx.q, ctx.mod
     if t not in (2, 3, 4, 6, 12):
         raise ValueError("t must be one of 2, 3, 4, 6, 12")
@@ -470,7 +464,6 @@ def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecor
     return VerificationRecord(
         p, f"gamma-prod-t{t}-j{j}", (ok1, ok2, ok3), (True, True, True),
         ok1 and ok2 and ok3,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
         detail=f"prod1={ok1} new-prod1={ok2} prod2={ok3}")
 
 
@@ -746,7 +739,6 @@ def prop64_check(ctx: PadicCtx) -> VerificationRecord:
     off by J(psi3,psi3)/(-p) and the duplication step). The record's detail
     reports all four; match means the corrected reading holds exactly.
     """
-    t0 = time.perf_counter()
     p, q = ctx.p, ctx.q
     if p % 6 != 1:
         raise ValueError(f"p must be 1 mod 6, got {p}")
@@ -788,7 +780,6 @@ def prop64_check(ctx: PadicCtx) -> VerificationRecord:
     match = flags["corrected-const/theorem-twist"]
     return VerificationRecord(
         p, "prop6.4", I, "see detail", match,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
         detail=" ".join(f"{k}={v}" for k, v in flags.items()))
 
 
@@ -798,7 +789,6 @@ def prop65_check(ctx: PadicCtx) -> VerificationRecord:
     Both the bare prefactor and the phi(-1)-dressed variant are evaluated;
     the bare one is the identity (p = 11 separates them, p = 5 does not).
     """
-    t0 = time.perf_counter()
     p, q = ctx.p, ctx.q
     if p % 3 != 2:
         raise ValueError(f"p must be 2 mod 3, got {p}")
@@ -819,7 +809,6 @@ def prop65_check(ctx: PadicCtx) -> VerificationRecord:
     dressed = lhs == rhs * qr[p - 1] % mod
     return VerificationRecord(
         p, "prop6.5", I, "see detail", plain,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
         detail=f"plain={plain} with-phi(-1)={dressed} scale={table.scale}")
 
 
@@ -827,7 +816,6 @@ def prop66_check(ctx: PadicCtx) -> VerificationRecord:
     """The exact backbone behind the second-moment evaluation:
     trace relation, the three intermediate equations, and the assembled
     identity for sum_lam phi(lam) a_p(lam)^2, all as exact rationals."""
-    t0 = time.perf_counter()
     p, q = ctx.p, ctx.q
     qr = ctx.field.qr
 
@@ -878,48 +866,47 @@ def prop66_check(ctx: PadicCtx) -> VerificationRecord:
     return VerificationRecord(
         p, "prop6.6", Sphi, "backbone", match,
         ratio=abs(float(slack)) / p ** 2,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
         detail=f"trace={trace_ok} eqn6={eqn6} eqn7={eqn7} eqn9={eqn9} "
                f"assembled={assembled} slack/p^2={float(slack) / p ** 2:.4f}")
 
 
-def theorem62_sweep(pmin: int, pmax: int, K: int = 6) -> list[VerificationRecord]:
+def theorem62_record(p: int, K: int = 6) -> VerificationRecord | None:
     """|T(p)| for the weighted 3G3 average, normalized by the magnitude of
     its stated prefactor p^3(p-1) (the unit characters contribute nothing to
-    absolute value).  The corrected-prefactor normalization |I|/(p^(5/2)(p-1)),
-    which uses |J(psi3,psi3)| = sqrt(p), rides along in detail; it hovers at
-    Theta(1), which is exactly the sqrt(p) gap between the two constants.
+    absolute value); None unless p = 1 mod 6.  The corrected-prefactor
+    normalization |I|/(p^(5/2)(p-1)), which uses |J(psi3,psi3)| = sqrt(p),
+    rides along in detail; it hovers at Theta(1), which is exactly the
+    sqrt(p) gap between the two constants.
     """
-    out = []
-    for p in primerange(max(7, pmin), pmax + 1):
-        if p % 6 != 1:
-            continue
-        t0 = time.perf_counter()
-        ctx = make_padic_ctx(p, K)
-        I = gk_I_integer(ctx)
-        ratio = abs(I) / (p ** 3 * (p - 1))
-        out.append(VerificationRecord(
-            p, "thm6.2", abs(I), 0, True, ratio=ratio,
-            elapsed_ms=(time.perf_counter() - t0) * 1e3,
-            detail=f"corrected-norm={abs(I) / (p ** 2.5 * (p - 1)):.6g}"))
-    return out
+    if p % 6 != 1:
+        return None
+    I = gk_I_integer(make_padic_ctx(p, K))
+    return VerificationRecord(
+        p, "thm6.2", abs(I), 0, True, ratio=abs(I) / (p ** 3 * (p - 1)),
+        detail=f"corrected-norm={abs(I) / (p ** 2.5 * (p - 1)):.6g}")
+
+
+def theorem63_record(p: int, K: int = 6) -> VerificationRecord | None:
+    """|T9(p)|/p^2 for T9(p) = sum phi(lam^(1/3)-1) 9G9(lam) = I/(p(p-1));
+    None unless p = 2 mod 3."""
+    if p % 3 != 2:
+        return None
+    I = gk_I_integer(make_padic_ctx(p, K))
+    t9 = abs(I) / (p * (p - 1))
+    return VerificationRecord(p, "thm6.3", abs(I), 0, True, ratio=t9 / p ** 2,
+                              detail=f"|T9|={t9:.6g}")
+
+
+def theorem62_sweep(pmin: int, pmax: int, K: int = 6) -> list[VerificationRecord]:
+    """theorem62_record over the primes in [max(7, pmin), pmax]."""
+    recs = (theorem62_record(p, K) for p in primerange(max(7, pmin), pmax + 1))
+    return [r for r in recs if r is not None]
 
 
 def theorem63_sweep(pmin: int, pmax: int, K: int = 6) -> list[VerificationRecord]:
-    """|T9(p)|/p^2 for T9(p) = sum phi(lam^(1/3)-1) 9G9(lam) = I/(p(p-1))."""
-    out = []
-    for p in primerange(max(5, pmin), pmax + 1):
-        if p % 3 != 2:
-            continue
-        t0 = time.perf_counter()
-        ctx = make_padic_ctx(p, K)
-        I = gk_I_integer(ctx)
-        t9 = abs(I) / (p * (p - 1))
-        out.append(VerificationRecord(
-            p, "thm6.3", abs(I), 0, True, ratio=t9 / p ** 2,
-            elapsed_ms=(time.perf_counter() - t0) * 1e3,
-            detail=f"|T9|={t9:.6g}"))
-    return out
+    """theorem63_record over the primes in [max(5, pmin), pmax]."""
+    recs = (theorem63_record(p, K) for p in primerange(max(5, pmin), pmax + 1))
+    return [r for r in recs if r is not None]
 
 
 def sweep_trend_ok(records: list[VerificationRecord]) -> bool:

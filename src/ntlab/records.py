@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 SCHEMA_HEADER = "# ntlab-schema v1"
 CSV_COLUMNS = "p,name,lhs,rhs,match,ratio,elapsed_ms"
@@ -53,20 +52,11 @@ def records_to_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(records, path: Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(records_to_csv(records))
-    return path
-
-
-def write_json(records, path: Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def records_to_json(records) -> str:
+    """The records as a JSON list; lhs and rhs are formatted as in the CSV."""
     rows = []
     for r in records:
         d = asdict(r)
         d["lhs"], d["rhs"] = _fmt(r.lhs), _fmt(r.rhs)
         rows.append(d)
-    path.write_text(json.dumps(rows, indent=1) + "\n")
-    return path
+    return json.dumps(rows, indent=1) + "\n"

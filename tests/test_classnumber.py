@@ -93,3 +93,23 @@ def test_divisor_sums():
     assert sigma == 12
     assert lam1 == Fraction(1 + 2 + 2 + 1, 2)
     assert lam3 == Fraction(1 + 8 + 8 + 1, 2)
+
+
+@pytest.mark.parametrize("damage", ["gap", "duplicate", "header-only"])
+def test_bad_cache_files_are_rejected_and_rebuilt(tmp_path, damage):
+    path = tmp_path / "hurwitz.csv"
+    cn.write_hurwitz_csv(cn.build_hurwitz_table(60), path)
+    lines = path.read_text().splitlines()
+    if damage == "gap":
+        del lines[2 + 23]            # D = 23 missing, h(23) = 3
+    elif damage == "duplicate":
+        lines.insert(2 + 24, lines[2 + 23])
+    else:
+        lines = lines[:2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        cn.read_hurwitz_csv(path)
+    table = cn.load_or_build(40, tmp_path, write=True)
+    assert table.bound == 40 and cn.hurwitz_hstar12(23, table) == 36
+    assert cn.read_hurwitz_csv(path).bound == 40
+    assert [p.name for p in tmp_path.iterdir()] == ["hurwitz.csv"]

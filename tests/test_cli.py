@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 
 import pytest
 
+from ntlab import identities as idn
 from ntlab.cli import SUITE_NAMES, SWEEP_NAMES, main
 from ntlab.records import SCHEMA_HEADER
 
@@ -41,10 +43,43 @@ def test_verify_output_is_deterministic(capsys):
 
 
 def test_timings_flag_breaks_zeroing(capsys):
-    _, out, _ = run(capsys, "verify", "--suite", "prop6.6", "--pmin", "31",
-                    "--pmax", "31", "--timings")
-    rows = out.splitlines()[2:]
-    assert rows and any(not ln.endswith(",0.000") for ln in rows)
+    # every record carries its share of its task's time, not only some
+    for argv in (("verify", "--suite", "moments,curves,eichler", "--pmin", "7",
+                  "--pmax", "13", "--nmax", "15"),
+                 ("sweep", "--claim", "thm1.1", "--pmin", "7", "--pmax", "31")):
+        _, out, _ = run(capsys, *argv, "--timings")
+        rows = out.splitlines()[2:]
+        assert rows and all(float(ln.rsplit(",", 1)[1]) > 0 for ln in rows)
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_pool_matches_serial_under_every_start_method(capsys, method):
+    argv = ("verify", "--suite", "counting,s4-triroute,eichler,schoof",
+            "--pmin", "13", "--pmax", "29", "--nmax", "19")
+    _, serial, _ = run(capsys, *argv, "--workers", "1")
+    old = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        _, pooled, _ = run(capsys, *argv, "--workers", "2")
+    finally:
+        multiprocessing.set_start_method(old, force=True)
+    assert pooled == serial
+    assert ",error," not in serial
+
+
+def test_error_reasons_reach_stderr(capsys, monkeypatch):
+    def boom(ctx, table):
+        raise ArithmeticError(f"boom at {ctx.p}")
+
+    monkeypatch.setattr(idn, "counting_lemma_check", boom)
+    code, out, err = run(capsys, "verify", "--suite", "counting,s4-triroute",
+                         "--pmin", "13", "--pmax", "17")
+    assert code == 1
+    assert "13,counting,error,,false" in out
+    assert "  counting: 2 records, 2 mismatches" in err
+    assert "  s4-triroute: 2 records, 0 mismatches" in err
+    assert "error 13,counting: ArithmeticError: boom at 13" in err
+    assert "error 17,counting: ArithmeticError: boom at 17" in err
 
 
 def test_json_output_mirrors_csv_fields(capsys):
@@ -63,6 +98,12 @@ def test_file_flag_writes_report(tmp_path, capsys):
                        "--pmax", "17", "--file", str(target))
     assert code == 0
     assert target.read_text() == out
+    # the histogram goes through the same writer, parent directory included
+    nested = tmp_path / "new" / "angles.csv"
+    code, out, _ = run(capsys, "sweep", "--claim", "angles", "--p", "101",
+                       "--file", str(nested))
+    assert code == 0
+    assert nested.read_text() == out
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
@@ -131,6 +172,23 @@ def test_trend_sweep(capsys):
                          "--pmax", "53")
     assert code == 0
     assert "falls from first to last prime: True" in err
+
+
+def test_trend_sweep_exits_1_when_the_ratio_rises(capsys):
+    # thm6.2's ratio climbs from 0.0533 at p = 13 to 0.1745 at p = 19
+    code, out, err = run(capsys, "sweep", "--claim", "thm6.2", "--pmin", "13",
+                         "--pmax", "19")
+    assert code == 1
+    assert "falls from first to last prime: False" in err
+
+
+def test_sweep_workers_do_not_change_the_report(capsys):
+    for claim in ("prop4.8", "thm6.3"):
+        argv = ("sweep", "--claim", claim, "--pmin", "7", "--pmax", "60")
+        code1, serial, _ = run(capsys, *argv)
+        code2, pooled, _ = run(capsys, *argv, "--workers", "2")
+        assert (code1, pooled) == (code2, serial)
+        assert len(serial.splitlines()) > 4
 
 
 def test_cache_build_inspect_idempotent(tmp_path, capsys):

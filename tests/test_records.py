@@ -2,8 +2,7 @@ import json
 from fractions import Fraction
 
 from ntlab.records import (CSV_COLUMNS, SCHEMA_HEADER, VerificationRecord,
-                           merge_records, records_to_csv, write_csv,
-                           write_json)
+                           merge_records, records_to_csv, records_to_json)
 
 
 def _sample():
@@ -32,15 +31,18 @@ def test_csv_layout():
     assert text.endswith("\n")
 
 
-def test_write_csv_and_json(tmp_path):
+def test_write_csv_and_json():
     recs = merge_records(_sample())
-    p1 = write_csv(recs, tmp_path / "out.csv")
-    assert p1.read_text() == records_to_csv(recs)
-    p2 = write_json(recs, tmp_path / "out.json")
-    rows = json.loads(p2.read_text())
+    rows = json.loads(records_to_json(recs))
     assert len(rows) == 3
     assert set(rows[0]) >= {"p", "name", "lhs", "rhs", "match"}
     assert rows[0]["name"] == "a-check" and rows[0]["match"] is False
+    # lhs and rhs read exactly as in the CSV, floats included
+    csv_rows = [ln.split(",") for ln in records_to_csv(recs).splitlines()[2:]]
+    assert [[r["lhs"], r["rhs"]] for r in rows] == [c[2:4] for c in csv_rows]
+    r = VerificationRecord(7, "x", 0.1 + 0.2, 1 / 3, False)
+    assert json.loads(records_to_json([r]))[0]["lhs"] == "0.3"
+    assert json.loads(records_to_json([r]))[0]["rhs"] == "0.333333333333"
 
 
 def test_float_formatting_is_stable():
