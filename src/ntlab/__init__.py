@@ -2,7 +2,7 @@
 Kloosterman moments.
 
 Every quantity of interest is computed by at least two independent routes
-(certified floating point, exact character sums, Hurwitz class-number
+(certified fixed-point sums, exact character sums, Hurwitz class-number
 windows, p-adic Gauss sums) and the routes are compared exactly over prime
 sweeps. See the README for the findings the lab surfaced.
 """
@@ -11,7 +11,6 @@ from .classnumber import (HurwitzTable, build_hurwitz_table, class_number_h,
                           cohen_coefficient, eichler_lhs, eichler_rhs,
                           hurwitz_hfull, hurwitz_hstar12, hurwitz_rational,
                           load_or_build)
-from .ddreal import CertifiedReal, PrecisionError
 from .ecurve import (CurveClass, ap_legendre, ap_table, curve_census,
                      curves_isomorphic, j_invariant, l_set, l_set_sizes,
                      short_weierstrass, torsion_class, twist_relation_check)
@@ -20,10 +19,11 @@ from .identities import (asymptotic_sweep, counting_lemma_check, cp_count,
                          s4_direct, s4_via_ap, s4_via_classnumbers,
                          schoof_count_check, sheaf_via_s4,
                          torsion_census_check, window8, window16)
-from .kloosterman import (CosTable, MomentResult, angle_histogram,
-                          closed_forms, kloosterman_sum,
-                          kloosterman_sum_via_quadric, kloosterman_table,
-                          semicircle_chisq, sheaf_moment, symmetric_moment_rhs,
+from .kloosterman import (CertifiedReal, MomentResult, PrecisionError,
+                          TrigTable, angle_histogram, closed_forms,
+                          kloosterman_sum, kloosterman_sum_via_quadric,
+                          kloosterman_table, round_fixed, semicircle_chisq,
+                          sheaf_moment, symmetric_moment_rhs, trig_table,
                           twisted_moment, untwisted_moment)
 from .padic import (GSpec, PadicCtx, PiRingElem, QpValue, g3_spec, g9_spec,
                     gamma_p, gamma_product_checks, gauss_sum_gk,

@@ -28,7 +28,8 @@ from . import classnumber as cn
 from . import identities as idn
 from . import kloosterman as km
 from . import padic as pa
-from .ecurve import ap_table, l_set_sizes, twist_relation_check
+from .ecurve import (ap_table, curve_census, l_set_sizes,
+                     twist_relation_check)
 from .ffield import make_field_ctx
 from .records import (SCHEMA_HEADER, VerificationRecord, merge_records,
                       records_to_csv, records_to_json)
@@ -178,7 +179,9 @@ def _admissible_schoof(p: int) -> list[tuple[int, int]]:
 
 def _suite_schoof(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
-    recs = [idn.schoof_count_check(ctx, n, s, table, cap=cfg.census_cap)
+    census = curve_census(ctx)
+    recs = [idn.schoof_count_check(ctx, n, s, table, cap=cfg.census_cap,
+                                   census=census)
             for n, s in _admissible_schoof(p)]
     return [_collapse(p, "schoof-census", recs)]
 
@@ -447,28 +450,12 @@ def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
 
 # --- cache ----------------------------------------------------------------------
 
-def _write_ap_csv(p: int, directory: Path) -> Path:
-    ctx = make_field_ctx(p)
-    aps = ap_table(ctx)
-    lines = [SCHEMA_HEADER, "lambda,ap"]
-    for lam in range(2, p):
-        lines.append(f"{lam},{int(aps[lam])}")
-    path = directory / f"ap_{p}.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def cmd_cache(cfg: RunConfig, action: str, bound: int, ap_primes: list[int]) -> int:
+def cmd_cache(cfg: RunConfig, action: str, bound: int) -> int:
     directory = Path(cfg.cache) if cfg.cache else cn.cache_dir()
     if action == "build":
         table = cn.load_or_build(bound, directory, write=True)
         print(f"hurwitz.csv: D <= {table.bound} "
               f"at {cn.hurwitz_csv_path(directory)}")
-        for p in ap_primes:
-            if not isprime(p):
-                raise SystemExit(f"--ap {p}: not prime")
-            print(f"ap table: {_write_ap_csv(p, directory)}")
         return 0
     # inspect
     path = cn.hurwitz_csv_path(directory)
@@ -477,10 +464,6 @@ def cmd_cache(cfg: RunConfig, action: str, bound: int, ap_primes: list[int]) -> 
         print(f"{path}: D <= {table.bound} ({table.bound + 1} rows)")
     else:
         print(f"{path}: missing")
-    for ap in sorted(directory.glob("ap_*.csv")):
-        nrows = sum(1 for line in ap.read_text().splitlines()
-                    if line and not line.startswith("#")) - 1
-        print(f"{ap}: {nrows} rows")
     return 0
 
 
@@ -578,11 +561,9 @@ def main(argv=None) -> int:
     wp.add_argument("--bins", type=int, default=20)
     wp.add_argument("--threshold", type=float)
 
-    cp = sub.add_parser("cache", help="build or inspect hurwitz.csv / ap_<p>.csv")
+    cp = sub.add_parser("cache", help="build or inspect hurwitz.csv")
     cp.add_argument("action", choices=("build", "inspect"))
     cp.add_argument("--bound", type=int, default=20000)
-    cp.add_argument("--ap", type=int, action="append", default=[],
-                    help="also write ap_<p>.csv for this prime; repeatable")
     cp.add_argument("--cache", help="cache directory (default: NTLAB_CACHE)")
 
     gp = sub.add_parser("gfun", help="evaluate one p-adic G-function value")
@@ -605,7 +586,7 @@ def main(argv=None) -> int:
         return cmd_sweep(_build_config(ns), ns.claim, ns.p, ns.bins)
     if ns.command == "cache":
         cfg = RunConfig(cache=ns.cache)
-        return cmd_cache(cfg, ns.action, ns.bound, ns.ap)
+        return cmd_cache(cfg, ns.action, ns.bound)
     if ns.command == "gfun":
         if not isprime(ns.p) or ns.p < 5:
             raise SystemExit(f"--p {ns.p}: need a prime >= 5")

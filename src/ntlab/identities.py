@@ -38,12 +38,10 @@ def window16(p: int) -> list[int]:
     16 | 4p - s^2 forces p = 1 mod 4."""
     smax = math.isqrt(4 * p - 1)
     out = [s for s in range(-smax, smax + 1) if (s - p - 1) % 16 == 0]
-    if p % 4 == 3:
-        assert all((4 * p - s * s) % 16 != 0 for s in out)
-        return []
-    for s in out:
-        assert (4 * p - s * s) % 16 == 0
-    return out
+    hits = [s for s in out if (4 * p - s * s) % 16 == 0]
+    if hits != (out if p % 4 == 1 else []):
+        raise ArithmeticError(f"mod-16 window of p={p} is off: {out}")
+    return hits
 
 
 def _sum_ap_sq(ctx: FieldCtx) -> int:
@@ -55,7 +53,9 @@ def _sum_ap_sq(ctx: FieldCtx) -> int:
 
 
 def s4_direct(ctx: FieldCtx, precomputed=None) -> int:
-    """Route 1: the moment itself, by certified cosine summation."""
+    """Route 1: the moment itself, summed exactly over the fixed-point
+    Kloosterman table (one big-integer convolution) and rounded with an
+    integer error certificate."""
     phi_idx = (ctx.p - 1) // 2
     return twisted_moment(ctx, 4, phi_idx, precomputed).value
 
@@ -133,7 +133,8 @@ def cp_count(ctx: FieldCtx, mode: str = "formula", cap: int = 100) -> int:
         return total
     if mode == "formula":
         s4 = s4_via_ap(ctx, corrected=False)
-        assert s4 % p == 0
+        if s4 % p:
+            raise ArithmeticError(f"S(4,phi) = {s4} not divisible by p={p}")
         return ((p - 1) ** 3 - 2 * (p - 1) ** 2 + 3 * (p - 1) * (p - 2)
                 + 3 * (p - 2) + s4 // p)
     raise ValueError(f"unknown mode {mode!r}")
@@ -151,13 +152,15 @@ def ap_second_moment_check(ctx: FieldCtx) -> VerificationRecord:
 
 def schoof_count_check(ctx: FieldCtx, n: int, s: int,
                        table: cn.HurwitzTable | None = None,
-                       cap: int = 200) -> VerificationRecord:
+                       cap: int = 200,
+                       census: list | None = None) -> VerificationRecord:
     """Isomorphism classes with trace s and full rational n-torsion, against
     the class numbers of -(4p - s^2)/n^2.
 
     The plain class count matches the ordinary (unweighted) convention and
     the 1/|Aut|-weighted count matches the Hurwitz one; the record's detail
-    says which held, rather than presuming either.
+    says which held, rather than presuming either. `census` is
+    curve_census(ctx), built here when not passed in.
     """
     p = ctx.p
     if p > cap:
@@ -166,10 +169,11 @@ def schoof_count_check(ctx: FieldCtx, n: int, s: int,
         raise ValueError(f"inadmissible trace s={s} for p={p}")
     if (p + 1 - s) % (n * n) or (p - 1) % n:
         raise ValueError(f"n={n} incompatible with p={p}, s={s}")
-    D = 4 * p - s * s
-    assert D % (n * n) == 0, "window arithmetic is off"
-    D //= n * n
-    census = curve_census(ctx)
+    D, rem = divmod(4 * p - s * s, n * n)
+    if rem:
+        raise ArithmeticError(f"window arithmetic is off: n={n}, s={s}, p={p}")
+    if census is None:
+        census = curve_census(ctx)
     if n == 1:
         hits = [c for c in census if c.a_p == s]
     elif n == 2:
@@ -200,8 +204,9 @@ def counting_lemma_check(ctx: FieldCtx,
     twice = 0
     for lam in range(2, p - 1):
         twice += 1 + ctx.qr[(1 - lam * lam) % p]
-    assert twice % 2 == 0
-    lhs = twice // 2
+    lhs, odd = divmod(twice, 2)
+    if odd:
+        raise ArithmeticError(f"odd lambda count {twice} at p={p}")
     rhs = sum(cn.hurwitz_hstar12((4 * p - s * s) // 16, table)
               for s in window16(p))
     return VerificationRecord(p, "counting-1", lhs, rhs, lhs == rhs)

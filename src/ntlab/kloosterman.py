@@ -1,10 +1,14 @@
-"""Kloosterman sums and their power moments with certified integer rounding.
+"""Kloosterman sums and their power moments, exact in fixed point.
 
-All heavy sums run over dd (double-double) cosine tables; every reported
-moment is an exact integer obtained through CertifiedReal.round_to_integer,
-so a precision shortfall raises instead of silently truncating. Default
-table precision leaves orders of magnitude of headroom for p <= 5000 and
-moments up to n = 4.
+Everything runs on integers. A trig table holds cos and sin of 2 pi k/p
+scaled by 2^L and rounded, each entry within one unit. Writing a = g^alpha
+and x = g^xi, the whole table of K(a,p) is one cyclic convolution over
+F_p^*, evaluated as a single big-integer product (Kronecker substitution).
+Moments are exact integer sums of powers of that table, and every one of
+them passes through round_fixed, which returns an integer only when an
+integer error bound proves it; a precision shortfall raises PrecisionError
+instead of silently truncating. L grows with p, so the headroom does not
+shrink as p grows.
 """
 
 from __future__ import annotations
@@ -12,13 +16,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
-from .ddreal import (EPS_DD, CertifiedReal, cos_table, dd_add, dd_mul,
-                     dd_mul_float, dd_sum)
 from .ffield import CharIdx, FieldCtx
 
-_CHUNK = 256  # rows of the (a, x) sweep processed at once
+
+class PrecisionError(ArithmeticError):
+    """Raised when a certified bound is too large to round to an integer."""
+
+
+@dataclass(frozen=True)
+class CertifiedReal:
+    """A real number known to lie within err of value (absolute bound)."""
+
+    value: float
+    err: float
 
 
 @dataclass(frozen=True)
@@ -29,43 +42,100 @@ class MomentResult:
     value: int
 
 
-class CosTable:
-    """Per-prime dd table of cos(2*pi*k/p) with its error budget."""
+def round_fixed(num: int, shift: int, err: int) -> int:
+    """The integer m nearest num / 2^shift, where the true value lies within
+    err / 2^shift of it. Raises PrecisionError unless
+    |num / 2^shift - m| + err / 2^shift < 1/2, so m is certified."""
+    one = 1 << shift
+    if 2 * err >= one:
+        raise PrecisionError(
+            f"insufficient precision: error bound {err / one:.3g} >= 1/2 "
+            f"(need about {(2 * err).bit_length() - shift} more bits)")
+    m = (2 * num + one) >> (shift + 1)
+    if 2 * (abs(num - m * one) + err) >= one:
+        raise PrecisionError(
+            f"value {num / one} not within certified 1/2 of an integer "
+            f"(err {err / one:.3g})")
+    return m
 
-    def __init__(self, ctx: FieldCtx):
-        self.p = ctx.p
-        self.hi, self.lo, self.per_term_err = cos_table(ctx.p)
-        inv = [0] * ctx.p
-        for x in range(1, ctx.p):
-            inv[x] = pow(x, ctx.p - 2, ctx.p)
-        self.xinv = np.array(inv, dtype=np.int64)
+
+# ---------------------------------------------------------------------------
+# the trig table, shared by both routes to K(a,p)
+
+@dataclass(frozen=True)
+class TrigTable:
+    """cos[k] and sin[k] are 2^bits cos(2 pi k/p) and 2^bits sin(2 pi k/p),
+    k = 0..p-1, rounded to integers within one unit."""
+
+    p: int
+    bits: int
+    cos: list[int]
+    sin: list[int]
 
 
-def _ensure_table(ctx: FieldCtx, table: CosTable | None) -> CosTable:
+def trig_table(p: int) -> TrigTable:
+    """Baby-step giant-step: mpmath seeds cos/sin on two coarse grids at
+    bits + 16 bits, the other entries come from one integer angle addition
+    each. A seed is within 1/2 unit of 2^-(bits+16), so an entry is within
+    1/2 + 2^-15 units of 2^-bits. 2^bits > 2^20 p^4 keeps the error bound
+    of a fourth moment about 2^11 sqrt(p) times below its rounding margin.
+    """
+    bits = 4 * p.bit_length() + 20
+    seed = bits + 16
+    m = max(1, math.isqrt(p))
+    n_giant = p // m + 1
+    with mpmath.workprec(seed + 32):
+        tau = 2 * mpmath.pi / p
+
+        def fixed(x):
+            return int(mpmath.nint(mpmath.ldexp(x, seed)))
+
+        cb = [fixed(mpmath.cos(tau * j)) for j in range(m)]
+        sb = [fixed(mpmath.sin(tau * j)) for j in range(m)]
+        cg = [fixed(mpmath.cos(tau * m * i)) for i in range(n_giant)]
+        sg = [fixed(mpmath.sin(tau * m * i)) for i in range(n_giant)]
+    # products are at scale 2^(2 seed); shift back to 2^bits, rounding
+    drop = 2 * seed - bits
+    half = 1 << (drop - 1)
+    cos, sin = [], []
+    for k in range(p):
+        i, j = divmod(k, m)
+        cos.append((cg[i] * cb[j] - sg[i] * sb[j] + half) >> drop)
+        sin.append((sg[i] * cb[j] + cg[i] * sb[j] + half) >> drop)
+    return TrigTable(p, bits, cos, sin)
+
+
+def _ensure_table(ctx: FieldCtx, table: TrigTable | None) -> TrigTable:
     if table is None:
-        table = CosTable(ctx)
+        table = trig_table(ctx.p)
     if table.p != ctx.p:
-        raise ValueError("cosine table belongs to a different prime")
+        raise ValueError("trig table belongs to a different prime")
     return table
 
 
-def kloosterman_sum(ctx: FieldCtx, a: int, table: CosTable | None = None) -> CertifiedReal:
+def _certify(num: int, bits: int, terms: int) -> CertifiedReal:
+    """num / 2^bits as a float, num being a sum of `terms` table entries.
+
+    The float is correctly rounded, which costs half an ulp; one spare unit
+    of 2^-bits absorbs the rounding of err itself.
+    """
+    value = num / (1 << bits)
+    return CertifiedReal(value, (terms + 1) / (1 << bits) + abs(value) * 2.0 ** -52)
+
+
+def kloosterman_sum(ctx: FieldCtx, a: int, table: TrigTable | None = None) -> CertifiedReal:
     """K(a,p) = sum over x != 0 of cos(2*pi*(x + a/x)/p), certified."""
     p = ctx.p
     a %= p
     if a == 0:
         return CertifiedReal(-1.0, 0.0)
     table = _ensure_table(ctx, table)
-    x = np.arange(1, p, dtype=np.int64)
-    idx = (x + a * table.xinv[1:]) % p
-    hi, lo = dd_sum(table.hi[idx], table.lo[idx])
-    err = (p - 1) * table.per_term_err + p * math.log2(p + 1) * EPS_DD * 4
-    # collapsing the dd pair to one double costs an extra half ulp
-    return CertifiedReal(hi, err) + CertifiedReal(lo, 0.0)
+    num = sum(table.cos[(x + a * pow(x, -1, p)) % p] for x in range(1, p))
+    return _certify(num, table.bits, p - 1)
 
 
 def kloosterman_sum_via_quadric(ctx: FieldCtx, a: int,
-                                table: CosTable | None = None) -> CertifiedReal:
+                                table: TrigTable | None = None) -> CertifiedReal:
     """Second route: K(a,p) = sum over v of phi(v^2 - 4a) cos(2*pi*v/p).
 
     Counting solutions of x + a/x = v gives 1 + phi(v^2-4a) values of x,
@@ -76,74 +146,98 @@ def kloosterman_sum_via_quadric(ctx: FieldCtx, a: int,
     if a == 0:
         return CertifiedReal(-1.0, 0.0)
     table = _ensure_table(ctx, table)
-    v = np.arange(p, dtype=np.int64)
-    w = np.array(ctx.qr, dtype=np.float64)[(v * v - 4 * a) % p]
-    hi, lo = dd_mul_float(table.hi, table.lo, w)
-    shi, slo = dd_sum(hi, lo)
-    err = p * table.per_term_err + p * math.log2(p + 1) * EPS_DD * 4
-    return CertifiedReal(shi, err) + CertifiedReal(slo, 0.0)
+    num = sum(ctx.qr[(v * v - 4 * a) % p] * table.cos[v] for v in range(p))
+    return _certify(num, table.bits, p)
 
 
-def kloosterman_table(ctx: FieldCtx, table: CosTable | None = None):
-    """All K(a,p) for a = 0..p-1 as dd arrays plus a uniform error bound."""
+# ---------------------------------------------------------------------------
+# the whole table as one convolution
+
+def _pack(xs: list[int], nbytes: int) -> int:
+    """sum xs[i] 2^(8 nbytes i) for |xs[i]| < 2^(8 nbytes - 1)."""
+    half = 1 << (8 * nbytes - 1)
+    raw = b"".join((x + half).to_bytes(nbytes, "little") for x in xs)
+    return int.from_bytes(raw, "little") - _offset(len(xs), nbytes)
+
+
+def _unpack(X: int, n: int, nbytes: int) -> list[int]:
+    """The n slots of X = sum w[i] 2^(8 nbytes i), |w[i]| < 2^(8 nbytes - 1)."""
+    half = 1 << (8 * nbytes - 1)
+    raw = (X + _offset(n, nbytes)).to_bytes(n * nbytes, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little") - half
+            for i in range(0, n * nbytes, nbytes)]
+
+
+def _offset(n: int, nbytes: int) -> int:
+    """2^(8 nbytes - 1) in each of n slots."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+
+
+def kloosterman_table(ctx: FieldCtx, table: TrigTable | None = None):
+    """All K(a,p), a = 0..p-1, as (K, shift, err): K[a] is an integer within
+    err of 2^shift K(a,p).
+
+    With a = g^alpha, x = g^xi, c(xi) = cos(2 pi g^xi/p) and s likewise,
+    K(g^alpha) = (c*c - s*s)(alpha), cyclic over Z/(p-1). For u = C + S and
+    v = C - S on the table's integers, the cross terms of u*v cancel exactly,
+    so one big-integer product gives C*C - S*S. Each of its p-1 terms
+    is within 2^L(|c|+|c'|+|s|+|s'|) + 2 <= 6 2^L + 4 units of 2^-2L.
+    """
     p = ctx.p
     table = _ensure_table(ctx, table)
-    Kh = np.empty(p)
-    Kl = np.empty(p)
-    Kh[0], Kl[0] = -1.0, 0.0
-    x = np.arange(1, p, dtype=np.int64)
-    xinv = table.xinv[1:]
-    for start in range(1, p, _CHUNK):
-        stop = min(start + _CHUNK, p)
-        a = np.arange(start, stop, dtype=np.int64)
-        idx = (x[None, :] + a[:, None] * xinv[None, :]) % p
-        hi = table.hi[idx]
-        lo = table.lo[idx]
-        # pairwise tree reduction along x, vectorized over the a-chunk
-        n = hi.shape[1]
-        while n > 1:
-            half = n // 2
-            h2, l2 = dd_add(hi[:, :half], lo[:, :half],
-                            hi[:, half:2 * half], lo[:, half:2 * half])
-            if n % 2:
-                h0, l0 = dd_add(h2[:, :1], l2[:, :1], hi[:, n - 1:n], lo[:, n - 1:n])
-                h2[:, :1], l2[:, :1] = h0, l0
-            hi, lo = h2, l2
-            n = half
-        Kh[start:stop] = hi[:, 0]
-        Kl[start:stop] = lo[:, 0]
-    err = (p - 1) * table.per_term_err + p * math.log2(p + 1) * EPS_DD * 4
-    return Kh, Kl, err
+    L = table.bits
+    powers = [1] * (p - 1)
+    for i in range(1, p - 1):
+        powers[i] = powers[i - 1] * ctx.g % p
+    C, S = table.cos, table.sin
+    u = [C[x] + S[x] for x in powers]
+    v = [C[x] - S[x] for x in powers]
+    # |u|, |v| < 2^(L+1), so a coefficient of u*v stays below (p-1) 2^(2L+2)
+    nbytes = (2 * L + 3 + (p - 1).bit_length() + 7) // 8
+    w = _unpack(_pack(u, nbytes) * _pack(v, nbytes), 2 * (p - 1), nbytes)
+    K = [0] * p
+    K[0] = -(1 << 2 * L)
+    for alpha, x in enumerate(powers):
+        K[x] = w[alpha] + w[alpha + p - 1]
+    return K, 2 * L, (p - 1) * (6 * (1 << L) + 4)
 
 
-def _power_dd(Kh, Kl, n: int):
-    """Componentwise K^n for n in 1..4 with an error growth factor."""
-    if n == 1:
-        return Kh, Kl
-    h2, l2 = dd_mul(Kh, Kl, Kh, Kl)
-    if n == 2:
-        return h2, l2
-    if n == 3:
-        return dd_mul(h2, l2, Kh, Kl)
-    if n == 4:
-        return dd_mul(h2, l2, h2, l2)
-    raise ValueError(f"moment order {n} out of the certified range 1..4")
+# ---------------------------------------------------------------------------
+# moments
+
+def _moment(ctx: FieldCtx, coeffs: list[int], twisted: bool, precomputed) -> int:
+    """sum over a != 0 of H(K~(a)), times phi(a) if twisted, rounded. H has
+    the integer coefficients coeffs (lowest degree first) and is homogeneous
+    of degree n = len(coeffs) - 1 at the table's scale.
+
+    Per a, the error is at most max |H'| on [-Kmax, Kmax] times err, which is
+    at most sum j |c_j| Kmax^(j-1) err with Kmax = max |K~| + err; no Weil
+    bound is assumed.
+    """
+    p = ctx.p
+    K, shift, err = precomputed if precomputed is not None else kloosterman_table(ctx)
+    kmax = max(abs(k) for k in K[1:]) + err
+    slope = sum(j * abs(c) * kmax ** (j - 1)
+                for j, c in enumerate(coeffs) if j)
+    H = [coeffs[-1]] * (p - 1)
+    for c in reversed(coeffs[:-1]):
+        H = [h * k + c for h, k in zip(H, K[1:])]
+    if twisted:
+        H = [q * h for q, h in zip(ctx.qr[1:], H)]
+    return round_fixed(sum(H), (len(coeffs) - 1) * shift, (p - 1) * slope * err)
 
 
-def _moment_err(p: int, n: int, err_k: float) -> float:
-    kmax = 2.0 * math.sqrt(p) + 1.0
-    per_a = n * kmax ** (n - 1) * err_k * 1.01 + 4 * n * EPS_DD * kmax ** n
-    return p * per_a + p * kmax ** n * math.log2(p + 1) * EPS_DD * 4
+def _power(n: int) -> list[int]:
+    """The coefficients of x^n."""
+    if n < 1:
+        raise ValueError(f"moment order must be >= 1, got {n}")
+    return [0] * n + [1]
 
 
 def untwisted_moment(ctx: FieldCtx, n: int, precomputed=None) -> MomentResult:
     """S(n)_p = sum over a in F_p^* of K(a,p)^n, certified exact."""
-    p = ctx.p
-    Kh, Kl, err_k = precomputed if precomputed is not None else kloosterman_table(ctx)
-    Ph, Pl = _power_dd(Kh, Kl, n)
-    hi, lo = dd_sum(Ph[1:], Pl[1:])
-    total = CertifiedReal(hi, _moment_err(p, n, err_k)) + CertifiedReal(lo, 0.0)
-    return MomentResult(p, n, None, total.round_to_integer())
+    return MomentResult(ctx.p, n, None,
+                        _moment(ctx, _power(n), False, precomputed))
 
 
 def twisted_moment(ctx: FieldCtx, n: int, twist: CharIdx,
@@ -155,40 +249,38 @@ def twisted_moment(ctx: FieldCtx, n: int, twist: CharIdx,
                          "characters give rational integer moments here")
     if twist % (p - 1) == 0:
         return untwisted_moment(ctx, n, precomputed)
-    Kh, Kl, err_k = precomputed if precomputed is not None else kloosterman_table(ctx)
-    Ph, Pl = _power_dd(Kh, Kl, n)
-    w = np.array(ctx.qr, dtype=np.float64)
-    hi, lo = dd_sum(Ph * w, Pl * w)
-    total = CertifiedReal(hi, _moment_err(p, n, err_k)) + CertifiedReal(lo, 0.0)
-    return MomentResult(p, n, twist, total.round_to_integer())
+    return MomentResult(p, n, twist, _moment(ctx, _power(n), True, precomputed))
 
 
 def sheaf_moment(ctx: FieldCtx, n: int, precomputed=None) -> int:
-    """M(n,phi)_p via the h-recursion h_k = -K h_{k-1} - p h_{k-2}."""
+    """M(n,phi)_p = sum over a of phi(a) h_n(K(a,p)), where h_0 = 1,
+    h_1 = -K and h_k = -K h_{k-1} - p h_{k-2}.
+
+    The recursion runs on the coefficients of h_k homogenized to the
+    table's scale 2^shift (the p term gains 2^(2 shift)), so they stay
+    integers and h_n(K~) is exact at scale 2^(n shift).
+    """
+    if n < 1:
+        raise ValueError(f"moment order must be >= 1, got {n}")
     p = ctx.p
-    Kh, Kl, err_k = precomputed if precomputed is not None else kloosterman_table(ctx)
-    hm2 = (np.ones(p), np.zeros(p))            # h_0
-    hm1 = (-Kh, -Kl)                            # h_1
+    pre = precomputed if precomputed is not None else kloosterman_table(ctx)
+    lift = p << 2 * pre[1]
+    prev, cur = [1], [0, -1]
     for _ in range(n - 1):
-        th, tl = dd_mul(-Kh, -Kl, hm1[0], hm1[1])
-        sh, sl = dd_mul_float(hm2[0], hm2[1], -float(p))
-        hm2, hm1 = hm1, dd_add(th, tl, sh, sl)
-    w = np.array(ctx.qr, dtype=np.float64)
-    hi, lo = dd_sum(hm1[0] * w, hm1[1] * w)
-    # the recursion at depth n amplifies err_k by at most n * (3 sqrt(p))^(n-1)
-    kmax = 3.0 * math.sqrt(p) + 1.0
-    per_a = n * kmax ** (n - 1) * err_k * 1.01 + 8 * n * EPS_DD * kmax ** n
-    err = p * per_a + p * kmax ** n * math.log2(p + 1) * EPS_DD * 4
-    total = CertifiedReal(hi, err) + CertifiedReal(lo, 0.0)
-    return total.round_to_integer()
+        nxt = [0] + [-c for c in cur]
+        for j, c in enumerate(prev):
+            nxt[j] -= lift * c
+        prev, cur = cur, nxt
+    return _moment(ctx, cur, True, pre)
 
 
 def angle_histogram(ctx: FieldCtx, bins: int, precomputed=None) -> np.ndarray:
     """Histogram over [0, pi] of the angles arccos(K(a,p)/(2 sqrt p)), a != 0."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    Kh, Kl, _ = precomputed if precomputed is not None else kloosterman_table(ctx)
-    vals = (Kh + Kl)[1:] / (2.0 * math.sqrt(ctx.p))
+    K, shift, _ = precomputed if precomputed is not None else kloosterman_table(ctx)
+    one = 1 << shift
+    vals = np.array([k / one for k in K[1:]]) / (2.0 * math.sqrt(ctx.p))
     theta = np.arccos(np.clip(vals, -1.0, 1.0))
     counts, _ = np.histogram(theta, bins=bins, range=(0.0, math.pi))
     return counts
@@ -210,8 +302,8 @@ def symmetric_moment_rhs(ctx: FieldCtx, m: int, cap: int = 200) -> int:
     """p phi(-1) sum over nonzero x_1..x_m of phi(sum x_i + 1) phi(sum 1/x_i + 1).
 
     Opening up K(a)^(m+1) and summing the geometric series in a shows this
-    equals S(m+1, phi)_p, which makes it an exact integer-only counterweight
-    to the certified floating point route. The joint distribution of
+    equals S(m+1, phi)_p, which makes it a counterweight to the trig-table
+    route that uses no table at all. The joint distribution of
     (sum x_i, sum 1/x_i) is built by m-1 cyclic convolutions, so the cost
     is O(p^3) for m = 3.
     """
@@ -251,16 +343,3 @@ def closed_forms(p: int) -> dict[str, int]:
     }
 
 
-def s3_empirical_fit(s3_values: dict[int, int]) -> dict:
-    """Fit S(3)_p against c3(p) p^2 + 2p + 1 with c3(p) the quadratic character
-    of p mod 3, and report residuals. The printed closed form for S(3) is
-    garbled at the constant term, so the fit is reported, never assumed.
-    """
-    rows = []
-    ok = True
-    for p, s3 in sorted(s3_values.items()):
-        c3 = 1 if p % 3 == 1 else -1
-        resid = s3 - (c3 * p * p + 2 * p + 1)
-        rows.append({"p": p, "S3": s3, "residual": resid})
-        ok = ok and resid == 0
-    return {"formula": "S(3)_p = (p|3) p^2 + 2p + 1", "exact": ok, "rows": rows}

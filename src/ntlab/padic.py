@@ -82,7 +82,8 @@ class _GammaEngine:
         # W(t) = -R(t) - 1 has all coefficients divisible by p
         self.W = [(-c) % self.wmod for c in self.R]
         self.W[0] = (self.W[0] - 1) % self.wmod
-        assert self.W[0] % p == 0, "Wilson sanity failed"
+        if self.W[0] % p:
+            raise ArithmeticError(f"Wilson sanity failed at p={p}")
         self._logpoly = self._log_series()
         self._faul = {d: _faulhaber_coeffs(d) for d in range(len(self._logpoly))}
         self._selftest()
@@ -106,7 +107,8 @@ class _GammaEngine:
             j //= self.p
             v += 1
         if v:
-            assert c % self.p ** v == 0, "inexact division; raise BUF"
+            if c % self.p ** v:
+                raise ArithmeticError("inexact division; raise BUF")
             c //= self.p ** v
         return c * pow(j, -1, self.wmod) % self.wmod
 
@@ -138,13 +140,16 @@ class _GammaEngine:
             sd = Fraction(0)
             for k, c in enumerate(self._faul[d]):
                 sd += c * m ** k
-            assert sd.denominator == 1
+            if sd.denominator != 1:
+                raise ArithmeticError(f"Faulhaber sum of degree {d} at "
+                                      f"m={m} is not an integer")
             tot = (tot + lam * (sd.numerator % self.wmod)) % self.wmod
         return tot
 
     def _exp(self, x: int) -> int:
         """exp(x) mod (roughly) p^K for v_p(x) >= 1."""
-        assert x % self.p == 0, "exp argument not divisible by p"
+        if x % self.p:
+            raise ArithmeticError("exp argument not divisible by p")
         tot = 1
         term = 1
         fact = 1
@@ -180,7 +185,9 @@ class _GammaEngine:
         for n in (self.p * 64 + 3, self.p * 65, self.p * 64 + self.p - 1):
             want = _gamma_p_direct(self.p, self.K, n)
             got = self.at_int(n)
-            assert got == want, f"Gamma_p block method broken at p={self.p}, n={n}"
+            if got != want:
+                raise ArithmeticError(
+                    f"Gamma_p block method broken at p={self.p}, n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +643,8 @@ class _NgnTable:
                 c = c * gamma_p(hctx, _frac(nb + al)) % mod
                 c = c * pow(gamma_p(hctx, nb), -1, mod) % mod
             e = Es[a] + self.scale
-            assert e >= 0, "scale bookkeeping is off"
+            if e < 0:
+                raise ArithmeticError("scale bookkeeping is off")
             c = c * pow(-p % mod, e, mod) % mod
             if self.scale % 2:
                 c = -c % mod  # (-p)^E p^scale = (-1)^scale (-p)^(E+scale)
@@ -689,7 +697,7 @@ def gk_I_integer(ctx: PadicCtx) -> int:
     """I = sum_a g(phi omega^a) g(omega-bar^a)^3 g(phi omega^(2a))
            * sum_lam phi(lam) omega-bar^a(4(1-lam)/lam), exactly.
 
-    Every a-term is degree-0 in the pi-ring (asserted); |I| is within the
+    Every a-term is degree-0 in the pi-ring (checked); |I| is within the
     Weil bound (p-1)^2 p^(5/2), so K = 6 always reconstructs the integer.
     """
     p, q, mod = ctx.p, ctx.q, ctx.mod
@@ -711,7 +719,8 @@ def gk_I_integer(ctx: PadicCtx) -> int:
         u2 = (-gamma_p(ctx, Fraction(a, q))) % mod
         u3 = (-gamma_p(ctx, Fraction(j3, q))) % mod
         D = j1 + 3 * a + j3
-        assert D % q == 0, "Gauss-sum product not degree-0"
+        if D % q:
+            raise ArithmeticError("Gauss-sum product not degree-0")
         coeff = u1 * pow(u2, 3, mod) % mod * u3 % mod
         coeff = coeff * pow(-p % mod, D // q, mod) % mod
         w = 0

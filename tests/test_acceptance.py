@@ -3,7 +3,7 @@
 Every criterion is checked at its stated tolerance and prime range. Two of
 them pin the fourth-moment constants to the values recorded in the source
 material; those constants disagree with all independent computational routes
-here (certified floating point, trace sums, class-number windows), so the
+here (certified fixed-point sums, trace sums, class-number windows), so the
 two tests fail, with the exact discrepancy printed. The remaining criteria
 pass. Nothing in this module weakens a bound to make a test green.
 """
@@ -19,7 +19,8 @@ from sympy import primerange
 from ntlab import classnumber as cn
 from ntlab import identities as idn
 from ntlab import padic as pa
-from ntlab.ecurve import ap_table, l_set_sizes, twist_relation_check
+from ntlab.ecurve import (ap_table, curve_census, l_set_sizes,
+                          twist_relation_check)
 from ntlab.ffield import make_field_ctx
 from ntlab.kloosterman import (closed_forms, kloosterman_table, sheaf_moment,
                                twisted_moment, untwisted_moment)
@@ -146,13 +147,15 @@ def test_c5_torsion_and_census(htable):
         if len(sizes) != p - 3 or not set(hist) <= {2, 4, 6, 12} \
                 or any(v % k for k, v in hist.items()):
             problems.append(("l-set", p, dict(hist)))
+        census = curve_census(ctx)
         for n in (1, 2, 4):
             if (p - 1) % n:
                 continue
             for s in range(-2 * math.isqrt(p) - 1, 2 * math.isqrt(p) + 2):
                 if s * s >= 4 * p or s % p == 0 or (p + 1 - s) % (n * n):
                     continue
-                rec = idn.schoof_count_check(ctx, n, s, htable)
+                rec = idn.schoof_count_check(ctx, n, s, htable,
+                                             census=census)
                 if not rec.match:
                     problems.append(("schoof", p, n, s))
     for p in primerange(7, 1001):

@@ -194,18 +194,15 @@ def test_sweep_workers_do_not_change_the_report(capsys):
 def test_cache_build_inspect_idempotent(tmp_path, capsys):
     cache = tmp_path / "c"
     code, _, _ = run(capsys, "cache", "build", "--bound", "120",
-                     "--ap", "11", "--cache", str(cache))
+                     "--cache", str(cache))
     assert code == 0
     first = (cache / "hurwitz.csv").read_bytes()
-    ap = (cache / "ap_11.csv").read_text().splitlines()
-    assert ap[0] == SCHEMA_HEADER and ap[1] == "lambda,ap"
-    assert len(ap) == 2 + 9   # lambda = 2..10
     code, _, _ = run(capsys, "cache", "build", "--bound", "120",
                      "--cache", str(cache))
     assert (cache / "hurwitz.csv").read_bytes() == first
     code, out, _ = run(capsys, "cache", "inspect", "--cache", str(cache))
     assert code == 0
-    assert "D <= 120" in out and "ap_11.csv" in out
+    assert "D <= 120" in out
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -229,3 +226,21 @@ def test_gfun_eval(capsys):
 def test_gfun_rejects_composite():
     with pytest.raises(SystemExit):
         main(["gfun", "--p", "9", "--family", "3g3", "--lambda", "2"])
+
+
+def test_schoof_suite_builds_one_census_per_prime(monkeypatch, htable):
+    from collections import Counter
+
+    from ntlab import cli, ecurve
+    calls = Counter()
+
+    def counting_census(ctx):
+        calls[ctx.p] += 1
+        return ecurve.curve_census(ctx)
+
+    monkeypatch.setattr(cli, "curve_census", counting_census, raising=False)
+    monkeypatch.setattr(idn, "curve_census", counting_census)
+    for p in (53, 59):
+        [rec] = cli._suite_schoof(p, cli.RunConfig(), htable)
+        assert rec.match and rec.rhs > 10
+    assert calls == {53: 1, 59: 1}

@@ -4,10 +4,11 @@ import mpmath
 import pytest
 
 from ntlab.ffield import make_field_ctx
-from ntlab.kloosterman import (angle_histogram, closed_forms, kloosterman_sum,
-                               kloosterman_sum_via_quadric, kloosterman_table,
-                               s3_empirical_fit, semicircle_chisq,
-                               sheaf_moment, symmetric_moment_rhs,
+from ntlab.kloosterman import (PrecisionError, angle_histogram, closed_forms,
+                               kloosterman_sum, kloosterman_sum_via_quadric,
+                               kloosterman_table, round_fixed,
+                               semicircle_chisq, sheaf_moment,
+                               symmetric_moment_rhs, trig_table,
                                twisted_moment, untwisted_moment)
 
 
@@ -96,7 +97,7 @@ def test_sheaf_moment_offset_relation(p):
 @pytest.mark.parametrize("p,m", [(7, 1), (7, 2), (11, 2), (7, 3), (11, 3)])
 def test_symmetric_sum_is_next_twisted_moment(p, m):
     # expanding K^(m+1) in m free variables: the combinatorial route gives
-    # S(m+1, phi) as an exact integer, independent of any floating point
+    # S(m+1, phi) as an exact integer, independent of the trig table
     ctx = make_field_ctx(p)
     assert symmetric_moment_rhs(ctx, m) == twisted_moment(ctx, m + 1, ctx.phi_idx()).value
 
@@ -108,12 +109,54 @@ def test_symmetric_sum_cap():
 
 
 def test_s3_values_fit_quadratic_character_form():
-    vals = {}
+    # S(3)_p = (p|3) p^2 + 2p + 1, with (p|3) = +1 for p = 1 mod 3
     for p in (7, 11, 13, 17, 19):
-        vals[p] = untwisted_moment(make_field_ctx(p), 3).value
-    fit = s3_empirical_fit(vals)
-    assert fit["exact"]
-    assert all(r["residual"] == 0 for r in fit["rows"])
+        c3 = 1 if p % 3 == 1 else -1
+        s3 = untwisted_moment(make_field_ctx(p), 3).value
+        assert s3 == c3 * p * p + 2 * p + 1
+
+
+@pytest.mark.parametrize("p", [7, 97, 499])
+def test_trig_table_certified_against_mpmath(p):
+    t = trig_table(p)
+    assert len(t.cos) == len(t.sin) == p
+    with mpmath.workdps(60):
+        for k in range(0, p, max(1, p // 23)):
+            angle = 2 * mpmath.pi * k / p
+            assert abs(t.cos[k] - mpmath.ldexp(mpmath.cos(angle), t.bits)) <= 1
+            assert abs(t.sin[k] - mpmath.ldexp(mpmath.sin(angle), t.bits)) <= 1
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_table_certified_against_mpmath(p):
+    K, shift, err = kloosterman_table(make_field_ctx(p))
+    assert K[0] == -(1 << shift)
+    with mpmath.workdps(60):
+        for a in range(1, p):
+            exact = mpmath.ldexp(_kloosterman_mpmath(p, a), shift)
+            assert abs(K[a] - exact) <= err
+
+
+def test_round_fixed_accepts_certified_values():
+    assert round_fixed((41 << 10) + 1, 10, 5) == 41
+    assert round_fixed(-3 << 4, 4, 7) == -3          # 7/16 < 1/2
+    assert round_fixed((-3 << 4) - 7, 4, 0) == -3
+    assert round_fixed(12, 0, 0) == 12
+
+
+def test_round_fixed_rejects_weak_bounds():
+    with pytest.raises(PrecisionError):
+        round_fixed(41 << 10, 10, 1 << 9)            # err = 1/2
+    with pytest.raises(PrecisionError):
+        round_fixed((41 << 10) + 410, 10, 205)       # 41.4 +- 0.2
+    with pytest.raises(PrecisionError):
+        round_fixed((41 << 10) + 512, 10, 0)         # a tie is never rounded
+
+
+def test_moments_raise_when_the_table_is_too_coarse(ctx13):
+    K, shift, err = kloosterman_table(ctx13)
+    with pytest.raises(PrecisionError):
+        untwisted_moment(ctx13, 4, (K, shift, err << shift))
 
 
 def test_angle_histogram_counts_and_semicircle():

@@ -233,3 +233,22 @@ def test_precision_raise_pathway(pctx13):
     assert pa.gamma_p(hctx, 5) % 13 ** 4 == pa.gamma_p(pctx13, 5) % 13 ** 4
     # children are cached
     assert pctx13.at_precision(6) is hctx
+
+
+def test_inexact_division_raises_under_python_O():
+    # an assert would vanish under -O and hand back a wrong quotient
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    code = ("from ntlab.padic import _GammaEngine\n"
+            "e = _GammaEngine.__new__(_GammaEngine)\n"
+            "e.p, e.wmod = 5, 5 ** 8\n"
+            "try:\n"
+            "    print(e._div_exact(7, 5))\n"
+            "except ArithmeticError as exc:\n"
+            "    print(type(exc).__name__)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(pa.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "ArithmeticError"
