@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from sympy import Poly, Symbol, bernoulli, primerange
+from sympy import primerange
 
 from .ecurve import ap_table
 from .ffield import CharIdx, FieldCtx, make_field_ctx
@@ -43,18 +44,27 @@ def _gamma_p_direct(p: int, K: int, n: int) -> int:
     return (-v if n % 2 else v) % mod
 
 
-def _faulhaber_coeffs(d: int) -> list[Fraction]:
-    """Coefficients c_k of sum_{t<m} t^d = sum_k c_k m^k (exact).
+@lru_cache(maxsize=None)
+def _bernoulli(j: int) -> Fraction:
+    """B_j with B_1 = -1/2, from sum_{k<=j} C(j+1, k) B_k = 0 (j >= 1)."""
+    if j == 0:
+        return Fraction(1)
+    return -sum(math.comb(j + 1, k) * _bernoulli(k) for k in range(j)) / (j + 1)
 
-    Built from the Bernoulli polynomial identity (B_{d+1}(m) - B_{d+1}(0))
-    / (d+1), which does not care about the B_1 sign convention.
+
+@lru_cache(maxsize=None)
+def _faulhaber_row(d: int) -> tuple[tuple[int, ...], int]:
+    """(c, den) with sum_{t<m} t^d = sum_k c[k] m^k / den, exactly.
+
+    Faulhaber with B_1 = -1/2: sum_{t<m} t^d = sum_{j<=d} C(d+1, j) B_j
+    m^(d+1-j) / (d+1). The row does not depend on p, so every engine shares
+    one copy.
     """
-    x = Symbol("x")
-    poly = Poly((bernoulli(d + 1, x) - bernoulli(d + 1, 0)) / (d + 1), x)
-    out = [Fraction(0)] * (d + 2)
-    for k, c in zip(poly.monoms(), poly.coeffs()):
-        out[k[0]] = Fraction(int(c.p), int(c.q))
-    return out
+    coeffs = [Fraction(0)] * (d + 2)
+    for j in range(d + 1):
+        coeffs[d + 1 - j] = math.comb(d + 1, j) * _bernoulli(j) / (d + 1)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
 
 class _GammaEngine:
@@ -85,7 +95,7 @@ class _GammaEngine:
         if self.W[0] % p:
             raise ArithmeticError(f"Wilson sanity failed at p={p}")
         self._logpoly = self._log_series()
-        self._faul = {d: _faulhaber_coeffs(d) for d in range(len(self._logpoly))}
+        self._rows = [_faulhaber_row(d) for d in range(len(self._logpoly))]
         self._selftest()
 
     def _polymul(self, f, g):
@@ -132,18 +142,18 @@ class _GammaEngine:
 
     def _sum_log(self, m: int) -> int:
         """sum_{t<m} log(-R(t)) mod p^WK (top digits noisy, within guard)."""
+        powers = [m ** k for k in range(len(self._logpoly) + 1)]
         tot = 0
         for d, lam in enumerate(self._logpoly):
             if not lam:
                 continue
             # Faulhaber value sum_{t<m} t^d is an exact integer
-            sd = Fraction(0)
-            for k, c in enumerate(self._faul[d]):
-                sd += c * m ** k
-            if sd.denominator != 1:
+            row, den = self._rows[d]
+            sd, rem = divmod(sum(c * x for c, x in zip(row, powers)), den)
+            if rem:
                 raise ArithmeticError(f"Faulhaber sum of degree {d} at "
                                       f"m={m} is not an integer")
-            tot = (tot + lam * (sd.numerator % self.wmod)) % self.wmod
+            tot = (tot + lam * (sd % self.wmod)) % self.wmod
         return tot
 
     def _exp(self, x: int) -> int:
@@ -633,15 +643,19 @@ class _NgnTable:
         mod = hctx.mod
         coeffs = []
         norm = (-pow(q, -1, mod)) % mod
+        # (ak, <-bk>, 1/(Gamma_p(<ak>) Gamma_p(<-bk>))): free of a
+        pairs = []
+        for ak, bk in zip(a_list, b_list):
+            nb = _frac(-bk)
+            inv = pow(gamma_p(hctx, _frac(ak)) * gamma_p(hctx, nb), -1, mod)
+            pairs.append((ak, nb, inv))
         for a in range(q):
             al = Fraction(a, q)
             c = norm
-            for ak, bk in zip(a_list, b_list):
-                nb = _frac(-bk)
+            for ak, nb, inv in pairs:
                 c = c * gamma_p(hctx, _frac(ak - al)) % mod
-                c = c * pow(gamma_p(hctx, _frac(ak)), -1, mod) % mod
                 c = c * gamma_p(hctx, _frac(nb + al)) % mod
-                c = c * pow(gamma_p(hctx, nb), -1, mod) % mod
+                c = c * inv % mod
             e = Es[a] + self.scale
             if e < 0:
                 raise ArithmeticError("scale bookkeeping is off")

@@ -1,0 +1,26 @@
+"""Every script under demos/ runs to completion against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ntlab
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    # an empty glob would turn test_demo_runs into a silent skip
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(ntlab.__file__).parents[1]),
+               NTLAB_CACHE=str(tmp_path / "cache"))
+    out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +25,10 @@ def test_ctx_validation():
         pa.make_padic_ctx(7, 0)
 
 
-@pytest.mark.parametrize("p,K", [(5, 4), (7, 6), (13, 4), (97, 3)])
+# (5, 8) and (7, 8): p divides Faulhaber denominators inside the engine's
+# degree range (von Staudt: p | den(B_j) when p - 1 | j)
+@pytest.mark.parametrize("p,K", [(5, 4), (7, 6), (13, 4), (97, 3), (5, 8),
+                                 (7, 8)])
 def test_gamma_block_engine_against_literal_product(p, K):
     ctx = pa.make_padic_ctx(p, K)
     mod = p ** K
@@ -29,6 +36,45 @@ def test_gamma_block_engine_against_literal_product(p, K):
     for n in (1, 2, p - 1, p, p + 1, 2 * p, edge - 1, edge, edge + 3,
               edge + p - 1, 65 * p, 10 ** 4 + 11):
         assert pa.gamma_p(ctx, n) % mod == pa.gamma_p_direct(ctx, n) % mod, n
+
+
+@pytest.mark.parametrize("p,K", [(5, 8), (7, 8), (13, 4)])
+def test_gamma_functional_equation_far_beyond_the_literal_product(p, K):
+    # Gamma_p(n+1) = -n Gamma_p(n) for p not dividing n, -Gamma_p(n) else;
+    # n ~ 10^30 puts m^d near 10^(30 d) in the Faulhaber sums
+    eng = pa._GammaEngine(p, K)
+    ctx = pa.make_padic_ctx(p, K)
+    mod = p ** K
+    base = 10 ** 30
+    vals = [eng.at_int(n) for n in range(base, base + 2 * p + 2)]
+    for n, (g, g1) in enumerate(zip(vals, vals[1:]), start=base):
+        assert g1 == (-(n if n % p else 1) * g) % mod, n
+    # continuity: the public entry point reduces n mod p^(K+1) first
+    assert pa.gamma_p(ctx, base) == vals[0]
+
+
+def test_bernoulli_known_values():
+    assert pa._bernoulli(0) == 1
+    assert pa._bernoulli(1) == Fraction(-1, 2)
+    assert pa._bernoulli(2) == Fraction(1, 6)
+    assert pa._bernoulli(12) == Fraction(-691, 2730)
+    assert all(pa._bernoulli(j) == 0 for j in range(3, 40, 2))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 64, 1000])
+def test_faulhaber_rows_against_brute_force(m):
+    for d in range(31):
+        row, den = pa._faulhaber_row(d)
+        assert len(row) == d + 2
+        assert sum(c * m ** k for k, c in enumerate(row)) == \
+            den * sum(t ** d for t in range(m)), d
+
+
+def test_engines_share_faulhaber_rows():
+    e5, e7 = pa._GammaEngine(5, 4), pa._GammaEngine(7, 6)
+    shared = min(len(e5._rows), len(e7._rows))
+    assert shared > 1
+    assert all(e5._rows[d] is e7._rows[d] for d in range(shared))
 
 
 def test_gamma_small_values():
@@ -235,12 +281,15 @@ def test_precision_raise_pathway(pctx13):
     assert pctx13.at_precision(6) is hctx
 
 
+def _run_under_python_O(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(Path(pa.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_inexact_division_raises_under_python_O():
     # an assert would vanish under -O and hand back a wrong quotient
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
     code = ("from ntlab.padic import _GammaEngine\n"
             "e = _GammaEngine.__new__(_GammaEngine)\n"
             "e.p, e.wmod = 5, 5 ** 8\n"
@@ -248,7 +297,16 @@ def test_inexact_division_raises_under_python_O():
             "    print(e._div_exact(7, 5))\n"
             "except ArithmeticError as exc:\n"
             "    print(type(exc).__name__)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(pa.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "ArithmeticError"
+    assert _run_under_python_O(code) == "ArithmeticError"
+
+
+def test_corrupted_faulhaber_row_raises_under_python_O():
+    # a wrong denominator must not silently hand back a truncated quotient
+    code = ("from ntlab.padic import _GammaEngine\n"
+            "e = _GammaEngine(5, 4)\n"
+            "e._rows = [(row, den + 1) for row, den in e._rows]\n"
+            "try:\n"
+            "    print(e._sum_log(65))\n"
+            "except ArithmeticError as exc:\n"
+            "    print(type(exc).__name__)\n")
+    assert _run_under_python_O(code) == "ArithmeticError"
