@@ -1,14 +1,8 @@
-"""Hurwitz class numbers, the Eichler relation, and the CSV cache."""
-
-import tempfile
-from pathlib import Path
-
-import numpy as np
+"""Hurwitz class numbers, the Eichler relation, and the Cohen coefficients."""
 
 from ntlab import (build_hurwitz_table, class_number_h, cohen_coefficient,
                    eichler_lhs, eichler_rhs, hurwitz_hfull, hurwitz_hstar12,
-                   hurwitz_rational, load_or_build)
-from ntlab.classnumber import read_hurwitz_csv, write_hurwitz_csv
+                   hurwitz_rational)
 
 table = build_hurwitz_table(6000)
 
@@ -27,13 +21,3 @@ for n in (1, 3, 5, 93, 4999):
 # the companion coefficient is zero at every odd argument tried
 worst = max(abs(cohen_coefficient(ell, table)) for ell in range(1, 2000, 2))
 print(f"max |c(l)| over odd l < 2000: {worst}")
-
-# table persistence round trip
-with tempfile.TemporaryDirectory() as tmp:
-    path = write_hurwitz_csv(table, Path(tmp) / "hurwitz.csv")
-    again = read_hurwitz_csv(path)
-    intact = (again.bound == table.bound
-              and np.array_equal(again.hstar12, table.hstar12))
-    print(f"csv round trip intact: {intact}")
-    served = load_or_build(100, Path(tmp))
-    print(f"load_or_build(100) serves a table of bound {served.bound}")

@@ -18,7 +18,7 @@ for p in primerange(7, 100):
     ctx = make_field_ctx(p)
     a = s4_direct(ctx)
     b = s4_via_ap(ctx, corrected=True)
-    c = s4_via_classnumbers(ctx, table, corrected=True)
+    c = s4_via_classnumbers(p, table, corrected=True)
     assert a == b == c
     print(f"{p:<5} {a:>10}  {b:>10}  {c:>10}")
 
@@ -30,6 +30,6 @@ for p, stated in ((7, -245), (13, -507)):
 # the uncorrected reading of the class-number identity shows the same slip
 p = 41
 ctx = make_field_ctx(p)
-raw = s4_via_classnumbers(ctx, build_hurwitz_table(4 * p), corrected=False)
+raw = s4_via_classnumbers(p, build_hurwitz_table(4 * p), corrected=False)
 print(f"p={p}: uncorrected identity gives {raw}, computed moment is "
       f"{s4_direct(ctx)}, gap {raw - s4_direct(ctx)} = {2 * p * (p - 2)}")

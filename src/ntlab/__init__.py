@@ -9,8 +9,7 @@ sweeps. See the README for the findings the lab surfaced.
 
 from .classnumber import (HurwitzTable, build_hurwitz_table, class_number_h,
                           cohen_coefficient, eichler_lhs, eichler_rhs,
-                          hurwitz_hfull, hurwitz_hstar12, hurwitz_rational,
-                          load_or_build)
+                          hurwitz_hfull, hurwitz_hstar12, hurwitz_rational)
 from .ecurve import (CurveClass, ap_legendre, ap_table, curve_census,
                      curves_isomorphic, j_invariant, l_set, l_set_sizes,
                      short_weierstrass, torsion_class, twist_relation_check)

@@ -1,5 +1,5 @@
 """Hurwitz class numbers via reduced-form enumeration, with a sieve-built
-table, a CSV cache, and the Eichler / Cohen identities used as cross-checks.
+table, and the Eichler / Cohen identities used as cross-checks.
 
 Conventions. For D > 0 with -D a valid discriminant (D = 0 or 3 mod 4):
   h(D)       primitive class number of discriminant -D
@@ -12,17 +12,11 @@ Everything is exact integer or Fraction arithmetic.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 from sympy import divisors
-
-from .records import SCHEMA_HEADER
-
-HURWITZ_COLUMNS = "D,h,hstar12,hfull"
 
 
 def _valid_disc(D: int) -> bool:
@@ -63,12 +57,29 @@ class HurwitzTable:
     hstar12: np.ndarray
 
 
+def _mobius(n: int) -> list[int]:
+    """mu(0), ..., mu(n) by a prime sieve; mu(0) is never read."""
+    mu = [1] * (n + 1)
+    composite = bytearray(n + 1)
+    for q in range(2, n + 1):
+        if composite[q]:
+            continue
+        for m in range(q, n + 1, q):
+            composite[m] = 1
+            mu[m] = -mu[m]
+        for m in range(q * q, n + 1, q * q):
+            mu[m] = 0
+    return mu
+
+
 def build_hurwitz_table(bound: int) -> HurwitzTable:
     """Sieve all reduced forms of discriminant -D for D <= bound in one pass.
 
-    hfull comes straight from the sieve; h by inverting the conductor sum
-    (increasing D, so smaller entries are already primitive); hstar12 by
-    re-summing h with the CM weights.
+    hfull comes straight from the sieve. h inverts the conductor sum by
+    Moebius: h(D) = sum over f^2 | D of mu(f) hfull(D/f^2), one strided
+    slice h[::f^2] += mu(f) hfull[:bound//f^2 + 1] per squarefree
+    f <= sqrt(bound). hstar12 re-sums h with the CM weights the same way,
+    one slice per f. O(bound) array work after the sieve.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -91,30 +102,22 @@ def build_hurwitz_table(bound: int) -> HurwitzTable:
                 w[0] = 1
             np.add.at(hfull, D, w)
 
-    h = hfull.copy()
-    for D in range(1, bound + 1):
-        if not _valid_disc(D):
-            continue
-        f = 2
-        while f * f <= D:
-            if D % (f * f) == 0:
-                h[D] -= h[D // (f * f)]
-            f += 1
+    # hfull(D) = sum over f^2 | D of h(D/f^2); hfull vanishes off the valid
+    # D, so each f is one strided slice and no mask is needed
+    fmax = math.isqrt(bound)
+    mu = _mobius(fmax)
+    h = np.zeros(bound + 1, dtype=np.int64)
+    for f in range(1, fmax + 1):
+        if mu[f]:
+            h[::f * f] += mu[f] * hfull[:bound // (f * f) + 1]
 
+    hw = 12 * h
+    hw[3:4] = 4   # CM weights 1/3 at D = 3 and 1/2 at D = 4; the slices
+    hw[4:5] = 6   # are empty when bound is below them
     hstar12 = np.zeros(bound + 1, dtype=np.int64)
+    for f in range(1, fmax + 1):
+        hstar12[::f * f] += hw[:bound // (f * f) + 1]
     hstar12[0] = -1
-    for D in range(1, bound + 1):
-        if not _valid_disc(D):
-            continue
-        total = 0
-        f = 1
-        while f * f <= D:
-            if D % (f * f) == 0:
-                d = D // (f * f)
-                weight = 4 if d == 3 else 6 if d == 4 else 12
-                total += weight * h[d]
-            f += 1
-        hstar12[D] = total
     return HurwitzTable(bound, h, hfull, hstar12)
 
 
@@ -212,66 +215,3 @@ def cohen_coefficient(ell: int, table: HurwitzTable | None = None) -> Fraction:
     _, _, lam3 = divisor_sums(ell)
     return Fraction(4 * sum_weighted - ell * sum_plain, 12) + lam3
 
-
-# --- CSV cache -------------------------------------------------------------
-
-def cache_dir() -> Path:
-    return Path(os.environ.get("NTLAB_CACHE", ".ntlab-cache"))
-
-
-def hurwitz_csv_path(directory: Path | None = None) -> Path:
-    return (directory or cache_dir()) / "hurwitz.csv"
-
-
-def write_hurwitz_csv(table: HurwitzTable, path: Path | None = None) -> Path:
-    """Write the table through a temporary file and a rename, so a reader
-    never sees a half-written cache."""
-    path = path or hurwitz_csv_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [SCHEMA_HEADER, HURWITZ_COLUMNS]
-    for D in range(table.bound + 1):
-        lines.append(f"{D},{table.h[D]},{table.hstar12[D]},{table.hfull[D]}")
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
-
-
-def read_hurwitz_csv(path: Path | None = None) -> HurwitzTable:
-    """Read a table written by write_hurwitz_csv; ValueError unless D runs
-    0, 1, ..., bound with one row each."""
-    path = path or hurwitz_csv_path()
-    text = path.read_text().splitlines()
-    if not text or text[0].strip() != SCHEMA_HEADER:
-        raise ValueError(f"{path}: missing schema header {SCHEMA_HEADER!r}")
-    if len(text) < 2 or text[1].strip() != HURWITZ_COLUMNS:
-        raise ValueError(f"{path}: unexpected column header")
-    rows = [tuple(int(v) for v in line.split(",")) for line in text[2:] if line.strip()]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    D, h, hstar12, hfull = np.array(rows, dtype=np.int64).T.copy()
-    if not np.array_equal(D, np.arange(len(rows))):
-        raise ValueError(f"{path}: D must run 0, 1, ..., bound with no gap "
-                         "or repeat")
-    return HurwitzTable(len(rows) - 1, h, hfull, hstar12)
-
-
-def load_or_build(bound: int, directory: Path | None = None,
-                  write: bool = True) -> HurwitzTable:
-    """Serve from the CSV cache when it covers `bound`, else rebuild (and
-    rewrite the cache, which is byte-deterministic for a given bound)."""
-    path = hurwitz_csv_path(directory)
-    if path.exists():
-        try:
-            cached = read_hurwitz_csv(path)
-            if cached.bound >= bound:
-                return cached
-        except ValueError:
-            pass
-    table = build_hurwitz_table(bound)
-    if write:
-        write_hurwitz_csv(table, path)
-    return table

@@ -1,5 +1,5 @@
 """Command-line orchestration: identity suites over prime sweeps, asymptotic
-ratio tables, cache management, and direct G-function evaluation.
+ratio tables, and direct G-function evaluation.
 
 Exit status contract: `verify` returns 0 iff every emitted record matches.
 Output determinism: timing columns are zeroed unless --timings is given, so
@@ -45,7 +45,6 @@ class RunConfig:
     workers: int = 1
     out: str = "csv"
     file: str | None = None
-    cache: str | None = None
     census_cap: int = 200
     cp_cap: int = 100
     threshold: float = 4.0
@@ -102,9 +101,9 @@ def _suite_triroute(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
     direct = idn.s4_direct(ctx)
     via_ap = idn.s4_via_ap(ctx, corrected=True)
-    via_h = idn.s4_via_classnumbers(ctx, table, corrected=True)
+    via_h = idn.s4_via_classnumbers(p, table, corrected=True)
     printed_ap = idn.s4_via_ap(ctx, corrected=False)
-    printed_h = idn.s4_via_classnumbers(ctx, table, corrected=False)
+    printed_h = idn.s4_via_classnumbers(p, table, corrected=False)
     match = direct == via_ap == via_h
     return [VerificationRecord(
         p, "s4-triroute", direct, via_ap, match,
@@ -448,25 +447,6 @@ def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
     return 0 if ok else 1
 
 
-# --- cache ----------------------------------------------------------------------
-
-def cmd_cache(cfg: RunConfig, action: str, bound: int) -> int:
-    directory = Path(cfg.cache) if cfg.cache else cn.cache_dir()
-    if action == "build":
-        table = cn.load_or_build(bound, directory, write=True)
-        print(f"hurwitz.csv: D <= {table.bound} "
-              f"at {cn.hurwitz_csv_path(directory)}")
-        return 0
-    # inspect
-    path = cn.hurwitz_csv_path(directory)
-    if path.exists():
-        table = cn.read_hurwitz_csv(path)
-        print(f"{path}: D <= {table.bound} ({table.bound + 1} rows)")
-    else:
-        print(f"{path}: missing")
-    return 0
-
-
 def cmd_gfun(p: int, family: str, lam: int, K: int) -> int:
     ctx = pa.make_padic_ctx(p, K)
     spec = pa.g3_spec(lam) if family == "3g3" else pa.g9_spec(lam)
@@ -499,7 +479,7 @@ _CONFIG_TYPES = {
     "pmin": int, "pmax": int, "nmax": int, "K": int, "workers": int,
     "census_cap": int, "cp_cap": int, "seed": int, "threshold": float,
     "timings": lambda s: s.lower() in ("1", "true", "yes"),
-    "out": str, "file": str, "cache": str, "suites": str,
+    "out": str, "file": str, "suites": str,
 }
 
 
@@ -561,11 +541,6 @@ def main(argv=None) -> int:
     wp.add_argument("--bins", type=int, default=20)
     wp.add_argument("--threshold", type=float)
 
-    cp = sub.add_parser("cache", help="build or inspect hurwitz.csv")
-    cp.add_argument("action", choices=("build", "inspect"))
-    cp.add_argument("--bound", type=int, default=20000)
-    cp.add_argument("--cache", help="cache directory (default: NTLAB_CACHE)")
-
     gp = sub.add_parser("gfun", help="evaluate one p-adic G-function value")
     gp.add_argument("--p", type=int, required=True)
     gp.add_argument("--family", choices=("3g3", "9g9"), required=True)
@@ -584,9 +559,6 @@ def main(argv=None) -> int:
         return cmd_verify(_build_config(ns))
     if ns.command == "sweep":
         return cmd_sweep(_build_config(ns), ns.claim, ns.p, ns.bins)
-    if ns.command == "cache":
-        cfg = RunConfig(cache=ns.cache)
-        return cmd_cache(cfg, ns.action, ns.bound)
     if ns.command == "gfun":
         if not isprime(ns.p) or ns.p < 5:
             raise SystemExit(f"--p {ns.p}: need a prime >= 5")

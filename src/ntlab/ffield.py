@@ -58,26 +58,6 @@ def make_field_ctx(p: int) -> FieldCtx:
     return FieldCtx(p=p, g=g, dlog=dlog, qr=qr)
 
 
-def char_eval(ctx: FieldCtx, idx: CharIdx, x: int) -> int | None:
-    """Exponent k with omega^idx(x) = zeta_{p-1}^k, or None when x = 0."""
-    x %= ctx.p
-    if x == 0:
-        return None
-    return idx * ctx.dlog[x] % (ctx.p - 1)
-
-
 def legendre_phi(ctx: FieldCtx, x: int) -> int:
     """Quadratic character phi(x) in {-1, 0, +1}."""
     return ctx.qr[x % ctx.p]
-
-
-def unique_cube_root(ctx: FieldCtx, lam: int) -> int:
-    """The unique cube root of lam when cubing is a bijection (p = 2 mod 3)."""
-    p = ctx.p
-    if p % 3 != 2:
-        raise ValueError(f"cube map is not a bijection mod {p}")
-    lam %= p
-    if lam == 0:
-        return 0
-    e = pow(3, -1, p - 1)
-    return pow(lam, e, p)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import classnumber as cn
 from .ecurve import ap_table, curve_census, torsion_class
-from .ffield import FieldCtx, make_field_ctx
+from .ffield import FieldCtx
 from .kloosterman import twisted_moment
 from .records import VerificationRecord
 
@@ -42,6 +42,15 @@ def window16(p: int) -> list[int]:
     if hits != (out if p % 4 == 1 else []):
         raise ArithmeticError(f"mod-16 window of p={p} is off: {out}")
     return hits
+
+
+def _window_sum12(p: int, k: int, e: int,
+                  table: cn.HurwitzTable | None) -> int:
+    """sum of 12 H*((4p - s^2)/k) s^e over window8 (k = 4) or window16
+    (k = 16), as an exact integer."""
+    window = {4: window8, 16: window16}[k](p)
+    return sum(cn.hurwitz_hstar12((4 * p - s * s) // k, table) * s ** e
+               for s in window)
 
 
 def _sum_ap_sq(ctx: FieldCtx) -> int:
@@ -71,36 +80,31 @@ def s4_via_ap(ctx: FieldCtx, corrected: bool = False) -> int:
     return head + p * _sum_ap_sq(ctx)
 
 
-def s4_via_classnumbers(ctx: FieldCtx, table: cn.HurwitzTable | None = None,
+def s4_via_classnumbers(p: int, table: cn.HurwitzTable | None = None,
                         corrected: bool = False) -> int:
     """Route 3: trace sums re-expressed through Hurwitz windows.
 
     p * sum a_p(gamma^2)^2 = 4p * sum_{s in W8} H*((4p-s^2)/4) s^2
                            + [p=1 mod 4] 8p * sum_{s in W16} H*((4p-s^2)/16) s^2,
-    then the same head as s4_via_ap. The assembled Fraction must be integral.
+    then the same head as s4_via_ap. The sums are taken over 12 H* and
+    divided by 12 once; a remainder raises.
     """
-    p = ctx.p
     if table is None:
         table = cn.build_hurwitz_table(4 * p)
-    acc = Fraction(0)
-    for s in window8(p):
-        acc += Fraction(cn.hurwitz_hstar12((4 * p - s * s) // 4, table), 12) * s * s
-    total = 4 * p * acc
+    total12 = 4 * p * _window_sum12(p, 4, 2, table)
     if p % 4 == 1:
-        acc16 = Fraction(0)
-        for s in window16(p):
-            acc16 += Fraction(cn.hurwitz_hstar12((4 * p - s * s) // 16, table), 12) * s * s
-        total += 8 * p * acc16
+        total12 += 8 * p * _window_sum12(p, 16, 2, table)
+    total, rem = divmod(total12, 12)
+    if rem:
+        raise ArithmeticError(f"class-number assembly not integral at p={p}: "
+                              f"remainder {rem}/12")
     head = -p ** 3 + 4 * p if corrected else -p ** 3 + 2 * p ** 2
-    value = head + total
-    if value.denominator != 1:
-        raise ArithmeticError(f"class-number assembly not integral at p={p}: {value}")
-    return int(value)
+    return head + total
 
 
-def sheaf_via_s4(ctx: FieldCtx, s4: int) -> int:
+def sheaf_via_s4(p: int, s4: int) -> int:
     """M(4,phi) = S(4,phi) + 3p^2."""
-    return s4 + 3 * ctx.p ** 2
+    return s4 + 3 * p ** 2
 
 
 # --- solution count C_p and the A_p chain ------------------------------------
@@ -207,8 +211,7 @@ def counting_lemma_check(ctx: FieldCtx,
     lhs, odd = divmod(twice, 2)
     if odd:
         raise ArithmeticError(f"odd lambda count {twice} at p={p}")
-    rhs = sum(cn.hurwitz_hstar12((4 * p - s * s) // 16, table)
-              for s in window16(p))
+    rhs = _window_sum12(p, 16, 0, table)
     return VerificationRecord(p, "counting-1", lhs, rhs, lhs == rhs)
 
 
@@ -218,9 +221,7 @@ def torsion_census_check(ctx: FieldCtx,
     lambda not in {0,+-1} whose E_{lambda^2} has a rational 4-torsion point
     (all of them, if the 2x4 containment claim is right)."""
     p = ctx.p
-    acc12 = sum(cn.hurwitz_hstar12((4 * p - s * s) // 4, table)
-                for s in window8(p))
-    lhs = Fraction(4 * acc12, 12)
+    lhs = Fraction(4 * _window_sum12(p, 4, 0, table), 12)
     census = sum(
         1 for lam in range(2, p - 1)
         if torsion_class(ctx, lam * lam % p) in ("2x4", "4x4"))
@@ -243,22 +244,16 @@ def _window_quantity(p: int, table: cn.HurwitzTable, which: str) -> Fraction | N
     if which == "prop4.6":
         if p % 4 != 1:
             return None
-        acc = sum(Fraction(cn.hurwitz_hstar12((4 * p - s * s) // 4, table), 12)
-                  * s * s for s in window8(p))
-        return acc - Fraction(p * p, 6)
+        return Fraction(_window_sum12(p, 4, 2, table), 12) - Fraction(p * p, 6)
     if which == "prop4.8":
         if p % 4 != 1:
             return None
-        acc = sum(Fraction(cn.hurwitz_hstar12((4 * p - s * s) // 16, table), 12)
-                  * s * s for s in window16(p))
-        return 12 * acc - Fraction(p * p, 2)
+        return _window_sum12(p, 16, 2, table) - Fraction(p * p, 2)
     if which in ("prop4.9", "prop4.11", "prop4.4"):
         want = 3 if which == "prop4.9" else 7
         if p % 8 != want:
             return None
-        acc = sum(Fraction(cn.hurwitz_hstar12((4 * p - s * s) // 4, table), 12)
-                  * s * s for s in window8(p))
-        return acc - Fraction(p * p, 4)
+        return Fraction(_window_sum12(p, 4, 2, table), 12) - Fraction(p * p, 4)
     raise ValueError(f"unknown claim {which!r}")
 
 
@@ -270,9 +265,8 @@ def asymptotic_record(p: int, which: str,
     exists; the route equalities are enforced elsewhere.
     """
     if which in ("thm1.1", "cor1.2"):
-        ctx = make_field_ctx(p)
-        s4 = s4_via_classnumbers(ctx, table, corrected=True)
-        val = s4 if which == "thm1.1" else sheaf_via_s4(ctx, s4)
+        s4 = s4_via_classnumbers(p, table, corrected=True)
+        val = s4 if which == "thm1.1" else sheaf_via_s4(p, s4)
         return VerificationRecord(p, which, val, 0, True,
                                   ratio=abs(val) / p ** 2.5)
     q = _window_quantity(p, table, which)

@@ -351,12 +351,6 @@ class PiRingElem:
         return PiRingElem(self.p, self.K,
                           tuple(a * c % mod for a in self.coeffs))
 
-    def degree0(self) -> int:
-        """Projection to Z/p^K; total or fails loudly."""
-        if any(self.coeffs[1:]):
-            raise ArithmeticError("pi-ring element has mixed-degree support")
-        return self.coeffs[0]
-
 
 def gauss_sum_gk(ctx: PadicCtx, j: CharIdx) -> PiRingElem:
     """g(omega-bar^j) = -pi^j Gamma_p(j/(p-1)) via Gross-Koblitz.

@@ -78,7 +78,7 @@ def test_c2_tri_route_twisted_fourth_moment(htable):
         ctx = make_field_ctx(p)
         direct = idn.s4_direct(ctx)
         via_ap = idn.s4_via_ap(ctx, corrected=True)
-        via_cn = idn.s4_via_classnumbers(ctx, htable, corrected=True)
+        via_cn = idn.s4_via_classnumbers(p, htable, corrected=True)
         if not direct == via_ap == via_cn:
             route_splits.append((p, direct, via_ap, via_cn))
         if p in (7, 13):

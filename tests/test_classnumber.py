@@ -41,6 +41,21 @@ def test_table_agrees_with_single_shot(htable):
         assert cn.hurwitz_hfull(D, htable) == cn.hurwitz_hfull(D)
 
 
+# conductors with mu(f) = -1 (30, 42, 66, 70, 105), +1 (210) and 0 (60), far
+# past the f <= 17 that D < 300 reaches
+LARGE_CONDUCTOR_D = [f * f * d for f in (30, 42, 60, 66, 70, 105, 210)
+                     for d in (3, 4, 7, 8)]
+
+
+def test_table_agrees_with_per_d_route_at_large_conductors():
+    table = cn.build_hurwitz_table(max(LARGE_CONDUCTOR_D))
+    for D in [*range(2001), *LARGE_CONDUCTOR_D]:
+        assert table.h[D] == cn.class_number_h(D), D
+        assert table.hfull[D] == cn.hurwitz_hfull(D), D
+        want = -1 if D == 0 else cn._single_hstar12(D)
+        assert table.hstar12[D] == want, D
+
+
 def test_table_falls_back_past_bound():
     small = cn.build_hurwitz_table(40)
     assert cn.hurwitz_hstar12(47, small) == cn._single_hstar12(47)
@@ -65,51 +80,8 @@ def test_cohen_coefficients_vanish(htable):
         assert cn.cohen_coefficient(ell, htable) == 0
 
 
-def test_csv_roundtrip_and_idempotence(tmp_path):
-    table = cn.build_hurwitz_table(250)
-    path = tmp_path / "hurwitz.csv"
-    cn.write_hurwitz_csv(table, path)
-    text1 = path.read_bytes()
-    back = cn.read_hurwitz_csv(path)
-    assert back.bound == table.bound
-    assert list(back.hstar12) == list(table.hstar12)
-    cn.write_hurwitz_csv(back, path)
-    assert path.read_bytes() == text1
-    assert text1.decode().splitlines()[0] == cn.SCHEMA_HEADER
-
-
-def test_load_or_build_grows_cache(tmp_path):
-    t1 = cn.load_or_build(100, tmp_path, write=True)
-    assert t1.bound == 100
-    t2 = cn.load_or_build(50, tmp_path)    # served from the larger cache
-    assert t2.bound >= 50
-    t3 = cn.load_or_build(200, tmp_path, write=True)
-    assert t3.bound == 200
-    assert cn.read_hurwitz_csv(tmp_path / "hurwitz.csv").bound == 200
-
-
 def test_divisor_sums():
     sigma, lam1, lam3 = cn.divisor_sums(6)
     assert sigma == 12
     assert lam1 == Fraction(1 + 2 + 2 + 1, 2)
     assert lam3 == Fraction(1 + 8 + 8 + 1, 2)
-
-
-@pytest.mark.parametrize("damage", ["gap", "duplicate", "header-only"])
-def test_bad_cache_files_are_rejected_and_rebuilt(tmp_path, damage):
-    path = tmp_path / "hurwitz.csv"
-    cn.write_hurwitz_csv(cn.build_hurwitz_table(60), path)
-    lines = path.read_text().splitlines()
-    if damage == "gap":
-        del lines[2 + 23]            # D = 23 missing, h(23) = 3
-    elif damage == "duplicate":
-        lines.insert(2 + 24, lines[2 + 23])
-    else:
-        lines = lines[:2]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
-        cn.read_hurwitz_csv(path)
-    table = cn.load_or_build(40, tmp_path, write=True)
-    assert table.bound == 40 and cn.hurwitz_hstar12(23, table) == 36
-    assert cn.read_hurwitz_csv(path).bound == 40
-    assert [p.name for p in tmp_path.iterdir()] == ["hurwitz.csv"]

@@ -191,27 +191,6 @@ def test_sweep_workers_do_not_change_the_report(capsys):
         assert len(serial.splitlines()) > 4
 
 
-def test_cache_build_inspect_idempotent(tmp_path, capsys):
-    cache = tmp_path / "c"
-    code, _, _ = run(capsys, "cache", "build", "--bound", "120",
-                     "--cache", str(cache))
-    assert code == 0
-    first = (cache / "hurwitz.csv").read_bytes()
-    code, _, _ = run(capsys, "cache", "build", "--bound", "120",
-                     "--cache", str(cache))
-    assert (cache / "hurwitz.csv").read_bytes() == first
-    code, out, _ = run(capsys, "cache", "inspect", "--cache", str(cache))
-    assert code == 0
-    assert "D <= 120" in out
-
-
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NTLAB_CACHE", str(tmp_path / "envcache"))
-    code, out, _ = run(capsys, "cache", "build", "--bound", "60")
-    assert code == 0
-    assert (tmp_path / "envcache" / "hurwitz.csv").exists()
-
-
 def test_gfun_eval(capsys):
     code, out, _ = run(capsys, "gfun", "--p", "7", "--family", "3g3",
                        "--lambda", "3", "--K", "6")

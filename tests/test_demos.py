@@ -19,8 +19,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(ntlab.__file__).parents[1]),
-               NTLAB_CACHE=str(tmp_path / "cache"))
+    env = dict(os.environ, PYTHONPATH=str(Path(ntlab.__file__).parents[1]))
     out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]

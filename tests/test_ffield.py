@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ntlab.ffield import (char_eval, legendre_phi, make_field_ctx,
-                          unique_cube_root)
+from ntlab.ffield import legendre_phi, make_field_ctx
 
 PRIMES = (3, 5, 7, 11, 13, 17, 23, 41)
 
@@ -39,18 +38,6 @@ def test_quadratic_character_euler_criterion(p):
         assert legendre_phi(ctx, x) == (1 if euler == 1 else -1)
 
 
-def test_char_eval_trivial_and_quadratic():
-    ctx = make_field_ctx(13)
-    assert char_eval(ctx, 0, 5) == 0
-    assert char_eval(ctx, 3, 0) is None
-    half = ctx.phi_idx()
-    for x in range(1, 13):
-        k = char_eval(ctx, half, x)
-        # quadratic character lands on exponent 0 or (p-1)/2
-        assert k in (0, half)
-        assert (k == 0) == (ctx.qr[x] == 1)
-
-
 @given(st.sampled_from(PRIMES), st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
 def test_dlog_is_multiplicative(p, a, b):
     ctx = make_field_ctx(p)
@@ -64,16 +51,3 @@ def test_inv():
     ctx = make_field_ctx(17)
     for x in range(1, 17):
         assert x * ctx.inv(x) % 17 == 1
-
-
-def test_unique_cube_root_bijective_case():
-    ctx = make_field_ctx(11)
-    assert unique_cube_root(ctx, 0) == 0
-    for lam in range(1, 11):
-        r = unique_cube_root(ctx, lam)
-        assert pow(r, 3, 11) == lam
-
-
-def test_unique_cube_root_rejects_1_mod_3():
-    with pytest.raises(ValueError):
-        unique_cube_root(make_field_ctx(7), 2)

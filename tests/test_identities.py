@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ def test_three_routes_agree_on_frozen_values(p, htable):
     want = FROZEN_S4PHI[p]
     assert idn.s4_direct(ctx) == want
     assert idn.s4_via_ap(ctx, corrected=True) == want
-    assert idn.s4_via_classnumbers(ctx, htable, corrected=True) == want
+    assert idn.s4_via_classnumbers(p, htable, corrected=True) == want
 
 
 @pytest.mark.parametrize("p", [7, 11, 13, 41, 43])
@@ -26,7 +27,20 @@ def test_uncorrected_routes_differ_by_2p_p_minus_2(p, htable):
     ctx = make_field_ctx(p)
     truth = idn.s4_direct(ctx)
     assert idn.s4_via_ap(ctx, corrected=False) - truth == 2 * p * (p - 2)
-    assert idn.s4_via_classnumbers(ctx, htable, corrected=False) - truth == 2 * p * (p - 2)
+    assert idn.s4_via_classnumbers(p, htable, corrected=False) - truth == 2 * p * (p - 2)
+
+
+def test_class_number_route_raises_on_a_remainder(htable):
+    # p = 3 mod 4 leaves the mod-16 window empty; one more unit of 12 H* at
+    # D = (4p - s^2)/4 with 3 not dividing s moves the sum by 4p s^2 per s,
+    # which 12 does not divide
+    p = 103
+    s = next(s for s in idn.window8(p) if s % 3)
+    bad = replace(htable, hstar12=htable.hstar12.copy())
+    bad.hstar12[(4 * p - s * s) // 4] += 1
+    assert idn.s4_via_classnumbers(p, htable) == idn.s4_via_ap(make_field_ctx(p))
+    with pytest.raises(ArithmeticError):
+        idn.s4_via_classnumbers(p, bad)
 
 
 @pytest.mark.parametrize("p", [7, 11, 19])
@@ -34,8 +48,8 @@ def test_sheaf_offset_route(p):
     from ntlab.kloosterman import sheaf_moment
     ctx = make_field_ctx(p)
     s4 = idn.s4_direct(ctx)
-    assert idn.sheaf_via_s4(ctx, s4) == s4 + 3 * p * p
-    assert sheaf_moment(ctx, 4) == idn.sheaf_via_s4(ctx, s4)
+    assert idn.sheaf_via_s4(p, s4) == s4 + 3 * p * p
+    assert sheaf_moment(ctx, 4) == idn.sheaf_via_s4(p, s4)
 
 
 def test_cp_count_routes(ctx7, ctx13):
