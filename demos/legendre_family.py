@@ -18,7 +18,7 @@ print(f"p = {p}")
 print("lam  a_p  j-invariant  torsion  |L(lam)|")
 sizes = l_set_sizes(ctx)
 for lam in range(2, p - 1):
-    print(f"{lam:>3} {int(aps[lam]):>4} {j_invariant(ctx, lam):>12} "
+    print(f"{lam:>3} {aps[lam]:>4} {j_invariant(ctx, lam):>12} "
           f"{torsion_class(ctx, lam):>8} {sizes[lam]:>8}")
 
 print(f"L-set size histogram: {dict(Counter(sizes.values()))}")

@@ -31,7 +31,7 @@ print(f"teichmuller(2) = {t2}; reduces to 2 mod p: {t2 % p == 2}; "
 aps = ap_table(ctx.field)
 for lam in (2, 3, 7):
     val = greene_2f1_fraction(ctx, lam)
-    pred = Fraction(-legendre_phi(ctx.field, -1) * int(aps[lam]), p)
+    pred = Fraction(-legendre_phi(ctx.field, -1) * aps[lam], p)
     print(f"2F1(lam={lam}) = {val}, trace formula gives {pred}, equal: {val == pred}")
 
 # the two G-function families at a point, as p-adic numbers

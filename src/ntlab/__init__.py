@@ -13,7 +13,7 @@ from .classnumber import (HurwitzTable, build_hurwitz_table, class_number_h,
 from .ecurve import (CurveClass, ap_legendre, ap_table, curve_census,
                      curves_isomorphic, j_invariant, l_set, l_set_sizes,
                      short_weierstrass, torsion_class, twist_relation_check)
-from .ffield import FieldCtx, legendre_phi, make_field_ctx
+from .ffield import FieldCtx, cyclic_convolve, legendre_phi, make_field_ctx
 from .identities import (asymptotic_sweep, counting_lemma_check, cp_count,
                          s4_direct, s4_via_ap, s4_via_classnumbers,
                          schoof_count_check, sheaf_via_s4,

@@ -219,7 +219,7 @@ def _suite_greene(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     phim = ctx.field.qr[p - 1]
     bad = [lam for lam in range(2, p)
            if pa.greene_2f1_fraction(ctx, lam)
-           != Fraction(-phim * int(aps[lam]), p)]
+           != Fraction(-phim * aps[lam], p)]
     return [VerificationRecord(p, "greene-trace", len(bad), 0, not bad)]
 
 

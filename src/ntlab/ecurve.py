@@ -1,6 +1,8 @@
 """Legendre curves y^2 = x(x-1)(x-lambda) over F_p: traces, j-invariants,
 twist relations, 2-power torsion, and F_p-isomorphism classes.
 
+ap_table gets every a_p(lambda) from one cyclic_convolve of character tables;
+ap_legendre, the route it is checked against, sums one lambda directly.
 Isomorphism testing uses the cheap (j, a_p) key in the generic case and falls
 back to explicit twist tests (quadratic / quartic / sextic, depending on j)
 whenever the key is ambiguous (a_p = 0 or j in {0, 1728}).
@@ -9,11 +11,12 @@ whenever the key is ambiguous (a_p = 0 or j in {0, 1728}).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import FieldCtx
+from .ffield import FieldCtx, cyclic_convolve
 
 
 def _check_lambda(ctx: FieldCtx, lam: int) -> int:
@@ -33,20 +36,14 @@ def ap_legendre(ctx: FieldCtx, lam: int) -> int:
     return -int(qr[vals].sum())
 
 
-def ap_table(ctx: FieldCtx) -> np.ndarray:
-    """a_p(lambda) for every lambda; entries 0 and 1 are set to 0 (singular)."""
-    p = ctx.p
-    out = np.zeros(p, dtype=np.int64)
-    qr = np.array(ctx.qr, dtype=np.int64)
-    x = np.arange(p, dtype=np.int64)
-    base = x * ((x - 1) % p) % p
-    chunk = max(1, (1 << 22) // p)
-    for start in range(2, p, chunk):
-        stop = min(start + chunk, p)
-        lams = np.arange(start, stop, dtype=np.int64)
-        vals = base[None, :] * ((x[None, :] - lams[:, None]) % p) % p
-        out[start:stop] = -qr[vals].sum(axis=1)
-    return out
+def ap_table(ctx: FieldCtx) -> list[int]:
+    """a_p(lambda) for every lambda, 0 and 1 (singular) set to 0: with
+    f(x) = phi(x) phi(x-1), it is -phi(-1) (f * phi)(lambda) over Z/p."""
+    qr = ctx.qr
+    f = [qr[x] * qr[x - 1] for x in range(ctx.p)]
+    aps = [-qr[-1] * w for w in cyclic_convolve(f, qr)]
+    aps[0] = aps[1] = 0
+    return aps
 
 
 def j_invariant(ctx: FieldCtx, lam: int) -> int:
@@ -138,7 +135,7 @@ def curves_isomorphic(ctx: FieldCtx, lam1: int, lam2: int) -> bool:
     return ctx.qr[d] == 1
 
 
-def l_set(ctx: FieldCtx, lam: int, aps: np.ndarray | None = None) -> set[int]:
+def l_set(ctx: FieldCtx, lam: int) -> set[int]:
     """L(lambda): all mu (both signs) with E_{lambda^2} isomorphic to E_{mu^2}.
 
     Matching is by (j, a_p) key, with explicit twist tests whenever the key
@@ -150,7 +147,7 @@ def l_set(ctx: FieldCtx, lam: int, aps: np.ndarray | None = None) -> set[int]:
         raise ValueError(f"lambda must avoid {{0, +-1}}, got {lam}")
     lam2 = lam * lam % p
     jt = j_invariant(ctx, lam2)
-    at = ap_legendre(ctx, lam2) if aps is None else int(aps[lam2])
+    at = ap_legendre(ctx, lam2)
     degenerate = at == 0 or jt == 0 or jt == 1728 % p
     out = set()
     for mu in range(2, p - 1):
@@ -160,10 +157,8 @@ def l_set(ctx: FieldCtx, lam: int, aps: np.ndarray | None = None) -> set[int]:
         if degenerate:
             if curves_isomorphic(ctx, lam2, mu2):
                 out.add(mu)
-        else:
-            am = ap_legendre(ctx, mu2) if aps is None else int(aps[mu2])
-            if am == at:
-                out.add(mu)
+        elif ap_legendre(ctx, mu2) == at:
+            out.add(mu)
     return out
 
 
@@ -171,22 +166,17 @@ def l_set_sizes(ctx: FieldCtx) -> dict[int, int]:
     """|L(lambda)| for every lambda not in {0, +-1}, batched by (j, a_p) key."""
     p = ctx.p
     aps = ap_table(ctx)
-    jcache: dict[int, int] = {}
-    keys: dict[int, tuple] = {}
+    keys: dict[int, tuple[int, int]] = {}
     degenerates: list[int] = []
     for mu in range(2, p - 1):
         mu2 = mu * mu % p
-        if mu2 not in jcache:
-            jcache[mu2] = j_invariant(ctx, mu2)
-        j, a = jcache[mu2], int(aps[mu2])
+        j, a = j_invariant(ctx, mu2), aps[mu2]
         if a == 0 or j == 0 or j == 1728 % p:
             degenerates.append(mu)
-            keys[mu] = None
         else:
             keys[mu] = (j, a)
-    from collections import Counter
-    tally = Counter(k for k in keys.values() if k is not None)
-    sizes = {mu: tally[k] for mu, k in keys.items() if k is not None}
+    tally = Counter(keys.values())
+    sizes = {mu: tally[k] for mu, k in keys.items()}
     for mu in degenerates:
         mu2 = mu * mu % p
         sizes[mu] = sum(

@@ -4,6 +4,7 @@ Everything downstream (character sums, traces, p-adic lifts) works through a
 FieldCtx: an odd prime together with its smallest primitive root, a discrete
 log table, and the quadratic character table. Characters are handled as
 exponents of the generator, never as floating point roots of unity.
+cyclic_convolve is the exact convolution the routes share, as code only.
 """
 
 from __future__ import annotations
@@ -61,3 +62,39 @@ def make_field_ctx(p: int) -> FieldCtx:
 def legendre_phi(ctx: FieldCtx, x: int) -> int:
     """Quadratic character phi(x) in {-1, 0, +1}."""
     return ctx.qr[x % ctx.p]
+
+
+def cyclic_convolve(u: list[int], v: list[int]) -> list[int]:
+    """w[k] = sum over i + j = k (mod n) of u[i] v[j], exact, n = len(u).
+
+    Each input is packed into one integer, a slot per entry (Kronecker
+    substitution), wide enough for n max|u| max|v|; the product's slots
+    are folded mod n.
+    """
+    n = len(u)
+    if len(v) != n:
+        raise ValueError(f"lengths differ: {n} and {len(v)}")
+    mu, mv = (max(map(abs, x), default=0) for x in (u, v))
+    nbytes = (max(n * mu * mv, mu, mv).bit_length() + 8) // 8
+    c = _unpack(_pack(u, nbytes) * _pack(v, nbytes), 2 * n, nbytes)
+    return [a + b for a, b in zip(c[:n], c[n:])]
+
+
+def _pack(xs: list[int], nbytes: int) -> int:
+    """sum xs[i] 2^(8 nbytes i) for |xs[i]| < 2^(8 nbytes - 1)."""
+    half = 1 << (8 * nbytes - 1)
+    raw = b"".join((x + half).to_bytes(nbytes, "little") for x in xs)
+    return int.from_bytes(raw, "little") - _offset(len(xs), nbytes)
+
+
+def _unpack(X: int, n: int, nbytes: int) -> list[int]:
+    """The n slots of X = sum w[i] 2^(8 nbytes i), |w[i]| < 2^(8 nbytes - 1)."""
+    half = 1 << (8 * nbytes - 1)
+    raw = (X + _offset(n, nbytes)).to_bytes(n * nbytes, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little") - half
+            for i in range(0, n * nbytes, nbytes)]
+
+
+def _offset(n: int, nbytes: int) -> int:
+    """2^(8 nbytes - 1) in each of n slots."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")

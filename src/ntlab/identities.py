@@ -29,15 +29,14 @@ from .records import VerificationRecord
 def window8(p: int) -> list[int]:
     """s with s^2 < 4p and s = p+1 mod 8; (4p - s^2)/4 is then integral."""
     smax = math.isqrt(4 * p - 1)
-    return [s for s in range(-smax, smax + 1)
-            if (s - p - 1) % 8 == 0]
+    return list(range(-smax + (smax + p + 1) % 8, smax + 1, 8))
 
 
 def window16(p: int) -> list[int]:
     """s with s^2 < 4p and s = p+1 mod 16; empty when p = 3 mod 4 since
     16 | 4p - s^2 forces p = 1 mod 4."""
     smax = math.isqrt(4 * p - 1)
-    out = [s for s in range(-smax, smax + 1) if (s - p - 1) % 16 == 0]
+    out = list(range(-smax + (smax + p + 1) % 16, smax + 1, 16))
     hits = [s for s in out if (4 * p - s * s) % 16 == 0]
     if hits != (out if p % 4 == 1 else []):
         raise ArithmeticError(f"mod-16 window of p={p} is off: {out}")
@@ -55,10 +54,8 @@ def _window_sum12(p: int, k: int, e: int,
 
 def _sum_ap_sq(ctx: FieldCtx) -> int:
     """sum over gamma not in {0, +-1} of a_p(gamma^2)^2."""
-    p = ctx.p
     aps = ap_table(ctx)
-    g = np.arange(2, p - 1, dtype=np.int64)
-    return int((aps[g * g % p] ** 2).sum())
+    return sum(aps[g * g % ctx.p] ** 2 for g in range(2, ctx.p - 1))
 
 
 def s4_direct(ctx: FieldCtx, precomputed=None) -> int:

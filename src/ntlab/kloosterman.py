@@ -3,7 +3,8 @@
 Everything runs on integers. A trig table holds cos and sin of 2 pi k/p
 scaled by 2^L and rounded, each entry within one unit. Writing a = g^alpha
 and x = g^xi, the whole table of K(a,p) is one cyclic convolution over
-F_p^*, evaluated as a single big-integer product (Kronecker substitution).
+F_p^* (ffield.cyclic_convolve: a single big-integer product, Kronecker
+substitution), on inputs only this route builds.
 Moments are exact integer sums of powers of that table, and every one of
 them passes through round_fixed, which returns an integer only when an
 integer error bound proves it; a precision shortfall raises PrecisionError
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .ffield import CharIdx, FieldCtx
+from .ffield import CharIdx, FieldCtx, cyclic_convolve
 
 
 class PrecisionError(ArithmeticError):
@@ -153,26 +154,6 @@ def kloosterman_sum_via_quadric(ctx: FieldCtx, a: int,
 # ---------------------------------------------------------------------------
 # the whole table as one convolution
 
-def _pack(xs: list[int], nbytes: int) -> int:
-    """sum xs[i] 2^(8 nbytes i) for |xs[i]| < 2^(8 nbytes - 1)."""
-    half = 1 << (8 * nbytes - 1)
-    raw = b"".join((x + half).to_bytes(nbytes, "little") for x in xs)
-    return int.from_bytes(raw, "little") - _offset(len(xs), nbytes)
-
-
-def _unpack(X: int, n: int, nbytes: int) -> list[int]:
-    """The n slots of X = sum w[i] 2^(8 nbytes i), |w[i]| < 2^(8 nbytes - 1)."""
-    half = 1 << (8 * nbytes - 1)
-    raw = (X + _offset(n, nbytes)).to_bytes(n * nbytes, "little")
-    return [int.from_bytes(raw[i:i + nbytes], "little") - half
-            for i in range(0, n * nbytes, nbytes)]
-
-
-def _offset(n: int, nbytes: int) -> int:
-    """2^(8 nbytes - 1) in each of n slots."""
-    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
-
-
 def kloosterman_table(ctx: FieldCtx, table: TrigTable | None = None):
     """All K(a,p), a = 0..p-1, as (K, shift, err): K[a] is an integer within
     err of 2^shift K(a,p).
@@ -180,7 +161,7 @@ def kloosterman_table(ctx: FieldCtx, table: TrigTable | None = None):
     With a = g^alpha, x = g^xi, c(xi) = cos(2 pi g^xi/p) and s likewise,
     K(g^alpha) = (c*c - s*s)(alpha), cyclic over Z/(p-1). For u = C + S and
     v = C - S on the table's integers, the cross terms of u*v cancel exactly,
-    so one big-integer product gives C*C - S*S. Each of its p-1 terms
+    so one cyclic_convolve gives C*C - S*S. Each of its p-1 terms
     is within 2^L(|c|+|c'|+|s|+|s'|) + 2 <= 6 2^L + 4 units of 2^-2L.
     """
     p = ctx.p
@@ -190,15 +171,9 @@ def kloosterman_table(ctx: FieldCtx, table: TrigTable | None = None):
     for i in range(1, p - 1):
         powers[i] = powers[i - 1] * ctx.g % p
     C, S = table.cos, table.sin
-    u = [C[x] + S[x] for x in powers]
-    v = [C[x] - S[x] for x in powers]
-    # |u|, |v| < 2^(L+1), so a coefficient of u*v stays below (p-1) 2^(2L+2)
-    nbytes = (2 * L + 3 + (p - 1).bit_length() + 7) // 8
-    w = _unpack(_pack(u, nbytes) * _pack(v, nbytes), 2 * (p - 1), nbytes)
-    K = [0] * p
-    K[0] = -(1 << 2 * L)
-    for alpha, x in enumerate(powers):
-        K[x] = w[alpha] + w[alpha + p - 1]
+    w = cyclic_convolve([C[x] + S[x] for x in powers],
+                        [C[x] - S[x] for x in powers])
+    K = [-(1 << 2 * L)] + [w[alpha] for alpha in ctx.dlog[1:]]
     return K, 2 * L, (p - 1) * (6 * (1 << L) + 4)
 
 

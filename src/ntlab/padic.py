@@ -841,7 +841,7 @@ def prop66_check(ctx: PadicCtx) -> VerificationRecord:
 
     F1 = {lam: greene_2f1_fraction(ctx, lam) for lam in range(1, p)}
     aps = ap_table(ctx.field)
-    trace_ok = all(F1[lam] == Fraction(-phi(-1) * int(aps[lam]), p)
+    trace_ok = all(F1[lam] == Fraction(-phi(-1) * aps[lam], p)
                    for lam in range(2, p))
     S3 = _s3_integer(ctx)
     F32 = Fraction(S3, p * p * (p - 1))
@@ -864,7 +864,7 @@ def prop66_check(ctx: PadicCtx) -> VerificationRecord:
     I = gk_I_integer(ctx)
 
     inv2 = pow(2, p - 2, p)
-    Sphi = sum(phi(lam) * int(aps[lam]) ** 2
+    Sphi = sum(phi(lam) * aps[lam] ** 2
                for lam in range(2, p) if lam != p - 1)
     F1h, F1m = F1[inv2], F1[p - 1]
     A_def = Fraction(phi(2)) * sum(

@@ -20,13 +20,15 @@ def test_trace_against_point_count(p):
         assert ap_legendre(ctx, lam) == p + 1 - npoints
 
 
-@pytest.mark.parametrize("p", [11, 13, 17, 97])
+@pytest.mark.parametrize("p", [11, 13, 17, 97, 1993, 1999])
 def test_hasse_bound_and_table(p):
+    # 1993 = 1 and 1999 = 3 mod 4: both signs of phi(-1) near large-p size
     ctx = make_field_ctx(p)
     aps = ap_table(ctx)
-    for lam in range(2, p - 1):
+    assert len(aps) == p and aps[0] == aps[1] == 0
+    for lam in range(2, p):
         assert aps[lam] == ap_legendre(ctx, lam)
-        assert abs(int(aps[lam])) <= 2 * math.isqrt(p) + 1
+        assert abs(aps[lam]) <= 2 * math.isqrt(p) + 1
 
 
 def test_lambda_guardrails(ctx11):

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from ntlab.ffield import legendre_phi, make_field_ctx
+from ntlab.ffield import cyclic_convolve, legendre_phi, make_field_ctx
 
 PRIMES = (3, 5, 7, 11, 13, 17, 23, 41)
 
@@ -51,3 +53,49 @@ def test_inv():
     ctx = make_field_ctx(17)
     for x in range(1, 17):
         assert x * ctx.inv(x) % 17 == 1
+
+
+def _naive_cyclic(u, v):
+    n = len(u)
+    w = [0] * n
+    for i in range(n):
+        for j in range(n):
+            w[(i + j) % n] += u[i] * v[j]
+    return w
+
+
+# entries up to 2^200, past the fixed-point trig entries (about 2^(L+1),
+# L = 4 bitlen(p) + 20) of any prime the lab reaches
+_entries = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 200), 2 ** 200))
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.lists(_entries, min_size=n, max_size=n),
+                        st.lists(_entries, min_size=n, max_size=n))))
+def test_cyclic_convolve_matches_double_loop(uv):
+    u, v = uv
+    assert cyclic_convolve(u, v) == _naive_cyclic(u, v)
+
+
+@pytest.mark.parametrize("u,v", [
+    ([0], [0]), ([5], [-7]), ([0] * 6, [0] * 6),
+    ([0, 0, 0], [2 ** 200, -(2 ** 200), 1]),
+    ([-1, 2, -3, 4], [4, -3, 2, -1])])
+def test_cyclic_convolve_edge_cases(u, v):
+    assert cyclic_convolve(u, v) == _naive_cyclic(u, v)
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (3, 9), (5, 26), (8, 26)])
+def test_cyclic_convolve_tight_slot_width(n, k):
+    # every product is +max|u| max|v| and each slot holds n m^2, just under
+    # 2^(8k - 1): the sign bit of a k-byte slot is the only bit to spare
+    m = math.isqrt((2 ** (8 * k - 1) - 1) // n)
+    assert (n * m * m).bit_length() == 8 * k - 1
+    for sign in (1, -1):
+        w = cyclic_convolve([sign * m] * n, [sign * m] * n)
+        assert w == [n * m * m] * n
+
+
+def test_cyclic_convolve_rejects_unequal_lengths():
+    with pytest.raises(ValueError):
+        cyclic_convolve([1, 2], [1, 2, 3])

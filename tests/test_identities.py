@@ -115,8 +115,9 @@ def test_torsion_census(p, htable):
     assert rec.match
 
 
-@pytest.mark.parametrize("p", [29, 37, 53])
+@pytest.mark.parametrize("p", [29, 37, 53, 31, 43, 47])
 def test_windows_collect_residue_classes(p):
+    # 29, 37, 53 = 1 mod 4; 43 = 3 and 31, 47 = 7 mod 8
     import math
     w8 = idn.window8(p)
     w16 = idn.window16(p)
@@ -126,9 +127,14 @@ def test_windows_collect_residue_classes(p):
         assert (4 * p - s * s) % 4 == 0
     for s in w16:
         assert (p + 1 - s) % 16 == 0 and (4 * p - s * s) % 16 == 0
-    full = [s for s in range(-2 * math.isqrt(p) - 1, 2 * math.isqrt(p) + 2)
-            if s * s < 4 * p and (p + 1 - s) % 8 == 0]
-    assert sorted(w8) == sorted(full)
+    scan = range(-2 * math.isqrt(p) - 1, 2 * math.isqrt(p) + 2)
+    full = [s for s in scan if s * s < 4 * p and (p + 1 - s) % 8 == 0]
+    assert w8 == full
+    full16 = [s for s in full
+              if (p + 1 - s) % 16 == 0 and (4 * p - s * s) % 16 == 0]
+    assert w16 == full16
+    if p % 4 == 3:
+        assert w16 == []
 
 
 def test_sweep_claim_registry():

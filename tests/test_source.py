@@ -16,3 +16,32 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in ntlab: {', '.join(found)}"
+
+
+def _ntlab_imports(tree: ast.Module) -> set[str]:
+    """The ntlab modules a module imports, relative imports included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = (["ntlab"] * bool(node.level)
+                    + [node.module] * bool(node.module))
+            names = [".".join(base + [a.name]) for a in node.names]
+        else:
+            continue
+        out |= {n.split(".")[1] for n in names if n.startswith("ntlab.")}
+    return out
+
+
+def test_routes_share_nothing_beyond_ffield():
+    # the trace, direct and class-number routes are cross-checks of one
+    # another only while none of them computes through another
+    routes = {"ecurve", "kloosterman", "classnumber"}
+    found = []
+    for name in sorted(routes):
+        path = SRC / f"{name}.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{name} imports {m}"
+                  for m in sorted(_ntlab_imports(tree) & (routes - {name}))]
+    assert not found, "; ".join(found)
