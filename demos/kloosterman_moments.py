@@ -27,24 +27,23 @@ for a in (1, 2, 5):
           f"quadric route differs by {abs(k.value - q.value):.2e}")
 
 # Weil: |K(a)| <= 2 sqrt(p) for every a
-table = kloosterman_table(ctx)
-K, shift, err = table
+K, shift, err = kloosterman_table(ctx)
 worst = max(abs(k) for k in K[1:]) / 2 ** shift
 print(f"  max |K(a)| = {worst:.6f} (+- {err / 2 ** shift:.1e}), "
       f"Weil ceiling {2 * np.sqrt(p):.6f}")
 
 forms = closed_forms(p)
 for n in (1, 2, 4):
-    got = untwisted_moment(ctx, n, table).value
+    got = untwisted_moment(ctx, n)
     print(f"  S({n}) = {got}, closed form says {forms[f'S{n}']}"
           + ("   <- off by 3p, see README" if n == 4 else ""))
 
 phi = ctx.phi_idx()
-s2phi = twisted_moment(ctx, 2, phi, table).value
+s2phi = twisted_moment(ctx, 2, phi)
 print(f"  S(2,phi) = {s2phi}  (= -p: {s2phi == -p})")
-s4phi = twisted_moment(ctx, 4, phi, table).value
-print(f"  S(4,phi) = {s4phi}, sheaf moment M(4,phi) = {sheaf_moment(ctx, 4, table)}"
-      f" = S(4,phi) + 3p^2: {sheaf_moment(ctx, 4, table) == s4phi + 3 * p * p}")
+s4phi = twisted_moment(ctx, 4, phi)
+print(f"  S(4,phi) = {s4phi}, sheaf moment M(4,phi) = {sheaf_moment(ctx, 4)}"
+      f" = S(4,phi) + 3p^2: {sheaf_moment(ctx, 4) == s4phi + 3 * p * p}")
 
 # the geometric-series counterweight reproduces the next twisted moment
 print(f"  symmetric route for S(4,phi): {symmetric_moment_rhs(ctx, 3)}")

@@ -18,12 +18,12 @@ from .identities import (asymptotic_sweep, counting_lemma_check, cp_count,
                          s4_direct, s4_via_ap, s4_via_classnumbers,
                          schoof_count_check, sheaf_via_s4,
                          torsion_census_check, window8, window16)
-from .kloosterman import (CertifiedReal, MomentResult, PrecisionError,
-                          TrigTable, angle_histogram, closed_forms,
-                          kloosterman_sum, kloosterman_sum_via_quadric,
-                          kloosterman_table, round_fixed, semicircle_chisq,
-                          sheaf_moment, symmetric_moment_rhs, trig_table,
-                          twisted_moment, untwisted_moment)
+from .kloosterman import (CertifiedReal, PrecisionError, TrigTable,
+                          angle_histogram, closed_forms, kloosterman_sum,
+                          kloosterman_sum_via_quadric, kloosterman_table,
+                          round_fixed, semicircle_chisq, sheaf_moment,
+                          symmetric_moment_rhs, trig_table, twisted_moment,
+                          untwisted_moment)
 from .padic import (GSpec, PadicCtx, PiRingElem, QpValue, g3_spec, g9_spec,
                     gamma_p, gamma_product_checks, gauss_sum_gk,
                     gk_I_integer, gk_consistency_check, greene_2f1,

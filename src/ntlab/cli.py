@@ -28,9 +28,8 @@ from . import classnumber as cn
 from . import identities as idn
 from . import kloosterman as km
 from . import padic as pa
-from .ecurve import (ap_table, curve_census, l_set_sizes,
-                     twist_relation_check)
-from .ffield import make_field_ctx
+from .ecurve import ap_table, l_set_sizes, twist_relation_check
+from .ffield import make_field_ctx, release_tables
 from .records import (SCHEMA_HEADER, VerificationRecord, merge_records,
                       records_to_csv, records_to_json)
 
@@ -72,7 +71,6 @@ def _collapse(p: int, name: str,
 
 def _suite_moments(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
-    pre = km.kloosterman_table(ctx)
     cf = km.closed_forms(p)
     phi = (p - 1) // 2
     out = []
@@ -80,20 +78,19 @@ def _suite_moments(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     def rec(name, lhs, rhs):
         out.append(VerificationRecord(p, name, lhs, rhs, lhs == rhs))
 
-    rec("S1-closed", km.untwisted_moment(ctx, 1, pre).value, cf["S1"])
-    rec("S2-closed", km.untwisted_moment(ctx, 2, pre).value, cf["S2"])
-    s3 = km.untwisted_moment(ctx, 3, pre).value
+    rec("S1-closed", km.untwisted_moment(ctx, 1), cf["S1"])
+    rec("S2-closed", km.untwisted_moment(ctx, 2), cf["S2"])
+    s3 = km.untwisted_moment(ctx, 3)
     c3 = 1 if p % 3 == 1 else -1
     rec("S3-fit", s3, c3 * p * p + 2 * p + 1)
-    s4 = km.untwisted_moment(ctx, 4, pre).value
+    s4 = km.untwisted_moment(ctx, 4)
     rec("S4-closed-printed", s4, cf["S4"])
     rec("S4-closed-corrected", s4, cf["S4corrected"])
-    s4phi = km.twisted_moment(ctx, 4, phi, pre).value
-    rec("S2phi-closed", km.twisted_moment(ctx, 2, phi, pre).value, cf["S2phi"])
-    rec("S1phi-closed", km.twisted_moment(ctx, 1, phi, pre).value,
-        ctx.qr[p - 1] * p)
-    rec("M4phi-offset", km.sheaf_moment(ctx, 4, pre), s4phi + 3 * p * p)
-    rec("M1phi-closed", km.sheaf_moment(ctx, 1, pre), -ctx.qr[p - 1] * p)
+    s4phi = km.twisted_moment(ctx, 4, phi)
+    rec("S2phi-closed", km.twisted_moment(ctx, 2, phi), cf["S2phi"])
+    rec("S1phi-closed", km.twisted_moment(ctx, 1, phi), ctx.qr[p - 1] * p)
+    rec("M4phi-offset", km.sheaf_moment(ctx, 4), s4phi + 3 * p * p)
+    rec("M1phi-closed", km.sheaf_moment(ctx, 1), -ctx.qr[p - 1] * p)
     return out
 
 
@@ -178,9 +175,7 @@ def _admissible_schoof(p: int) -> list[tuple[int, int]]:
 
 def _suite_schoof(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
-    census = curve_census(ctx)
-    recs = [idn.schoof_count_check(ctx, n, s, table, cap=cfg.census_cap,
-                                   census=census)
+    recs = [idn.schoof_count_check(ctx, n, s, table, cap=cfg.census_cap)
             for n, s in _admissible_schoof(p)]
     return [_collapse(p, "schoof-census", recs)]
 
@@ -352,33 +347,35 @@ def _run_tasks(tasks: list[tuple], table: cn.HurwitzTable | None,
     return [_run_task(t) for t in tasks]
 
 
-def _summarize(names: list[str], groups: list[list[VerificationRecord]]) -> None:
+def _summarize(order: list[str], names: list[str], groups: list) -> None:
     """Record and mismatch counts, overall and by suite, and the reason for
-    every `error` record, on stderr."""
+    every `error` record, on stderr; suites come in registry `order`."""
     count, fails = Counter(), Counter()
     errors = []
     for name, recs in zip(names, groups):
         count[name] += len(recs)
         fails[name] += sum(not r.match for r in recs)
-        errors += [r for r in recs if r.lhs == "error"]
+        errors += [(name, r) for r in recs if r.lhs == "error"]
     print(f"{sum(count.values())} records, {sum(fails.values())} mismatches",
           file=sys.stderr)
-    for name in count:
+    for name in sorted(count, key=order.index):
         print(f"  {name}: {count[name]} records, {fails[name]} mismatches",
               file=sys.stderr)
-    for r in errors:
+    for _, r in sorted(errors, key=lambda e: order.index(e[0])):
         print(f"  error {r.p},{r.name}: {r.detail}", file=sys.stderr)
 
 
 def _run_suites(suites: list[Suite], cfg: RunConfig) -> list[VerificationRecord]:
-    """Run, emit and summarize the suites on one Hurwitz table."""
+    """Run, emit and summarize the suites, prime-major, on one Hurwitz table."""
     bounds = [s.bound(cfg) for s in suites if s.bound is not None]
     table = cn.build_hurwitz_table(max(bounds)) if bounds else None
     tasks = [(s.name, s.run, idx, cfg) for s in suites for idx in s.indices(cfg)]
+    tasks.sort(key=lambda t: t[2])
     groups = _run_tasks(tasks, table, cfg.workers)
+    release_tables()   # the report needs none of the last prime's tables
     records = merge_records(*groups)
     _emit(records, cfg)
-    _summarize([t[0] for t in tasks], groups)
+    _summarize([s.name for s in suites], [t[0] for t in tasks], groups)
     return records
 
 

@@ -3,6 +3,7 @@ twist relations, 2-power torsion, and F_p-isomorphism classes.
 
 ap_table gets every a_p(lambda) from one cyclic_convolve of character tables;
 ap_legendre, the route it is checked against, sums one lambda directly.
+ap_table and curve_census are per_prime builders; the census sums its own a_p.
 Isomorphism testing uses the cheap (j, a_p) key in the generic case and falls
 back to explicit twist tests (quadratic / quartic / sextic, depending on j)
 whenever the key is ambiguous (a_p = 0 or j in {0, 1728}).
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import FieldCtx, cyclic_convolve
+from .ffield import FieldCtx, cyclic_convolve, per_prime
 
 
 def _check_lambda(ctx: FieldCtx, lam: int) -> int:
@@ -36,14 +37,15 @@ def ap_legendre(ctx: FieldCtx, lam: int) -> int:
     return -int(qr[vals].sum())
 
 
-def ap_table(ctx: FieldCtx) -> list[int]:
+@per_prime
+def ap_table(ctx: FieldCtx) -> tuple[int, ...]:
     """a_p(lambda) for every lambda, 0 and 1 (singular) set to 0: with
     f(x) = phi(x) phi(x-1), it is -phi(-1) (f * phi)(lambda) over Z/p."""
     qr = ctx.qr
     f = [qr[x] * qr[x - 1] for x in range(ctx.p)]
     aps = [-qr[-1] * w for w in cyclic_convolve(f, qr)]
     aps[0] = aps[1] = 0
-    return aps
+    return tuple(aps)
 
 
 def j_invariant(ctx: FieldCtx, lam: int) -> int:
@@ -198,29 +200,15 @@ class CurveClass:
     aut: int             # |Aut_{F_p}| given rational CM at j = 0, 1728
 
 
-def _ap_short(ctx: FieldCtx, A: int, B: int) -> int:
-    p = ctx.p
-    x = np.arange(p, dtype=np.int64)
-    vals = (pow_arr(x, p) + A * x + B) % p
-    qr = np.array(ctx.qr, dtype=np.int64)
-    return -int(qr[vals].sum())
-
-
-def pow_arr(x: np.ndarray, p: int) -> np.ndarray:
-    return x * x % p * x % p
-
-
-def _cubic_roots(p: int, A: int, B: int) -> list[int]:
-    x = np.arange(p, dtype=np.int64)
-    vals = (pow_arr(x, p) + A * x + B) % p
-    return [int(r) for r in x[vals == 0]]
-
-
-def _class_of(ctx: FieldCtx, A: int, B: int) -> CurveClass:
+def _class_of(ctx: FieldCtx, A: int, B: int, grid) -> CurveClass:
+    """The class of y^2 = x^3 + Ax + B; grid holds x = 0..p-1, x^3 and phi(x)
+    as arrays. One evaluation of the cubic gives its roots and a_p."""
     p = ctx.p
     A %= p
     B %= p
-    roots = _cubic_roots(p, A, B)
+    x, x3, qr = grid
+    vals = (x3 + A * x + B) % p
+    roots = [int(r) for r in x[vals == 0]]
     two_rank = {0: 0, 1: 1, 3: 2}[len(roots)]
     four_full = False
     if two_rank == 2 and p % 4 == 1:
@@ -238,10 +226,11 @@ def _class_of(ctx: FieldCtx, A: int, B: int) -> CurveClass:
         den = (4 * pow(A, 3, p) + 27 * pow(B, 2, p)) % p
         j = num * pow(den, p - 2, p) % p
         aut = 2
-    return CurveClass(A, B, j, _ap_short(ctx, A, B), two_rank, four_full, aut)
+    return CurveClass(A, B, j, -int(qr[vals].sum()), two_rank, four_full, aut)
 
 
-def curve_census(ctx: FieldCtx) -> list[CurveClass]:
+@per_prime
+def curve_census(ctx: FieldCtx) -> tuple[CurveClass, ...]:
     """One representative per F_p-isomorphism class of elliptic curves.
 
     j not in {0, 1728}: the standard model plus its quadratic twist;
@@ -252,17 +241,19 @@ def curve_census(ctx: FieldCtx) -> list[CurveClass]:
     if p <= 3:
         raise ValueError("census needs p > 3")
     g = ctx.g
+    xs = np.arange(p, dtype=np.int64)
+    grid = (xs, xs * xs % p * xs % p, np.array(ctx.qr, dtype=np.int64))
     out = []
     for i in range(math.gcd(4, p - 1)):
-        out.append(_class_of(ctx, pow(g, i, p), 0))
+        out.append(_class_of(ctx, pow(g, i, p), 0, grid))
     for i in range(math.gcd(6, p - 1)):
-        out.append(_class_of(ctx, 0, pow(g, i, p)))
+        out.append(_class_of(ctx, 0, pow(g, i, p), grid))
     d = next(x for x in range(2, p) if ctx.qr[x] == -1)
     for j in range(1, p):
         if j == 1728 % p:
             continue
         k = j * pow(1728 - j, p - 2, p) % p
         A, B = 3 * k % p, 2 * k % p
-        out.append(_class_of(ctx, A, B))
-        out.append(_class_of(ctx, A * d * d % p, B * pow(d, 3, p) % p))
-    return out
+        out.append(_class_of(ctx, A, B, grid))
+        out.append(_class_of(ctx, A * d * d % p, B * pow(d, 3, p) % p, grid))
+    return tuple(out)

@@ -5,11 +5,14 @@ FieldCtx: an odd prime together with its smallest primitive root, a discrete
 log table, and the quadratic character table. Characters are handled as
 exponents of the generator, never as floating point roots of unity.
 cyclic_convolve is the exact convolution the routes share, as code only.
+per_prime is the one way a per-prime table is shared: each builder keeps
+what it built for the current prime, so the checks of a prime build it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 
 from sympy import factorint, isprime
 
@@ -19,14 +22,40 @@ from sympy import factorint, isprime
 CharIdx = int
 
 
+_SHARED: dict = {}   # "p": the prime; each builder: (its arguments, object)
+
+
+def per_prime(build):
+    """One-entry memo for a builder whose first argument is a prime or has
+    it as .p. A call for another prime first drops every builder's object,
+    so one prime's tables are held at a time; callers share them read-only."""
+    @wraps(build)
+    def cached(*args, **kwargs):
+        key = (args, kwargs)
+        if _SHARED.get(build, (None,))[0] != key:
+            p = getattr(args[0], "p", args[0])
+            if _SHARED.get("p") != p:
+                release_tables()
+                _SHARED["p"] = p
+            _SHARED[build] = (key, build(*args, **kwargs))
+        return _SHARED[build][1]
+
+    return cached
+
+
+def release_tables() -> None:
+    """Drop the objects of every per_prime builder."""
+    _SHARED.clear()
+
+
 @dataclass(frozen=True)
 class FieldCtx:
-    """Immutable arithmetic context for one odd prime."""
+    """Immutable context for one odd prime; hashes and compares on (p, g)."""
 
     p: int
     g: int
-    dlog: list[int] = field(repr=False)  # dlog[x] for x in 1..p-1; dlog[0] = -1
-    qr: list[int] = field(repr=False)    # phi(x) in {-1,0,+1} for x in 0..p-1
+    dlog: tuple[int, ...] = field(repr=False, compare=False)  # dlog[0] = -1
+    qr: tuple[int, ...] = field(repr=False, compare=False)  # phi(x), x < p
 
     def inv(self, x: int) -> int:
         return pow(x, self.p - 2, self.p)
@@ -43,6 +72,7 @@ def _smallest_primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found for p={p}")  # unreachable
 
 
+@per_prime
 def make_field_ctx(p: int) -> FieldCtx:
     """Build the context for an odd prime p, deterministically."""
     if p < 3 or p % 2 == 0 or not isprime(p):
@@ -56,7 +86,7 @@ def make_field_ctx(p: int) -> FieldCtx:
     qr = [0] * p
     for x in range(1, p):
         qr[x] = 1 if dlog[x] % 2 == 0 else -1
-    return FieldCtx(p=p, g=g, dlog=dlog, qr=qr)
+    return FieldCtx(p=p, g=g, dlog=tuple(dlog), qr=tuple(qr))
 
 
 def legendre_phi(ctx: FieldCtx, x: int) -> int:

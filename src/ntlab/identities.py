@@ -58,12 +58,12 @@ def _sum_ap_sq(ctx: FieldCtx) -> int:
     return sum(aps[g * g % ctx.p] ** 2 for g in range(2, ctx.p - 1))
 
 
-def s4_direct(ctx: FieldCtx, precomputed=None) -> int:
+def s4_direct(ctx: FieldCtx) -> int:
     """Route 1: the moment itself, summed exactly over the fixed-point
     Kloosterman table (one big-integer convolution) and rounded with an
     integer error certificate."""
     phi_idx = (ctx.p - 1) // 2
-    return twisted_moment(ctx, 4, phi_idx, precomputed).value
+    return twisted_moment(ctx, 4, phi_idx)
 
 
 def s4_via_ap(ctx: FieldCtx, corrected: bool = False) -> int:
@@ -153,15 +153,13 @@ def ap_second_moment_check(ctx: FieldCtx) -> VerificationRecord:
 
 def schoof_count_check(ctx: FieldCtx, n: int, s: int,
                        table: cn.HurwitzTable | None = None,
-                       cap: int = 200,
-                       census: list | None = None) -> VerificationRecord:
+                       cap: int = 200) -> VerificationRecord:
     """Isomorphism classes with trace s and full rational n-torsion, against
     the class numbers of -(4p - s^2)/n^2.
 
     The plain class count matches the ordinary (unweighted) convention and
     the 1/|Aut|-weighted count matches the Hurwitz one; the record's detail
-    says which held, rather than presuming either. `census` is
-    curve_census(ctx), built here when not passed in.
+    says which held, rather than presuming either.
     """
     p = ctx.p
     if p > cap:
@@ -173,8 +171,7 @@ def schoof_count_check(ctx: FieldCtx, n: int, s: int,
     D, rem = divmod(4 * p - s * s, n * n)
     if rem:
         raise ArithmeticError(f"window arithmetic is off: n={n}, s={s}, p={p}")
-    if census is None:
-        census = curve_census(ctx)
+    census = curve_census(ctx)
     if n == 1:
         hits = [c for c in census if c.a_p == s]
     elif n == 2:

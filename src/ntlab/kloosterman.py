@@ -9,18 +9,19 @@ Moments are exact integer sums of powers of that table, and every one of
 them passes through round_fixed, which returns an integer only when an
 integer error bound proves it; a precision shortfall raises PrecisionError
 instead of silently truncating. L grows with p, so the headroom does not
-shrink as p grows.
+shrink as p grows. trig_table and kloosterman_table are per_prime builders.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import mpmath
 import numpy as np
 
-from .ffield import CharIdx, FieldCtx, cyclic_convolve
+from .ffield import CharIdx, FieldCtx, cyclic_convolve, per_prime
 
 
 class PrecisionError(ArithmeticError):
@@ -33,14 +34,6 @@ class CertifiedReal:
 
     value: float
     err: float
-
-
-@dataclass(frozen=True)
-class MomentResult:
-    p: int
-    n: int
-    twist: CharIdx | None
-    value: int
 
 
 def round_fixed(num: int, shift: int, err: int) -> int:
@@ -70,10 +63,11 @@ class TrigTable:
 
     p: int
     bits: int
-    cos: list[int]
-    sin: list[int]
+    cos: tuple[int, ...]
+    sin: tuple[int, ...]
 
 
+@per_prime
 def trig_table(p: int) -> TrigTable:
     """Baby-step giant-step: mpmath seeds cos/sin on two coarse grids at
     bits + 16 bits, the other entries come from one integer angle addition
@@ -103,15 +97,7 @@ def trig_table(p: int) -> TrigTable:
         i, j = divmod(k, m)
         cos.append((cg[i] * cb[j] - sg[i] * sb[j] + half) >> drop)
         sin.append((sg[i] * cb[j] + cg[i] * sb[j] + half) >> drop)
-    return TrigTable(p, bits, cos, sin)
-
-
-def _ensure_table(ctx: FieldCtx, table: TrigTable | None) -> TrigTable:
-    if table is None:
-        table = trig_table(ctx.p)
-    if table.p != ctx.p:
-        raise ValueError("trig table belongs to a different prime")
-    return table
+    return TrigTable(p, bits, tuple(cos), tuple(sin))
 
 
 def _certify(num: int, bits: int, terms: int) -> CertifiedReal:
@@ -124,19 +110,18 @@ def _certify(num: int, bits: int, terms: int) -> CertifiedReal:
     return CertifiedReal(value, (terms + 1) / (1 << bits) + abs(value) * 2.0 ** -52)
 
 
-def kloosterman_sum(ctx: FieldCtx, a: int, table: TrigTable | None = None) -> CertifiedReal:
+def kloosterman_sum(ctx: FieldCtx, a: int) -> CertifiedReal:
     """K(a,p) = sum over x != 0 of cos(2*pi*(x + a/x)/p), certified."""
     p = ctx.p
     a %= p
     if a == 0:
         return CertifiedReal(-1.0, 0.0)
-    table = _ensure_table(ctx, table)
+    table = trig_table(p)
     num = sum(table.cos[(x + a * pow(x, -1, p)) % p] for x in range(1, p))
     return _certify(num, table.bits, p - 1)
 
 
-def kloosterman_sum_via_quadric(ctx: FieldCtx, a: int,
-                                table: TrigTable | None = None) -> CertifiedReal:
+def kloosterman_sum_via_quadric(ctx: FieldCtx, a: int) -> CertifiedReal:
     """Second route: K(a,p) = sum over v of phi(v^2 - 4a) cos(2*pi*v/p).
 
     Counting solutions of x + a/x = v gives 1 + phi(v^2-4a) values of x,
@@ -146,7 +131,7 @@ def kloosterman_sum_via_quadric(ctx: FieldCtx, a: int,
     a %= p
     if a == 0:
         return CertifiedReal(-1.0, 0.0)
-    table = _ensure_table(ctx, table)
+    table = trig_table(p)
     num = sum(ctx.qr[(v * v - 4 * a) % p] * table.cos[v] for v in range(p))
     return _certify(num, table.bits, p)
 
@@ -154,7 +139,8 @@ def kloosterman_sum_via_quadric(ctx: FieldCtx, a: int,
 # ---------------------------------------------------------------------------
 # the whole table as one convolution
 
-def kloosterman_table(ctx: FieldCtx, table: TrigTable | None = None):
+@per_prime
+def kloosterman_table(ctx: FieldCtx) -> tuple[tuple[int, ...], int, int]:
     """All K(a,p), a = 0..p-1, as (K, shift, err): K[a] is an integer within
     err of 2^shift K(a,p).
 
@@ -165,7 +151,7 @@ def kloosterman_table(ctx: FieldCtx, table: TrigTable | None = None):
     is within 2^L(|c|+|c'|+|s|+|s'|) + 2 <= 6 2^L + 4 units of 2^-2L.
     """
     p = ctx.p
-    table = _ensure_table(ctx, table)
+    table = trig_table(p)
     L = table.bits
     powers = [1] * (p - 1)
     for i in range(1, p - 1):
@@ -173,14 +159,14 @@ def kloosterman_table(ctx: FieldCtx, table: TrigTable | None = None):
     C, S = table.cos, table.sin
     w = cyclic_convolve([C[x] + S[x] for x in powers],
                         [C[x] - S[x] for x in powers])
-    K = [-(1 << 2 * L)] + [w[alpha] for alpha in ctx.dlog[1:]]
+    K = (-(1 << 2 * L), *(w[alpha] for alpha in ctx.dlog[1:]))
     return K, 2 * L, (p - 1) * (6 * (1 << L) + 4)
 
 
 # ---------------------------------------------------------------------------
 # moments
 
-def _moment(ctx: FieldCtx, coeffs: list[int], twisted: bool, precomputed) -> int:
+def _moment(ctx: FieldCtx, coeffs: list[int], twisted: bool) -> int:
     """sum over a != 0 of H(K~(a)), times phi(a) if twisted, rounded. H has
     the integer coefficients coeffs (lowest degree first) and is homogeneous
     of degree n = len(coeffs) - 1 at the table's scale.
@@ -190,16 +176,19 @@ def _moment(ctx: FieldCtx, coeffs: list[int], twisted: bool, precomputed) -> int
     bound is assumed.
     """
     p = ctx.p
-    K, shift, err = precomputed if precomputed is not None else kloosterman_table(ctx)
+    K, shift, err = kloosterman_table(ctx)
     kmax = max(abs(k) for k in K[1:]) + err
     slope = sum(j * abs(c) * kmax ** (j - 1)
                 for j, c in enumerate(coeffs) if j)
-    H = [coeffs[-1]] * (p - 1)
-    for c in reversed(coeffs[:-1]):
-        H = [h * k + c for h, k in zip(H, K[1:])]
-    if twisted:
-        H = [q * h for q, h in zip(ctx.qr[1:], H)]
-    return round_fixed(sum(H), (len(coeffs) - 1) * shift, (p - 1) * slope * err)
+    # one a at a time, so no list of big integers joins the shared tables
+    top, rest = coeffs[-1], coeffs[-2::-1]
+    total = 0
+    for q, k in zip(ctx.qr[1:] if twisted else repeat(1), K[1:]):
+        h = top
+        for c in rest:
+            h = h * k + c
+        total += q * h
+    return round_fixed(total, (len(coeffs) - 1) * shift, (p - 1) * slope * err)
 
 
 def _power(n: int) -> list[int]:
@@ -209,25 +198,23 @@ def _power(n: int) -> list[int]:
     return [0] * n + [1]
 
 
-def untwisted_moment(ctx: FieldCtx, n: int, precomputed=None) -> MomentResult:
+def untwisted_moment(ctx: FieldCtx, n: int) -> int:
     """S(n)_p = sum over a in F_p^* of K(a,p)^n, certified exact."""
-    return MomentResult(ctx.p, n, None,
-                        _moment(ctx, _power(n), False, precomputed))
+    return _moment(ctx, _power(n), False)
 
 
-def twisted_moment(ctx: FieldCtx, n: int, twist: CharIdx,
-                   precomputed=None) -> MomentResult:
+def twisted_moment(ctx: FieldCtx, n: int, twist: CharIdx) -> int:
     """S(n,chi)_p for the trivial or quadratic twist (the exact-integer cases)."""
     p = ctx.p
     if twist % (p - 1) not in (0, (p - 1) // 2):
         raise ValueError("unsupported twist: only the trivial and quadratic "
                          "characters give rational integer moments here")
     if twist % (p - 1) == 0:
-        return untwisted_moment(ctx, n, precomputed)
-    return MomentResult(p, n, twist, _moment(ctx, _power(n), True, precomputed))
+        return untwisted_moment(ctx, n)
+    return _moment(ctx, _power(n), True)
 
 
-def sheaf_moment(ctx: FieldCtx, n: int, precomputed=None) -> int:
+def sheaf_moment(ctx: FieldCtx, n: int) -> int:
     """M(n,phi)_p = sum over a of phi(a) h_n(K(a,p)), where h_0 = 1,
     h_1 = -K and h_k = -K h_{k-1} - p h_{k-2}.
 
@@ -238,22 +225,21 @@ def sheaf_moment(ctx: FieldCtx, n: int, precomputed=None) -> int:
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
     p = ctx.p
-    pre = precomputed if precomputed is not None else kloosterman_table(ctx)
-    lift = p << 2 * pre[1]
+    lift = p << 2 * kloosterman_table(ctx)[1]
     prev, cur = [1], [0, -1]
     for _ in range(n - 1):
         nxt = [0] + [-c for c in cur]
         for j, c in enumerate(prev):
             nxt[j] -= lift * c
         prev, cur = cur, nxt
-    return _moment(ctx, cur, True, pre)
+    return _moment(ctx, cur, True)
 
 
-def angle_histogram(ctx: FieldCtx, bins: int, precomputed=None) -> np.ndarray:
+def angle_histogram(ctx: FieldCtx, bins: int) -> np.ndarray:
     """Histogram over [0, pi] of the angles arccos(K(a,p)/(2 sqrt p)), a != 0."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    K, shift, _ = precomputed if precomputed is not None else kloosterman_table(ctx)
+    K, shift, _ = kloosterman_table(ctx)
     one = 1 << shift
     vals = np.array([k / one for k in K[1:]]) / (2.0 * math.sqrt(ctx.p))
     theta = np.arccos(np.clip(vals, -1.0, 1.0))

@@ -27,7 +27,7 @@ from functools import lru_cache
 from sympy import primerange
 
 from .ecurve import ap_table
-from .ffield import CharIdx, FieldCtx, make_field_ctx
+from .ffield import CharIdx, FieldCtx, make_field_ctx, per_prime
 from .records import VerificationRecord
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ class _GammaEngine:
 class PadicCtx:
     """Tables mod p^K: Teichmueller lifts, powers of omega(g), memo caches.
 
-    Mutable only through internal memoization; build one per process.
+    Mutable only through internal memoization; shared via make_padic_ctx.
     """
 
     def __init__(self, field: FieldCtx, K: int):
@@ -226,8 +226,6 @@ class PadicCtx:
             self.pw[e] = self.pw[e - 1] * wg % self.mod
         self._engine: _GammaEngine | None = None
         self._gamma_memo: dict[int, int] = {}
-        self._jtable: list[int] | None = None
-        self._ngn_tables: dict = {}
         self._children: dict[int, "PadicCtx"] = {}
 
     def _teich_fix(self, x: int) -> int:
@@ -252,6 +250,7 @@ class PadicCtx:
         return self.pw[c * self.field.dlog[x % self.p] % self.q]
 
 
+@per_prime
 def make_padic_ctx(p: int, K: int = 6) -> PadicCtx:
     return PadicCtx(make_field_ctx(p), K)
 
@@ -523,13 +522,12 @@ def _centered(residue: int, mod: int, bound: int, what: str) -> int:
 # ---------------------------------------------------------------------------
 # Greene functions via Jacobi-sum tables
 
-def _jacobi_table(ctx: PadicCtx) -> list[int]:
-    """J_c = J(phi omega^c, omega-bar^c) for all c; cached."""
-    if ctx._jtable is None:
-        half = ctx.q // 2
-        ctx._jtable = [jacobi_sum(ctx, (half + c) % ctx.q, (ctx.q - c) % ctx.q)
-                       for c in range(ctx.q)]
-    return ctx._jtable
+@per_prime
+def _jacobi_table(ctx: PadicCtx) -> tuple[int, ...]:
+    """J_c = J(phi omega^c, omega-bar^c) for all c."""
+    half = ctx.q // 2
+    return tuple(jacobi_sum(ctx, (half + c) % ctx.q, (ctx.q - c) % ctx.q)
+                 for c in range(ctx.q))
 
 
 def _greene_S(ctx: PadicCtx, lam: int) -> int:
@@ -659,7 +657,7 @@ class _NgnTable:
             if (a * n) % 2:
                 c = -c % mod
             coeffs.append(c)
-        self.coeffs = coeffs
+        self.coeffs = tuple(coeffs)
 
     def value_scaled(self, t: int) -> int:
         """p^scale * nGn(...|t) mod p^(K+scale)."""
@@ -674,11 +672,9 @@ class _NgnTable:
         return tot % hctx.mod
 
 
-def _ngn_table(ctx: PadicCtx, a_list, b_list) -> _NgnTable:
-    key = (tuple(a_list), tuple(b_list))
-    if key not in ctx._ngn_tables:
-        ctx._ngn_tables[key] = _NgnTable(ctx, a_list, b_list)
-    return ctx._ngn_tables[key]
+@per_prime
+def _ngn_table(ctx: PadicCtx, a_list: tuple, b_list: tuple) -> _NgnTable:
+    return _NgnTable(ctx, a_list, b_list)
 
 
 def ngn_evaluate(ctx: PadicCtx, spec: GSpec) -> QpValue:
@@ -701,6 +697,7 @@ def ngn_evaluate(ctx: PadicCtx, spec: GSpec) -> QpValue:
 # ---------------------------------------------------------------------------
 # the section-6 identity checks
 
+@per_prime
 def gk_I_integer(ctx: PadicCtx) -> int:
     """I = sum_a g(phi omega^a) g(omega-bar^a)^3 g(phi omega^(2a))
            * sum_lam phi(lam) omega-bar^a(4(1-lam)/lam), exactly.

@@ -1,10 +1,12 @@
 import json
 import multiprocessing
+from collections import Counter
 
 import pytest
 
 from ntlab import identities as idn
 from ntlab.cli import SUITE_NAMES, SWEEP_NAMES, main
+from ntlab.ffield import release_tables
 from ntlab.records import SCHEMA_HEADER
 
 
@@ -68,18 +70,24 @@ def test_pool_matches_serial_under_every_start_method(capsys, method):
 
 
 def test_error_reasons_reach_stderr(capsys, monkeypatch):
-    def boom(ctx, table):
+    def boom(ctx, table=None):
         raise ArithmeticError(f"boom at {ctx.p}")
 
     monkeypatch.setattr(idn, "counting_lemma_check", boom)
+    monkeypatch.setattr(idn, "s4_direct", boom)
+    # tasks run prime-major (s4-triroute at 7 and 11 before counting at 13);
+    # the summary still lists suites in the order asked for
     code, out, err = run(capsys, "verify", "--suite", "counting,s4-triroute",
-                         "--pmin", "13", "--pmax", "17")
+                         "--pmin", "7", "--pmax", "17")
     assert code == 1
     assert "13,counting,error,,false" in out
-    assert "  counting: 2 records, 2 mismatches" in err
-    assert "  s4-triroute: 2 records, 0 mismatches" in err
-    assert "error 13,counting: ArithmeticError: boom at 13" in err
-    assert "error 17,counting: ArithmeticError: boom at 17" in err
+    assert err.splitlines()[1:] == [
+        "  counting: 2 records, 2 mismatches",
+        "  s4-triroute: 4 records, 4 mismatches",
+        *(f"  error {p},counting: ArithmeticError: boom at {p}"
+          for p in (13, 17)),
+        *(f"  error {p},s4-triroute: ArithmeticError: boom at {p}"
+          for p in (7, 11, 13, 17))]
 
 
 def test_json_output_mirrors_csv_fields(capsys):
@@ -208,18 +216,63 @@ def test_gfun_rejects_composite():
 
 
 def test_schoof_suite_builds_one_census_per_prime(monkeypatch, htable):
-    from collections import Counter
-
+    # count classes evaluated, not calls: a memo hit costs no class at all
     from ntlab import cli, ecurve
-    calls = Counter()
+    real, classes = ecurve._class_of, Counter()
 
-    def counting_census(ctx):
-        calls[ctx.p] += 1
-        return ecurve.curve_census(ctx)
+    def counting(ctx, *args):
+        classes[ctx.p] += 1
+        return real(ctx, *args)
 
-    monkeypatch.setattr(cli, "curve_census", counting_census, raising=False)
-    monkeypatch.setattr(idn, "curve_census", counting_census)
+    monkeypatch.setattr(ecurve, "_class_of", counting)
+    release_tables()
     for p in (53, 59):
         [rec] = cli._suite_schoof(p, cli.RunConfig(), htable)
         assert rec.match and rec.rhs > 10
-    assert calls == {53: 1, 59: 1}
+    # 2p + 6, 2, 4, 0 isomorphism classes for p = 1, 5, 7, 11 mod 12
+    assert classes == {53: 2 * 53 + 2, 59: 2 * 59}
+
+
+def test_moment_and_trace_suites_convolve_twice_per_prime(capsys, monkeypatch):
+    # one Kloosterman table and one a_p table per prime serve all three
+    # suites, each the product of one cyclic convolution
+    from ntlab import ecurve, ffield, kloosterman
+    calls = Counter()
+    for mod in (kloosterman, ecurve):
+        def counting(u, v, real=mod.cyclic_convolve, name=mod.__name__):
+            calls[name, len(u)] += 1
+            return real(u, v)
+        monkeypatch.setattr(mod, "cyclic_convolve", counting)
+    release_tables()
+    run(capsys, "verify", "--suite", "moments,s4-triroute,cp-chain",
+        "--pmin", "101", "--pmax", "107")
+    assert calls == {(m, n): 1 for p in (101, 103, 107)
+                     for m, n in (("ntlab.kloosterman", p - 1),
+                                  ("ntlab.ecurve", p))}
+    assert not ffield._SHARED   # the report needs no table; none is kept
+
+
+def test_padic_suites_compute_gk_I_once_per_prime(capsys, monkeypatch):
+    # gk_I_integer reconstructs I through one _centered(..., "I") call, and
+    # the checks of one prime share one context, so one Gamma_p engine at K+1
+    from ntlab import padic
+    engines, whats = Counter(), Counter()
+    real_engine, real_centered = padic._GammaEngine, padic._centered
+
+    def engine(p, K):
+        engines[p, K] += 1
+        return real_engine(p, K)
+
+    def centered(residue, mod, bound, what):
+        whats[what] += 1
+        return real_centered(residue, mod, bound, what)
+
+    monkeypatch.setattr(padic, "_GammaEngine", engine)
+    monkeypatch.setattr(padic, "_centered", centered)
+    release_tables()
+    code, _, _ = run(capsys, "verify", "--suite",
+                     "gk,greene,prop6.4,prop6.5,prop6.6",
+                     "--pmin", "7", "--pmax", "13")
+    assert code == 0
+    assert whats["I"] == 3
+    assert {p: engines[p, 7] for p in (7, 11, 13)} == {7: 1, 11: 1, 13: 1}

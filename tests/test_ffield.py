@@ -1,9 +1,13 @@
 import math
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ntlab.ffield import cyclic_convolve, legendre_phi, make_field_ctx
+from ntlab.ecurve import ap_table, curve_census
+from ntlab.ffield import (cyclic_convolve, legendre_phi, make_field_ctx,
+                          per_prime, release_tables)
+from ntlab.kloosterman import kloosterman_table, trig_table
 
 PRIMES = (3, 5, 7, 11, 13, 17, 23, 41)
 
@@ -99,3 +103,52 @@ def test_cyclic_convolve_tight_slot_width(n, k):
 def test_cyclic_convolve_rejects_unequal_lengths():
     with pytest.raises(ValueError):
         cyclic_convolve([1, 2], [1, 2, 3])
+
+
+def test_per_prime_holds_one_prime_and_releases_it_before_a_rebuild():
+    class Table:
+        pass
+
+    built, refs = [], {}
+
+    def builder(name):
+        @per_prime
+        def build(p):
+            # no table of another prime is alive when one for p is built
+            assert all(r() is None for (_, q), r in refs.items() if q != p)
+            t = Table()
+            refs[name, p] = weakref.ref(t)
+            built.append((name, p))
+            return t
+        return build
+
+    a, b = builder("a"), builder("b")
+    ta = a(7)
+    assert a(7) is ta
+    b(7)
+    assert a(7) is ta       # another builder at the same prime keeps it
+    del ta
+    b(11)
+    a(7)
+    assert built == [("a", 7), ("b", 7), ("b", 11), ("a", 7)]
+    release_tables()
+    assert all(r() is None for r in refs.values())
+
+
+def test_equal_contexts_share_their_tables():
+    a = make_field_ctx(13)
+    release_tables()
+    b = make_field_ctx(13)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != make_field_ctx(17)
+    assert kloosterman_table(a) is kloosterman_table(b)
+
+
+def test_shared_tables_are_immutable():
+    # every check at a prime reads the same object, so none may change it
+    ctx = make_field_ctx(13)
+    K, _, _ = kloosterman_table(ctx)
+    for table in (kloosterman_table(ctx), K, ap_table(ctx), curve_census(ctx),
+                  ctx.qr, ctx.dlog, trig_table(13).cos):
+        with pytest.raises(TypeError):
+            table[1] = 0

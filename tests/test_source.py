@@ -1,6 +1,9 @@
 """Rules about the package source itself."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import ntlab
@@ -45,3 +48,17 @@ def test_routes_share_nothing_beyond_ffield():
         found += [f"{name} imports {m}"
                   for m in sorted(_ntlab_imports(tree) & (routes - {name}))]
     assert not found, "; ".join(found)
+
+
+def test_public_callables_are_plain_functions_or_classes():
+    # the layer tracer in perfbench/ wraps plain functions only, so a public
+    # builder bound to any other callable (a bare functools.lru_cache, say)
+    # would silently drop out of the per-layer figures
+    found = []
+    for info in pkgutil.iter_modules([str(SRC)]):
+        mod = importlib.import_module(f"ntlab.{info.name}")
+        found += [f"{info.name}.{name}" for name, obj in vars(mod).items()
+                  if not name.startswith("_") and callable(obj)
+                  and getattr(obj, "__module__", None) == mod.__name__
+                  and not (inspect.isfunction(obj) or inspect.isclass(obj))]
+    assert not found, f"not a plain function or class: {', '.join(found)}"
