@@ -7,9 +7,8 @@ spot values -245 (p=7) and -507 (p=13) do not, and the gap is exactly
 2p(p-2).
 """
 
-from sympy import primerange
-
 from ntlab import build_hurwitz_table, make_field_ctx, s4_direct, s4_via_ap, s4_via_classnumbers
+from ntlab.primes import primerange
 
 table = build_hurwitz_table(4 * 100)
 

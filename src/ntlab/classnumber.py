@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from sympy import divisors
+
+from .primes import divisors
 
 
 def _valid_disc(D: int) -> bool:

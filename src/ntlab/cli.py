@@ -20,9 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-
-from sympy import isprime, primerange
 
 from . import classnumber as cn
 from . import identities as idn
@@ -30,6 +30,7 @@ from . import kloosterman as km
 from . import padic as pa
 from .ecurve import ap_table, l_set_sizes, twist_relation_check
 from .ffield import make_field_ctx, release_tables
+from .primes import isprime, primerange
 from .records import (SCHEMA_HEADER, VerificationRecord, merge_records,
                       records_to_csv, records_to_json)
 
@@ -335,16 +336,23 @@ def _run_task(task) -> list[VerificationRecord]:
     return [replace(r, elapsed_ms=ms) for r in recs]
 
 
+def _run_batch(batch: list[tuple]) -> list[list[VerificationRecord]]:
+    return [_run_task(t) for t in batch]
+
+
 def _run_tasks(tasks: list[tuple], table: cn.HurwitzTable | None,
                workers: int) -> list[list[VerificationRecord]]:
     """The one place tasks are mapped, serially or over a process pool
-    whose workers get the table from the initializer (any start method)."""
+    whose workers get the table from the initializer (any start method).
+    The pool takes the index-sorted tasks one index at a time, so the tasks
+    of a prime share one worker and its per-prime tables."""
     if workers > 1:
+        batches = [list(ts) for _, ts in groupby(tasks, key=itemgetter(2))]
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(table,)) as pool:
-            return list(pool.map(_run_task, tasks))
+            return [g for gs in pool.map(_run_batch, batches) for g in gs]
     _init_worker(table)
-    return [_run_task(t) for t in tasks]
+    return _run_batch(tasks)
 
 
 def _summarize(order: list[str], names: list[str], groups: list) -> None:

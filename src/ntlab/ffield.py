@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import wraps
 
-from sympy import factorint, isprime
+from .primes import factorint, isprime
 
 # Character indices are plain integers a mod p-1, denoting the character
 # that sends g^k to zeta_{p-1}^{a*k}. Index 0 is the trivial character,

@@ -22,6 +22,7 @@ from . import classnumber as cn
 from .ecurve import ap_table, curve_census, torsion_class
 from .ffield import FieldCtx
 from .kloosterman import twisted_moment
+from .primes import primerange
 from .records import VerificationRecord
 
 # --- windows of traces used by the class-number translations ----------------
@@ -276,7 +277,6 @@ def asymptotic_sweep(pmin: int, pmax: int, which: str,
     O(p^{3/2}) class-number window asymptotics: asymptotic_record over the
     primes in [pmin, pmax].
     """
-    from sympy import primerange
     if which not in SWEEP_CLAIMS:
         raise ValueError(f"unknown claim {which!r}; pick from {SWEEP_CLAIMS}")
     if pmin <= 5:

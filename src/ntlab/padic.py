@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import primerange
-
 from .ecurve import ap_table
 from .ffield import CharIdx, FieldCtx, make_field_ctx, per_prime
+from .primes import primerange
 from .records import VerificationRecord
 
 # ---------------------------------------------------------------------------

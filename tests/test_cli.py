@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 from collections import Counter
 
 import pytest
@@ -276,3 +277,35 @@ def test_padic_suites_compute_gk_I_once_per_prime(capsys, monkeypatch):
     assert code == 0
     assert whats["I"] == 3
     assert {p: engines[p, 7] for p in (7, 11, 13)} == {7: 1, 11: 1, 13: 1}
+
+
+def test_pool_keeps_each_prime_in_one_worker(capsys, monkeypatch, tmp_path):
+    # each worker logs its pid for every table product; under fork it
+    # inherits the patched functions, so the log is written worker-side
+    from ntlab import ecurve, kloosterman
+    log = tmp_path / "log"
+    # the Kloosterman table has p - 1 entries, the a_p table p
+    for mod, shift in ((kloosterman, 1), (ecurve, 0)):
+        def logged(u, v, real=mod.cyclic_convolve, name=mod.__name__,
+                   shift=shift):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {name} {len(u) + shift}\n")
+            return real(u, v)
+        monkeypatch.setattr(mod, "cyclic_convolve", logged)
+    old = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    try:
+        run(capsys, "verify", "--suite", "moments,s4-triroute,cp-chain",
+            "--pmin", "101", "--pmax", "113", "--workers", "2")
+    finally:
+        multiprocessing.set_start_method(old, force=True)
+    rows = [ln.split() for ln in log.read_text().splitlines()]
+    pids = {}
+    for pid, _, p in rows:
+        pids.setdefault(int(p), set()).add(pid)
+    assert sorted(pids) == [101, 103, 107, 109, 113]
+    assert all(len(s) == 1 for s in pids.values()), pids
+    # so each of a prime's two tables is built once, not once per worker
+    assert Counter((name, int(p)) for _, name, p in rows) == {
+        (name, p): 1 for p in pids
+        for name in ("ntlab.kloosterman", "ntlab.ecurve")}

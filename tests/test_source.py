@@ -3,7 +3,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import ntlab
@@ -35,6 +38,34 @@ def _ntlab_imports(tree: ast.Module) -> set[str]:
             continue
         out |= {n.split(".")[1] for n in names if n.startswith("ntlab.")}
     return out
+
+
+def test_no_module_imports_sympy():
+    # sympy is a test-side oracle; loading it would cost the package more
+    # start-up time than most runs spend computing
+    found = []
+    for path in sorted(SRC.glob("**/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names
+                      if n.split(".")[0] == "sympy"]
+    assert not found, f"sympy imported in ntlab: {', '.join(found)}"
+
+
+def test_importing_the_cli_loads_no_sympy():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ntlab.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "False"
 
 
 def test_routes_share_nothing_beyond_ffield():
