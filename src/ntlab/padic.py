@@ -12,9 +12,12 @@ clear p^K/2.
 Gamma_p at a rational x reduces x to an integer n mod p^(K+1) (continuity,
 |Gamma_p(x)-Gamma_p(y)| <= |x-y|) and evaluates the defining product in
 blocks of p consecutive integers: the block polynomial R(t) = prod (tp+i)
-satisfies -R(t) = 1 + O(p), so log/exp series plus Faulhaber power sums give
-prod_{t<m} R(t) in O(poly(K)) time instead of O(n). A direct-product route
-is kept for small arguments and used as the cross-check oracle.
+satisfies -R(t) = 1 + O(p), so L(t) = log(-R(t)) is a polynomial mod p^WK.
+Written in Newton form, L(t) = sum_k D_k C(t, k) with integer forward
+differences D_k, the block sum is sum_{t<m} L(t) = sum_k D_k C(m, k+1) with no
+denominator for any p, and exp of it gives prod_{t<m} R(t) in O(poly(K)) time
+instead of O(n). A direct-product route is kept for small arguments and used
+as the cross-check oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .ecurve import ap_table
 from .ffield import CharIdx, FieldCtx, make_field_ctx, per_prime
@@ -41,29 +43,6 @@ def _gamma_p_direct(p: int, K: int, n: int) -> int:
         if i % p:
             v = v * i % mod
     return (-v if n % 2 else v) % mod
-
-
-@lru_cache(maxsize=None)
-def _bernoulli(j: int) -> Fraction:
-    """B_j with B_1 = -1/2, from sum_{k<=j} C(j+1, k) B_k = 0 (j >= 1)."""
-    if j == 0:
-        return Fraction(1)
-    return -sum(math.comb(j + 1, k) * _bernoulli(k) for k in range(j)) / (j + 1)
-
-
-@lru_cache(maxsize=None)
-def _faulhaber_row(d: int) -> tuple[tuple[int, ...], int]:
-    """(c, den) with sum_{t<m} t^d = sum_k c[k] m^k / den, exactly.
-
-    Faulhaber with B_1 = -1/2: sum_{t<m} t^d = sum_{j<=d} C(d+1, j) B_j
-    m^(d+1-j) / (d+1). The row does not depend on p, so every engine shares
-    one copy.
-    """
-    coeffs = [Fraction(0)] * (d + 2)
-    for j in range(d + 1):
-        coeffs[d + 1 - j] = math.comb(d + 1, j) * _bernoulli(j) / (d + 1)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
 
 class _GammaEngine:
@@ -94,7 +73,8 @@ class _GammaEngine:
         if self.W[0] % p:
             raise ArithmeticError(f"Wilson sanity failed at p={p}")
         self._logpoly = self._log_series()
-        self._rows = [_faulhaber_row(d) for d in range(len(self._logpoly))]
+        self._newton = self._newton_coeffs()
+        self._exp_coeffs = self._exp_series()
         self._selftest()
 
     def _polymul(self, f, g):
@@ -139,43 +119,64 @@ class _GammaEngine:
                 break
         return out
 
+    def _newton_coeffs(self) -> list[int]:
+        """D_k = Delta^k L(0) mod p^WK for L(t) = sum_d logpoly[d] t^d, so that
+        L(t) = sum_k D_k C(t, k): integer coefficients, no denominators."""
+        lam = self._logpoly
+        vals = [sum(c * t ** d for d, c in enumerate(lam))
+                for t in range(len(lam))]
+        diffs = []
+        while vals:
+            diffs.append(vals[0] % self.wmod)
+            vals = [b - a for a, b in zip(vals, vals[1:])]
+        return diffs
+
+    def _exp_series(self) -> list[int]:
+        """e_j = p^j / j! mod p^WK, so that exp(p y) = sum_j e_j y^j."""
+        p = self.p
+        coeffs = [1]
+        fact = 1
+        vfact = 0  # cumulative v_p(j!)
+        j = 0
+        while True:
+            j += 1
+            fact *= j
+            f = j
+            while f % p == 0:
+                f //= p
+                vfact += 1
+            coeffs.append(self._div_exact(p ** j, fact))
+            # dropped tail has v_p >= (j+1) - v_p((j+1)!), increasing in j
+            if j - vfact > self.K + 2:
+                break
+        return coeffs
+
     def _sum_log(self, m: int) -> int:
-        """sum_{t<m} log(-R(t)) mod p^WK (top digits noisy, within guard)."""
-        powers = [m ** k for k in range(len(self._logpoly) + 1)]
+        """sum_{t<m} log(-R(t)) mod p^WK (top digits noisy, within guard).
+
+        Hockey stick: sum_{t<m} C(t, k) = C(m, k+1), so the block sum is
+        sum_k D_k C(m, k+1), with C(m, k+1) = C(m, k) (m-k)/(k+1) an exact
+        integer division.
+        """
+        wmod = self.wmod
         tot = 0
-        for d, lam in enumerate(self._logpoly):
-            if not lam:
-                continue
-            # Faulhaber value sum_{t<m} t^d is an exact integer
-            row, den = self._rows[d]
-            sd, rem = divmod(sum(c * x for c, x in zip(row, powers)), den)
-            if rem:
-                raise ArithmeticError(f"Faulhaber sum of degree {d} at "
-                                      f"m={m} is not an integer")
-            tot = (tot + lam * (sd % self.wmod)) % self.wmod
+        binom = m  # C(m, k+1) at k = 0
+        for k, dk in enumerate(self._newton):
+            if k:
+                binom, rem = divmod(binom * (m - k), k + 1)
+                if rem:
+                    raise ArithmeticError(f"C({m}, {k + 1}) is not an integer")
+            tot = (tot + dk * (binom % wmod)) % wmod
         return tot
 
     def _exp(self, x: int) -> int:
         """exp(x) mod (roughly) p^K for v_p(x) >= 1."""
         if x % self.p:
             raise ArithmeticError("exp argument not divisible by p")
-        tot = 1
-        term = 1
-        fact = 1
-        vfact = 0  # cumulative v_p(j!)
-        j = 0
-        while True:
-            j += 1
-            term = term * x % self.wmod
-            fact *= j
-            f = j
-            while f % self.p == 0:
-                f //= self.p
-                vfact += 1
-            tot = (tot + self._div_exact(term, fact)) % self.wmod
-            # dropped tail has v_p >= (j+1) - v_p((j+1)!), increasing in j
-            if j - vfact > self.K + 2:
-                break
+        y = x // self.p
+        tot = 0
+        for e in reversed(self._exp_coeffs):
+            tot = (tot * y + e) % self.wmod
         return tot
 
     def at_int(self, n: int) -> int:
@@ -455,17 +456,19 @@ def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecor
 
     lhs1 = 1
     for h in range(t):
-        lhs1 = lhs1 * gamma_p(ctx, (x + h) / t) % mod
+        lhs1 = lhs1 * gamma_p(ctx, Fraction(j + h * q, q * t)) % mod
     # (1-x)(1-p) = j - (p-1) when x = j/(p-1), an integer
     rhs1 = ctx.omega(t % p, j) * gamma_p(ctx, x) % mod * const % mod
     ok1 = lhs1 == rhs1
 
     def collapsed(jj: int) -> bool:
+        # <jj/q + h/t> and <t jj/q>, each built as one reduced Fraction
+        qt = q * t
         lhs = 1
         for h in range(t):
-            lhs = lhs * gamma_p(ctx, _frac(Fraction(jj, q) + Fraction(h, t))) % mod
+            lhs = lhs * gamma_p(ctx, Fraction((jj * t + h * q) % qt, qt)) % mod
         rhs = (ctx.omega(t % p, t * jj % q)
-               * gamma_p(ctx, _frac(Fraction(t * jj, q))) % mod * const % mod)
+               * gamma_p(ctx, Fraction(t * jj % q, q)) % mod * const % mod)
         return lhs == rhs
 
     ok2 = collapsed(j)
@@ -617,15 +620,19 @@ class _NgnTable:
         for x in list(a_list) + list(b_list):
             if x.denominator % p == 0:
                 raise ValueError(f"parameter {x} not p-integral for p={p}")
+        # ak = an/ad and <-bk> = bn/bd; with al = a/q the a-loops below take
+        # floor and fractional part of ak - al and <-bk> + al in integers
+        nums = []
+        for ak, bk in zip(a_list, b_list):
+            nb = _frac(-bk)
+            nums.append((ak.numerator, ak.denominator,
+                         nb.numerator, nb.denominator))
         Es = []
         for a in range(q):
-            al = Fraction(a, q)
             E = 0
-            for ak, bk in zip(a_list, b_list):
-                d1 = ak - al
-                E -= d1.numerator // d1.denominator
-                d2 = _frac(-bk) + al
-                E -= d2.numerator // d2.denominator
+            for an, ad, bn, bd in nums:
+                E -= (an * q - a * ad) // (ad * q)
+                E -= (bn * q + a * bd) // (bd * q)
             Es.append(E)
         self.scale = max(0, -min(Es))
         self.M = ctx.K + self.scale
@@ -634,18 +641,16 @@ class _NgnTable:
         mod = hctx.mod
         coeffs = []
         norm = (-pow(q, -1, mod)) % mod
-        # (ak, <-bk>, 1/(Gamma_p(<ak>) Gamma_p(<-bk>))): free of a
-        pairs = []
-        for ak, bk in zip(a_list, b_list):
-            nb = _frac(-bk)
-            inv = pow(gamma_p(hctx, _frac(ak)) * gamma_p(hctx, nb), -1, mod)
-            pairs.append((ak, nb, inv))
+        # 1/(Gamma_p(<ak>) Gamma_p(<-bk>)): free of a
+        invs = [pow(gamma_p(hctx, _frac(ak)) * gamma_p(hctx, _frac(-bk)), -1,
+                    mod) for ak, bk in zip(a_list, b_list)]
         for a in range(q):
-            al = Fraction(a, q)
             c = norm
-            for ak, nb, inv in pairs:
-                c = c * gamma_p(hctx, _frac(ak - al)) % mod
-                c = c * gamma_p(hctx, _frac(nb + al)) % mod
+            for (an, ad, bn, bd), inv in zip(nums, invs):
+                c = c * gamma_p(hctx, Fraction((an * q - a * ad) % (ad * q),
+                                               ad * q)) % mod
+                c = c * gamma_p(hctx, Fraction((bn * q + a * bd) % (bd * q),
+                                               bd * q)) % mod
                 c = c * inv % mod
             e = Es[a] + self.scale
             if e < 0:

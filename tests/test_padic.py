@@ -25,8 +25,9 @@ def test_ctx_validation():
         pa.make_padic_ctx(7, 0)
 
 
-# (5, 8) and (7, 8): p divides Faulhaber denominators inside the engine's
-# degree range (von Staudt: p | den(B_j) when p - 1 | j)
+# (5, 8) and (7, 8): the engine's degree range holds degrees j with p - 1 | j,
+# where power sums sum_{t<m} t^j would carry p in a denominator (von Staudt);
+# the Newton-form block sum has no denominator at any p
 @pytest.mark.parametrize("p,K", [(5, 4), (7, 6), (13, 4), (97, 3), (5, 8),
                                  (7, 8)])
 def test_gamma_block_engine_against_literal_product(p, K):
@@ -41,7 +42,7 @@ def test_gamma_block_engine_against_literal_product(p, K):
 @pytest.mark.parametrize("p,K", [(5, 8), (7, 8), (13, 4)])
 def test_gamma_functional_equation_far_beyond_the_literal_product(p, K):
     # Gamma_p(n+1) = -n Gamma_p(n) for p not dividing n, -Gamma_p(n) else;
-    # n ~ 10^30 puts m^d near 10^(30 d) in the Faulhaber sums
+    # n ~ 10^30 puts C(m, k+1) near 10^(30 (k+1)) in the block sums
     eng = pa._GammaEngine(p, K)
     ctx = pa.make_padic_ctx(p, K)
     mod = p ** K
@@ -53,28 +54,56 @@ def test_gamma_functional_equation_far_beyond_the_literal_product(p, K):
     assert pa.gamma_p(ctx, base) == vals[0]
 
 
-def test_bernoulli_known_values():
-    assert pa._bernoulli(0) == 1
-    assert pa._bernoulli(1) == Fraction(-1, 2)
-    assert pa._bernoulli(2) == Fraction(1, 6)
-    assert pa._bernoulli(12) == Fraction(-691, 2730)
-    assert all(pa._bernoulli(j) == 0 for j in range(3, 40, 2))
+# p = 5, 7 and 13 are the primes where power sums of the engine's degrees
+# would need p in a denominator; 67 is a small-p benchmark prime
+ENGINE_CASES = [(5, 8), (7, 8), (13, 4), (67, 7)]
+
+
+@pytest.fixture(scope="module")
+def engines():
+    return {pk: pa._GammaEngine(*pk) for pk in ENGINE_CASES}
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 64, 1000])
-def test_faulhaber_rows_against_brute_force(m):
-    for d in range(31):
-        row, den = pa._faulhaber_row(d)
-        assert len(row) == d + 2
-        assert sum(c * m ** k for k, c in enumerate(row)) == \
-            den * sum(t ** d for t in range(m)), d
+def test_newton_block_sum_against_brute_force(engines, m):
+    for (p, K), eng in engines.items():
+        lam = eng._logpoly
+        brute = sum(sum(c * t ** d for d, c in enumerate(lam))
+                    for t in range(m))
+        assert eng._sum_log(m) == brute % eng.wmod, (p, K)
 
 
-def test_engines_share_faulhaber_rows():
-    e5, e7 = pa._GammaEngine(5, 4), pa._GammaEngine(7, 6)
-    shared = min(len(e5._rows), len(e7._rows))
-    assert shared > 1
-    assert all(e5._rows[d] is e7._rows[d] for d in range(shared))
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ENGINE_CASES), st.integers(0, 10 ** 40),
+       st.integers(0, 10 ** 40))
+def test_exp_series_turns_sums_into_products(engines, pk, y1, y2):
+    eng = engines[pk]
+    x1, x2 = eng.p * y1, eng.p * y2
+    assert eng._exp(x1) * eng._exp(x2) % eng.mod == eng._exp(x1 + x2) % eng.mod
+    with pytest.raises(ArithmeticError):
+        eng._exp(x1 + 1)
+
+
+@st.composite
+def _rational_in_zp(draw):
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    kmin = next(k for k in range(1, 9) if p ** k > 64)  # p^(K+1) > 64 p
+    K = draw(st.integers(kmin, kmin + 1))
+    b = draw(st.integers(1, 10 ** 6).filter(lambda b: b % p))
+    a = draw(st.integers(-10 ** 9, 10 ** 9))
+    return p, K, Fraction(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_in_zp())
+def test_gamma_at_rationals_against_literal_product(case):
+    # n = a/b mod p^(K+1) reaches past the literal-product cutoff 64 p, so
+    # rational arguments and the small-p degree cases go through the engine
+    p, K, x = case
+    ctx = pa.make_padic_ctx(p, K)
+    big = p ** (K + 1)
+    n = x.numerator * pow(x.denominator, -1, big) % big
+    assert pa.gamma_p(ctx, x) == pa.gamma_p_direct(ctx, n)
 
 
 def test_gamma_small_values():
@@ -281,32 +310,56 @@ def test_precision_raise_pathway(pctx13):
     assert pctx13.at_precision(6) is hctx
 
 
-def _run_under_python_O(code: str) -> str:
+# Each probe runs under python -O, where an assert would vanish, and sets
+# `result`; one interpreter runs them all, since its start-up (numpy, mpmath
+# without opt-1 bytecode) costs more than the probes.
+PYTHON_O_PROBES = {
+    # an assert would hand back a wrong quotient
+    "inexact-division": (
+        "from ntlab.padic import _GammaEngine\n"
+        "e = _GammaEngine.__new__(_GammaEngine)\n"
+        "e.p, e.wmod = 5, 5 ** 8\n"
+        "try:\n"
+        "    result = e._div_exact(7, 5)\n"
+        "except ArithmeticError as exc:\n"
+        "    result = type(exc).__name__\n"),
+    # a Newton coefficient off by p keeps every exp argument divisible by p,
+    # so only the self-test's comparison can catch it; try each coefficient
+    "corrupted-newton": (
+        "from ntlab.padic import _GammaEngine\n"
+        "e = _GammaEngine(5, 4)\n"
+        "good = e._newton\n"
+        "missed = []\n"
+        "for k in range(len(good)):\n"
+        "    e._newton = list(good)\n"
+        "    e._newton[k] = (good[k] + 5) % e.wmod\n"
+        "    try:\n"
+        "        e._selftest()\n"
+        "        missed.append(k)\n"
+        "    except ArithmeticError:\n"
+        "        pass\n"
+        "result = f'missed {missed}'\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def python_O_results() -> dict[str, str]:
+    runner = ("print('debug', __debug__)\n"
+              f"for name, code in {PYTHON_O_PROBES!r}.items():\n"
+              "    ns = {}\n"
+              "    exec(code, ns)\n"
+              "    print(name, ns['result'])\n")
     env = dict(os.environ, PYTHONPATH=str(Path(pa.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-O", "-c", runner], env=env,
                          capture_output=True, text=True, check=True)
-    return out.stdout.strip()
+    lines = dict(line.split(" ", 1) for line in out.stdout.splitlines())
+    assert lines.pop("debug") == "False"
+    return lines
 
 
-def test_inexact_division_raises_under_python_O():
-    # an assert would vanish under -O and hand back a wrong quotient
-    code = ("from ntlab.padic import _GammaEngine\n"
-            "e = _GammaEngine.__new__(_GammaEngine)\n"
-            "e.p, e.wmod = 5, 5 ** 8\n"
-            "try:\n"
-            "    print(e._div_exact(7, 5))\n"
-            "except ArithmeticError as exc:\n"
-            "    print(type(exc).__name__)\n")
-    assert _run_under_python_O(code) == "ArithmeticError"
+def test_inexact_division_raises_under_python_O(python_O_results):
+    assert python_O_results["inexact-division"] == "ArithmeticError"
 
 
-def test_corrupted_faulhaber_row_raises_under_python_O():
-    # a wrong denominator must not silently hand back a truncated quotient
-    code = ("from ntlab.padic import _GammaEngine\n"
-            "e = _GammaEngine(5, 4)\n"
-            "e._rows = [(row, den + 1) for row, den in e._rows]\n"
-            "try:\n"
-            "    print(e._sum_log(65))\n"
-            "except ArithmeticError as exc:\n"
-            "    print(type(exc).__name__)\n")
-    assert _run_under_python_O(code) == "ArithmeticError"
+def test_corrupted_newton_coefficient_raises_under_python_O(python_O_results):
+    assert python_O_results["corrupted-newton"] == "missed []"
