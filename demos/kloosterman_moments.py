@@ -9,7 +9,7 @@ as a single big-integer product; K[a] / 2^shift is within err / 2^shift
 of K(a,p).
 """
 
-import numpy as np
+import math
 
 from ntlab import (closed_forms, kloosterman_sum, kloosterman_sum_via_quadric,
                    kloosterman_table, make_field_ctx, angle_histogram,
@@ -30,7 +30,7 @@ for a in (1, 2, 5):
 K, shift, err = kloosterman_table(ctx)
 worst = max(abs(k) for k in K[1:]) / 2 ** shift
 print(f"  max |K(a)| = {worst:.6f} (+- {err / 2 ** shift:.1e}), "
-      f"Weil ceiling {2 * np.sqrt(p):.6f}")
+      f"Weil ceiling {2 * math.sqrt(p):.6f}")
 
 forms = closed_forms(p)
 for n in (1, 2, 4):
@@ -50,5 +50,5 @@ print(f"  symmetric route for S(4,phi): {symmetric_moment_rhs(ctx, 3)}")
 
 # angle equidistribution, eyeballed through a chi-square
 counts = angle_histogram(make_field_ctx(997), 8)
-print(f"p = 997 angle histogram: {counts.tolist()}, "
+print(f"p = 997 angle histogram: {counts}, "
       f"chi^2 = {semicircle_chisq(counts):.2f}")

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .primes import divisors
 
 
@@ -53,9 +51,9 @@ def class_number_h(D: int) -> int:
 @dataclass(frozen=True)
 class HurwitzTable:
     bound: int
-    h: np.ndarray
-    hfull: np.ndarray
-    hstar12: np.ndarray
+    h: tuple[int, ...]
+    hfull: tuple[int, ...]
+    hstar12: tuple[int, ...]
 
 
 def _mobius(n: int) -> list[int]:
@@ -76,50 +74,46 @@ def _mobius(n: int) -> list[int]:
 def build_hurwitz_table(bound: int) -> HurwitzTable:
     """Sieve all reduced forms of discriminant -D for D <= bound in one pass.
 
-    hfull comes straight from the sieve. h inverts the conductor sum by
-    Moebius: h(D) = sum over f^2 | D of mu(f) hfull(D/f^2), one strided
-    slice h[::f^2] += mu(f) hfull[:bound//f^2 + 1] per squarefree
-    f <= sqrt(bound). hstar12 re-sums h with the CM weights the same way,
-    one slice per f. O(bound) array work after the sieve.
+    Forms (a, b, c) with a, b fixed have D = 4ac - b^2, one strided slice
+    of hfull for c = a..cmax. h inverts the conductor sum by Moebius:
+    h(D) = sum over f^2 | D of mu(f) hfull(D/f^2), one slice h[::f^2] per
+    squarefree f <= sqrt(bound). hstar12 re-sums h with the CM weights the
+    same way, one slice per f. O(bound log bound) list work after the sieve.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    hfull = np.zeros(bound + 1, dtype=np.int64)
+    hfull = [0] * (bound + 1)
     amax = math.isqrt(bound // 3) if bound >= 3 else 0
     for a in range(1, amax + 1):
         for b in range(a + 1):
             cmax = (bound + b * b) // (4 * a)
             if cmax < a:
                 continue
-            cs = np.arange(a, cmax + 1, dtype=np.int64)
-            D = 4 * a * cs - b * b
-            keep = D >= 1
-            D = D[keep]
-            cs = cs[keep]
-            if len(D) == 0:
-                continue
-            w = np.full(len(D), 1 if (b == 0 or b == a) else 2, dtype=np.int64)
-            if cs[0] == a:
-                w[0] = 1
-            np.add.at(hfull, D, w)
+            # c = a counts once, as does b = 0 or b = a; D >= 3a^2 > 0
+            D = 4 * a * a - b * b
+            hfull[D] += 1
+            w = 1 if b in (0, a) else 2
+            s = slice(D + 4 * a, 4 * a * cmax - b * b + 1, 4 * a)
+            hfull[s] = [n + w for n in hfull[s]]
 
     # hfull(D) = sum over f^2 | D of h(D/f^2); hfull vanishes off the valid
     # D, so each f is one strided slice and no mask is needed
     fmax = math.isqrt(bound)
     mu = _mobius(fmax)
-    h = np.zeros(bound + 1, dtype=np.int64)
-    for f in range(1, fmax + 1):
+    h = hfull[:]
+    for f in range(2, fmax + 1):
         if mu[f]:
-            h[::f * f] += mu[f] * hfull[:bound // (f * f) + 1]
+            h[::f * f] = [n + mu[f] * m for n, m in zip(h[::f * f], hfull)]
 
-    hw = 12 * h
-    hw[3:4] = 4   # CM weights 1/3 at D = 3 and 1/2 at D = 4; the slices
-    hw[4:5] = 6   # are empty when bound is below them
-    hstar12 = np.zeros(bound + 1, dtype=np.int64)
-    for f in range(1, fmax + 1):
-        hstar12[::f * f] += hw[:bound // (f * f) + 1]
+    hw = [12 * n for n in h]
+    for D, w in ((3, 4), (4, 6)):   # CM weights 1/3 at D = 3, 1/2 at D = 4
+        if D <= bound:
+            hw[D] = w
+    hstar12 = hw[:]
+    for f in range(2, fmax + 1):
+        hstar12[::f * f] = [n + m for n, m in zip(hstar12[::f * f], hw)]
     hstar12[0] = -1
-    return HurwitzTable(bound, h, hfull, hstar12)
+    return HurwitzTable(bound, tuple(h), tuple(hfull), tuple(hstar12))
 
 
 def _single_hstar12(D: int) -> int:
@@ -143,7 +137,7 @@ def hurwitz_hstar12(D: int, table: HurwitzTable | None = None) -> int:
     if not _valid_disc(D):
         return 0
     if table is not None and D <= table.bound:
-        return int(table.hstar12[D])
+        return table.hstar12[D]
     return _single_hstar12(D)
 
 
@@ -159,7 +153,7 @@ def hurwitz_hfull(D: int, table: HurwitzTable | None = None) -> int:
     if D == 0 or not _valid_disc(D):
         return 0
     if table is not None and D <= table.bound:
-        return int(table.hfull[D])
+        return table.hfull[D]
     total = 0
     f = 1
     while f * f <= D:
@@ -201,8 +195,8 @@ def eichler_rhs(n: int) -> Fraction:
 def cohen_coefficient(ell: int, table: HurwitzTable | None = None) -> Fraction:
     """4 sum H(l - s^2) s^2 - l sum H(l - s^2) + lambda_3(l), for odd l > 0.
 
-    Empirically zero for every odd l tried; treated as a reported quantity
-    with the bound |c(l)| = O(l^(3/2)) rather than an assumed identity.
+    Exactly zero at every odd l tried, and the `cohen` suite matches on
+    c(l) == 0; c(l) / l^(3/2) is still reported, as the size of a miss.
     """
     if ell <= 0 or ell % 2 == 0:
         raise ValueError(f"ell must be a positive odd integer, got {ell}")

@@ -54,6 +54,12 @@ class RunConfig:
     def __post_init__(self):
         if self.pmin <= 5:
             raise ValueError("suites assume p > 5; pass --pmin 7 or higher")
+        if self.nmax < 1:
+            raise ValueError(f"--nmax must be >= 1, got {self.nmax}")
+        if self.K < 1:
+            raise ValueError(f"--K must be >= 1, got {self.K}")
+        if self.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {self.workers}")
         if self.out not in ("csv", "json"):
             raise ValueError("output format must be csv or json")
 
@@ -135,9 +141,8 @@ def _suite_cohen(_: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     out = []
     for ell in range(1, cfg.nmax + 1, 2):
         c = cn.cohen_coefficient(ell, table)
-        ratio = abs(float(c)) / ell ** 1.5
-        out.append(VerificationRecord(ell, "cohen", str(c), "0",
-                                      ratio <= 0.01, ratio=ratio))
+        out.append(VerificationRecord(ell, "cohen", str(c), "0", c == 0,
+                                      ratio=abs(float(c)) / ell ** 1.5))
     return out
 
 
@@ -417,8 +422,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
     if claim == "angles":
-        if p is None or not isprime(p):
-            raise SystemExit("angles sweep needs a prime --p")
+        if p is None or p < 3 or not isprime(p):
+            raise SystemExit("angles sweep needs an odd prime --p")
+        if bins < 1:
+            raise SystemExit(f"--bins must be >= 1, got {bins}")
         ctx = make_field_ctx(p)
         counts = km.angle_histogram(ctx, bins)
         edges = [math.pi * k / bins for k in range(bins + 1)]
@@ -430,7 +437,7 @@ def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
         for k in range(bins):
             expect = (p - 1) * (cdf(edges[k + 1]) - cdf(edges[k]))
             lines.append(f"{edges[k]:.6f},{edges[k + 1]:.6f},"
-                         f"{int(counts[k])},{expect:.3f}")
+                         f"{counts[k]},{expect:.3f}")
         _write("\n".join(lines) + "\n", cfg)
         chi = km.semicircle_chisq(counts)
         print(f"semicircle chi^2 = {chi:.2f} over {bins} bins", file=sys.stderr)
@@ -567,6 +574,8 @@ def main(argv=None) -> int:
     if ns.command == "gfun":
         if not isprime(ns.p) or ns.p < 5:
             raise SystemExit(f"--p {ns.p}: need a prime >= 5")
+        if ns.K < 1:
+            raise SystemExit(f"--K must be >= 1, got {ns.K}")
         return cmd_gfun(ns.p, ns.family, ns.lam, ns.K)
     raise SystemExit(2)
 

@@ -15,8 +15,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ffield import FieldCtx, cyclic_convolve, per_prime
 
 
@@ -31,10 +29,8 @@ def ap_legendre(ctx: FieldCtx, lam: int) -> int:
     """a_p(lambda) = -sum over x of phi(x (x-1) (x-lambda)), exact."""
     p = ctx.p
     lam = _check_lambda(ctx, lam)
-    x = np.arange(p, dtype=np.int64)
-    vals = (x * ((x - 1) % p) % p) * ((x - lam) % p) % p
-    qr = np.array(ctx.qr, dtype=np.int64)
-    return -int(qr[vals].sum())
+    qr = ctx.qr
+    return -sum([qr[x * (x - 1) * (x - lam) % p] for x in range(p)])
 
 
 @per_prime
@@ -200,18 +196,17 @@ class CurveClass:
     aut: int             # |Aut_{F_p}| given rational CM at j = 0, 1728
 
 
-def _class_of(ctx: FieldCtx, A: int, B: int, grid) -> CurveClass:
-    """The class of y^2 = x^3 + Ax + B; grid holds x = 0..p-1, x^3 and phi(x)
-    as arrays. One evaluation of the cubic gives its roots and a_p."""
+def _class_of(ctx: FieldCtx, A: int, B: int, cubes: list[int]) -> CurveClass:
+    """The class of y^2 = x^3 + Ax + B; cubes[x] = x^3 mod p. One
+    evaluation of the cubic gives its roots and a_p."""
     p = ctx.p
     A %= p
     B %= p
-    x, x3, qr = grid
-    vals = (x3 + A * x + B) % p
-    roots = [int(r) for r in x[vals == 0]]
-    two_rank = {0: 0, 1: 1, 3: 2}[len(roots)]
+    vals = [(c + A * x + B) % p for x, c in enumerate(cubes)]
+    two_rank = {0: 0, 1: 1, 3: 2}[vals.count(0)]
     four_full = False
     if two_rank == 2 and p % 4 == 1:
+        roots = [x for x, v in enumerate(vals) if not v]
         four_full = all(
             ctx.qr[(roots[i] - roots[k]) % p] == 1
             for i in range(3) for k in range(3) if i != k)
@@ -226,7 +221,8 @@ def _class_of(ctx: FieldCtx, A: int, B: int, grid) -> CurveClass:
         den = (4 * pow(A, 3, p) + 27 * pow(B, 2, p)) % p
         j = num * pow(den, p - 2, p) % p
         aut = 2
-    return CurveClass(A, B, j, -int(qr[vals].sum()), two_rank, four_full, aut)
+    a_p = -sum(map(ctx.qr.__getitem__, vals))
+    return CurveClass(A, B, j, a_p, two_rank, four_full, aut)
 
 
 @per_prime
@@ -241,19 +237,18 @@ def curve_census(ctx: FieldCtx) -> tuple[CurveClass, ...]:
     if p <= 3:
         raise ValueError("census needs p > 3")
     g = ctx.g
-    xs = np.arange(p, dtype=np.int64)
-    grid = (xs, xs * xs % p * xs % p, np.array(ctx.qr, dtype=np.int64))
+    cubes = [x * x * x % p for x in range(p)]
     out = []
     for i in range(math.gcd(4, p - 1)):
-        out.append(_class_of(ctx, pow(g, i, p), 0, grid))
+        out.append(_class_of(ctx, pow(g, i, p), 0, cubes))
     for i in range(math.gcd(6, p - 1)):
-        out.append(_class_of(ctx, 0, pow(g, i, p), grid))
+        out.append(_class_of(ctx, 0, pow(g, i, p), cubes))
     d = next(x for x in range(2, p) if ctx.qr[x] == -1)
     for j in range(1, p):
         if j == 1728 % p:
             continue
         k = j * pow(1728 - j, p - 2, p) % p
         A, B = 3 * k % p, 2 * k % p
-        out.append(_class_of(ctx, A, B, grid))
-        out.append(_class_of(ctx, A * d * d % p, B * pow(d, 3, p) % p, grid))
+        out.append(_class_of(ctx, A, B, cubes))
+        out.append(_class_of(ctx, A * d * d % p, B * pow(d, 3, p) % p, cubes))
     return tuple(out)

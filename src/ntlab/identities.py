@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from . import classnumber as cn
 from .ecurve import ap_table, curve_census, torsion_class
-from .ffield import FieldCtx
+from .ffield import FieldCtx, cyclic_convolve
 from .kloosterman import twisted_moment
 from .primes import primerange
 from .records import VerificationRecord
@@ -110,8 +108,9 @@ def sheaf_via_s4(p: int, s4: int) -> int:
 def cp_count(ctx: FieldCtx, mode: str = "formula", cap: int = 100) -> int:
     """Number of (x,y,z,u) in (F_p*)^4 with sum of all eight x+1/x terms zero.
 
-    brute: convolve the value distribution of x + 1/x three times, close the
-    u-coordinate analytically via the root count 1 + phi(t^2 - 4).
+    brute: cube the value distribution of x + 1/x by two cyclic convolutions
+    over Z/p, close the u-coordinate analytically via the root count
+    1 + phi(t^2 - 4).
     formula: (p-1)^3 - 2(p-1)^2 + 3(p-1)(p-2) + 3(p-2) + S(4,phi)/p with the
     as-printed moment; the two constant slips cancel, so this equals brute.
     """
@@ -119,20 +118,12 @@ def cp_count(ctx: FieldCtx, mode: str = "formula", cap: int = 100) -> int:
     if mode == "brute":
         if p > cap:
             raise ValueError(f"brute-force cap exceeded: p={p} > {cap}")
-        cnt = np.zeros(p, dtype=np.int64)
+        cnt = [0] * p
         for x in range(1, p):
             cnt[(x + pow(x, p - 2, p)) % p] += 1
-        conv = cnt
-        for _ in range(2):
-            nxt = np.zeros(p, dtype=np.int64)
-            for v in range(p):
-                if cnt[v]:
-                    nxt += cnt[v] * np.roll(conv, v)
-            conv = nxt
-        total = 0
-        for t in range(p):
-            total += int(conv[t]) * (1 + ctx.qr[(t * t - 4) % p])
-        return total
+        conv = cyclic_convolve(cyclic_convolve(cnt, cnt), cnt)
+        return sum(c * (1 + ctx.qr[(t * t - 4) % p])
+                   for t, c in enumerate(conv))
     if mode == "formula":
         s4 = s4_via_ap(ctx, corrected=False)
         if s4 % p:

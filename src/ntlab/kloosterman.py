@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import mpmath
-import numpy as np
 
 from .ffield import CharIdx, FieldCtx, cyclic_convolve, per_prime
 
@@ -235,28 +234,30 @@ def sheaf_moment(ctx: FieldCtx, n: int) -> int:
     return _moment(ctx, cur, True)
 
 
-def angle_histogram(ctx: FieldCtx, bins: int) -> np.ndarray:
+def angle_histogram(ctx: FieldCtx, bins: int) -> list[int]:
     """Histogram over [0, pi] of the angles arccos(K(a,p)/(2 sqrt p)), a != 0."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     K, shift, _ = kloosterman_table(ctx)
     one = 1 << shift
-    vals = np.array([k / one for k in K[1:]]) / (2.0 * math.sqrt(ctx.p))
-    theta = np.arccos(np.clip(vals, -1.0, 1.0))
-    counts, _ = np.histogram(theta, bins=bins, range=(0.0, math.pi))
+    scale = 2.0 * math.sqrt(ctx.p)
+    counts = [0] * bins
+    for k in K[1:]:
+        theta = math.acos(min(1.0, max(-1.0, k / one / scale)))
+        counts[min(int(theta * bins / math.pi), bins - 1)] += 1
     return counts
 
 
-def semicircle_chisq(counts: np.ndarray) -> float:
+def semicircle_chisq(counts: list[int]) -> float:
     """Chi-square distance of an angle histogram to the semicircle law."""
     bins = len(counts)
-    total = counts.sum()
-    edges = np.linspace(0.0, math.pi, bins + 1)
+    total = sum(counts)
     # semicircle density (2/pi) sin^2 t integrates over [a,b] to
     # (b - a)/pi - (sin 2b - sin 2a)/(2 pi)
-    cdf = edges / math.pi - np.sin(2 * edges) / (2 * math.pi)
-    expected = np.diff(cdf) * total
-    return float(np.sum((counts - expected) ** 2 / np.maximum(expected, 1e-12)))
+    cdf = [t / math.pi - math.sin(2 * t) / (2 * math.pi)
+           for t in (math.pi * k / bins for k in range(bins + 1))]
+    expected = [(b - a) * total for a, b in zip(cdf, cdf[1:])]
+    return sum((c - e) ** 2 / max(e, 1e-12) for c, e in zip(counts, expected))
 
 
 def symmetric_moment_rhs(ctx: FieldCtx, m: int, cap: int = 200) -> int:
@@ -265,28 +266,32 @@ def symmetric_moment_rhs(ctx: FieldCtx, m: int, cap: int = 200) -> int:
     Opening up K(a)^(m+1) and summing the geometric series in a shows this
     equals S(m+1, phi)_p, which makes it a counterweight to the trig-table
     route that uses no table at all. The joint distribution of
-    (sum x_i, sum 1/x_i) is built by m-1 cyclic convolutions, so the cost
-    is O(p^3) for m = 3.
+    (sum x_i, sum 1/x_i) over (Z/p)^2 is built by m-1 cyclic convolutions,
+    each one cyclic_convolve of length p(2p-1) on the flat index
+    i(2p-1) + j: the second coordinate cannot carry into the first, and is
+    folded mod p afterwards.
     """
     p = ctx.p
     if m not in (1, 2, 3):
         raise ValueError("m must be 1, 2 or 3")
     if p > cap:
         raise ValueError(f"brute-force cap exceeded: p={p} > {cap}")
-    qr = np.array(ctx.qr, dtype=np.int64)
-    base = np.zeros((p, p), dtype=np.int64)
+    w = 2 * p - 1
+    base = [0] * (p * w)
     for x in range(1, p):
-        base[x][pow(x, p - 2, p)] += 1
+        base[x * w + pow(x, p - 2, p)] = 1
     dist = base
     for _ in range(m - 1):
-        nxt = np.zeros_like(dist)
-        for x in range(1, p):
-            nxt += np.roll(np.roll(dist, x, axis=0), pow(x, p - 2, p), axis=1)
-        dist = nxt
-    u = (np.arange(p)[:, None] + 1) % p
-    v = (np.arange(p)[None, :] + 1) % p
-    total = int(np.sum(dist * qr[u] * qr[v]))
-    return p * ctx.qr[p - 1] * total
+        dist = cyclic_convolve(dist, base)
+        for i in range(p):
+            row = i * w
+            for j in range(p, w):
+                dist[row + j - p] += dist[row + j]
+                dist[row + j] = 0
+    qr = ctx.qr
+    total = sum(dist[i * w + j] * qr[(i + 1) % p] * qr[(j + 1) % p]
+                for i in range(p) for j in range(p))
+    return p * qr[p - 1] * total
 
 
 def closed_forms(p: int) -> dict[str, int]:

@@ -298,57 +298,34 @@ def _frac(x: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class PiRingElem:
-    """Element of Z[pi]/(pi^(p-1) + p) with coefficients mod p^K."""
+    """The monomial pi^deg * unit in Z[pi]/(pi^(p-1) + p), unit mod p^K.
+
+    Every Gauss sum from Gross-Koblitz is such a monomial, and so is every
+    product of them: pi^(p-1) = -p folds a degree overflow into the unit.
+    A zero unit is kept at degree 0, so equal elements compare equal.
+    """
     p: int
     K: int
-    coeffs: tuple
-
-    @staticmethod
-    def scalar(p: int, K: int, c: int) -> "PiRingElem":
-        v = [0] * (p - 1)
-        v[0] = c % p ** K
-        return PiRingElem(p, K, tuple(v))
+    deg: int
+    unit: int
 
     @staticmethod
     def monomial(p: int, K: int, deg: int, c: int) -> "PiRingElem":
         mod = p ** K
         e, r = divmod(deg, p - 1)
-        v = [0] * (p - 1)
-        v[r] = c * pow(-p % mod, e, mod) % mod
-        return PiRingElem(p, K, tuple(v))
+        u = c * pow(-p % mod, e, mod) % mod
+        return PiRingElem(p, K, r if u else 0, u)
 
-    def __add__(self, other: "PiRingElem") -> "PiRingElem":
-        mod = self.p ** self.K
-        return PiRingElem(self.p, self.K, tuple(
-            (a + b) % mod for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "PiRingElem":
-        mod = self.p ** self.K
-        return PiRingElem(self.p, self.K, tuple((-a) % mod for a in self.coeffs))
+    @staticmethod
+    def scalar(p: int, K: int, c: int) -> "PiRingElem":
+        return PiRingElem.monomial(p, K, 0, c)
 
     def __mul__(self, other: "PiRingElem") -> "PiRingElem":
-        p, K = self.p, self.K
-        mod = p ** K
-        q = p - 1
-        out = [0] * q
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                d = i + j
-                c = a * b
-                if d >= q:
-                    d -= q
-                    c = -p * c
-                out[d] = (out[d] + c) % mod
-        return PiRingElem(p, K, tuple(out))
+        return PiRingElem.monomial(self.p, self.K, self.deg + other.deg,
+                                   self.unit * other.unit)
 
     def scale(self, c: int) -> "PiRingElem":
-        mod = self.p ** self.K
-        return PiRingElem(self.p, self.K,
-                          tuple(a * c % mod for a in self.coeffs))
+        return PiRingElem.monomial(self.p, self.K, self.deg, self.unit * c)
 
 
 def gauss_sum_gk(ctx: PadicCtx, j: CharIdx) -> PiRingElem:
@@ -378,11 +355,8 @@ def jacobi_sum(ctx: PadicCtx, a: CharIdx, b: CharIdx) -> int:
 
 
 def _pi_fingerprint(x: PiRingElem) -> str:
-    """Compact printable form: the lowest-degree nonzero coefficient."""
-    for i, c in enumerate(x.coeffs):
-        if c:
-            return f"pi^{i}*{c}"
-    return "0"
+    """Compact printable form: pi^deg*unit, or 0."""
+    return f"pi^{x.deg}*{x.unit}" if x.unit else "0"
 
 
 def gk_consistency_check(ctx: PadicCtx, a: CharIdx, b: CharIdx) -> VerificationRecord:
@@ -446,7 +420,7 @@ def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecor
     p, q, mod = ctx.p, ctx.q, ctx.mod
     if t not in (2, 3, 4, 6, 12):
         raise ValueError("t must be one of 2, 3, 4, 6, 12")
-    if p % t == 0 or math.gcd(t, p) != 1:
+    if p % t == 0:
         raise ValueError("t must be coprime to p")
     j %= q
     x = Fraction(j, q)
@@ -722,21 +696,16 @@ def gk_I_integer(ctx: PadicCtx) -> int:
         dl4[lam] = dlog[u]
     tot = 0
     for a in range(q):
-        j1 = (half - a) % q
-        j3 = (half - 2 * a) % q
-        u1 = (-gamma_p(ctx, Fraction(j1, q))) % mod
-        u2 = (-gamma_p(ctx, Fraction(a, q))) % mod
-        u3 = (-gamma_p(ctx, Fraction(j3, q))) % mod
-        D = j1 + 3 * a + j3
-        if D % q:
+        ga = gauss_sum_gk(ctx, a)
+        term = (gauss_sum_gk(ctx, half - a) * ga * ga * ga
+                * gauss_sum_gk(ctx, half - 2 * a))
+        if term.deg:
             raise ArithmeticError("Gauss-sum product not degree-0")
-        coeff = u1 * pow(u2, 3, mod) % mod * u3 % mod
-        coeff = coeff * pow(-p % mod, D // q, mod) % mod
         w = 0
         e = (q - a) % q
         for lam in range(2, p):
             w += qr[lam] * ctx.pw[e * dl4[lam] % q]
-        tot = (tot + coeff * (w % mod)) % mod
+        tot = (tot + term.unit * (w % mod)) % mod
     return _centered(tot, mod, bound, "I")
 
 

@@ -2,9 +2,11 @@ import json
 import multiprocessing
 import os
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from ntlab import classnumber as cn
 from ntlab import identities as idn
 from ntlab.cli import SUITE_NAMES, SWEEP_NAMES, main
 from ntlab.ffield import release_tables
@@ -214,6 +216,34 @@ def test_gfun_eval(capsys):
 def test_gfun_rejects_composite():
     with pytest.raises(SystemExit):
         main(["gfun", "--p", "9", "--family", "3g3", "--lambda", "2"])
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --claim angles --p 389 --bins 0",
+    "sweep --claim angles --p 2",
+    "gfun --p 7 --family 3g3 --lambda 3 --K 0",
+    "verify --suite eichler --nmax -3",
+    "verify --suite moments --pmin 7 --pmax 11 --workers 0",
+])
+def test_bad_input_exits_with_one_line(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+
+
+def test_cohen_record_demands_an_exact_zero(capsys, monkeypatch, htable):
+    # one more unit of 12 H*(99) moves c(99) by -99/12, a ratio c/l^(3/2)
+    # of 0.0084: under the 0.01 the record used to allow, yet not zero
+    hstar12 = list(htable.hstar12)
+    hstar12[99] += 1
+    bad = replace(htable, hstar12=tuple(hstar12))
+    monkeypatch.setattr(cn, "build_hurwitz_table", lambda bound: bad)
+    code, out, _ = run(capsys, "verify", "--suite", "cohen", "--nmax", "99")
+    assert code == 1
+    misses = [ln.split(",") for ln in out.splitlines() if ",false," in ln]
+    assert [(m[0], m[2]) for m in misses] == [("99", "-33/4")]
+    assert 0 < float(misses[0][5]) < 0.01
+    assert out.count(",cohen,0,0,true,0,") == 49
 
 
 def test_schoof_suite_builds_one_census_per_prime(monkeypatch, htable):

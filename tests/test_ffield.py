@@ -144,11 +144,13 @@ def test_equal_contexts_share_their_tables():
     assert kloosterman_table(a) is kloosterman_table(b)
 
 
-def test_shared_tables_are_immutable():
-    # every check at a prime reads the same object, so none may change it
+def test_shared_tables_are_immutable(htable):
+    # every check at a prime reads the same object, and every suite of a run
+    # the same Hurwitz table, so none may change it
     ctx = make_field_ctx(13)
     K, _, _ = kloosterman_table(ctx)
     for table in (kloosterman_table(ctx), K, ap_table(ctx), curve_census(ctx),
-                  ctx.qr, ctx.dlog, trig_table(13).cos):
+                  ctx.qr, ctx.dlog, trig_table(13).cos,
+                  htable.h, htable.hfull, htable.hstar12):
         with pytest.raises(TypeError):
             table[1] = 0

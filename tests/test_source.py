@@ -40,9 +40,12 @@ def _ntlab_imports(tree: ast.Module) -> set[str]:
     return out
 
 
-def test_no_module_imports_sympy():
-    # sympy is a test-side oracle; loading it would cost the package more
-    # start-up time than most runs spend computing
+# sympy is a test-side oracle and numpy is not needed at all; loading either
+# would cost the package more start-up time than most runs spend computing
+HEAVY = {"sympy", "numpy"}
+
+
+def test_no_module_imports_sympy_or_numpy():
     found = []
     for path in sorted(SRC.glob("**/*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -53,19 +56,19 @@ def test_no_module_imports_sympy():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}" for n in names
-                      if n.split(".")[0] == "sympy"]
-    assert not found, f"sympy imported in ntlab: {', '.join(found)}"
+            found += [f"{path.name}:{node.lineno} {n}" for n in names
+                      if n.split(".")[0] in HEAVY]
+    assert not found, f"imported in ntlab: {', '.join(found)}"
 
 
-def test_importing_the_cli_loads_no_sympy():
+def test_importing_the_cli_loads_neither_sympy_nor_numpy():
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, ntlab.cli; print('sympy' in sys.modules)"],
+         f"import sys, ntlab.cli; print(sorted(sys.modules.keys() & {HEAVY!r}))"],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
     assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_routes_share_nothing_beyond_ffield():
