@@ -21,9 +21,9 @@ from .identities import (asymptotic_sweep, counting_lemma_check, cp_count,
 from .kloosterman import (CertifiedReal, PrecisionError, TrigTable,
                           angle_histogram, closed_forms, kloosterman_sum,
                           kloosterman_sum_via_quadric, kloosterman_table,
-                          round_fixed, semicircle_chisq, sheaf_moment,
-                          symmetric_moment_rhs, trig_table, twisted_moment,
-                          untwisted_moment)
+                          round_fixed, semicircle_bins, semicircle_chisq,
+                          sheaf_moment, symmetric_moment_rhs, trig_table,
+                          twisted_moment, untwisted_moment)
 from .padic import (GSpec, PadicCtx, PiRingElem, QpValue, g3_spec, g9_spec,
                     gamma_p, gamma_product_checks, gauss_sum_gk,
                     gk_I_integer, gk_consistency_check, greene_2f1,

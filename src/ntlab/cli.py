@@ -2,9 +2,9 @@
 ratio tables, and direct G-function evaluation.
 
 Exit status contract: `verify` returns 0 iff every emitted record matches.
-Output determinism: timing columns are zeroed unless --timings is given, so
-identical configurations produce byte-identical CSV/JSON at any worker count
-and under any multiprocessing start method.
+Output determinism: records are timed only under --timings, and their timing
+column is 0 otherwise, so identical configurations produce byte-identical
+CSV/JSON at any worker count and under any multiprocessing start method.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -327,9 +326,9 @@ def _init_worker(table: cn.HurwitzTable | None) -> None:
 
 
 def _run_task(task) -> list[VerificationRecord]:
-    """One index of one suite, timed once; the time is split evenly over
-    the task's records. A failure becomes a mismatching `error` record, so
-    the run itself never aborts."""
+    """One index of one suite. Under --timings it is timed once and the
+    time is split evenly over the task's records. A failure becomes a
+    mismatching `error` record, so the run itself never aborts."""
     name, run, idx, cfg = task
     t0 = time.perf_counter()
     try:
@@ -337,6 +336,8 @@ def _run_task(task) -> list[VerificationRecord]:
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         recs = [VerificationRecord(idx, name, "error", "", False,
                                    detail=f"{type(exc).__name__}: {exc}")]
+    if not cfg.timings:
+        return recs
     ms = (time.perf_counter() - t0) * 1e3 / max(len(recs), 1)
     return [replace(r, elapsed_ms=ms) for r in recs]
 
@@ -352,6 +353,9 @@ def _run_tasks(tasks: list[tuple], table: cn.HurwitzTable | None,
     The pool takes the index-sorted tasks one index at a time, so the tasks
     of a prime share one worker and its per-prime tables."""
     if workers > 1:
+        # imported here: the pool machinery is a large import a serial run
+        # never uses
+        from concurrent.futures import ProcessPoolExecutor
         batches = [list(ts) for _, ts in groupby(tasks, key=itemgetter(2))]
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(table,)) as pool:
@@ -404,8 +408,6 @@ def _write(text: str, cfg: RunConfig) -> None:
 
 
 def _emit(records: list[VerificationRecord], cfg: RunConfig) -> None:
-    if not cfg.timings:
-        records = [replace(r, elapsed_ms=0.0) for r in records]
     _write(records_to_json(records) if cfg.out == "json"
            else records_to_csv(records), cfg)
 
@@ -428,16 +430,11 @@ def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
             raise SystemExit(f"--bins must be >= 1, got {bins}")
         ctx = make_field_ctx(p)
         counts = km.angle_histogram(ctx, bins)
-        edges = [math.pi * k / bins for k in range(bins + 1)]
-
-        def cdf(t: float) -> float:
-            return t / math.pi - math.sin(2 * t) / (2 * math.pi)
-
+        edges, expected = km.semicircle_bins(bins, p - 1)
         lines = [SCHEMA_HEADER, "bin_lo,bin_hi,count,expected"]
         for k in range(bins):
-            expect = (p - 1) * (cdf(edges[k + 1]) - cdf(edges[k]))
             lines.append(f"{edges[k]:.6f},{edges[k + 1]:.6f},"
-                         f"{counts[k]},{expect:.3f}")
+                         f"{counts[k]},{expected[k]:.3f}")
         _write("\n".join(lines) + "\n", cfg)
         chi = km.semicircle_chisq(counts)
         print(f"semicircle chi^2 = {chi:.2f} over {bins} bins", file=sys.stderr)

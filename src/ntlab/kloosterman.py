@@ -1,10 +1,12 @@
 """Kloosterman sums and their power moments, exact in fixed point.
 
-Everything runs on integers. A trig table holds cos and sin of 2 pi k/p
-scaled by 2^L and rounded, each entry within one unit. Writing a = g^alpha
-and x = g^xi, the whole table of K(a,p) is one cyclic convolution over
-F_p^* (ffield.cyclic_convolve: a single big-integer product, Kronecker
-substitution), on inputs only this route builds.
+Everything runs on integers, on the stdlib alone. A trig table holds cos
+and sin of 2 pi k/p scaled by 2^L and rounded, each entry within one unit;
+its seeds come from integer series (pi by Machin's formula, e^(i t) by
+Taylor's) at 64 guard bits. Writing a = g^alpha and x = g^xi, the whole
+table of K(a,p) is one cyclic convolution over F_p^* (ffield.cyclic_convolve:
+a single big-integer product, Kronecker substitution), on inputs only this
+route builds.
 Moments are exact integer sums of powers of that table, and every one of
 them passes through round_fixed, which returns an integer only when an
 integer error bound proves it; a precision shortfall raises PrecisionError
@@ -17,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-
-import mpmath
 
 from .ffield import CharIdx, FieldCtx, cyclic_convolve, per_prime
 
@@ -66,28 +66,75 @@ class TrigTable:
     sin: tuple[int, ...]
 
 
+def _arctan_inv(x: int, one: int) -> int:
+    """one * arctan(1/x) for an integer x > 1 by its series, each term
+    truncated, so within two units per term."""
+    power = one // x
+    total, k, x2 = power, 1, x * x
+    while power:
+        power //= x2
+        k += 2
+        total += (power // k) if k % 4 == 1 else -(power // k)
+    return total
+
+
+def _expi(theta: int, w: int) -> tuple[int, int]:
+    """2^w (cos, sin) of theta / 2^w from one Taylor series, each term
+    truncated toward zero; the terms run until one is zero."""
+    one = 1 << w
+    c, s, term, k = one, 0, one, 0
+    while term:
+        k += 1
+        term = term * theta // (k << w)
+        if k % 2:
+            s += term if k % 4 == 1 else -term
+        else:
+            c += term if k % 4 == 0 else -term
+    return c, s
+
+
+def _rotations(step: tuple[int, int], count: int, w: int,
+               seed: int) -> tuple[list[int], list[int]]:
+    """2^seed (cos, sin) of i theta, i = 0..count-1, rounded, where step is
+    2^w (cos, sin) of theta: repeated complex rotation at w bits."""
+    drop = w - seed
+    half_w, half_s = 1 << (w - 1), 1 << (drop - 1)
+    dc, ds = step
+    x, y = 1 << w, 0
+    cs, ss = [], []
+    for _ in range(count):
+        cs.append((x + half_s) >> drop)
+        ss.append((y + half_s) >> drop)
+        x, y = (x * dc - y * ds + half_w) >> w, (x * ds + y * dc + half_w) >> w
+    return cs, ss
+
+
 @per_prime
 def trig_table(p: int) -> TrigTable:
-    """Baby-step giant-step: mpmath seeds cos/sin on two coarse grids at
-    bits + 16 bits, the other entries come from one integer angle addition
-    each. A seed is within 1/2 unit of 2^-(bits+16), so an entry is within
+    """Baby-step giant-step: cos/sin on two coarse grids are seeded at
+    seed = bits + 16 bits, the other entries come from one integer angle
+    addition each.
+
+    The seeds are integers at W = seed + 64 bits: pi by Machin's formula,
+    tau = 2 pi/p truncated, e^(i tau) and e^(i tau m) by one Taylor series
+    each, and the grids by repeated rotation, each value rounded to seed
+    bits. pi is within 2^11 units of 2^-W, so tau is within 1 + 2^12/p
+    units and a seed's angle k tau, k < p + m, within p + m + 2^12; the
+    Taylor series and each of the under 2 sqrt(p) + 2 rotations add a few
+    dozen units more. For p < 2^22 that stays below 2^24 units of 2^-W, so
+    a seed is within 1/2 + 2^-40 units of 2^-seed, and an entry within
     1/2 + 2^-15 units of 2^-bits. 2^bits > 2^20 p^4 keeps the error bound
     of a fourth moment about 2^11 sqrt(p) times below its rounding margin.
     """
     bits = 4 * p.bit_length() + 20
     seed = bits + 16
+    w = seed + 64
     m = max(1, math.isqrt(p))
     n_giant = p // m + 1
-    with mpmath.workprec(seed + 32):
-        tau = 2 * mpmath.pi / p
-
-        def fixed(x):
-            return int(mpmath.nint(mpmath.ldexp(x, seed)))
-
-        cb = [fixed(mpmath.cos(tau * j)) for j in range(m)]
-        sb = [fixed(mpmath.sin(tau * j)) for j in range(m)]
-        cg = [fixed(mpmath.cos(tau * m * i)) for i in range(n_giant)]
-        sg = [fixed(mpmath.sin(tau * m * i)) for i in range(n_giant)]
+    pi = 16 * _arctan_inv(5, 1 << w) - 4 * _arctan_inv(239, 1 << w)
+    tau = 2 * pi // p
+    cb, sb = _rotations(_expi(tau, w), m, w, seed)
+    cg, sg = _rotations(_expi(tau * m, w), n_giant, w, seed)
     # products are at scale 2^(2 seed); shift back to 2^bits, rounding
     drop = 2 * seed - bits
     half = 1 << (drop - 1)
@@ -248,15 +295,19 @@ def angle_histogram(ctx: FieldCtx, bins: int) -> list[int]:
     return counts
 
 
-def semicircle_chisq(counts: list[int]) -> float:
-    """Chi-square distance of an angle histogram to the semicircle law."""
-    bins = len(counts)
-    total = sum(counts)
+def semicircle_bins(bins: int, total: int) -> tuple[list[float], list[float]]:
+    """The edges pi k/bins, k = 0..bins, of an angle histogram over [0, pi],
+    and the count the semicircle law expects in each bin for total angles."""
+    edges = [math.pi * k / bins for k in range(bins + 1)]
     # semicircle density (2/pi) sin^2 t integrates over [a,b] to
     # (b - a)/pi - (sin 2b - sin 2a)/(2 pi)
-    cdf = [t / math.pi - math.sin(2 * t) / (2 * math.pi)
-           for t in (math.pi * k / bins for k in range(bins + 1))]
-    expected = [(b - a) * total for a, b in zip(cdf, cdf[1:])]
+    cdf = [t / math.pi - math.sin(2 * t) / (2 * math.pi) for t in edges]
+    return edges, [(b - a) * total for a, b in zip(cdf, cdf[1:])]
+
+
+def semicircle_chisq(counts: list[int]) -> float:
+    """Chi-square distance of an angle histogram to the semicircle law."""
+    _, expected = semicircle_bins(len(counts), sum(counts))
     return sum((c - e) ** 2 / max(e, 1e-12) for c, e in zip(counts, expected))
 
 

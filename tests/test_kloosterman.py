@@ -7,9 +7,10 @@ from ntlab.ffield import make_field_ctx
 from ntlab.kloosterman import (PrecisionError, angle_histogram, closed_forms,
                                kloosterman_sum, kloosterman_sum_via_quadric,
                                kloosterman_table, round_fixed,
-                               semicircle_chisq, sheaf_moment,
-                               symmetric_moment_rhs, trig_table,
+                               semicircle_bins, semicircle_chisq,
+                               sheaf_moment, symmetric_moment_rhs, trig_table,
                                twisted_moment, untwisted_moment)
+from ntlab.primes import primerange
 
 
 def _kloosterman_mpmath(p, a):
@@ -125,6 +126,38 @@ def test_trig_table_certified_against_mpmath(p):
             assert abs(t.sin[k] - mpmath.ldexp(mpmath.sin(angle), t.bits)) <= 1
 
 
+def _trig_table_mpmath(p):
+    """trig_table's baby-step giant-step on seeds from mpmath, rounded to
+    nearest: the builder the integer seeds replaced."""
+    bits = 4 * p.bit_length() + 20
+    seed = bits + 16
+    m = max(1, math.isqrt(p))
+    n_giant = p // m + 1
+    with mpmath.workprec(seed + 32):
+        tau = 2 * mpmath.pi / p
+
+        def fixed(x):
+            return int(mpmath.nint(mpmath.ldexp(x, seed)))
+
+        cb = [fixed(mpmath.cos(tau * j)) for j in range(m)]
+        sb = [fixed(mpmath.sin(tau * j)) for j in range(m)]
+        cg = [fixed(mpmath.cos(tau * m * i)) for i in range(n_giant)]
+        sg = [fixed(mpmath.sin(tau * m * i)) for i in range(n_giant)]
+    drop = 2 * seed - bits
+    half = 1 << (drop - 1)
+    cos = [(cg[k // m] * cb[k % m] - sg[k // m] * sb[k % m] + half) >> drop
+           for k in range(p)]
+    sin = [(sg[k // m] * cb[k % m] + cg[k // m] * sb[k % m] + half) >> drop
+           for k in range(p)]
+    return bits, tuple(cos), tuple(sin)
+
+
+def test_trig_table_equals_the_mpmath_seeded_builder():
+    for p in [*primerange(2, 2000), 7919, 32003, 100003]:
+        t = trig_table(p)
+        assert (t.bits, t.cos, t.sin) == _trig_table_mpmath(p), p
+
+
 @pytest.mark.parametrize("p", [13, 101])
 def test_table_certified_against_mpmath(p):
     K, shift, err = kloosterman_table(make_field_ctx(p))
@@ -165,6 +198,9 @@ def test_angle_histogram_counts_and_semicircle():
     counts = angle_histogram(ctx, 20)
     assert sum(counts) == 996
     assert semicircle_chisq(counts) < 60.0
+    edges, expected = semicircle_bins(20, 996)
+    assert edges[0] == 0.0 and edges[-1] == math.pi and len(expected) == 20
+    assert math.isclose(sum(expected), 996)
 
 
 def test_angle_histogram_rejects_no_bins(ctx7):

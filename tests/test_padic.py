@@ -311,8 +311,8 @@ def test_precision_raise_pathway(pctx13):
 
 
 # Each probe runs under python -O, where an assert would vanish, and sets
-# `result`; one interpreter runs them all, since its start-up (mpmath without
-# opt-1 bytecode) costs more than the probes.
+# `result`; one interpreter runs them all, since its start-up (compiling the
+# package without opt-1 bytecode) costs more than the probes.
 PYTHON_O_PROBES = {
     # an assert would hand back a wrong quotient
     "inexact-division": (

@@ -40,12 +40,13 @@ def _ntlab_imports(tree: ast.Module) -> set[str]:
     return out
 
 
-# sympy is a test-side oracle and numpy is not needed at all; loading either
-# would cost the package more start-up time than most runs spend computing
-HEAVY = {"sympy", "numpy"}
+# sympy and mpmath are test-side oracles and numpy is not needed at all;
+# loading any of them would cost the package more start-up time than most
+# runs spend computing
+HEAVY = {"sympy", "numpy", "mpmath"}
 
 
-def test_no_module_imports_sympy_or_numpy():
+def test_no_module_imports_sympy_numpy_or_mpmath():
     found = []
     for path in sorted(SRC.glob("**/*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -61,14 +62,24 @@ def test_no_module_imports_sympy_or_numpy():
     assert not found, f"imported in ntlab: {', '.join(found)}"
 
 
-def test_importing_the_cli_loads_neither_sympy_nor_numpy():
+def test_importing_the_cli_loads_only_the_stdlib_and_ntlab():
+    # the difference of sys.modules, since site hooks load modules first
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, ntlab.cli; print(sorted(sys.modules.keys() & {HEAVY!r}))"],
+         "import sys; before = set(sys.modules); import ntlab.cli; "
+         "print('\\n'.join(sorted(set(sys.modules) - before)))"],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
     assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout.strip() == "[]"
+    added = out.stdout.split()
+    assert "ntlab.cli" in added
+    foreign = [m for m in added if m.split(".")[0] != "ntlab"
+               and m.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign, f"not stdlib: {', '.join(foreign)}"
+    # a serial run never starts a pool, so its start-up should not pay for one
+    pool = [m for m in added if m == "concurrent.futures.process"
+            or m.split(".")[0] == "multiprocessing"]
+    assert not pool, f"the cli imports the process pool: {', '.join(pool)}"
 
 
 def test_routes_share_nothing_beyond_ffield():
