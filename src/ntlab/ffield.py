@@ -4,7 +4,9 @@ Everything downstream (character sums, traces, p-adic lifts) works through a
 FieldCtx: an odd prime together with its smallest primitive root, a discrete
 log table, and the quadratic character table. Characters are handled as
 exponents of the generator, never as floating point roots of unity.
-cyclic_convolve is the exact convolution the routes share, as code only.
+cyclic_convolve is the exact convolution the routes share, as code only:
+one product of two decimals, which libmpdec multiplies by a
+number-theoretic transform once they are long.
 per_prime is the one way a per-prime table is shared: each builder keeps
 what it built for the current prime, so the checks of a prime build it once.
 """
@@ -14,12 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import wraps
 
+# the C module itself: without libmpdec this fails here, rather than
+# falling back to the pure-Python _pydecimal, whose products are far slower
+from _decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
+
 from .primes import factorint, isprime
 
 # Character indices are plain integers a mod p-1, denoting the character
 # that sends g^k to zeta_{p-1}^{a*k}. Index 0 is the trivial character,
 # (p-1)/2 the quadratic character.
 CharIdx = int
+
+# exact: every product fits, and a rounding would raise; no code here
+# reads or sets the thread's decimal context
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=-MAX_EMAX,
+                 traps=[Inexact, Rounded])
 
 
 _SHARED: dict = {}   # "p": the prime; each builder: (its arguments, object)
@@ -97,34 +108,31 @@ def legendre_phi(ctx: FieldCtx, x: int) -> int:
 def cyclic_convolve(u: list[int], v: list[int]) -> list[int]:
     """w[k] = sum over i + j = k (mod n) of u[i] v[j], exact, n = len(u).
 
-    Each input is packed into one integer, a slot per entry (Kronecker
-    substitution), wide enough for n max|u| max|v|; the product's slots
-    are folded mod n.
+    One product of decimals, by libmpdec's number-theoretic transform: U
+    (V) is added to every entry of u (v) so none is negative, each input is
+    written as one decimal string of d digits per entry, wide enough for
+    n max u max v, and the product's 2n slots are folded mod n. The shifts
+    add U sum v + V sum u + n U V to every output, which is subtracted.
+    Slots pass through str and int, so one wider than
+    sys.get_int_max_str_digits() (4300 digits by default, entries near
+    2^7000 in both inputs) raises ValueError.
     """
     n = len(u)
     if len(v) != n:
         raise ValueError(f"lengths differ: {n} and {len(v)}")
-    mu, mv = (max(map(abs, x), default=0) for x in (u, v))
-    nbytes = (max(n * mu * mv, mu, mv).bit_length() + 8) // 8
-    c = _unpack(_pack(u, nbytes) * _pack(v, nbytes), 2 * n, nbytes)
-    return [a + b for a, b in zip(c[:n], c[n:])]
-
-
-def _pack(xs: list[int], nbytes: int) -> int:
-    """sum xs[i] 2^(8 nbytes i) for |xs[i]| < 2^(8 nbytes - 1)."""
-    half = 1 << (8 * nbytes - 1)
-    raw = b"".join((x + half).to_bytes(nbytes, "little") for x in xs)
-    return int.from_bytes(raw, "little") - _offset(len(xs), nbytes)
-
-
-def _unpack(X: int, n: int, nbytes: int) -> list[int]:
-    """The n slots of X = sum w[i] 2^(8 nbytes i), |w[i]| < 2^(8 nbytes - 1)."""
-    half = 1 << (8 * nbytes - 1)
-    raw = (X + _offset(n, nbytes)).to_bytes(n * nbytes, "little")
-    return [int.from_bytes(raw[i:i + nbytes], "little") - half
-            for i in range(0, n * nbytes, nbytes)]
-
-
-def _offset(n: int, nbytes: int) -> int:
-    """2^(8 nbytes - 1) in each of n slots."""
-    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    if not n:
+        return []
+    U, V = max(0, -min(u)), max(0, -min(v))
+    offset = U * sum(v) + V * sum(u) + n * U * V
+    u = [x + U for x in u]
+    v = [y + V for y in v]
+    # every slot is at most n mu mv < 2^b, b its bit length, and
+    # 30103/100000 > log10(2) makes 10^d > 2^b
+    mu, mv = max(u), max(v)
+    d = max(n * mu * mv, mu, mv).bit_length() * 30103 // 100000 + 1
+    slots = f"%0{d}d" * n
+    X = _EXACT.multiply(Decimal(slots % tuple(u)), Decimal(slots % tuple(v)))
+    s = format(X, "f").zfill((2 * n - 1) * d)
+    c = [int(s[i:i + d]) for i in range(0, (2 * n - 1) * d, d)]
+    c.append(0)
+    return [a + b - offset for a, b in zip(c[:n], c[n:])]

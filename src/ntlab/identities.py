@@ -59,8 +59,9 @@ def _sum_ap_sq(ctx: FieldCtx) -> int:
 
 def s4_direct(ctx: FieldCtx) -> int:
     """Route 1: the moment itself, summed exactly over the fixed-point
-    Kloosterman table (one big-integer convolution) and rounded with an
-    integer error certificate."""
+    Kloosterman table (one cyclic convolution, a libmpdec transform product)
+    from its power sums (one pass per prime) and rounded with an integer
+    error certificate."""
     phi_idx = (ctx.p - 1) // 2
     return twisted_moment(ctx, 4, phi_idx)
 

@@ -5,20 +5,20 @@ and sin of 2 pi k/p scaled by 2^L and rounded, each entry within one unit;
 its seeds come from integer series (pi by Machin's formula, e^(i t) by
 Taylor's) at 64 guard bits. Writing a = g^alpha and x = g^xi, the whole
 table of K(a,p) is one cyclic convolution over F_p^* (ffield.cyclic_convolve:
-a single big-integer product, Kronecker substitution), on inputs only this
-route builds.
-Moments are exact integer sums of powers of that table, and every one of
-them passes through round_fixed, which returns an integer only when an
-integer error bound proves it; a precision shortfall raises PrecisionError
-instead of silently truncating. L grows with p, so the headroom does not
-shrink as p grows. trig_table and kloosterman_table are per_prime builders.
+one product of two long decimals by libmpdec's number-theoretic transform),
+on inputs only this route builds.
+Moments are exact integer combinations of the power sums of that table,
+taken in one pass per prime, and every one of them passes through
+round_fixed, which returns an integer only when an integer error bound
+proves it; a precision shortfall raises PrecisionError instead of silently
+truncating. L grows with p, so the headroom does not shrink as p grows.
+trig_table, kloosterman_table and the power sums are per_prime builders.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 from .ffield import CharIdx, FieldCtx, cyclic_convolve, per_prime
 
@@ -212,29 +212,49 @@ def kloosterman_table(ctx: FieldCtx) -> tuple[tuple[int, ...], int, int]:
 # ---------------------------------------------------------------------------
 # moments
 
+@per_prime
+def _power_sums(ctx: FieldCtx, n: int) -> tuple[tuple[int, ...],
+                                                 tuple[int, ...], int]:
+    """(P, M, kabs): P[j] and M[j] are the sums of K~(a)^j, j = 0..n, over
+    the a != 0 with phi(a) = +1 and phi(a) = -1, and kabs = max |K~(a)|.
+
+    One pass over the table, one a at a time, so no list of big integers
+    joins the shared tables; every moment of degree up to n reads it.
+    """
+    K = kloosterman_table(ctx)[0]
+    P, M = [0] * (n + 1), [0] * (n + 1)
+    degrees = range(1, n + 1)
+    for q, k in zip(ctx.qr[1:], K[1:]):
+        s = P if q > 0 else M
+        s[0] += 1
+        x = 1
+        for j in degrees:
+            x *= k
+            s[j] += x
+    return tuple(P), tuple(M), max(map(abs, K[1:]))
+
+
 def _moment(ctx: FieldCtx, coeffs: list[int], twisted: bool) -> int:
     """sum over a != 0 of H(K~(a)), times phi(a) if twisted, rounded. H has
     the integer coefficients coeffs (lowest degree first) and is homogeneous
     of degree n = len(coeffs) - 1 at the table's scale.
 
-    Per a, the error is at most max |H'| on [-Kmax, Kmax] times err, which is
-    at most sum j |c_j| Kmax^(j-1) err with Kmax = max |K~| + err; no Weil
-    bound is assumed.
+    The sum is exact: sum c_j (P_j +- M_j) over the power sums of the table
+    (_power_sums, built once per prime at degree max(n, 4), so the moments
+    the suites use share it). Per a, the error is at most max |H'| on
+    [-Kmax, Kmax] times err, which is at most sum j |c_j| Kmax^(j-1) err
+    with Kmax = max |K~| + err; no Weil bound is assumed.
     """
     p = ctx.p
-    K, shift, err = kloosterman_table(ctx)
-    kmax = max(abs(k) for k in K[1:]) + err
+    _, shift, err = kloosterman_table(ctx)
+    n = len(coeffs) - 1
+    P, M, kabs = _power_sums(ctx, max(n, 4))
+    kmax = kabs + err
     slope = sum(j * abs(c) * kmax ** (j - 1)
                 for j, c in enumerate(coeffs) if j)
-    # one a at a time, so no list of big integers joins the shared tables
-    top, rest = coeffs[-1], coeffs[-2::-1]
-    total = 0
-    for q, k in zip(ctx.qr[1:] if twisted else repeat(1), K[1:]):
-        h = top
-        for c in rest:
-            h = h * k + c
-        total += q * h
-    return round_fixed(total, (len(coeffs) - 1) * shift, (p - 1) * slope * err)
+    sign = -1 if twisted else 1
+    total = sum(c * (P[j] + sign * M[j]) for j, c in enumerate(coeffs))
+    return round_fixed(total, n * shift, (p - 1) * slope * err)
 
 
 def _power(n: int) -> list[int]:

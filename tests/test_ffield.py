@@ -1,13 +1,16 @@
+import decimal
 import math
 import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ntlab import kloosterman
 from ntlab.ecurve import ap_table, curve_census
 from ntlab.ffield import (cyclic_convolve, legendre_phi, make_field_ctx,
                           per_prime, release_tables)
 from ntlab.kloosterman import kloosterman_table, trig_table
+from ntlab.primes import primerange
 
 PRIMES = (3, 5, 7, 11, 13, 17, 23, 41)
 
@@ -100,6 +103,77 @@ def test_cyclic_convolve_tight_slot_width(n, k):
         assert w == [n * m * m] * n
 
 
+def _kronecker_cyclic(u, v):
+    """The big-integer product cyclic_convolve replaced, as an oracle: each
+    input packed into one integer, a byte-aligned slot per entry (Kronecker
+    substitution), the slot width sized by bit_length, so no int-str
+    conversion is involved."""
+    n = len(u)
+    mu, mv = (max(map(abs, x), default=0) for x in (u, v))
+    nbytes = (max(n * mu * mv, mu, mv).bit_length() + 8) // 8
+    half = 1 << (8 * nbytes - 1)
+    offset = int.from_bytes((bytes(nbytes - 1) + b"\x80") * 2 * n, "little")
+
+    def pack(xs):
+        raw = b"".join((x + half).to_bytes(nbytes, "little") for x in xs)
+        return int.from_bytes(raw, "little") - (offset >> (8 * nbytes * n))
+
+    raw = (pack(u) * pack(v) + offset).to_bytes(2 * n * nbytes, "little")
+    c = [int.from_bytes(raw[i:i + nbytes], "little") - half
+         for i in range(0, 2 * n * nbytes, nbytes)]
+    return [a + b for a, b in zip(c[:n], c[n:])]
+
+
+def _kloosterman_inputs(p):
+    """kloosterman_table's two inputs: C + S and C - S over the powers of g."""
+    ctx, table = make_field_ctx(p), trig_table(p)
+    powers = [1] * (p - 1)
+    for i in range(1, p - 1):
+        powers[i] = powers[i - 1] * ctx.g % p
+    C, S = table.cos, table.sin
+    return [C[x] + S[x] for x in powers], [C[x] - S[x] for x in powers]
+
+
+def _ap_inputs(p):
+    """ap_table's two inputs: phi(x) phi(x-1) and phi."""
+    qr = make_field_ctx(p).qr
+    return [qr[x] * qr[x - 1] for x in range(p)], list(qr)
+
+
+def test_cyclic_convolve_equals_the_kronecker_product_on_the_lab_tables():
+    for p in [*primerange(3, 1600), 7919]:
+        for u, v in (_kloosterman_inputs(p), _ap_inputs(p)):
+            assert cyclic_convolve(u, v) == _kronecker_cyclic(u, v), p
+
+
+@pytest.mark.parametrize("k", [1, 2, 19, 20, 43, 120])
+def test_cyclic_convolve_all_nines_slots(k):
+    # every slot of the product is 9 (10^k - 1)/9 = 10^k - 1, all nines at
+    # the widest slot value the inputs can give
+    rep = (10 ** k - 1) // 9
+    assert cyclic_convolve([1] * 9, [rep] * 9) == [10 ** k - 1] * 9
+    assert cyclic_convolve([-1] * 9, [rep] * 9) == [1 - 10 ** k] * 9
+    assert cyclic_convolve([0] * 8 + [9], [rep] * 9) == [10 ** k - 1] * 9
+
+
+@pytest.mark.parametrize("u,v", [
+    ([-3, -5, -7], [-2, -9, -1]), ([-(2 ** 90)] * 4, [-1, -2, -3, -4]),
+    ([-1] * 5, [1] * 5), ([0] * 7, [0] * 7), ([0, 0], [-5, 3]), ([], [])])
+def test_cyclic_convolve_negative_zero_and_empty(u, v):
+    assert cyclic_convolve(u, v) == _naive_cyclic(u, v)
+
+
+def test_cyclic_convolve_ignores_the_thread_decimal_context():
+    u, v = _kloosterman_inputs(101)
+    want = _kronecker_cyclic(u, v)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        ctx.Emax = 10
+        ctx.traps[decimal.Inexact] = True
+        assert cyclic_convolve(u, v) == want
+        assert decimal.getcontext().prec == 5
+
+
 def test_cyclic_convolve_rejects_unequal_lengths():
     with pytest.raises(ValueError):
         cyclic_convolve([1, 2], [1, 2, 3])
@@ -149,8 +223,9 @@ def test_shared_tables_are_immutable(htable):
     # the same Hurwitz table, so none may change it
     ctx = make_field_ctx(13)
     K, _, _ = kloosterman_table(ctx)
-    for table in (kloosterman_table(ctx), K, ap_table(ctx), curve_census(ctx),
-                  ctx.qr, ctx.dlog, trig_table(13).cos,
+    P, M, _ = kloosterman._power_sums(ctx, 4)
+    for table in (kloosterman_table(ctx), K, P, M, ap_table(ctx),
+                  curve_census(ctx), ctx.qr, ctx.dlog, trig_table(13).cos,
                   htable.h, htable.hfull, htable.hstar12):
         with pytest.raises(TypeError):
             table[1] = 0

@@ -1,4 +1,5 @@
 import math
+from itertools import repeat
 
 import mpmath
 import pytest
@@ -191,6 +192,39 @@ def test_moments_raise_when_the_table_is_too_coarse(ctx13, monkeypatch):
                         lambda ctx: (K, shift, err << shift))
     with pytest.raises(PrecisionError):
         untwisted_moment(ctx13, 4)
+
+
+def _moment_horner(ctx, coeffs, twisted):
+    """The per-a moment the power sums replaced, as an oracle: Horner's rule
+    on every K~(a), times phi(a) if twisted, under the same error bound."""
+    p = ctx.p
+    K, shift, err = kloosterman_table(ctx)
+    kmax = max(abs(k) for k in K[1:]) + err
+    slope = sum(j * abs(c) * kmax ** (j - 1)
+                for j, c in enumerate(coeffs) if j)
+    top, rest = coeffs[-1], coeffs[-2::-1]
+    total = 0
+    for q, k in zip(ctx.qr[1:] if twisted else repeat(1), K[1:]):
+        h = top
+        for c in rest:
+            h = h * k + c
+        total += q * h
+    return round_fixed(total, (len(coeffs) - 1) * shift, (p - 1) * slope * err)
+
+
+@pytest.mark.parametrize("p", [7, 13, 97, 1531])
+def test_moments_equal_the_per_a_horner_sums(p, monkeypatch):
+    from ntlab import kloosterman
+    ctx = make_field_ctx(p)
+    phi = ctx.phi_idx()
+
+    def moments():
+        return [(untwisted_moment(ctx, n), twisted_moment(ctx, n, phi),
+                 sheaf_moment(ctx, n)) for n in range(1, 7)]
+
+    got = moments()
+    monkeypatch.setattr(kloosterman, "_moment", _moment_horner)
+    assert got == moments()
 
 
 def test_angle_histogram_counts_and_semicircle():

@@ -46,7 +46,8 @@ def _ntlab_imports(tree: ast.Module) -> set[str]:
 HEAVY = {"sympy", "numpy", "mpmath"}
 
 
-def test_no_module_imports_sympy_numpy_or_mpmath():
+def _imports_of(modules: set[str]) -> list[str]:
+    """Where the package imports any of these top-level modules."""
     found = []
     for path in sorted(SRC.glob("**/*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -58,7 +59,20 @@ def test_no_module_imports_sympy_numpy_or_mpmath():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names
-                      if n.split(".")[0] in HEAVY]
+                      if n.split(".")[0] in modules]
+    return found
+
+
+def test_no_module_imports_sympy_numpy_or_mpmath():
+    found = _imports_of(HEAVY)
+    assert not found, f"imported in ntlab: {', '.join(found)}"
+
+
+def test_no_module_imports_decimal_or_pydecimal():
+    # the exact products need libmpdec: importing the C module _decimal
+    # fails loudly without it, where decimal would fall back to the
+    # pure-Python _pydecimal and run far slower without a word
+    found = _imports_of({"decimal", "_pydecimal"})
     assert not found, f"imported in ntlab: {', '.join(found)}"
 
 
