@@ -10,19 +10,25 @@ explicit archimedean (Weil) bounds and fails loudly when the bound does not
 clear p^K/2.
 
 Gamma_p at a rational x reduces x to an integer n mod p^(K+1) (continuity,
-|Gamma_p(x)-Gamma_p(y)| <= |x-y|) and evaluates the defining product in
-blocks of p consecutive integers: the block polynomial R(t) = prod (tp+i)
-satisfies -R(t) = 1 + O(p), so L(t) = log(-R(t)) is a polynomial mod p^WK.
-Written in Newton form, L(t) = sum_k D_k C(t, k) with integer forward
-differences D_k, the block sum is sum_{t<m} L(t) = sum_k D_k C(m, k+1) with no
-denominator for any p, and exp of it gives prod_{t<m} R(t) in O(poly(K)) time
-instead of O(n). A direct-product route is kept for small arguments and used
-as the cross-check oracle.
+|Gamma_p(x)-Gamma_p(y)| <= |x-y|) through PadicCtx.residue, and evaluates
+the defining product in blocks of p consecutive integers: the block
+polynomial R(t) = prod (tp+i) satisfies -R(t) = 1 + O(p), so
+L(t) = log(-R(t)) is a polynomial mod p^WK. Written in Newton form,
+L(t) = sum_k D_k C(t, k) with integer forward differences D_k, the block sum
+is sum_{t<m} L(t) = sum_k D_k C(m, k+1). With F = len(D)!, F times it is a
+polynomial in m with integer coefficients for every p, kept in monomial form
+mod p^(K+1) F: one Horner pass and an exact division by F give the block
+sum, exp of it gives prod_{t<m} R(t), and the r - 1 leftover factors are one
+of the prefix products prod_{0<i<r} (z + i) at z = m p, so a call costs
+O(poly(K)) time instead of O(n). Each engine checks itself against the
+literal product at every n in [64p, 65p]; that product is also the route for
+small arguments and the cross-check oracle.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +52,17 @@ def _gamma_p_direct(p: int, K: int, n: int) -> int:
 
 
 class _GammaEngine:
-    """Block evaluation of Gamma_p(n) mod p^K for very large n."""
+    """Block evaluation of Gamma_p(n) mod p^K for very large n.
+
+    n = m p + r splits into m whole blocks of p factors and a tail of r - 1.
+    The m blocks are exp of the block sum, one polynomial in m kept as
+    monomial coefficients mod p^(K+1) F; the tail is the prefix product
+    prod_{0<i<r} (z + i) at z = m p, kept mod p^K to degree < K. Every
+    coefficient is built mod p^WK, where the guard digits absorb the series
+    divisions, and then reduced to the precision at_int reads, so a call is
+    three Horner passes of O(K) steps whatever n and p are. The self-test
+    compares every n in [64p, 65p] with one pass of the literal product.
+    """
 
     BUF = 6  # guard digits absorbing the series-division losses
 
@@ -55,15 +71,19 @@ class _GammaEngine:
         self.mod = p ** K
         self.WK = K + self.BUF
         self.wmod = p ** self.WK
-        # prod_{i=1}^{p-1} (z + i) truncated to degree < WK
+        # prefix products prod_{0<i<r} (z + i) truncated to degree < WK; the
+        # last one, r = p, gives R
+        wmod = self.wmod
         poly = [1]
+        prefixes = [[1]]
         for i in range(1, p):
-            new = [0] * min(len(poly) + 1, self.WK)
-            for d, c in enumerate(poly):
-                new[d] = (new[d] + c * i) % self.wmod
-                if d + 1 < self.WK:
-                    new[d + 1] = (new[d + 1] + c) % self.wmod
-            poly = new
+            prefixes.append(poly)
+            poly = [(c * i + b) % wmod
+                    for c, b in zip(poly + [0], [0] + poly)][:self.WK]
+        # tail polynomials, highest degree first: z = m p has v_p >= 1, so
+        # degrees >= K vanish mod p^K
+        self._tails = [[c % self.mod for c in reversed(f[:K])]
+                       for f in prefixes]
         # R(t) = prod (tp + i): coefficient of t^d is poly[d] p^d
         self.R = [poly[d] * pow(p, d, self.wmod) % self.wmod
                   for d in range(len(poly))]
@@ -73,20 +93,21 @@ class _GammaEngine:
         if self.W[0] % p:
             raise ArithmeticError(f"Wilson sanity failed at p={p}")
         self._logpoly = self._log_series()
-        self._newton = self._newton_coeffs()
+        self._F = math.factorial(self.WK)  # len(D)! for the WK coefficients D_k
+        self._fmod = p ** (K + 1) * self._F
+        self._bsum = self._block_sum_coeffs()
         self._exp_coeffs = self._exp_series()
         self._selftest()
 
     def _polymul(self, f, g):
-        out = [0] * min(len(f) + len(g) - 1, self.WK)
-        for i, a in enumerate(f):
-            if not a:
-                continue
-            for j, b in enumerate(g):
-                if i + j >= self.WK:
-                    break
-                out[i + j] = (out[i + j] + a * b) % self.wmod
-        return out
+        """f g truncated to degree < WK, mod p^WK."""
+        n = min(len(f) + len(g) - 1, self.WK)
+        out = [0] * n
+        for i, a in enumerate(f[:n]):
+            if a:
+                for j, b in enumerate(g[:n - i], start=i):
+                    out[j] += a * b
+        return [c % self.wmod for c in out]
 
     def _div_exact(self, c: int, j: int) -> int:
         """c/j when p^{v_p(j)} | c; the top v digits of the result are noise
@@ -131,8 +152,29 @@ class _GammaEngine:
             vals = [b - a for a, b in zip(vals, vals[1:])]
         return diffs
 
+    def _block_sum_coeffs(self) -> list[int]:
+        """F sum_{t<m} L(t) = sum_k D_k (F/(k+1)!) m(m-1)...(m-k) as monomial
+        coefficients in m mod p^(K+1) F, highest degree first, F = len(D)!.
+
+        Hockey stick: sum_{t<m} C(t, k) = C(m, k+1), and F C(m, k+1) has
+        integer coefficients for k < len(D), so no denominator enters at any
+        p, p | F included; _block_sum divides F out of the value exactly.
+        """
+        diffs = self._newton_coeffs()
+        F = self._F
+        out = [0] * (len(diffs) + 1)
+        fall = [1]  # m(m-1)...(m-k+1), lowest degree first
+        for k, dk in enumerate(diffs):
+            fall = [a - k * b for a, b in zip([0] + fall, fall + [0])]
+            scale = dk * (F // math.factorial(k + 1))
+            for d, c in enumerate(fall):
+                out[d] += scale * c
+        return [c % self._fmod for c in reversed(out)]
+
     def _exp_series(self) -> list[int]:
-        """e_j = p^j / j! mod p^WK, so that exp(p y) = sum_j e_j y^j."""
+        """e_j = p^j / j! mod p^K, highest degree first, so that
+        exp(p y) = sum_j e_j y^j mod p^K; the e_j that vanish mod p^K are
+        dropped."""
         p = self.p
         coeffs = [1]
         fact = 1
@@ -145,59 +187,70 @@ class _GammaEngine:
             while f % p == 0:
                 f //= p
                 vfact += 1
-            coeffs.append(self._div_exact(p ** j, fact))
+            coeffs.append(self._div_exact(p ** j, fact) % self.mod)
             # dropped tail has v_p >= (j+1) - v_p((j+1)!), increasing in j
             if j - vfact > self.K + 2:
                 break
-        return coeffs
+        while not coeffs[-1]:
+            coeffs.pop()
+        return coeffs[::-1]
 
-    def _sum_log(self, m: int) -> int:
-        """sum_{t<m} log(-R(t)) mod p^WK (top digits noisy, within guard).
-
-        Hockey stick: sum_{t<m} C(t, k) = C(m, k+1), so the block sum is
-        sum_k D_k C(m, k+1), with C(m, k+1) = C(m, k) (m-k)/(k+1) an exact
-        integer division.
-        """
-        wmod = self.wmod
+    def _block_sum(self, m: int) -> int:
+        """sum_{t<m} log(-R(t)) mod p^(K+1)."""
+        fmod = self._fmod
+        x = m % fmod
         tot = 0
-        binom = m  # C(m, k+1) at k = 0
-        for k, dk in enumerate(self._newton):
-            if k:
-                binom, rem = divmod(binom * (m - k), k + 1)
-                if rem:
-                    raise ArithmeticError(f"C({m}, {k + 1}) is not an integer")
-            tot = (tot + dk * (binom % wmod)) % wmod
+        for c in self._bsum:
+            tot = (tot * x + c) % fmod
+        s, rem = divmod(tot, self._F)
+        if rem:
+            raise ArithmeticError(f"block sum at m={m} is not divisible by F")
+        return s
+
+    def _tail(self, m: int, r: int) -> int:
+        """prod_{0<i<r} (m p + i) mod p^K."""
+        mod = self.mod
+        z = m * self.p % mod
+        tot = 0
+        for c in self._tails[r]:
+            tot = (tot * z + c) % mod
         return tot
 
     def _exp(self, x: int) -> int:
-        """exp(x) mod (roughly) p^K for v_p(x) >= 1."""
+        """exp(x) mod p^K for v_p(x) >= 1."""
         if x % self.p:
             raise ArithmeticError("exp argument not divisible by p")
-        y = x // self.p
+        mod = self.mod
+        y = x // self.p % mod
         tot = 0
-        for e in reversed(self._exp_coeffs):
-            tot = (tot * y + e) % self.wmod
+        for e in self._exp_coeffs:
+            tot = (tot * y + e) % mod
         return tot
 
     def at_int(self, n: int) -> int:
         """Gamma_p(n) mod p^K for n >= 0 (n may be astronomically large)."""
-        p = self.p
+        p, mod = self.p, self.mod
         m, r = divmod(n, p)
         if m < 64:  # small enough for the literal product
             return _gamma_p_direct(p, self.K, n)
-        blocks = (-1) ** (m % 2) * self._exp(self._sum_log(m) % self.wmod)
-        tail = 1
-        for i in range(1, r):
-            tail = tail * (m * p + i) % self.wmod
-        return ((-1) ** (n % 2) * blocks * tail) % self.mod
+        val = self._exp(self._block_sum(m)) * self._tail(m, r) % mod
+        # (-1)^m from the blocks, (-1)^n from Gamma_p's sign convention
+        return -val % mod if (m + n) % 2 else val
 
     def _selftest(self):
-        for n in (self.p * 64 + 3, self.p * 65, self.p * 64 + self.p - 1):
-            want = _gamma_p_direct(self.p, self.K, n)
-            got = self.at_int(n)
-            if got != want:
+        """at_int against one pass of the literal product over n in [64p, 65p]:
+        every tail polynomial, and the block sums at m = 64 and 65."""
+        p, mod = self.p, self.mod
+        lo = 64 * p
+        v = 1
+        for b in range(0, lo, p):
+            v = v * math.prod(range(b + 1, b + p)) % mod
+        for n in range(lo, lo + p + 1):
+            if self.at_int(n) != (-v if n % 2 else v) % mod:
                 raise ArithmeticError(
-                    f"Gamma_p block method broken at p={self.p}, n={n}")
+                    f"Gamma_p block method broken at p={p}, n={n}")
+            if n % p:
+                v = v * n % mod
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +277,10 @@ class PadicCtx:
         self.pw = [1] * self.q
         for e in range(1, self.q):
             self.pw[e] = self.pw[e - 1] * wg % self.mod
+        self.big = field.p ** (K + 1)  # Gamma_p arguments live mod p^(K+1)
         self._engine: _GammaEngine | None = None
         self._gamma_memo: dict[int, int] = {}
+        self._inverses: dict[int, int] = {}
         self._children: dict[int, "PadicCtx"] = {}
 
     def _teich_fix(self, x: int) -> int:
@@ -242,6 +297,17 @@ class PadicCtx:
         if M not in self._children:
             self._children[M] = PadicCtx(self.field, M)
         return self._children[M]
+
+    def residue(self, num: int, den: int) -> int:
+        """num/den mod p^(K+1), the integer gamma_p reduces a rational to;
+        the inverse of each denominator is cached."""
+        inv = self._inverses.get(den)
+        if inv is None:
+            if den % self.p == 0:
+                raise ValueError(
+                    f"{num}/{den} is not a p-adic integer for p={self.p}")
+            inv = self._inverses[den] = pow(den, -1, self.big)
+        return num * inv % self.big
 
     def omega(self, x: int, c: int = 1) -> int:
         """omega^c(x) mod p^K; zero for x = 0 mod p."""
@@ -262,25 +328,23 @@ def teichmuller(ctx: PadicCtx, x: int) -> int:
     return ctx.teich[x % ctx.p]
 
 
-def gamma_p(ctx: PadicCtx, x) -> int:
+def gamma_p(ctx: PadicCtx, x: int | Fraction) -> int:
     """Morita's Gamma_p at an integer or a rational in Z_p, mod p^K.
 
-    Rational x reduces to the integer n = x mod p^(K+1); one guard digit
-    keeps the continuity argument exact mod p^K.
+    Both reduce to the integer n = x mod p^(K+1), a rational through
+    ctx.residue; one guard digit keeps the continuity argument exact mod p^K.
+    Anything else (a float, a Decimal) raises TypeError.
     """
-    big = ctx.p ** (ctx.K + 1)
     if isinstance(x, Fraction):
-        if x.denominator % ctx.p == 0:
-            raise ValueError(f"{x} is not a p-adic integer for p={ctx.p}")
-        n = x.numerator * pow(x.denominator, -1, big) % big
+        n = ctx.residue(x.numerator, x.denominator)
     else:
-        n = int(x) % big
-    if n in ctx._gamma_memo:
-        return ctx._gamma_memo[n]
-    if ctx._engine is None:
-        ctx._engine = _GammaEngine(ctx.p, ctx.K + 1)
-    val = ctx._engine.at_int(n) % ctx.mod
-    ctx._gamma_memo[n] = val
+        n = operator.index(x) % ctx.big
+    memo = ctx._gamma_memo
+    val = memo.get(n)
+    if val is None:
+        if ctx._engine is None:
+            ctx._engine = _GammaEngine(ctx.p, ctx.K + 1)
+        val = memo[n] = ctx._engine.at_int(n) % ctx.mod
     return val
 
 
@@ -336,7 +400,7 @@ def gauss_sum_gk(ctx: PadicCtx, j: CharIdx) -> PiRingElem:
     case is required, only this note.
     """
     j %= ctx.q
-    u = (-gamma_p(ctx, Fraction(j, ctx.q))) % ctx.mod
+    u = (-gamma_p(ctx, ctx.residue(j, ctx.q))) % ctx.mod
     return PiRingElem.monomial(ctx.p, ctx.K, j, u)
 
 
@@ -423,26 +487,27 @@ def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecor
     if p % t == 0:
         raise ValueError("t must be coprime to p")
     j %= q
-    x = Fraction(j, q)
+    qt = q * t
     const = 1
     for h in range(1, t):
-        const = const * gamma_p(ctx, Fraction(h, t)) % mod
+        const = const * gamma_p(ctx, ctx.residue(h, t)) % mod
 
     lhs1 = 1
     for h in range(t):
-        lhs1 = lhs1 * gamma_p(ctx, Fraction(j + h * q, q * t)) % mod
+        lhs1 = lhs1 * gamma_p(ctx, ctx.residue(j + h * q, qt)) % mod
     # (1-x)(1-p) = j - (p-1) when x = j/(p-1), an integer
-    rhs1 = ctx.omega(t % p, j) * gamma_p(ctx, x) % mod * const % mod
+    rhs1 = (ctx.omega(t % p, j) * gamma_p(ctx, ctx.residue(j, q)) % mod
+            * const % mod)
     ok1 = lhs1 == rhs1
 
     def collapsed(jj: int) -> bool:
-        # <jj/q + h/t> and <t jj/q>, each built as one reduced Fraction
-        qt = q * t
+        # <jj/q + h/t> and <t jj/q>
         lhs = 1
         for h in range(t):
-            lhs = lhs * gamma_p(ctx, Fraction((jj * t + h * q) % qt, qt)) % mod
+            x = ctx.residue((jj * t + h * q) % qt, qt)
+            lhs = lhs * gamma_p(ctx, x) % mod
         rhs = (ctx.omega(t % p, t * jj % q)
-               * gamma_p(ctx, Fraction(t * jj % q, q)) % mod * const % mod)
+               * gamma_p(ctx, ctx.residue(t * jj % q, q)) % mod * const % mod)
         return lhs == rhs
 
     ok2 = collapsed(j)
@@ -615,16 +680,18 @@ class _NgnTable:
         mod = hctx.mod
         coeffs = []
         norm = (-pow(q, -1, mod)) % mod
+        res = hctx.residue
         # 1/(Gamma_p(<ak>) Gamma_p(<-bk>)): free of a
-        invs = [pow(gamma_p(hctx, _frac(ak)) * gamma_p(hctx, _frac(-bk)), -1,
-                    mod) for ak, bk in zip(a_list, b_list)]
+        invs = [pow(gamma_p(hctx, res(an % ad, ad))
+                    * gamma_p(hctx, res(bn, bd)), -1, mod)
+                for an, ad, bn, bd in nums]
         for a in range(q):
             c = norm
             for (an, ad, bn, bd), inv in zip(nums, invs):
-                c = c * gamma_p(hctx, Fraction((an * q - a * ad) % (ad * q),
-                                               ad * q)) % mod
-                c = c * gamma_p(hctx, Fraction((bn * q + a * bd) % (bd * q),
-                                               bd * q)) % mod
+                c = c * gamma_p(hctx, res((an * q - a * ad) % (ad * q),
+                                          ad * q)) % mod
+                c = c * gamma_p(hctx, res((bn * q + a * bd) % (bd * q),
+                                          bd * q)) % mod
                 c = c * inv % mod
             e = Es[a] + self.scale
             if e < 0:

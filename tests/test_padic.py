@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,7 +71,55 @@ def test_newton_block_sum_against_brute_force(engines, m):
         lam = eng._logpoly
         brute = sum(sum(c * t ** d for d, c in enumerate(lam))
                     for t in range(m))
-        assert eng._sum_log(m) == brute % eng.wmod, (p, K)
+        assert eng._block_sum(m) == brute % p ** (K + 1), (p, K)
+
+
+def _sum_log_binomial(eng, m: int) -> int:
+    """sum_k D_k C(m, k+1) mod p^WK through exact binomial divisions: the
+    block sum the engine evaluated before its monomial form, kept as the
+    oracle for it."""
+    tot = 0
+    binom = m  # C(m, k+1) at k = 0
+    for k, dk in enumerate(eng._newton_coeffs()):
+        if k:
+            binom, rem = divmod(binom * (m - k), k + 1)
+            assert not rem
+        tot = (tot + dk * (binom % eng.wmod)) % eng.wmod
+    return tot
+
+
+def _tail_loop(eng, m: int, r: int) -> int:
+    """prod_{0<i<r} (m p + i) mod p^WK, factor by factor."""
+    tail = 1
+    for i in range(1, r):
+        tail = tail * (m * eng.p + i) % eng.wmod
+    return tail
+
+
+# p | F = (K+6)! at p = 5, 7, 11 and 13 for every K here
+ORACLE_CASES = [(p, K) for p in (5, 7, 11, 13, 53, 67) for K in (4, 7, 9)]
+
+
+@pytest.fixture(scope="module")
+def oracle_engines():
+    return {pk: pa._GammaEngine(*pk) for pk in ORACLE_CASES}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_CASES), st.integers(0, 10 ** 40))
+def test_horner_block_sum_against_binomial_oracle(oracle_engines, pk, m):
+    # at_int reads the block sum mod p^(K+1), so that is what it keeps
+    eng = oracle_engines[pk]
+    want = _sum_log_binomial(eng, m) % eng.p ** (eng.K + 1)
+    assert eng._block_sum(m) == want
+
+
+@pytest.mark.parametrize("pk", ORACLE_CASES)
+def test_prefix_polynomial_tails_against_the_loop(oracle_engines, pk):
+    eng = oracle_engines[pk]
+    for m in (64, 65, 12345, 10 ** 30 + 7):
+        for r in range(eng.p):
+            assert eng._tail(m, r) == _tail_loop(eng, m, r) % eng.mod, (m, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,6 +153,42 @@ def test_gamma_at_rationals_against_literal_product(case):
     big = p ** (K + 1)
     n = x.numerator * pow(x.denominator, -1, big) % big
     assert pa.gamma_p(ctx, x) == pa.gamma_p_direct(ctx, n)
+
+
+def test_gamma_rejects_arguments_it_would_truncate():
+    # int(x) would send both to Gamma_p(0) = 1, at p = 13 as anywhere
+    ctx = pa.make_padic_ctx(13, 4)
+    for x in (0.5, Decimal("2.5"), Decimal("2"), 2.0, "2"):
+        with pytest.raises(TypeError):
+            pa.gamma_p(ctx, x)
+    assert pa.gamma_p(ctx, True) == pa.gamma_p(ctx, 1)
+
+
+def test_residue_rejects_denominators_divisible_by_p():
+    ctx = pa.make_padic_ctx(13, 4)
+    for den in (13, 26, 13 ** 5):
+        with pytest.raises(ValueError):
+            ctx.residue(1, den)
+    with pytest.raises(ValueError):
+        pa.gamma_p(ctx, Fraction(1, 26))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(5, 4), (7, 5), (13, 4), (61, 6)]),
+       st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6),
+       st.integers(1, 10 ** 4))
+def test_residue_equals_the_fraction_path(pk, num, den, k):
+    p, K = pk
+    if den % p == 0 or k % p == 0:
+        den, k = den * p + 1, k * p + 1
+    ctx = pa.make_padic_ctx(p, K)
+    big = p ** (K + 1)
+    x = Fraction(num, den)
+    want = x.numerator * pow(x.denominator, -1, big) % big
+    assert ctx.residue(num, den) == want
+    assert ctx.residue(num * k, den * k) == want
+    assert (pa.gamma_p(ctx, ctx.residue(num * k, den * k))
+            == pa.gamma_p(ctx, Fraction(num * k, den * k)))
 
 
 def test_gamma_small_values():
@@ -323,21 +408,39 @@ PYTHON_O_PROBES = {
         "    result = e._div_exact(7, 5)\n"
         "except ArithmeticError as exc:\n"
         "    result = type(exc).__name__\n"),
-    # a Newton coefficient off by p keeps every exp argument divisible by p,
-    # so only the self-test's comparison can catch it; try each coefficient
+    # p F added to a monomial block-sum coefficient keeps the division by F
+    # exact and every exp argument divisible by p, so only the self-test's
+    # comparison can catch it; try each coefficient
     "corrupted-newton": (
         "from ntlab.padic import _GammaEngine\n"
         "e = _GammaEngine(5, 4)\n"
-        "good = e._newton\n"
+        "good = e._bsum\n"
         "missed = []\n"
         "for k in range(len(good)):\n"
-        "    e._newton = list(good)\n"
-        "    e._newton[k] = (good[k] + 5) % e.wmod\n"
+        "    e._bsum = list(good)\n"
+        "    e._bsum[k] = (good[k] + 5 * e._F) % e._fmod\n"
         "    try:\n"
         "        e._selftest()\n"
         "        missed.append(k)\n"
         "    except ArithmeticError:\n"
         "        pass\n"
+        "result = f'missed {missed}'\n"),
+    # a tail coefficient of degree d < K off by 1 moves Gamma_p by (m p)^d;
+    # the self-test reaches every tail polynomial, so try each coefficient
+    "corrupted-tail": (
+        "from ntlab.padic import _GammaEngine\n"
+        "e = _GammaEngine(5, 4)\n"
+        "good = e._tails\n"
+        "missed = []\n"
+        "for r, f in enumerate(good):\n"
+        "    for d in range(len(f)):\n"
+        "        e._tails = [list(g) for g in good]\n"
+        "        e._tails[r][d] = (f[d] + 1) % e.mod\n"
+        "        try:\n"
+        "            e._selftest()\n"
+        "            missed.append((r, d))\n"
+        "        except ArithmeticError:\n"
+        "            pass\n"
         "result = f'missed {missed}'\n"),
 }
 
@@ -363,3 +466,7 @@ def test_inexact_division_raises_under_python_O(python_O_results):
 
 def test_corrupted_newton_coefficient_raises_under_python_O(python_O_results):
     assert python_O_results["corrupted-newton"] == "missed []"
+
+
+def test_corrupted_tail_coefficient_raises_under_python_O(python_O_results):
+    assert python_O_results["corrupted-tail"] == "missed []"

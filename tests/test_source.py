@@ -121,3 +121,19 @@ def test_public_callables_are_plain_functions_or_classes():
                   and getattr(obj, "__module__", None) == mod.__name__
                   and not (inspect.isfunction(obj) or inspect.isclass(obj))]
     assert not found, f"not a plain function or class: {', '.join(found)}"
+
+
+def test_padic_passes_no_fraction_to_gamma_p():
+    # gamma_p's callers in padic.py reduce a rational through ctx.residue,
+    # which caches each denominator's inverse, instead of building a Fraction
+    # per call
+    path = SRC / "padic.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"padic.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "gamma_p"
+             and any(isinstance(sub, ast.Call)
+                     and isinstance(sub.func, ast.Name)
+                     and sub.func.id == "Fraction"
+                     for arg in node.args for sub in ast.walk(arg))]
+    assert not found, f"Fraction passed to gamma_p: {', '.join(found)}"
