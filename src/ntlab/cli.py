@@ -53,6 +53,8 @@ class RunConfig:
     def __post_init__(self):
         if self.pmin <= 5:
             raise ValueError("suites assume p > 5; pass --pmin 7 or higher")
+        if self.pmin > self.pmax:
+            raise ValueError(f"--pmin {self.pmin} exceeds --pmax {self.pmax}")
         if self.nmax < 1:
             raise ValueError(f"--nmax must be >= 1, got {self.nmax}")
         if self.K < 1:
@@ -60,7 +62,11 @@ class RunConfig:
         if self.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {self.workers}")
         if self.out not in ("csv", "json"):
-            raise ValueError("output format must be csv or json")
+            raise ValueError(
+                f"output format must be csv or json, got {self.out!r}")
+        unknown = set(self.suites) - set(_SUITES)
+        if unknown:
+            raise ValueError(f"unknown suites: {', '.join(sorted(unknown))}")
 
 
 # --- suites -------------------------------------------------------------------
@@ -426,6 +432,8 @@ def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
     if claim == "angles":
         if p is None or p < 3 or not isprime(p):
             raise SystemExit("angles sweep needs an odd prime --p")
+        if cfg.out != "csv":
+            raise SystemExit("angles sweep writes CSV only, not --out json")
         if bins < 1:
             raise SystemExit(f"--bins must be >= 1, got {bins}")
         ctx = make_field_ctx(p)
@@ -484,23 +492,36 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+_TRUTH = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
+def _truth(s: str) -> bool:
+    try:
+        return _TRUTH[s.lower()]
+    except KeyError:
+        raise ValueError(f"not one of {', '.join(_TRUTH)}") from None
+
+
 _CONFIG_TYPES = {
     "pmin": int, "pmax": int, "nmax": int, "K": int, "workers": int,
     "census_cap": int, "cp_cap": int, "seed": int, "threshold": float,
-    "timings": lambda s: s.lower() in ("1", "true", "yes"),
-    "out": str, "file": str, "suites": str,
+    "timings": _truth, "out": str, "file": str,
+    "suites": lambda s: tuple(s.split(",")),
 }
 
 
 def _build_config(ns: argparse.Namespace) -> RunConfig:
+    """Config-file values, then flags over them; RunConfig validates both."""
     base: dict = {}
     if getattr(ns, "config", None):
         for key, val in _load_config_file(ns.config).items():
             if key not in _CONFIG_TYPES:
                 raise SystemExit(f"unknown config key {key!r}")
-            base[key] = _CONFIG_TYPES[key](val)
-    if "suites" in base:
-        base["suites"] = tuple(base["suites"].split(","))
+            try:
+                base[key] = _CONFIG_TYPES[key](val)
+            except ValueError as e:
+                raise SystemExit(f"bad config value {key} = {val!r}: {e}")
     for key in _CONFIG_TYPES:
         flag = getattr(ns, key, None)
         if flag is not None:
@@ -561,9 +582,6 @@ def main(argv=None) -> int:
         picked = tuple(s for part in (ns.suite or ())
                        for s in part.split(","))
         ns.suites = picked or None
-        unknown = set(picked) - set(SUITE_NAMES) - {"all"}
-        if unknown:
-            raise SystemExit(f"unknown suites: {', '.join(sorted(unknown))}")
         del ns.suite
         return cmd_verify(_build_config(ns))
     if ns.command == "sweep":

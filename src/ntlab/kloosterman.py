@@ -1,9 +1,10 @@
 """Kloosterman sums and their power moments, exact in fixed point.
 
 Everything runs on integers, on the stdlib alone. A trig table holds cos
-and sin of 2 pi k/p scaled by 2^L and rounded, each entry within one unit;
-its seeds come from integer series (pi by Machin's formula, e^(i t) by
-Taylor's) at 64 guard bits. Writing a = g^alpha and x = g^xi, the whole
+and sin of 2 pi k/p scaled by 2^L and rounded, each entry within
+1/2 + 2^-20 units: one chain of rotations by e^(2 pi i/p) at 48 guard bits
+(pi by Machin's formula, e^(i t) by Taylor's series) gives k <= p/2, and
+symmetry gives the rest. Writing a = g^alpha and x = g^xi, the whole
 table of K(a,p) is one cyclic convolution over F_p^* (ffield.cyclic_convolve:
 one product of two long decimals by libmpdec's number-theoretic transform),
 on inputs only this route builds.
@@ -58,7 +59,7 @@ def round_fixed(num: int, shift: int, err: int) -> int:
 @dataclass(frozen=True)
 class TrigTable:
     """cos[k] and sin[k] are 2^bits cos(2 pi k/p) and 2^bits sin(2 pi k/p),
-    k = 0..p-1, rounded to integers within one unit."""
+    k = 0..p-1, rounded to integers within 1/2 + 2^-20 units."""
 
     p: int
     bits: int
@@ -94,10 +95,10 @@ def _expi(theta: int, w: int) -> tuple[int, int]:
 
 
 def _rotations(step: tuple[int, int], count: int, w: int,
-               seed: int) -> tuple[list[int], list[int]]:
-    """2^seed (cos, sin) of i theta, i = 0..count-1, rounded, where step is
+               bits: int) -> tuple[list[int], list[int]]:
+    """2^bits (cos, sin) of i theta, i = 0..count-1, rounded, where step is
     2^w (cos, sin) of theta: repeated complex rotation at w bits."""
-    drop = w - seed
+    drop = w - bits
     half_w, half_s = 1 << (w - 1), 1 << (drop - 1)
     dc, ds = step
     x, y = 1 << w, 0
@@ -111,38 +112,26 @@ def _rotations(step: tuple[int, int], count: int, w: int,
 
 @per_prime
 def trig_table(p: int) -> TrigTable:
-    """Baby-step giant-step: cos/sin on two coarse grids are seeded at
-    seed = bits + 16 bits, the other entries come from one integer angle
-    addition each.
+    """One rotation chain: e^(i k tau), tau = 2 pi/p, for k = 0..p//2 by
+    repeated rotation at w = bits + 48 bits, each value rounded to
+    2^-bits; the other half mirrors it, cos(2 pi (p-k)/p) = cos(2 pi k/p) and
+    sin(2 pi (p-k)/p) = -sin(2 pi k/p).
 
-    The seeds are integers at W = seed + 64 bits: pi by Machin's formula,
-    tau = 2 pi/p truncated, e^(i tau) and e^(i tau m) by one Taylor series
-    each, and the grids by repeated rotation, each value rounded to seed
-    bits. pi is within 2^11 units of 2^-W, so tau is within 1 + 2^12/p
-    units and a seed's angle k tau, k < p + m, within p + m + 2^12; the
-    Taylor series and each of the under 2 sqrt(p) + 2 rotations add a few
-    dozen units more. For p < 2^22 that stays below 2^24 units of 2^-W, so
-    a seed is within 1/2 + 2^-40 units of 2^-seed, and an entry within
-    1/2 + 2^-15 units of 2^-bits. 2^bits > 2^20 p^4 keeps the error bound
-    of a fourth moment about 2^11 sqrt(p) times below its rounding margin.
+    pi comes from Machin's formula and is within 2^11 units of 2^-w, so
+    tau = 2 pi // p is within 1 + 2^12/p units and k tau, k <= p/2, within
+    p/2 + 2^11; e^(i tau) by one Taylor series, and each of the p//2
+    rotations, add a few dozen units more. For p < 2^22 that stays below
+    2^28 units of 2^-w, so every entry is within 1/2 + 2^-20 units of
+    2^-bits. 2^bits > 2^20 p^4 keeps the error bound of a fourth moment
+    about 2^11 sqrt(p) times below its rounding margin.
     """
     bits = 4 * p.bit_length() + 20
-    seed = bits + 16
-    w = seed + 64
-    m = max(1, math.isqrt(p))
-    n_giant = p // m + 1
+    w = bits + 48
     pi = 16 * _arctan_inv(5, 1 << w) - 4 * _arctan_inv(239, 1 << w)
-    tau = 2 * pi // p
-    cb, sb = _rotations(_expi(tau, w), m, w, seed)
-    cg, sg = _rotations(_expi(tau * m, w), n_giant, w, seed)
-    # products are at scale 2^(2 seed); shift back to 2^bits, rounding
-    drop = 2 * seed - bits
-    half = 1 << (drop - 1)
-    cos, sin = [], []
-    for k in range(p):
-        i, j = divmod(k, m)
-        cos.append((cg[i] * cb[j] - sg[i] * sb[j] + half) >> drop)
-        sin.append((sg[i] * cb[j] + cg[i] * sb[j] + half) >> drop)
+    cos, sin = _rotations(_expi(2 * pi // p, w), p // 2 + 1, w, bits)
+    half = (p - 1) // 2
+    cos += cos[half:0:-1]
+    sin += [-s for s in sin[half:0:-1]]
     return TrigTable(p, bits, tuple(cos), tuple(sin))
 
 

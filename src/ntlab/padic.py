@@ -1,13 +1,14 @@
-"""p-adic engine: Teichmueller lifts, Morita's Gamma_p, Gross-Koblitz Gauss
-sums in the pi-ring Z[pi]/(pi^(p-1)+p), Jacobi sums, Greene/McCarthy
-hypergeometric functions, and the twisted-moment identity checks that hinge
-on them.
+"""p-adic engine: the Teichmueller character, Morita's Gamma_p,
+Gross-Koblitz Gauss sums in the pi-ring Z[pi]/(pi^(p-1)+p), Jacobi sums,
+Greene/McCarthy hypergeometric functions, and the twisted-moment identity
+checks that hinge on them.
 
 No root of unity zeta_p is ever constructed: Gauss-sum arithmetic goes
 through Gross-Koblitz exclusively, with direct Jacobi sums as the
 independent validator. Rational reconstruction from residues mod p^K uses
 explicit archimedean (Weil) bounds and fails loudly when the bound does not
-clear p^K/2.
+clear p^K/2. The Teichmueller character is one power chain: omega(g) is
+the one Hensel lift a context makes, and omega^c(x) = omega(g)^(c dlog x).
 
 Gamma_p at a rational x reduces x to an integer n mod p^(K+1) (continuity,
 |Gamma_p(x)-Gamma_p(y)| <= |x-y|) through PadicCtx.residue, and evaluates
@@ -257,7 +258,9 @@ class _GammaEngine:
 # contexts
 
 class PadicCtx:
-    """Tables mod p^K: Teichmueller lifts, powers of omega(g), memo caches.
+    """Tables mod p^K: the powers pw[k] = omega(g)^k, which every
+    Teichmueller value is read from, and memo caches. omega(g) is the fixed
+    point of t -> t^p from t = g, reached in at most K steps.
 
     Mutable only through internal memoization; shared via make_padic_ctx.
     """
@@ -272,8 +275,9 @@ class PadicCtx:
         self.q = field.p - 1
         self.K = K
         self.mod = field.p ** K
-        self.teich = [0] + [self._teich_fix(x) for x in range(1, field.p)]
-        wg = self.teich[field.g]
+        wg, prev = field.g, None
+        while wg != prev:
+            prev, wg = wg, pow(wg, field.p, self.mod)
         self.pw = [1] * self.q
         for e in range(1, self.q):
             self.pw[e] = self.pw[e - 1] * wg % self.mod
@@ -281,22 +285,6 @@ class PadicCtx:
         self._engine: _GammaEngine | None = None
         self._gamma_memo: dict[int, int] = {}
         self._inverses: dict[int, int] = {}
-        self._children: dict[int, "PadicCtx"] = {}
-
-    def _teich_fix(self, x: int) -> int:
-        t = x % self.mod
-        prev = None
-        while t != prev:
-            prev = t
-            t = pow(t, self.p, self.mod)
-        return t
-
-    def at_precision(self, M: int) -> "PadicCtx":
-        if M == self.K:
-            return self
-        if M not in self._children:
-            self._children[M] = PadicCtx(self.field, M)
-        return self._children[M]
 
     def residue(self, num: int, den: int) -> int:
         """num/den mod p^(K+1), the integer gamma_p reduces a rational to;
@@ -322,10 +310,10 @@ def make_padic_ctx(p: int, K: int = 6) -> PadicCtx:
 
 
 def teichmuller(ctx: PadicCtx, x: int) -> int:
-    """The (p-1)-th root of unity congruent to x mod p."""
+    """The (p-1)-th root of unity congruent to x mod p, omega(x)."""
     if x % ctx.p == 0:
         raise ValueError("x = 0 has no Teichmueller lift")
-    return ctx.teich[x % ctx.p]
+    return ctx.omega(x)
 
 
 def gamma_p(ctx: PadicCtx, x: int | Fraction) -> int:
@@ -675,7 +663,7 @@ class _NgnTable:
             Es.append(E)
         self.scale = max(0, -min(Es))
         self.M = ctx.K + self.scale
-        hctx = ctx.at_precision(self.M)
+        hctx = ctx if self.M == ctx.K else PadicCtx(ctx.field, self.M)
         self.hctx = hctx
         mod = hctx.mod
         coeffs = []
@@ -776,13 +764,6 @@ def gk_I_integer(ctx: PadicCtx) -> int:
     return _centered(tot, mod, bound, "I")
 
 
-def _psi_tables(hctx: PadicCtx, order: int):
-    """x -> omega^((p-1)/order)(x) as a lookup, zero sentinel at 0."""
-    step = hctx.q // order
-    return [0] + [hctx.pw[step * hctx.field.dlog[x] % hctx.q]
-                  for x in range(1, hctx.p)]
-
-
 def prop64_check(ctx: PadicCtx) -> VerificationRecord:
     """Fourth-moment inner sum against the psi_6-twisted 3G3 sum, p = 1 mod 6.
 
@@ -800,29 +781,31 @@ def prop64_check(ctx: PadicCtx) -> VerificationRecord:
     table = _ngn_table(ctx, *G3_PARAMS)
     hctx = table.hctx
     mod = hctx.mod
-    psi6 = _psi_tables(hctx, 6)
-    psi3 = _psi_tables(hctx, 3)
+
+    def psi6(x):
+        return hctx.omega(x, q // 6)
+
     qr = ctx.field.qr
     acc_printed = 0
     acc_theorem = 0
     for lam in range(2, p):
         t = (lam - 1) * pow(lam, p - 2, p) % p
         val = table.value_scaled(t)
-        acc_printed = (acc_printed + psi6[lam * (1 - lam * lam) % p] * val) % mod
-        acc_theorem = (acc_theorem + psi6[lam * (1 - lam) ** 2 % p] * val) % mod
-    J33 = sum(psi3[x] * psi3[(1 - x) % p] for x in range(2, p)) % mod
+        acc_printed = (acc_printed + psi6(lam * (1 - lam * lam)) * val) % mod
+        acc_theorem = (acc_theorem + psi6(lam * (1 - lam) ** 2) * val) % mod
+    J33 = jacobi_sum(hctx, q // 3, q // 3)
     scale_pow = p ** table.scale
 
     def printed_const(acc):
         # I == p^3 (p-1) psi6(-2) phi(2) * Sigma; acc = p^scale * Sigma
         lhs = I * scale_pow % mod
-        rhs = p ** 3 * (p - 1) * psi6[(-2) % p] * qr[2] * acc % mod
+        rhs = p ** 3 * (p - 1) * psi6(-2) * qr[2] * acc % mod
         return lhs == rhs
 
     def corrected_const(acc):
         # I == -p^2 (p-1) psi6(-16) J33 * Sigma
         lhs = I * scale_pow % mod
-        rhs = (-(p ** 2) * (p - 1) * psi6[(-16) % p] * J33 * acc) % mod
+        rhs = (-(p ** 2) * (p - 1) * psi6(-16) * J33 * acc) % mod
         return lhs == rhs
 
     flags = {

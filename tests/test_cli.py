@@ -136,6 +136,27 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         main(["verify", "--suite", "eichler", "--config", str(cfgfile)])
 
 
+@pytest.mark.parametrize("line", ["suites = moments,bogus", "timings = ture",
+                                  "pmin = seven", "out = xml"])
+def test_config_values_are_validated_like_flags(tmp_path, line):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"suites = moments\npmax = 11\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfgfile)])
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    assert line.split(" = ")[1].split(",")[-1] in exc.value.code
+
+
+def test_config_timings_reads_true_and_false(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    for word, timed in (("false", False), ("no", False), ("True", True)):
+        cfgfile.write_text(f"suites = moments\npmax = 11\ntimings = {word}\n")
+        _, out, _ = run(capsys, "verify", "--config", str(cfgfile))
+        rows = out.splitlines()[2:]
+        assert rows and all((float(ln.rsplit(",", 1)[1]) > 0) == timed
+                            for ln in rows), word
+
+
 def test_small_pmin_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "moments", "--pmin", "5", "--pmax", "7"])
@@ -224,6 +245,8 @@ def test_gfun_rejects_composite():
     "gfun --p 7 --family 3g3 --lambda 3 --K 0",
     "verify --suite eichler --nmax -3",
     "verify --suite moments --pmin 7 --pmax 11 --workers 0",
+    "verify --suite moments --pmin 11 --pmax 7",
+    "sweep --claim angles --p 389 --out json",
 ])
 def test_bad_input_exits_with_one_line(argv):
     with pytest.raises(SystemExit) as exc:

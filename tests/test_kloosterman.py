@@ -127,11 +127,11 @@ def test_trig_table_certified_against_mpmath(p):
             assert abs(t.sin[k] - mpmath.ldexp(mpmath.sin(angle), t.bits)) <= 1
 
 
-def _trig_table_mpmath(p):
-    """trig_table's baby-step giant-step on seeds from mpmath, rounded to
-    nearest: the builder the integer seeds replaced."""
-    bits = 4 * p.bit_length() + 20
-    seed = bits + 16
+def _trig_reference(p, seed):
+    """2^(2 seed) (cos, sin) of 2 pi k/p, k < p, unrounded: baby-step
+    giant-step on seeds from mpmath, each rounded to 2^-seed. A seed is
+    within 1/2 + 2^-31 units, so an entry is within 2^(seed + 1) units of
+    2^-2seed."""
     m = max(1, math.isqrt(p))
     n_giant = p // m + 1
     with mpmath.workprec(seed + 32):
@@ -144,19 +144,23 @@ def _trig_table_mpmath(p):
         sb = [fixed(mpmath.sin(tau * j)) for j in range(m)]
         cg = [fixed(mpmath.cos(tau * m * i)) for i in range(n_giant)]
         sg = [fixed(mpmath.sin(tau * m * i)) for i in range(n_giant)]
-    drop = 2 * seed - bits
-    half = 1 << (drop - 1)
-    cos = [(cg[k // m] * cb[k % m] - sg[k // m] * sb[k % m] + half) >> drop
-           for k in range(p)]
-    sin = [(sg[k // m] * cb[k % m] + cg[k // m] * sb[k % m] + half) >> drop
-           for k in range(p)]
-    return bits, tuple(cos), tuple(sin)
+    cos = [cg[k // m] * cb[k % m] - sg[k // m] * sb[k % m] for k in range(p)]
+    sin = [sg[k // m] * cb[k % m] + cg[k // m] * sb[k % m] for k in range(p)]
+    return cos, sin
 
 
-def test_trig_table_equals_the_mpmath_seeded_builder():
+def test_trig_table_within_half_a_unit_and_2_to_minus_20():
+    # at seed = bits + 48 the reference is within 2^-47 units of 2^-bits;
+    # every entry of the table must lie within 1/2 + 2^-20 units of it
     for p in [*primerange(2, 2000), 7919, 32003, 100003]:
         t = trig_table(p)
-        assert (t.bits, t.cos, t.sin) == _trig_table_mpmath(p), p
+        seed = t.bits + 48
+        drop = 2 * seed - t.bits
+        tol = (1 << (drop - 1)) + (1 << (drop - 20))
+        cos, sin = _trig_reference(p, seed)
+        assert len(t.cos) == len(t.sin) == p
+        for got, ref in zip(t.cos + t.sin, cos + sin):
+            assert abs((got << drop) - ref) <= tol, p
 
 
 @pytest.mark.parametrize("p", [13, 101])

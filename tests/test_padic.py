@@ -228,6 +228,23 @@ def test_teichmuller_properties(pctx13):
         pa.teichmuller(pctx13, 0)
 
 
+def _teichmuller_hensel(p, K, x):
+    """The per-x lift: t -> t^p mod p^K from t = x until it is fixed."""
+    mod = p ** K
+    t, prev = x % mod, None
+    while t != prev:
+        prev, t = t, pow(t, p, mod)
+    return t
+
+
+@pytest.mark.parametrize("p", [5, 13, 53])
+@pytest.mark.parametrize("K", [1, 6, 9])
+def test_teichmuller_equals_the_per_x_hensel_lift(p, K):
+    ctx = pa.make_padic_ctx(p, K)
+    assert ([pa.teichmuller(ctx, x) for x in range(1, p)]
+            == [_teichmuller_hensel(p, K, x) for x in range(1, p)])
+
+
 def test_pi_ring_reduction_and_scalars():
     c = 123
     assert pa.PiRingElem.monomial(7, 3, 6, c) == pa.PiRingElem.scalar(7, 3, -7 * c % 7 ** 3)
@@ -388,11 +405,11 @@ def test_trend_sweeps():
 
 
 def test_precision_raise_pathway(pctx13):
-    hctx = pctx13.at_precision(6)
+    # 3G3's table premultiplies p^2, so it works at K + 2; 9G9's needs none
+    hctx = pa._ngn_table(pctx13, *pa.G3_PARAMS).hctx
     assert hctx.K == 6 and hctx.p == 13
     assert pa.gamma_p(hctx, 5) % 13 ** 4 == pa.gamma_p(pctx13, 5) % 13 ** 4
-    # children are cached
-    assert pctx13.at_precision(6) is hctx
+    assert pa._ngn_table(pctx13, *pa.G9_PARAMS).hctx is pctx13
 
 
 # Each probe runs under python -O, where an assert would vanish, and sets
