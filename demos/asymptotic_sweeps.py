@@ -8,7 +8,7 @@ predicted power should leave something bounded, and it does.
 from ntlab import (asymptotic_sweep, build_hurwitz_table, sweep_trend_ok,
                    theorem62_sweep, theorem63_sweep)
 
-table = build_hurwitz_table(4 * 2000)
+table = build_hurwitz_table(2000)   # every window reads D <= p
 BARS = " .:-=+*#%@"
 
 

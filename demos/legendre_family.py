@@ -36,7 +36,7 @@ print(f"census: {len(census)} classes, orbit mass {mass} vs "
       f"{smooth} smooth (A,B) pairs: {mass == smooth}")
 
 # class counts inside a trace window against Hurwitz class numbers
-table = build_hurwitz_table(4 * p)
+table = build_hurwitz_table(p)   # the n = 2 and mod-16 windows read D <= p
 for s in window8(p):
     rec = schoof_count_check(ctx, 2, s, table)
     print(f"classes with trace {s:+} and full 2-torsion: {rec.lhs} "

@@ -79,6 +79,12 @@ def build_hurwitz_table(bound: int) -> HurwitzTable:
     h(D) = sum over f^2 | D of mu(f) hfull(D/f^2), one slice h[::f^2] per
     squarefree f <= sqrt(bound). hstar12 re-sums h with the CM weights the
     same way, one slice per f. O(bound log bound) list work after the sieve.
+
+    The sieve itself costs O(bound^{3/2}): about amax * bound / 4 list
+    updates, so quadrupling the bound costs about 8x. Size it to the largest
+    D read. The mod-8 and mod-16 windows of the fourth moment read
+    (4p - s^2)/4 and (4p - s^2)/16, both at most p; only the n = 1 Schoof
+    count reads 4p - s^2, past p.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")

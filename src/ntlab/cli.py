@@ -243,10 +243,8 @@ def _suite_prop66(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
 
 def _sweep_window(claim: str, p: int, cfg: RunConfig,
                   table) -> list[VerificationRecord]:
-    rec = idn.asymptotic_record(p, claim, table)
-    return [] if rec is None else [replace(
-        rec, match=rec.ratio <= cfg.threshold,
-        detail=f"threshold={cfg.threshold:g}")]
+    rec = idn.asymptotic_record(p, claim, table, cfg.threshold)
+    return [] if rec is None else [rec]
 
 
 def _sweep_thm62(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
@@ -285,7 +283,13 @@ def _once(cfg: RunConfig) -> tuple[int]:
 
 
 def _window_bound(cfg: RunConfig) -> int:
-    return 4 * cfg.pmax
+    # the windows read H* at (4p - s^2)/4 and (4p - s^2)/16, both <= p
+    return cfg.pmax
+
+
+def _schoof_bound(cfg: RunConfig) -> int:
+    # the n = 1 check reads 4p - s^2, up to 4p - 1, on census primes only
+    return 4 * min(cfg.pmax, cfg.census_cap)
 
 
 def _nmax_bound(cfg: RunConfig) -> int:
@@ -299,7 +303,7 @@ _SUITES = {s.name: s for s in (
     Suite("eichler", _suite_eichler, _once, _nmax_bound),
     Suite("cohen", _suite_cohen, _once, _nmax_bound),
     Suite("curves", _suite_curves, _primes, _window_bound),
-    Suite("schoof", _suite_schoof, _census_primes, _window_bound),
+    Suite("schoof", _suite_schoof, _census_primes, _schoof_bound),
     Suite("counting", _suite_counting, partial(_primes, modulus=4, residue=1),
           _window_bound),
     Suite("gk", _suite_gk, _primes),

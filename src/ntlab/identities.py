@@ -45,10 +45,23 @@ def window16(p: int) -> list[int]:
 def _window_sum12(p: int, k: int, e: int,
                   table: cn.HurwitzTable | None) -> int:
     """sum of 12 H*((4p - s^2)/k) s^e over window8 (k = 4) or window16
-    (k = 16), as an exact integer."""
+    (k = 16), as an exact integer read straight from the table.
+
+    Every D read is at most p, and no table means one sieved to p. A table
+    that stops short of the largest D raises rather than falling back to
+    the O(D) per-D enumeration.
+    """
     window = {4: window8, 16: window16}[k](p)
-    return sum(cn.hurwitz_hstar12((4 * p - s * s) // k, table) * s ** e
-               for s in window)
+    if table is None:
+        table = cn.build_hurwitz_table(p)
+    h12 = table.hstar12
+    try:
+        return sum(h12[(4 * p - s * s) // k] * s ** e for s in window)
+    except IndexError:
+        top = max((4 * p - s * s) // k for s in window)
+        raise ValueError(f"Hurwitz table to D={table.bound} is too small for "
+                         f"the k={k} window at p={p}, which reads D={top}"
+                         ) from None
 
 
 def _sum_ap_sq(ctx: FieldCtx) -> int:
@@ -87,7 +100,7 @@ def s4_via_classnumbers(p: int, table: cn.HurwitzTable | None = None,
     divided by 12 once; a remainder raises.
     """
     if table is None:
-        table = cn.build_hurwitz_table(4 * p)
+        table = cn.build_hurwitz_table(p)
     total12 = 4 * p * _window_sum12(p, 4, 2, table)
     if p % 4 == 1:
         total12 += 8 * p * _window_sum12(p, 16, 2, table)
@@ -244,23 +257,29 @@ def _window_quantity(p: int, table: cn.HurwitzTable, which: str) -> Fraction | N
     raise ValueError(f"unknown claim {which!r}")
 
 
-def asymptotic_record(p: int, which: str,
-                      table: cn.HurwitzTable) -> VerificationRecord | None:
+def asymptotic_record(p: int, which: str, table: cn.HurwitzTable,
+                      threshold: float | None = None) -> VerificationRecord | None:
     """One prime of an asymptotic ratio sweep, or None when the claim's
     window does not apply to p. Moment values come from the (corrected)
     class-number route, which costs O(sqrt p) per prime once the table
-    exists; the route equalities are enforced elsewhere.
+    exists; the route equalities are enforced elsewhere. With a threshold
+    the record matches iff its ratio is at most that, and says so in
+    detail; without one it always matches.
     """
     if which in ("thm1.1", "cor1.2"):
         s4 = s4_via_classnumbers(p, table, corrected=True)
         val = s4 if which == "thm1.1" else sheaf_via_s4(p, s4)
-        return VerificationRecord(p, which, val, 0, True,
-                                  ratio=abs(val) / p ** 2.5)
-    q = _window_quantity(p, table, which)
-    if q is None:
-        return None
-    return VerificationRecord(p, which, float(q), 0, True,
-                              ratio=abs(float(q)) / p ** 1.5)
+        ratio = abs(val) / p ** 2.5
+    else:
+        q = _window_quantity(p, table, which)
+        if q is None:
+            return None
+        val = float(q)
+        ratio = abs(val) / p ** 1.5
+    if threshold is None:
+        return VerificationRecord(p, which, val, 0, True, ratio=ratio)
+    return VerificationRecord(p, which, val, 0, ratio <= threshold,
+                              ratio=ratio, detail=f"threshold={threshold:g}")
 
 
 def asymptotic_sweep(pmin: int, pmax: int, which: str,
@@ -274,7 +293,7 @@ def asymptotic_sweep(pmin: int, pmax: int, which: str,
     if pmin <= 5:
         raise ValueError("sweeps start above p = 5")
     if table is None:
-        table = cn.build_hurwitz_table(4 * pmax)
+        table = cn.build_hurwitz_table(pmax)
     recs = (asymptotic_record(p, which, table)
             for p in primerange(pmin, pmax + 1))
     return [r for r in recs if r is not None]

@@ -8,6 +8,7 @@ import pytest
 
 from ntlab import classnumber as cn
 from ntlab import identities as idn
+from ntlab import cli
 from ntlab.cli import SUITE_NAMES, SWEEP_NAMES, main
 from ntlab.ffield import release_tables
 from ntlab.records import SCHEMA_HEADER
@@ -186,6 +187,38 @@ def test_sweep_threshold_can_fail(capsys):
                          "--pmax", "31", "--threshold", "0.001")
     assert code == 1
     assert "false" in out
+
+
+_HURWITZ_RUNS = ([("verify", "--suite", s) for s in SUITE_NAMES]
+                 + [("sweep", "--claim", c) for c in SWEEP_NAMES
+                    if c != "angles"])
+
+
+# pmax 211 is past census_cap = 200, where schoof stops and its bound with it
+@pytest.mark.parametrize("pmin,pmax", [(7, 61), (181, 211)])
+@pytest.mark.parametrize("argv", _HURWITZ_RUNS, ids=" ".join)
+def test_hurwitz_table_covers_every_read(capsys, monkeypatch, argv, pmin,
+                                         pmax):
+    # a read past Suite.bound raises in a window sum, or falls back to the
+    # per-D enumeration; with that raising too, either one is an error record
+    real_build, real_h = cn.build_hurwitz_table, cn.class_number_h
+
+    def no_fallback(D):
+        raise AssertionError(f"per-D enumeration at D={D}")
+
+    monkeypatch.setattr(cn, "class_number_h", no_fallback)
+    argv = (*argv, "--pmin", str(pmin), "--pmax", str(pmax))
+    _, tight, _ = run(capsys, *argv)
+    assert ",error," not in tight
+    suite = {**cli._SUITES, **cli._SWEEPS}[argv[2]]
+    if suite.bound is None:
+        return
+    # the same bytes as on the 4 pmax table the windowed suites used to get
+    monkeypatch.setattr(cn, "class_number_h", real_h)
+    monkeypatch.setattr(cn, "build_hurwitz_table",
+                        lambda bound: real_build(max(bound, 4 * pmax)))
+    _, wide, _ = run(capsys, *argv)
+    assert wide == tight
 
 
 def test_sweep_angles_histogram(capsys):

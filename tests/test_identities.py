@@ -44,6 +44,33 @@ def test_class_number_route_raises_on_a_remainder(htable):
         idn.s4_via_classnumbers(p, bad)
 
 
+def _no_fallback(D):
+    raise AssertionError(f"per-D enumeration at D={D}")
+
+
+def test_window_sums_read_the_table_and_refuse_a_short_one(monkeypatch):
+    # p = 1 mod 4 opens both windows; they read D <= p and D <= p/4
+    p = 101
+    tops = {k: max((4 * p - s * s) // k for s in w(p))
+            for k, w in ((4, idn.window8), (16, idn.window16))}
+    assert tops[4] <= p and tops[16] <= p // 4
+    want = idn.s4_via_ap(make_field_ctx(p))
+    exact = cn.build_hurwitz_table(tops[4])
+    monkeypatch.setattr(cn, "class_number_h", _no_fallback)
+    assert idn.s4_via_classnumbers(p, exact) == want
+    assert idn.s4_via_classnumbers(p) == want   # the default table is to p
+    for k in (4, 16):
+        short = cn.build_hurwitz_table(tops[k] - 1)
+        with pytest.raises(ValueError, match=rf"to D={tops[k] - 1} .* k={k} "
+                           rf"window at p={p}, which reads D={tops[k]}"):
+            idn._window_sum12(p, k, 0, short)
+    with pytest.raises(ValueError):
+        idn.s4_via_classnumbers(p, cn.build_hurwitz_table(tops[4] - 1))
+    with pytest.raises(ValueError):
+        idn.counting_lemma_check(make_field_ctx(p),
+                                 cn.build_hurwitz_table(tops[16] - 1))
+
+
 @pytest.mark.parametrize("p", [7, 11, 19])
 def test_sheaf_offset_route(p):
     from ntlab.kloosterman import sheaf_moment
@@ -158,6 +185,21 @@ def test_window_sweeps_respect_residue_classes(htable):
         assert recs, which
         assert all(r.p % mod == want for r in recs)
         assert all(r.ratio <= 4.0 for r in recs)
+
+
+def test_asymptotic_record_takes_a_threshold(htable):
+    free = idn.asymptotic_record(101, "prop4.8", htable)
+    assert free.match and free.detail == ""
+    for threshold, ok in ((4.0, True), (free.ratio / 2, False)):
+        rec = idn.asymptotic_record(101, "prop4.8", htable, threshold)
+        assert rec == replace(free, match=ok,
+                              detail=f"threshold={threshold:g}")
+
+
+def test_sweep_default_table_reaches_pmax(monkeypatch, htable):
+    want = idn.asymptotic_sweep(7, 300, "prop4.6", table=htable)
+    monkeypatch.setattr(cn, "class_number_h", _no_fallback)
+    assert idn.asymptotic_sweep(7, 300, "prop4.6") == want
 
 
 def test_alias_matches_original(htable):
