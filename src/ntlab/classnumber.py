@@ -7,6 +7,12 @@ Conventions. For D > 0 with -D a valid discriminant (D = 0 or 3 mod 4):
   hstar12(D) 12 * H(D) where H is the Hurwitz class number: weights 1/3 for
              discriminant -3, 1/2 for -4, 1 otherwise; H(0) = -1/12.
 Everything is exact integer or Fraction arithmetic.
+
+The eichler and cohen suites read the table directly: theta_sums12 gives
+the sums of 12 H*(n - s^2) and s^2 12 H*(n - s^2) at one n, and
+divisor_sum_table sieves sigma_1, 2 lambda_1 and 2 lambda_3 to nmax without
+reading the table. The per-n routes (eichler_lhs, eichler_rhs,
+cohen_coefficient, divisor_sums) stay as their test oracles.
 """
 
 from __future__ import annotations
@@ -170,12 +176,50 @@ def hurwitz_hfull(D: int, table: HurwitzTable | None = None) -> int:
 
 
 def divisor_sums(n: int) -> tuple[int, Fraction, Fraction]:
-    """(sigma_1(n), lambda_1(n), lambda_3(n)) with lambda_k = (1/2) sum min(d, n/d)^k."""
+    """(sigma_1(n), lambda_1(n), lambda_3(n)) with lambda_k = (1/2) sum min(d, n/d)^k.
+
+    The per-n oracle of divisor_sum_table."""
     ds = divisors(n)
     sigma1 = sum(ds)
     lam1 = Fraction(sum(min(d, n // d) for d in ds), 2)
     lam3 = Fraction(sum(min(d, n // d) ** 3 for d in ds), 2)
     return sigma1, lam1, lam3
+
+
+def divisor_sum_table(nmax: int) -> tuple[list[int], list[int], list[int]]:
+    """sigma_1(n), 2 lambda_1(n) and 2 lambda_3(n) for every n <= nmax, as
+    integers, by one sieve over the divisor pairs (d, m = n/d) with d <= m:
+    each adds d + m to sigma_1 and min(d, m)^k = d^k twice to 2 lambda_k,
+    once when d = m. O(nmax log nmax); reads no class number."""
+    sigma, lam1, lam3 = [0] * (nmax + 1), [0] * (nmax + 1), [0] * (nmax + 1)
+    for d in range(1, math.isqrt(nmax) + 1):
+        sq, cube = d * d, d ** 3
+        sigma[sq] += d
+        lam1[sq] += d
+        lam3[sq] += cube
+        s = slice(sq + d, nmax + 1, d)   # n = d m, m > d
+        ms = range(d + 1, nmax // d + 1)
+        sigma[s] = [x + d + m for x, m in zip(sigma[s], ms)]
+        lam1[s] = [x + 2 * d for x in lam1[s]]
+        lam3[s] = [x + 2 * cube for x in lam3[s]]
+    return sigma, lam1, lam3
+
+
+def theta_sums12(n: int, table: HurwitzTable) -> tuple[int, int]:
+    """(sum_s 12 H*(n - s^2), sum_s s^2 12 H*(n - s^2)) over all integers s
+    with s^2 <= n, read straight from the table: the integer sums of the
+    Eichler and Cohen identities, whose per-term oracles are eichler_lhs and
+    cohen_coefficient. A table short of n raises."""
+    if not 0 <= n <= table.bound:
+        raise ValueError(f"Hurwitz table to D={table.bound} does not "
+                         f"cover n={n}")
+    h = table.hstar12
+    plain = weighted = 0
+    for s in range(1, math.isqrt(n) + 1):
+        x = h[n - s * s]
+        plain += x
+        weighted += s * s * x
+    return h[n] + 2 * plain, 2 * weighted
 
 
 def eichler_lhs(n: int, table: HurwitzTable | None = None) -> Fraction:

@@ -131,23 +131,35 @@ def _suite_cp(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     return out
 
 
+def _twelfths(x: int) -> str:
+    """str(Fraction(x, 12)), without building the Fraction."""
+    g = math.gcd(x, 12)
+    return str(x // g) if g == 12 else f"{x // g}/{12 // g}"
+
+
+# eichler and cohen compare twelfths as integers: the Hurwitz side is the
+# table's 12 H* sums, the divisor side one sieve to nmax
 def _suite_eichler(_: int, cfg: RunConfig, table) -> list[VerificationRecord]:
+    sigma, lam1x2, _ = cn.divisor_sum_table(cfg.nmax)
     out = []
     for n in range(1, cfg.nmax + 1, 2):
-        lhs = cn.eichler_lhs(n, table)
-        rhs = cn.eichler_rhs(n)
+        lhs, _ = cn.theta_sums12(n, table)
+        rhs = 4 * sigma[n] - 6 * lam1x2[n]   # 12 (sigma_1/3 - lambda_1)
         # the index column holds n: these records sweep odd n, not primes
-        out.append(VerificationRecord(n, "eichler", str(lhs), str(rhs),
-                                      lhs == rhs))
+        out.append(VerificationRecord(n, "eichler", _twelfths(lhs),
+                                      _twelfths(rhs), lhs == rhs))
     return out
 
 
 def _suite_cohen(_: int, cfg: RunConfig, table) -> list[VerificationRecord]:
+    _, _, lam3x2 = cn.divisor_sum_table(cfg.nmax)
     out = []
     for ell in range(1, cfg.nmax + 1, 2):
-        c = cn.cohen_coefficient(ell, table)
-        out.append(VerificationRecord(ell, "cohen", str(c), "0", c == 0,
-                                      ratio=abs(float(c)) / ell ** 1.5))
+        plain, weighted = cn.theta_sums12(ell, table)
+        c12 = 4 * weighted - ell * plain + 6 * lam3x2[ell]   # 12 c(l)
+        miss = abs(float(Fraction(c12, 12))) / ell ** 1.5 if c12 else 0.0
+        out.append(VerificationRecord(ell, "cohen", _twelfths(c12), "0",
+                                      c12 == 0, ratio=miss))
     return out
 
 

@@ -236,11 +236,23 @@ def torsion_census_check(ctx: FieldCtx,
 
 # The mod-8 / mod-16 window sums drift to p^2/6, p^2/2, p^2/4 with an
 # O(p^{3/2}) error; "prop4.4" is accepted as a legacy alias of "prop4.11".
+# prop4.6, prop4.9 and prop4.11 divide the 12 H* sum by 12 first; prop4.8
+# subtracts p^2/2 from the undivided 12 H* sum, whose H* form drifts to
+# p^2/24 (see _window_quantity).
 SWEEP_CLAIMS = ("thm1.1", "cor1.2", "prop4.6", "prop4.8", "prop4.9",
                 "prop4.11", "prop4.4")
 
 
 def _window_quantity(p: int, table: cn.HurwitzTable, which: str) -> Fraction | None:
+    """The window sum of a claim minus its p^2 main term, or None when the
+    window does not apply to p.
+
+    prop4.6, prop4.9 and prop4.11 read sum H* s^2, the 12 H* sum divided by
+    12. prop4.8 alone subtracts p^2/2 from the undivided sum of 12 H* s^2
+    over the mod-16 window: in H* itself that sum is about p^2/24, not
+    p^2/2. Which scale the paper states is not settled here; the sweep
+    keeps the undivided reading, and its output with it.
+    """
     if which == "prop4.6":
         if p % 4 != 1:
             return None

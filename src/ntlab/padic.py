@@ -10,6 +10,15 @@ explicit archimedean (Weil) bounds and fails loudly when the bound does not
 clear p^K/2. The Teichmueller character is one power chain: omega(g) is
 the one Hensel lift a context makes, and omega^c(x) = omega(g)^(c dlog x).
 
+A character sum wanted at every character, or at every lambda, is an O(p)
+histogram over discrete logs followed by teichmuller_dft, one chirp
+correlation through cyclic_convolve: the Jacobi table J_c, the table of
+S(lambda) = p(p-1) 2F1(lambda) that greene and prop6.6 share, the w_c of
+prop6.6, the lambda-sum inside the Gauss-sum integer I, and the nGn sums at
+every t. The literal O(p) sums, jacobi_sum and _greene_S, stay as the
+oracles of those tables; jacobi_sum is also the independent validator of
+Gross-Koblitz in gk_consistency_check.
+
 Gamma_p at a rational x reduces x to an integer n mod p^(K+1) (continuity,
 |Gamma_p(x)-Gamma_p(y)| <= |x-y|) through PadicCtx.residue, and evaluates
 the defining product in blocks of p consecutive integers: the block
@@ -34,7 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ecurve import ap_table
-from .ffield import CharIdx, FieldCtx, make_field_ctx, per_prime
+from .ffield import (CharIdx, FieldCtx, cyclic_convolve, make_field_ctx,
+                     per_prime)
 from .primes import primerange
 from .records import VerificationRecord
 
@@ -260,7 +270,10 @@ class _GammaEngine:
 class PadicCtx:
     """Tables mod p^K: the powers pw[k] = omega(g)^k, which every
     Teichmueller value is read from, and memo caches. omega(g) is the fixed
-    point of t -> t^p from t = g, reached in at most K steps.
+    point of t -> t^p from t = g, reached in at most K steps. The chirps of
+    teichmuller_dft are built on first use and kept here, one pair per
+    context, so a context at K and one at a raised precision never evict
+    each other's.
 
     Mutable only through internal memoization; shared via make_padic_ctx.
     """
@@ -283,6 +296,7 @@ class PadicCtx:
             self.pw[e] = self.pw[e - 1] * wg % self.mod
         self.big = field.p ** (K + 1)  # Gamma_p arguments live mod p^(K+1)
         self._engine: _GammaEngine | None = None
+        self._chirps: tuple[list[int], list[int]] | None = None
         self._gamma_memo: dict[int, int] = {}
         self._inverses: dict[int, int] = {}
 
@@ -309,6 +323,29 @@ def make_padic_ctx(p: int, K: int = 6) -> PadicCtx:
     return PadicCtx(make_field_ctx(p), K)
 
 
+def teichmuller_dft(ctx: PadicCtx, x: list[int]) -> list[int]:
+    """F[a] = sum_k x[k] omega(g)^(a k) mod p^K for every a in Z/(p-1).
+
+    Z_p holds no 2q-th root of unity, so the Bluestein chirp omega^(k^2/2)
+    does not exist; the triangular chirp does: a k = C(a+k, 2) - C(a, 2)
+    - C(k, 2) gives F[a] = omega^-C(a,2) sum_k (x_k omega^-C(k,2))
+    omega^C(a+k,2), a correlation of length 2q, so the whole transform is
+    one zero-padded cyclic_convolve of residues below p^K.
+    """
+    q, mod = ctx.q, ctx.mod
+    if len(x) != q:
+        raise ValueError(f"need {q} values, got {len(x)}")
+    if ctx._chirps is None:
+        pw = ctx.pw
+        tri = [m * (m - 1) // 2 % q for m in range(2 * q)]
+        ctx._chirps = [pw[-t % q] for t in tri[:q]], [pw[t] for t in tri]
+    down, up = ctx._chirps
+    u = [xk * d % mod for xk, d in zip(x, down)]
+    # with u reversed, slot q - 1 + a of the product is sum_k u_k up[a + k]
+    w = cyclic_convolve(u[::-1] + [0] * q, up)
+    return [d * c % mod for d, c in zip(down, w[q - 1:])]
+
+
 def teichmuller(ctx: PadicCtx, x: int) -> int:
     """The (p-1)-th root of unity congruent to x mod p, omega(x)."""
     if x % ctx.p == 0:
@@ -323,7 +360,11 @@ def gamma_p(ctx: PadicCtx, x: int | Fraction) -> int:
     ctx.residue; one guard digit keeps the continuity argument exact mod p^K.
     Anything else (a float, a Decimal) raises TypeError.
     """
-    if isinstance(x, Fraction):
+    # type(x) is int first: an isinstance test against the Fraction ABC
+    # costs more than the memo hit that most calls are
+    if type(x) is int:
+        n = x % ctx.big
+    elif isinstance(x, Fraction):
         n = ctx.residue(x.numerator, x.denominator)
     else:
         n = operator.index(x) % ctx.big
@@ -553,14 +594,32 @@ def _centered(residue: int, mod: int, bound: int, what: str) -> int:
 
 @per_prime
 def _jacobi_table(ctx: PadicCtx) -> tuple[int, ...]:
-    """J_c = J(phi omega^c, omega-bar^c) for all c."""
-    half = ctx.q // 2
-    return tuple(jacobi_sum(ctx, (half + c) % ctx.q, (ctx.q - c) % ctx.q)
-                 for c in range(ctx.q))
+    """J_c = J(phi omega^c, omega-bar^c) for all c, as one DFT.
+
+    The summand at y is phi(y) omega^c(y/(1-y)), since omega^((p-1)/2) = -1,
+    so J is the transform of the histogram h_k = sum of phi(y) over the y
+    with dlog(y/(1-y)) = k. jacobi_sum is the literal oracle.
+    """
+    p, dlog, qr = ctx.p, ctx.field.dlog, ctx.field.qr
+    h = [0] * ctx.q
+    for y in range(2, p):
+        h[(dlog[y] - dlog[p + 1 - y]) % ctx.q] += qr[y]
+    return tuple(teichmuller_dft(ctx, h))
+
+
+@per_prime
+def _greene_S_table(ctx: PadicCtx) -> tuple[int, ...]:
+    """S(lam) for every lam mod p, entry 0 unused: one DFT of J_c^2, read
+    at dlog(lam). The greene and prop6.6 suites of a prime share it."""
+    p, mod, dlog = ctx.p, ctx.mod, ctx.field.dlog
+    F = teichmuller_dft(ctx, [j * j % mod for j in _jacobi_table(ctx)])
+    return (0, *(_centered(F[dlog[lam]], mod, (p - 1) * p, f"S({lam})")
+                 for lam in range(1, p)))
 
 
 def _greene_S(ctx: PadicCtx, lam: int) -> int:
-    """S(lam) = p(p-1) 2F1(lam) = sum_c J_c^2 omega^c(lam), exact integer."""
+    """S(lam) = p(p-1) 2F1(lam) = sum_c J_c^2 omega^c(lam), exact integer;
+    the literal O(p) sum at one lam, the oracle of _greene_S_table."""
     p, q = ctx.p, ctx.q
     J = _jacobi_table(ctx)
     dl = ctx.field.dlog[lam % p]
@@ -582,7 +641,7 @@ def greene_2f1(ctx: PadicCtx, lam: int) -> QpValue:
 def greene_2f1_fraction(ctx: PadicCtx, lam: int) -> Fraction:
     if lam % ctx.p == 0:
         return Fraction(0)
-    return Fraction(_greene_S(ctx, lam), ctx.p * (ctx.p - 1))
+    return Fraction(_greene_S_table(ctx)[lam % ctx.p], ctx.p * (ctx.p - 1))
 
 
 def _s3_integer(ctx: PadicCtx) -> int:
@@ -639,7 +698,8 @@ class _NgnTable:
     """Per-a coefficients of the a-sum; they do not depend on t, so one table
     serves a whole lambda-sweep. scale = max(0, -min_a E_a) powers of p are
     premultiplied so every stored term is p-integral, and the working
-    precision is raised to K + scale to preserve K digits of the result."""
+    precision is raised to K + scale to preserve K digits of the result.
+    The sums at every t are one DFT of the coefficients, taken once."""
 
     def __init__(self, ctx: PadicCtx, a_list, b_list):
         p, q = ctx.p, ctx.q
@@ -691,18 +751,15 @@ class _NgnTable:
                 c = -c % mod
             coeffs.append(c)
         self.coeffs = tuple(coeffs)
+        # sum_a coeffs[a] omega-bar^a(t), at index -dlog(t)
+        self._values = teichmuller_dft(hctx, coeffs)
 
     def value_scaled(self, t: int) -> int:
         """p^scale * nGn(...|t) mod p^(K+scale)."""
         hctx = self.hctx
-        p, q = hctx.p, hctx.q
-        if t % p == 0:
+        if t % hctx.p == 0:
             raise ValueError("t = 0 rejected")
-        dl = hctx.field.dlog[t % p]
-        tot = 0
-        for a in range(q):
-            tot += self.coeffs[a] * hctx.pw[(-a * dl) % q]
-        return tot % hctx.mod
+        return self._values[-hctx.field.dlog[t % hctx.p] % hctx.q]
 
 
 @per_prime
@@ -730,6 +787,19 @@ def ngn_evaluate(ctx: PadicCtx, spec: GSpec) -> QpValue:
 # ---------------------------------------------------------------------------
 # the section-6 identity checks
 
+def _gk_I_weights(ctx: PadicCtx) -> list[int]:
+    """w_a = sum_lam phi(lam) omega-bar^a(4(1-lam)/lam) mod p^K for every a:
+    one DFT of the histogram of dlog(4(1-lam)/lam) weighted by phi(lam),
+    read at -a."""
+    p, q = ctx.p, ctx.q
+    dlog, qr = ctx.field.dlog, ctx.field.qr
+    h = [0] * q
+    for lam in range(2, p):
+        h[dlog[4 * (1 - lam) * pow(lam, -1, p) % p]] += qr[lam]
+    W = teichmuller_dft(ctx, h)
+    return [W[0], *W[:0:-1]]
+
+
 @per_prime
 def gk_I_integer(ctx: PadicCtx) -> int:
     """I = sum_a g(phi omega^a) g(omega-bar^a)^3 g(phi omega^(2a))
@@ -739,28 +809,18 @@ def gk_I_integer(ctx: PadicCtx) -> int:
     Weil bound (p-1)^2 p^(5/2), so K = 6 always reconstructs the integer.
     """
     p, q, mod = ctx.p, ctx.q, ctx.mod
-    qr = ctx.field.qr
-    dlog = ctx.field.dlog
     half = q // 2
     bound = (p - 1) ** 2 * (math.isqrt(p ** 5) + 1)
     if 2 * bound >= mod:
         raise ArithmeticError("raise K: Weil bound does not clear p^K/2")
-    dl4 = [0] * p
-    for lam in range(2, p):
-        u = 4 * (1 - lam) % p * pow(lam, p - 2, p) % p
-        dl4[lam] = dlog[u]
     tot = 0
-    for a in range(q):
+    for a, w in enumerate(_gk_I_weights(ctx)):
         ga = gauss_sum_gk(ctx, a)
         term = (gauss_sum_gk(ctx, half - a) * ga * ga * ga
                 * gauss_sum_gk(ctx, half - 2 * a))
         if term.deg:
             raise ArithmeticError("Gauss-sum product not degree-0")
-        w = 0
-        e = (q - a) % q
-        for lam in range(2, p):
-            w += qr[lam] * ctx.pw[e * dl4[lam] % q]
-        tot = (tot + term.unit * (w % mod)) % mod
+        tot = (tot + term.unit * w) % mod
     return _centered(tot, mod, bound, "I")
 
 
@@ -849,6 +909,19 @@ def prop65_check(ctx: PadicCtx) -> VerificationRecord:
         detail=f"plain={plain} with-phi(-1)={dressed} scale={table.scale}")
 
 
+def _prop66_weights(ctx: PadicCtx) -> list[int]:
+    """w_c = sum_t phi(1+t) omega-bar^c(1-t^2) mod p^K for every c: one DFT
+    of the histogram of dlog(1-t^2) weighted by phi(1+t), read at -c."""
+    p, dlog, qr = ctx.p, ctx.field.dlog, ctx.field.qr
+    h = [0] * ctx.q
+    for t in range(p):
+        u = (1 - t * t) % p
+        if u:   # 1 - t^2 = (1-t)(1+t), so phi(1+t) is nonzero too
+            h[dlog[u]] += qr[(1 + t) % p]
+    W = teichmuller_dft(ctx, h)
+    return [W[0], *W[:0:-1]]
+
+
 def prop66_check(ctx: PadicCtx) -> VerificationRecord:
     """The exact backbone behind the second-moment evaluation:
     trace relation, the three intermediate equations, and the assembled
@@ -868,16 +941,11 @@ def prop66_check(ctx: PadicCtx) -> VerificationRecord:
 
     # p3B = sum_c chi_c(-1) J_c^3 w_c with w_c = sum_t phi(1+t) chi_c-bar(1-t^2)
     J = _jacobi_table(ctx)
-    dlog = ctx.field.dlog
-    dlm = dlog[p - 1]
+    dlm = ctx.field.dlog[p - 1]
     p3B_res = 0
-    for c in range(q):
-        w = 0
-        for t in range(p):
-            if (1 + t) % p and (1 - t * t) % p:
-                w += phi(1 + t) * ctx.pw[(q - c) % q * dlog[(1 - t * t) % p] % q]
+    for c, w in enumerate(_prop66_weights(ctx)):
         p3B_res = (p3B_res + pow(J[c], 3, ctx.mod) * ctx.pw[c * dlm % q]
-                   % ctx.mod * (w % ctx.mod)) % ctx.mod
+                   % ctx.mod * w) % ctx.mod
     bound_b = (p - 1) * p * (math.isqrt(p ** 3) + 1)
     p3B = _centered(p3B_res, ctx.mod, bound_b, "p3B")
     B = Fraction(p3B, p ** 3)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -85,3 +86,28 @@ def test_divisor_sums():
     assert sigma == 12
     assert lam1 == Fraction(1 + 2 + 2 + 1, 2)
     assert lam3 == Fraction(1 + 8 + 8 + 1, 2)
+
+
+def test_divisor_sum_table_matches_per_n_sums():
+    sigma, lam1x2, lam3x2 = cn.divisor_sum_table(2001)
+    assert len(sigma) == len(lam1x2) == len(lam3x2) == 2002
+    for n in range(1, 2002):
+        s1, l1, l3 = cn.divisor_sums(n)
+        assert (sigma[n], lam1x2[n], lam3x2[n]) == (s1, 2 * l1, 2 * l3), n
+    assert cn.divisor_sum_table(1) == ([0, 1], [0, 1], [0, 1])
+
+
+def test_theta_sums_equal_the_per_term_sums(htable):
+    for n in range(0, 700):
+        smax = math.isqrt(n)
+        terms = [(s, cn.hurwitz_hstar12(n - s * s, htable))
+                 for s in range(-smax, smax + 1)]
+        assert cn.theta_sums12(n, htable) == (
+            sum(h for _, h in terms), sum(s * s * h for s, h in terms)), n
+
+
+def test_theta_sums_raise_past_the_table():
+    small = cn.build_hurwitz_table(40)
+    cn.theta_sums12(40, small)   # the last n the table covers
+    with pytest.raises(ValueError, match="D=40"):
+        cn.theta_sums12(41, small)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -11,7 +12,8 @@ from ntlab import identities as idn
 from ntlab import cli
 from ntlab.cli import SUITE_NAMES, SWEEP_NAMES, main
 from ntlab.ffield import release_tables
-from ntlab.records import SCHEMA_HEADER
+from ntlab.records import (SCHEMA_HEADER, VerificationRecord, merge_records,
+                           records_to_csv)
 
 
 def run(capsys, *argv):
@@ -300,6 +302,87 @@ def test_cohen_record_demands_an_exact_zero(capsys, monkeypatch, htable):
     assert [(m[0], m[2]) for m in misses] == [("99", "-33/4")]
     assert 0 < float(misses[0][5]) < 0.01
     assert out.count(",cohen,0,0,true,0,") == 49
+
+
+def _per_term_records(nmax, table):
+    """The eichler and cohen records as the per-n oracles give them."""
+    recs = []
+    for n in range(1, nmax + 1, 2):
+        lhs, rhs = cn.eichler_lhs(n, table), cn.eichler_rhs(n)
+        recs.append(VerificationRecord(n, "eichler", str(lhs), str(rhs),
+                                       lhs == rhs))
+        c = cn.cohen_coefficient(n, table)
+        recs.append(VerificationRecord(n, "cohen", str(c), "0", c == 0,
+                                       ratio=abs(float(c)) / n ** 1.5))
+    return merge_records(recs)
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 3, 2001])
+def test_eichler_cohen_table_reads_equal_the_per_term_oracles(capsys, nmax):
+    _, out, _ = run(capsys, "verify", "--suite", "eichler,cohen",
+                    "--nmax", str(nmax))
+    want = _per_term_records(nmax, cn.build_hurwitz_table(nmax))
+    assert out == records_to_csv(want)
+
+
+def test_eichler_cohen_misses_equal_the_per_term_oracles(htable):
+    # a table off at a few D: the records that miss must still read, in
+    # lhs, rhs and ratio, what the per-term oracles give
+    hstar12 = list(htable.hstar12)
+    for D, delta in ((3, 7), (99, 1), (440, -5), (1000, 13)):
+        hstar12[D] += delta
+    bad = replace(htable, hstar12=tuple(hstar12))
+    cfg = cli.RunConfig(nmax=1201)
+    got = merge_records(cli._suite_eichler(0, cfg, bad),
+                        cli._suite_cohen(0, cfg, bad))
+    assert got == _per_term_records(1201, bad)
+    assert sum(not r.match for r in got) > 100
+
+
+def test_eichler_cohen_call_no_per_term_route(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("per-term route called")
+
+    monkeypatch.setattr(cn, "hurwitz_hstar12", boom)
+    monkeypatch.setattr(cn, "divisor_sums", boom)
+    code, out, _ = run(capsys, "verify", "--suite", "eichler,cohen",
+                       "--nmax", "199")
+    assert code == 0 and ",error," not in out
+    assert out.count(",true,") == 200
+
+
+def test_greene_suites_build_one_S_table_per_prime(capsys, monkeypatch):
+    # each table build centers S(lam) once per lam, through _centered
+    from ntlab import padic
+    whats, real_centered = Counter(), padic._centered
+
+    def centered(residue, mod, bound, what):
+        whats[what] += 1
+        return real_centered(residue, mod, bound, what)
+
+    monkeypatch.setattr(padic, "_centered", centered)
+    release_tables()
+    code, _, _ = run(capsys, "verify", "--suite", "greene,prop6.6",
+                     "--pmin", "7", "--pmax", "13")
+    assert code == 0
+    assert whats["S(1)"] == 3
+    built = sum(n for w, n in whats.items() if w.startswith("S("))
+    assert built == 6 + 10 + 12
+
+
+# sha256 of the stdout below, taken before the p-adic sums went through
+# teichmuller_dft and eichler/cohen through the table reads. It changes
+# only with a deliberate output change, recorded in CHANGES.md.
+PADIC_AND_EICHLER_SHA256 = (
+    "89d5daed2135c715e3caeba65e6f66101d95c893dc4be16b4c01559ce555ff4e")
+
+
+def test_padic_and_eichler_output_is_pinned(capsys):
+    release_tables()
+    _, out, _ = run(capsys, "verify", "--suite",
+                    "gk,greene,prop6.4,prop6.5,prop6.6,eichler,cohen",
+                    "--pmin", "7", "--pmax", "120", "--seed", "3")
+    assert hashlib.sha256(out.encode()).hexdigest() == PADIC_AND_EICHLER_SHA256
 
 
 def test_schoof_suite_builds_one_census_per_prime(monkeypatch, htable):

@@ -196,6 +196,18 @@ def test_asymptotic_record_takes_a_threshold(htable):
                               detail=f"threshold={threshold:g}")
 
 
+def test_prop48_reads_the_undivided_12H_sum():
+    # sum over the mod-16 window of 12 H* s^2 is about p^2/2, and of H* s^2
+    # about p^2/24; prop4.8 subtracts p^2/2 from the undivided sum
+    p = 10009
+    table = cn.build_hurwitz_table(p)
+    s12 = idn._window_sum12(p, 16, 2, table)
+    assert abs(s12 / p ** 2 - 1 / 2) < 0.02
+    assert abs(s12 / 12 / p ** 2 - 1 / 24) < 0.02 / 12
+    quantity = idn._window_quantity(p, table, "prop4.8")
+    assert quantity == s12 - Fraction(p * p, 2)
+
+
 def test_sweep_default_table_reaches_pmax(monkeypatch, htable):
     want = idn.asymptotic_sweep(7, 300, "prop4.6", table=htable)
     monkeypatch.setattr(cn, "class_number_h", _no_fallback)

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ntlab.ecurve import ap_legendre
+from ntlab.ffield import make_field_ctx
 from ntlab import padic as pa
+from ntlab.primes import primerange
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +308,82 @@ FROZEN_I = {5: 140, 7: -714, 11: 3630, 13: -1404, 17: -18224,
 def test_gauss_sum_fourth_moment_integer(p):
     ctx = pa.make_padic_ctx(p, 6)
     assert pa.gk_I_integer(ctx) == FROZEN_I[p]
+
+
+def _dft_literal(ctx, x):
+    """sum_k x[k] omega(g)^(a k) mod p^K at every a, term by term."""
+    q, pw = ctx.q, ctx.pw
+    return [sum(xk * pw[a * k % q] for k, xk in enumerate(x)) % ctx.mod
+            for a in range(q)]
+
+
+@pytest.mark.parametrize("K", [1, 6, 9])
+def test_teichmuller_dft_equals_the_literal_sum(K):
+    for p in primerange(5, 400):
+        ctx = pa.PadicCtx(make_field_ctx(p), K)
+        rng = random.Random(p * 100 + K)
+        # signed entries, as a histogram of character values has
+        x = [rng.randrange(-ctx.mod, ctx.mod) for _ in range(ctx.q)]
+        assert pa.teichmuller_dft(ctx, x) == _dft_literal(ctx, x), p
+
+
+def test_teichmuller_dft_rejects_a_wrong_length():
+    ctx = pa.make_padic_ctx(13, 4)
+    with pytest.raises(ValueError):
+        pa.teichmuller_dft(ctx, [1] * 13)
+
+
+ROUTED_PRIMES = [7, 13, 53, 61, 397]
+
+
+@pytest.mark.parametrize("p", ROUTED_PRIMES)
+def test_jacobi_and_greene_tables_equal_their_literal_sums(p):
+    ctx = pa.make_padic_ctx(p, 6)
+    q, half = ctx.q, ctx.q // 2
+    assert pa._jacobi_table(ctx) == tuple(
+        pa.jacobi_sum(ctx, (half + c) % q, (q - c) % q) for c in range(q))
+    S = pa._greene_S_table(ctx)
+    assert len(S) == p
+    assert list(S[1:]) == [pa._greene_S(ctx, lam) for lam in range(1, p)]
+
+
+@pytest.mark.parametrize("p", ROUTED_PRIMES)
+def test_character_weights_equal_their_literal_loops(p):
+    ctx = pa.make_padic_ctx(p, 6)
+    q, mod, pw = ctx.q, ctx.mod, ctx.pw
+    dlog, qr = ctx.field.dlog, ctx.field.qr
+    # prop6.6: w_c = sum_t phi(1+t) omega-bar^c(1-t^2)
+    w66 = []
+    for c in range(q):
+        w = 0
+        for t in range(p):
+            if (1 + t) % p and (1 - t * t) % p:
+                w += qr[(1 + t) % p] * pw[(q - c) % q
+                                          * dlog[(1 - t * t) % p] % q]
+        w66.append(w % mod)
+    assert pa._prop66_weights(ctx) == w66
+    # I: w_a = sum_lam phi(lam) omega-bar^a(4(1-lam)/lam)
+    wI = []
+    for a in range(q):
+        w = 0
+        for lam in range(2, p):
+            u = 4 * (1 - lam) * pow(lam, p - 2, p) % p
+            w += qr[lam] * pw[(q - a) % q * dlog[u] % q]
+        wI.append(w % mod)
+    assert pa._gk_I_weights(ctx) == wI
+
+
+@pytest.mark.parametrize("p", ROUTED_PRIMES)
+def test_ngn_values_equal_the_literal_a_sum(p):
+    ctx = pa.make_padic_ctx(p, 6)
+    for params in (pa.G3_PARAMS, pa.G9_PARAMS):
+        table = pa._NgnTable(ctx, *params)
+        h = table.hctx
+        for t in range(1, p):
+            dl = h.field.dlog[t]
+            want = sum(c * h.pw[-a * dl % h.q]
+                       for a, c in enumerate(table.coeffs)) % h.mod
+            assert table.value_scaled(t) == want, (params, t)
 
 
 def test_greene_2f1_known_value():
