@@ -26,8 +26,7 @@ from .kloosterman import (CertifiedReal, PrecisionError, TrigTable,
                           twisted_moment, untwisted_moment)
 from .padic import (GSpec, PadicCtx, PiRingElem, QpValue, g3_spec, g9_spec,
                     gamma_p, gamma_product_checks, gauss_sum_gk,
-                    gk_I_integer, gk_consistency_check, greene_2f1,
-                    greene_2f1_fraction, greene_3f2_at_1,
+                    gk_I_integer, gk_consistency_check, greene_2f1_fraction,
                     hasse_davenport_check, jacobi_sum, make_padic_ctx,
                     ngn_evaluate, prop64_check, prop65_check, prop66_check,
                     sweep_trend_ok, teichmuller, theorem62_sweep,

@@ -8,6 +8,11 @@ Conventions. For D > 0 with -D a valid discriminant (D = 0 or 3 mod 4):
              discriminant -3, 1/2 for -4, 1 otherwise; H(0) = -1/12.
 Everything is exact integer or Fraction arithmetic.
 
+Every reader of H takes a HurwitzTable, sieved once by build_hurwitz_table,
+and indexes it directly, so a table short of a D read raises. The per-D
+routes class_number_h, hurwitz_hstar12 and hurwitz_hfull read no table:
+they are the oracles the table is tested against.
+
 The eichler and cohen suites read the table directly: theta_sums12 gives
 the sums of 12 H*(n - s^2) and s^2 12 H*(n - s^2) at one n, and
 divisor_sum_table sieves sigma_1, 2 lambda_1 and 2 lambda_3 to nmax without
@@ -128,7 +133,13 @@ def build_hurwitz_table(bound: int) -> HurwitzTable:
     return HurwitzTable(bound, tuple(h), tuple(hfull), tuple(hstar12))
 
 
-def _single_hstar12(D: int) -> int:
+def hurwitz_hstar12(D: int) -> int:
+    """12 * H(D) as an exact integer; H*(0) = -1/12 gives -1. The per-D
+    oracle of HurwitzTable.hstar12: one class_number_h per square f^2 | D."""
+    if D < 0:
+        raise ValueError(f"discriminant parameter must be >= 0, got {D}")
+    if D == 0:
+        return -1
     total = 0
     f = 1
     while f * f <= D:
@@ -140,32 +151,16 @@ def _single_hstar12(D: int) -> int:
     return total
 
 
-def hurwitz_hstar12(D: int, table: HurwitzTable | None = None) -> int:
-    """12 * H(D) as an exact integer; H*(0) = -1/12 gives -1."""
-    if D < 0:
-        raise ValueError(f"discriminant parameter must be >= 0, got {D}")
-    if D == 0:
-        return -1
-    if not _valid_disc(D):
-        return 0
-    if table is not None and D <= table.bound:
-        return table.hstar12[D]
-    return _single_hstar12(D)
-
-
-def hurwitz_rational(D: int, table: HurwitzTable | None = None) -> Fraction:
+def hurwitz_rational(D: int) -> Fraction:
     """The Hurwitz class number H(D) itself, as a Fraction."""
-    return Fraction(hurwitz_hstar12(D, table), 12)
+    return Fraction(hurwitz_hstar12(D), 12)
 
 
-def hurwitz_hfull(D: int, table: HurwitzTable | None = None) -> int:
-    """Number of classes of all (primitive or not) forms of discriminant -D."""
+def hurwitz_hfull(D: int) -> int:
+    """Number of classes of all (primitive or not) forms of discriminant -D;
+    the per-D oracle of HurwitzTable.hfull."""
     if D < 0:
         raise ValueError(f"discriminant parameter must be >= 0, got {D}")
-    if D == 0 or not _valid_disc(D):
-        return 0
-    if table is not None and D <= table.bound:
-        return table.hfull[D]
     total = 0
     f = 1
     while f * f <= D:
@@ -222,8 +217,9 @@ def theta_sums12(n: int, table: HurwitzTable) -> tuple[int, int]:
     return h[n] + 2 * plain, 2 * weighted
 
 
-def eichler_lhs(n: int, table: HurwitzTable | None = None) -> Fraction:
-    """sum over s^2 <= n of H(n - s^2), for odd n > 0.
+def eichler_lhs(n: int, table: HurwitzTable) -> Fraction:
+    """sum over s^2 <= n of H(n - s^2), for odd n > 0, read from the table;
+    a table short of n raises.
 
     When n is a perfect square the s = +-sqrt(n) terms contribute H(0) = -1/12.
     Must equal -lambda_1(n) + sigma_1(n)/3.
@@ -231,10 +227,8 @@ def eichler_lhs(n: int, table: HurwitzTable | None = None) -> Fraction:
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"n must be a positive odd integer, got {n}")
     smax = math.isqrt(n)
-    total = 0
-    for s in range(-smax, smax + 1):
-        total += hurwitz_hstar12(n - s * s, table)
-    return Fraction(total, 12)
+    h = table.hstar12
+    return Fraction(sum(h[n - s * s] for s in range(-smax, smax + 1)), 12)
 
 
 def eichler_rhs(n: int) -> Fraction:
@@ -242,8 +236,9 @@ def eichler_rhs(n: int) -> Fraction:
     return -lam1 + Fraction(sigma1, 3)
 
 
-def cohen_coefficient(ell: int, table: HurwitzTable | None = None) -> Fraction:
-    """4 sum H(l - s^2) s^2 - l sum H(l - s^2) + lambda_3(l), for odd l > 0.
+def cohen_coefficient(ell: int, table: HurwitzTable) -> Fraction:
+    """4 sum H(l - s^2) s^2 - l sum H(l - s^2) + lambda_3(l), for odd l > 0,
+    with H read from the table; a table short of l raises.
 
     Exactly zero at every odd l tried, and the `cohen` suite matches on
     c(l) == 0; c(l) / l^(3/2) is still reported, as the size of a miss.
@@ -254,7 +249,7 @@ def cohen_coefficient(ell: int, table: HurwitzTable | None = None) -> Fraction:
     sum_plain = 0
     sum_weighted = 0
     for s in range(-smax, smax + 1):
-        h12 = hurwitz_hstar12(ell - s * s, table)
+        h12 = table.hstar12[ell - s * s]
         sum_plain += h12
         sum_weighted += h12 * s * s
     _, _, lam3 = divisor_sums(ell)

@@ -33,6 +33,11 @@ from .primes import isprime, primerange
 from .records import (SCHEMA_HEADER, VerificationRecord, merge_records,
                       records_to_csv, records_to_json)
 
+# the schoof suite runs its isomorphism-class census only on primes up to
+# CENSUS_CAP, and cp-chain its brute-force solution count only up to CP_CAP
+CENSUS_CAP = 200
+CP_CAP = 100
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -44,8 +49,6 @@ class RunConfig:
     workers: int = 1
     out: str = "csv"
     file: str | None = None
-    census_cap: int = 200
-    cp_cap: int = 100
     threshold: float = 4.0
     timings: bool = False
     seed: int = 1729
@@ -123,9 +126,9 @@ def _suite_triroute(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
 def _suite_cp(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
     out = [idn.ap_second_moment_check(ctx)]
-    if p <= cfg.cp_cap:
-        brute = idn.cp_count(ctx, "brute", cap=cfg.cp_cap)
-        formula = idn.cp_count(ctx, "formula", cap=cfg.cp_cap)
+    if p <= CP_CAP:
+        brute = idn.cp_count(ctx, "brute", cap=CP_CAP)
+        formula = idn.cp_count(ctx, "formula", cap=CP_CAP)
         out.append(VerificationRecord(p, "cp-count", brute, formula,
                                       brute == formula))
     return out
@@ -198,7 +201,7 @@ def _admissible_schoof(p: int) -> list[tuple[int, int]]:
 
 def _suite_schoof(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
-    recs = [idn.schoof_count_check(ctx, n, s, table, cap=cfg.census_cap)
+    recs = [idn.schoof_count_check(ctx, n, s, table, cap=CENSUS_CAP)
             for n, s in _admissible_schoof(p)]
     return [_collapse(p, "schoof-census", recs)]
 
@@ -287,7 +290,7 @@ def _primes(cfg: RunConfig, modulus: int = 1, residue: int = 0) -> list[int]:
 
 
 def _census_primes(cfg: RunConfig) -> Iterable[int]:
-    return primerange(cfg.pmin, min(cfg.pmax, cfg.census_cap) + 1)
+    return primerange(cfg.pmin, min(cfg.pmax, CENSUS_CAP) + 1)
 
 
 def _once(cfg: RunConfig) -> tuple[int]:
@@ -301,7 +304,7 @@ def _window_bound(cfg: RunConfig) -> int:
 
 def _schoof_bound(cfg: RunConfig) -> int:
     # the n = 1 check reads 4p - s^2, up to 4p - 1, on census primes only
-    return 4 * min(cfg.pmax, cfg.census_cap)
+    return 4 * min(cfg.pmax, CENSUS_CAP)
 
 
 def _nmax_bound(cfg: RunConfig) -> int:
@@ -521,7 +524,7 @@ def _truth(s: str) -> bool:
 
 _CONFIG_TYPES = {
     "pmin": int, "pmax": int, "nmax": int, "K": int, "workers": int,
-    "census_cap": int, "cp_cap": int, "seed": int, "threshold": float,
+    "seed": int, "threshold": float,
     "timings": _truth, "out": str, "file": str,
     "suites": lambda s: tuple(s.split(",")),
 }

@@ -1,9 +1,10 @@
 """Legendre curves y^2 = x(x-1)(x-lambda) over F_p: traces, j-invariants,
 twist relations, 2-power torsion, and F_p-isomorphism classes.
 
-ap_table gets every a_p(lambda) from one cyclic_convolve of character tables;
-ap_legendre, the route it is checked against, sums one lambda directly.
-ap_table and curve_census are per_prime builders; the census sums its own a_p.
+ap_table gets every a_p(lambda) from one cyclic_convolve of character tables,
+and the suites read every Legendre trace from it; ap_legendre, the oracle it
+is checked against, sums one lambda directly. ap_table and curve_census are
+per_prime builders; the census sums its own a_p.
 Isomorphism testing uses the cheap (j, a_p) key in the generic case and falls
 back to explicit twist tests (quadratic / quartic / sextic, depending on j)
 whenever the key is ambiguous (a_p = 0 or j in {0, 1728}).
@@ -54,15 +55,17 @@ def j_invariant(ctx: FieldCtx, lam: int) -> int:
 
 
 def twist_relation_check(ctx: FieldCtx, lam: int) -> tuple[bool, bool, bool]:
-    """The three quadratic-twist trace relations along the lambda-orbit."""
+    """The three quadratic-twist trace relations along the lambda-orbit,
+    read from ap_table: they are identities among a_p values, not a
+    comparison of routes."""
     p = ctx.p
     lam = _check_lambda(ctx, lam)
-    a = ap_legendre(ctx, lam)
-    inv = pow(lam, p - 2, p)
-    r1 = a == ctx.qr[lam] * ap_legendre(ctx, inv)
-    r2 = a == ctx.qr[p - 1] * ap_legendre(ctx, (1 - lam) % p)
+    aps, qr = ap_table(ctx), ctx.qr
+    a = aps[lam]
+    r1 = a == qr[lam] * aps[pow(lam, p - 2, p)]
+    r2 = a == qr[p - 1] * aps[(1 - lam) % p]
     mu = lam * pow(lam - 1, p - 2, p) % p
-    r3 = a == ctx.qr[(1 - lam) % p] * ap_legendre(ctx, mu)
+    r3 = a == qr[(1 - lam) % p] * aps[mu]
     return r1, r2, r3
 
 

@@ -42,18 +42,14 @@ def window16(p: int) -> list[int]:
     return hits
 
 
-def _window_sum12(p: int, k: int, e: int,
-                  table: cn.HurwitzTable | None) -> int:
+def _window_sum12(p: int, k: int, e: int, table: cn.HurwitzTable) -> int:
     """sum of 12 H*((4p - s^2)/k) s^e over window8 (k = 4) or window16
     (k = 16), as an exact integer read straight from the table.
 
-    Every D read is at most p, and no table means one sieved to p. A table
-    that stops short of the largest D raises rather than falling back to
-    the O(D) per-D enumeration.
+    Every D read is at most p. A table that stops short of the largest D
+    raises.
     """
     window = {4: window8, 16: window16}[k](p)
-    if table is None:
-        table = cn.build_hurwitz_table(p)
     h12 = table.hstar12
     try:
         return sum(h12[(4 * p - s * s) // k] * s ** e for s in window)
@@ -90,7 +86,7 @@ def s4_via_ap(ctx: FieldCtx, corrected: bool = False) -> int:
     return head + p * _sum_ap_sq(ctx)
 
 
-def s4_via_classnumbers(p: int, table: cn.HurwitzTable | None = None,
+def s4_via_classnumbers(p: int, table: cn.HurwitzTable,
                         corrected: bool = False) -> int:
     """Route 3: trace sums re-expressed through Hurwitz windows.
 
@@ -99,8 +95,6 @@ def s4_via_classnumbers(p: int, table: cn.HurwitzTable | None = None,
     then the same head as s4_via_ap. The sums are taken over 12 H* and
     divided by 12 once; a remainder raises.
     """
-    if table is None:
-        table = cn.build_hurwitz_table(p)
     total12 = 4 * p * _window_sum12(p, 4, 2, table)
     if p % 4 == 1:
         total12 += 8 * p * _window_sum12(p, 16, 2, table)
@@ -157,11 +151,11 @@ def ap_second_moment_check(ctx: FieldCtx) -> VerificationRecord:
 
 # --- census-based checks ------------------------------------------------------
 
-def schoof_count_check(ctx: FieldCtx, n: int, s: int,
-                       table: cn.HurwitzTable | None = None,
+def schoof_count_check(ctx: FieldCtx, n: int, s: int, table: cn.HurwitzTable,
                        cap: int = 200) -> VerificationRecord:
     """Isomorphism classes with trace s and full rational n-torsion, against
-    the class numbers of -(4p - s^2)/n^2.
+    the class numbers of -(4p - s^2)/n^2, read from the table; a table short
+    of (4p - s^2)/n^2 raises.
 
     The plain class count matches the ordinary (unweighted) convention and
     the 1/|Aut|-weighted count matches the Hurwitz one; the record's detail
@@ -177,6 +171,9 @@ def schoof_count_check(ctx: FieldCtx, n: int, s: int,
     D, rem = divmod(4 * p - s * s, n * n)
     if rem:
         raise ArithmeticError(f"window arithmetic is off: n={n}, s={s}, p={p}")
+    if D > table.bound:
+        raise ValueError(f"Hurwitz table to D={table.bound} does not "
+                         f"cover D={D}")
     census = curve_census(ctx)
     if n == 1:
         hits = [c for c in census if c.a_p == s]
@@ -188,8 +185,8 @@ def schoof_count_check(ctx: FieldCtx, n: int, s: int,
         raise ValueError(f"n must be 1, 2 or 4, got {n}")
     plain = len(hits)
     weighted12 = sum(24 // c.aut for c in hits)
-    rhs_plain = cn.hurwitz_hfull(D, table)
-    rhs_w12 = cn.hurwitz_hstar12(D, table)
+    rhs_plain = table.hfull[D]
+    rhs_w12 = table.hstar12[D]
     ok_plain = plain == rhs_plain
     ok_weighted = weighted12 == rhs_w12
     return VerificationRecord(
@@ -199,7 +196,7 @@ def schoof_count_check(ctx: FieldCtx, n: int, s: int,
 
 
 def counting_lemma_check(ctx: FieldCtx,
-                         table: cn.HurwitzTable | None = None) -> VerificationRecord:
+                         table: cn.HurwitzTable) -> VerificationRecord:
     """(1/2) sum over lambda not in {0,+-1} of (1 + phi(1-lambda^2))
     against 12 * sum_{s in W16} H*((4p-s^2)/16), exactly (p = 1 mod 4)."""
     p = ctx.p
@@ -216,7 +213,7 @@ def counting_lemma_check(ctx: FieldCtx,
 
 
 def torsion_census_check(ctx: FieldCtx,
-                         table: cn.HurwitzTable | None = None) -> VerificationRecord:
+                         table: cn.HurwitzTable) -> VerificationRecord:
     """4 * sum_{s in W8} H*((4p-s^2)/4) is close to p; the census side counts
     lambda not in {0,+-1} whose E_{lambda^2} has a rational 4-torsion point
     (all of them, if the 2x4 containment claim is right)."""
@@ -295,17 +292,15 @@ def asymptotic_record(p: int, which: str, table: cn.HurwitzTable,
 
 
 def asymptotic_sweep(pmin: int, pmax: int, which: str,
-                     table: cn.HurwitzTable | None = None) -> list[VerificationRecord]:
+                     table: cn.HurwitzTable) -> list[VerificationRecord]:
     """Normalized-ratio sweep for the O(p^{5/2}) moment bounds and the
     O(p^{3/2}) class-number window asymptotics: asymptotic_record over the
-    primes in [pmin, pmax].
+    primes in [pmin, pmax], on a table to at least pmax.
     """
     if which not in SWEEP_CLAIMS:
         raise ValueError(f"unknown claim {which!r}; pick from {SWEEP_CLAIMS}")
     if pmin <= 5:
         raise ValueError("sweeps start above p = 5")
-    if table is None:
-        table = cn.build_hurwitz_table(pmax)
     recs = (asymptotic_record(p, which, table)
             for p in primerange(pmin, pmax + 1))
     return [r for r in recs if r is not None]

@@ -563,21 +563,6 @@ class QpValue:
     def zero(p: int, precision: int) -> "QpValue":
         return QpValue(p, precision, 0, precision, True)
 
-    @staticmethod
-    def from_fraction(p: int, fr: Fraction, precision: int) -> "QpValue":
-        if fr == 0:
-            return QpValue.zero(p, precision)
-        num, den = fr.numerator, fr.denominator
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        mod = p ** precision
-        return QpValue(p, v, num * pow(den, -1, mod) % mod, precision)
-
 
 def _centered(residue: int, mod: int, bound: int, what: str) -> int:
     x = residue % mod
@@ -629,16 +614,9 @@ def _greene_S(ctx: PadicCtx, lam: int) -> int:
     return _centered(tot, ctx.mod, (p - 1) * p, f"S({lam})")
 
 
-def greene_2f1(ctx: PadicCtx, lam: int) -> QpValue:
-    """2F1(lambda) = (p/(p-1)) sum_chi binom(phi chi, chi)^2 chi(lambda),
-    realized p-adically and reconstructed to the exact rational."""
-    if lam % ctx.p == 0:
-        return QpValue.zero(ctx.p, ctx.K)
-    fr = greene_2f1_fraction(ctx, lam)
-    return QpValue.from_fraction(ctx.p, fr, ctx.K)
-
-
 def greene_2f1_fraction(ctx: PadicCtx, lam: int) -> Fraction:
+    """2F1(lambda) = (p/(p-1)) sum_chi binom(phi chi, chi)^2 chi(lambda),
+    the exact rational; 0 at lambda = 0 mod p."""
     if lam % ctx.p == 0:
         return Fraction(0)
     return Fraction(_greene_S_table(ctx)[lam % ctx.p], ctx.p * (ctx.p - 1))
@@ -654,11 +632,6 @@ def _s3_integer(ctx: PadicCtx) -> int:
         tot += pow(J[c], 3, ctx.mod) * ctx.pw[c * dlm % q]
     bound = (p - 1) * math.isqrt(p ** 3) + p
     return _centered(tot, ctx.mod, bound, "S3")
-
-
-def greene_3f2_at_1(ctx: PadicCtx) -> QpValue:
-    fr = Fraction(_s3_integer(ctx), ctx.p ** 2 * (ctx.p - 1))
-    return QpValue.from_fraction(ctx.p, fr, ctx.K)
 
 
 # ---------------------------------------------------------------------------

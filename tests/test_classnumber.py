@@ -26,6 +26,8 @@ def test_weighted_values():
     assert cn.hurwitz_rational(3) == Fraction(1, 3)
     assert cn.hurwitz_rational(4) == Fraction(1, 2)
     assert cn.hurwitz_rational(23) == 3
+    with pytest.raises(ValueError):
+        cn.hurwitz_hstar12(-4)
 
 
 def test_unweighted_conductor_sums():
@@ -38,8 +40,8 @@ def test_unweighted_conductor_sums():
 def test_table_agrees_with_single_shot(htable):
     # route 1: batched reduced-forms enumeration; route 2: per-discriminant
     for D in range(0, 300):
-        assert cn.hurwitz_hstar12(D, htable) == cn.hurwitz_hstar12(D)
-        assert cn.hurwitz_hfull(D, htable) == cn.hurwitz_hfull(D)
+        assert htable.hstar12[D] == cn.hurwitz_hstar12(D), D
+        assert htable.hfull[D] == cn.hurwitz_hfull(D), D
 
 
 # conductors with mu(f) = -1 (30, 42, 66, 70, 105), +1 (210) and 0 (60), far
@@ -53,15 +55,7 @@ def test_table_agrees_with_per_d_route_at_large_conductors():
     for D in [*range(2001), *LARGE_CONDUCTOR_D]:
         assert table.h[D] == cn.class_number_h(D), D
         assert table.hfull[D] == cn.hurwitz_hfull(D), D
-        want = -1 if D == 0 else cn._single_hstar12(D)
-        assert table.hstar12[D] == want, D
-
-
-def test_table_falls_back_past_bound():
-    small = cn.build_hurwitz_table(40)
-    assert cn.hurwitz_hstar12(47, small) == cn._single_hstar12(47)
-    with pytest.raises(ValueError):
-        cn.hurwitz_hstar12(-4, small)
+        assert table.hstar12[D] == cn.hurwitz_hstar12(D), D
 
 
 @pytest.mark.parametrize("n,val", [(1, Fraction(-1, 6)), (3, Fraction(1, 3)),
@@ -100,7 +94,7 @@ def test_divisor_sum_table_matches_per_n_sums():
 def test_theta_sums_equal_the_per_term_sums(htable):
     for n in range(0, 700):
         smax = math.isqrt(n)
-        terms = [(s, cn.hurwitz_hstar12(n - s * s, htable))
+        terms = [(s, htable.hstar12[n - s * s])
                  for s in range(-smax, smax + 1)]
         assert cn.theta_sums12(n, htable) == (
             sum(h for _, h in terms), sum(s * s * h for s, h in terms)), n

@@ -133,10 +133,12 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
+    # the census and brute-force caps are module constants, not config keys
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("frobnicate = 3\n")
-    with pytest.raises(SystemExit):
-        main(["verify", "--suite", "eichler", "--config", str(cfgfile)])
+    for line in ("frobnicate = 3", "census_cap = 50", "cp_cap = 50"):
+        cfgfile.write_text(f"{line}\n")
+        with pytest.raises(SystemExit, match="unknown config key"):
+            main(["verify", "--suite", "eichler", "--config", str(cfgfile)])
 
 
 @pytest.mark.parametrize("line", ["suites = moments,bogus", "timings = ture",
@@ -196,19 +198,13 @@ _HURWITZ_RUNS = ([("verify", "--suite", s) for s in SUITE_NAMES]
                     if c != "angles"])
 
 
-# pmax 211 is past census_cap = 200, where schoof stops and its bound with it
+# pmax 211 is past CENSUS_CAP = 200, where schoof stops and its bound with it
 @pytest.mark.parametrize("pmin,pmax", [(7, 61), (181, 211)])
 @pytest.mark.parametrize("argv", _HURWITZ_RUNS, ids=" ".join)
 def test_hurwitz_table_covers_every_read(capsys, monkeypatch, argv, pmin,
                                          pmax):
-    # a read past Suite.bound raises in a window sum, or falls back to the
-    # per-D enumeration; with that raising too, either one is an error record
-    real_build, real_h = cn.build_hurwitz_table, cn.class_number_h
-
-    def no_fallback(D):
-        raise AssertionError(f"per-D enumeration at D={D}")
-
-    monkeypatch.setattr(cn, "class_number_h", no_fallback)
+    # a read past Suite.bound raises, which the run reports as an error record
+    real_build = cn.build_hurwitz_table
     argv = (*argv, "--pmin", str(pmin), "--pmax", str(pmax))
     _, tight, _ = run(capsys, *argv)
     assert ",error," not in tight
@@ -216,7 +212,6 @@ def test_hurwitz_table_covers_every_read(capsys, monkeypatch, argv, pmin,
     if suite.bound is None:
         return
     # the same bytes as on the 4 pmax table the windowed suites used to get
-    monkeypatch.setattr(cn, "class_number_h", real_h)
     monkeypatch.setattr(cn, "build_hurwitz_table",
                         lambda bound: real_build(max(bound, 4 * pmax)))
     _, wide, _ = run(capsys, *argv)
@@ -383,6 +378,40 @@ def test_padic_and_eichler_output_is_pinned(capsys):
                     "gk,greene,prop6.4,prop6.5,prop6.6,eichler,cohen",
                     "--pmin", "7", "--pmax", "120", "--seed", "3")
     assert hashlib.sha256(out.encode()).hexdigest() == PADIC_AND_EICHLER_SHA256
+
+
+# sha256 of each command's stdout, taken while the twist relations still
+# summed every trace per lambda and the Hurwitz readers could fall back to
+# the per-D enumeration. It changes only with a deliberate output change,
+# recorded in CHANGES.md.
+TABLE_READS_SHA256 = {
+    ("verify", "--suite", "curves,schoof,counting,s4-triroute,cp-chain",
+     "--pmin", "7", "--pmax", "400"):
+    "a88cac2565a01eb9d2d2ed479c4b0bdc8278c4cd8a0c6395e76fa84953557fe5",
+    ("sweep", "--claim", "prop4.8", "--pmin", "100", "--pmax", "3000"):
+    "a3c5763798e80fb9b1dbcfff06e73c778ef86d4ee7451392f196d6bb001eef7c",
+}
+
+
+@pytest.mark.parametrize("argv", list(TABLE_READS_SHA256), ids=" ".join)
+def test_table_read_output_is_pinned(capsys, argv):
+    release_tables()
+    _, out, _ = run(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_READS_SHA256[argv]
+
+
+def test_curves_suite_reads_only_the_trace_table(capsys, monkeypatch):
+    # ap_legendre sums one lambda in O(p); the suite needs none of it
+    from ntlab import ecurve
+
+    def boom(*args):
+        raise AssertionError("per-lambda trace summed")
+
+    monkeypatch.setattr(ecurve, "ap_legendre", boom)
+    _, out, _ = run(capsys, "verify", "--suite", "curves", "--pmin", "7",
+                    "--pmax", "200")
+    assert ",error," not in out
+    assert out.count(",twist-relations,0,0,true,") == 43
 
 
 def test_schoof_suite_builds_one_census_per_prime(monkeypatch, htable):

@@ -39,11 +39,19 @@ def test_lambda_guardrails(ctx11):
     assert ap_legendre(ctx11, 10) == 0
 
 
-@pytest.mark.parametrize("p", [11, 13, 17])
+@pytest.mark.parametrize("p", [11, 13, 17, 401])
 def test_twist_relations_exhaustive(p):
+    # the check reads ap_table; each relation is also taken literally, with
+    # every trace summed by ap_legendre
     ctx = make_field_ctx(p)
+    qr = ctx.qr
     for lam in range(2, p - 1):
-        assert twist_relation_check(ctx, lam) == (True, True, True)
+        a = ap_legendre(ctx, lam)
+        mu = lam * pow(lam - 1, p - 2, p) % p
+        literal = (a == qr[lam] * ap_legendre(ctx, pow(lam, p - 2, p)),
+                   a == qr[p - 1] * ap_legendre(ctx, 1 - lam),
+                   a == qr[1 - lam] * ap_legendre(ctx, mu))
+        assert twist_relation_check(ctx, lam) == literal == (True, True, True)
 
 
 def test_j_invariant_constant_on_orbit(ctx13):

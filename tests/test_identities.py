@@ -44,11 +44,7 @@ def test_class_number_route_raises_on_a_remainder(htable):
         idn.s4_via_classnumbers(p, bad)
 
 
-def _no_fallback(D):
-    raise AssertionError(f"per-D enumeration at D={D}")
-
-
-def test_window_sums_read_the_table_and_refuse_a_short_one(monkeypatch):
+def test_window_sums_read_the_table_and_refuse_a_short_one():
     # p = 1 mod 4 opens both windows; they read D <= p and D <= p/4
     p = 101
     tops = {k: max((4 * p - s * s) // k for s in w(p))
@@ -56,9 +52,7 @@ def test_window_sums_read_the_table_and_refuse_a_short_one(monkeypatch):
     assert tops[4] <= p and tops[16] <= p // 4
     want = idn.s4_via_ap(make_field_ctx(p))
     exact = cn.build_hurwitz_table(tops[4])
-    monkeypatch.setattr(cn, "class_number_h", _no_fallback)
     assert idn.s4_via_classnumbers(p, exact) == want
-    assert idn.s4_via_classnumbers(p) == want   # the default table is to p
     for k in (4, 16):
         short = cn.build_hurwitz_table(tops[k] - 1)
         with pytest.raises(ValueError, match=rf"to D={tops[k] - 1} .* k={k} "
@@ -126,6 +120,14 @@ def test_schoof_rejects_inadmissible(ctx13, htable):
         idn.schoof_count_check(ctx13, 4, 2, htable)    # 16 does not divide 12
 
 
+def test_schoof_refuses_a_table_short_of_its_discriminant(ctx13):
+    # n = 1, s = 1 reads D = 4p - s^2 = 51, past p
+    assert idn.schoof_count_check(ctx13, 1, 1,
+                                  cn.build_hurwitz_table(51)).match
+    with pytest.raises(ValueError, match="to D=50 does not cover D=51"):
+        idn.schoof_count_check(ctx13, 1, 1, cn.build_hurwitz_table(50))
+
+
 @pytest.mark.parametrize("p", [13, 17, 29, 101])
 def test_counting_lemma(p, htable):
     rec = idn.counting_lemma_check(make_field_ctx(p), htable)
@@ -171,8 +173,8 @@ def test_sweep_claim_registry():
 
 
 @pytest.mark.parametrize("which", ["thm1.1", "cor1.2"])
-def test_moment_sweeps_bounded(which):
-    recs = idn.asymptotic_sweep(100, 400, which)
+def test_moment_sweeps_bounded(which, htable):
+    recs = idn.asymptotic_sweep(100, 400, which, htable)
     assert all(r.ratio is not None and r.ratio <= 4.0 for r in recs)
     assert [r.p for r in recs] == sorted(r.p for r in recs)
 
@@ -206,12 +208,6 @@ def test_prop48_reads_the_undivided_12H_sum():
     assert abs(s12 / 12 / p ** 2 - 1 / 24) < 0.02 / 12
     quantity = idn._window_quantity(p, table, "prop4.8")
     assert quantity == s12 - Fraction(p * p, 2)
-
-
-def test_sweep_default_table_reaches_pmax(monkeypatch, htable):
-    want = idn.asymptotic_sweep(7, 300, "prop4.6", table=htable)
-    monkeypatch.setattr(cn, "class_number_h", _no_fallback)
-    assert idn.asymptotic_sweep(7, 300, "prop4.6") == want
 
 
 def test_alias_matches_original(htable):

@@ -389,9 +389,7 @@ def test_ngn_values_equal_the_literal_a_sum(p):
 def test_greene_2f1_known_value():
     ctx = pa.make_padic_ctx(5, 4)
     assert pa.greene_2f1_fraction(ctx, 2) == Fraction(2, 5)
-    v = pa.greene_2f1(ctx, 2)
-    assert not v.is_zero and v.valuation == -1
-    assert pa.greene_2f1(ctx, 5).is_zero
+    assert pa.greene_2f1_fraction(ctx, 5) == Fraction(0)
 
 
 @pytest.mark.parametrize("p", [7, 11, 13, 19])
@@ -409,24 +407,8 @@ FROZEN_S3 = {5: -24, 7: 0, 11: 0, 13: 120}
 
 @pytest.mark.parametrize("p", sorted(FROZEN_S3))
 def test_greene_3f2_at_one(p):
-    ctx = pa.make_padic_ctx(p, 4)
-    v = pa.greene_3f2_at_1(ctx)
-    want = Fraction(FROZEN_S3[p], p ** 2 * (p - 1))
-    if want == 0:
-        assert v.is_zero
-    else:
-        assert v == pa.QpValue.from_fraction(p, want, 4)
-
-
-def test_qp_value_from_fraction():
-    v = pa.QpValue.from_fraction(5, Fraction(50, 3), 4)
-    assert (v.valuation, v.is_zero) == (2, False)
-    assert v.unit % 5 != 0
-    assert v.unit * 3 % 5 ** 4 == 2 % 5 ** 4
-    z = pa.QpValue.from_fraction(5, Fraction(0), 4)
-    assert z.is_zero
-    inv = pa.QpValue.from_fraction(5, Fraction(1, 5), 4)
-    assert inv.valuation == -1 and inv.unit == 1
+    # S3 = p^2 (p-1) 3F2(1)
+    assert pa._s3_integer(pa.make_padic_ctx(p, 4)) == FROZEN_S3[p]
 
 
 def test_gfun_evaluations_frozen():

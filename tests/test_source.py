@@ -137,3 +137,36 @@ def test_padic_passes_no_fraction_to_gamma_p():
                      and sub.func.id == "Fraction"
                      for arg in node.args for sub in ast.walk(arg))]
     assert not found, f"Fraction passed to gamma_p: {', '.join(found)}"
+
+
+# callee -> the one (module, top-level function) allowed to call it, None
+# for any function of that module: a suite reads a_p from ap_table and H
+# from the table the cli builds once, and the per-value routes stay oracles
+ONLY_CALLER = {
+    "build_hurwitz_table": ("cli", None),
+    "ap_legendre": ("ecurve", "l_set"),
+    "class_number_h": ("classnumber", None),
+    "hurwitz_hstar12": ("classnumber", None),
+    "hurwitz_hfull": ("classnumber", None),
+}
+
+
+def test_tables_are_built_and_bypassed_only_where_allowed():
+    found = []
+    for path in sorted(SRC.glob("**/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            fn = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                if callee not in ONLY_CALLER:
+                    continue
+                mod, allowed = ONLY_CALLER[callee]
+                if path.stem != mod or allowed not in (None, fn):
+                    found.append(f"{path.name}:{node.lineno} {fn} calls "
+                                 f"{callee}")
+    assert not found, "; ".join(found)
