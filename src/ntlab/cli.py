@@ -44,7 +44,6 @@ class RunConfig:
     pmin: int = 7
     pmax: int = 97
     nmax: int = 999
-    K: int = 6
     suites: tuple = ()
     workers: int = 1
     out: str = "csv"
@@ -60,8 +59,6 @@ class RunConfig:
             raise ValueError(f"--pmin {self.pmin} exceeds --pmax {self.pmax}")
         if self.nmax < 1:
             raise ValueError(f"--nmax must be >= 1, got {self.nmax}")
-        if self.K < 1:
-            raise ValueError(f"--K must be >= 1, got {self.K}")
         if self.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {self.workers}")
         if self.out not in ("csv", "json"):
@@ -211,7 +208,7 @@ def _suite_counting(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
 
 
 def _suite_gk(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    ctx = pa.make_padic_ctx(p, cfg.K)
+    ctx = pa.make_padic_ctx(p)
     q = p - 1
     rng = random.Random(cfg.seed ^ p)
     if p <= 50:
@@ -235,7 +232,7 @@ def _suite_gk(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
 
 
 def _suite_greene(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    ctx = pa.make_padic_ctx(p, max(cfg.K, 4))
+    ctx = pa.make_padic_ctx(p)
     aps = ap_table(ctx.field)
     phim = ctx.field.qr[p - 1]
     bad = [lam for lam in range(2, p)
@@ -245,15 +242,15 @@ def _suite_greene(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
 
 
 def _suite_prop64(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    return [pa.prop64_check(pa.make_padic_ctx(p, max(cfg.K, 6)))]
+    return [pa.prop64_check(pa.make_padic_ctx(p))]
 
 
 def _suite_prop65(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    return [pa.prop65_check(pa.make_padic_ctx(p, max(cfg.K, 6)))]
+    return [pa.prop65_check(pa.make_padic_ctx(p))]
 
 
 def _suite_prop66(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    return [pa.prop66_check(pa.make_padic_ctx(p, max(cfg.K, 6)))]
+    return [pa.prop66_check(pa.make_padic_ctx(p))]
 
 
 def _sweep_window(claim: str, p: int, cfg: RunConfig,
@@ -263,12 +260,12 @@ def _sweep_window(claim: str, p: int, cfg: RunConfig,
 
 
 def _sweep_thm62(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    rec = pa.theorem62_record(p, cfg.K)
+    rec = pa.theorem62_record(p)
     return [] if rec is None else [rec]
 
 
 def _sweep_thm63(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    rec = pa.theorem63_record(p, cfg.K)
+    rec = pa.theorem63_record(p)
     return [] if rec is None else [rec]
 
 
@@ -376,12 +373,15 @@ def _run_tasks(tasks: list[tuple], table: cn.HurwitzTable | None,
     """The one place tasks are mapped, serially or over a process pool
     whose workers get the table from the initializer (any start method).
     The pool takes the index-sorted tasks one index at a time, so the tasks
-    of a prime share one worker and its per-prime tables."""
+    of a prime share one worker and its per-prime tables. It starts no more
+    workers than there are indices, as a fork pool starts all of them at
+    the first submit; a run of one index is a serial run."""
+    batches = [list(ts) for _, ts in groupby(tasks, key=itemgetter(2))]
+    workers = min(workers, len(batches))
     if workers > 1:
         # imported here: the pool machinery is a large import a serial run
         # never uses
         from concurrent.futures import ProcessPoolExecutor
-        batches = [list(ts) for _, ts in groupby(tasks, key=itemgetter(2))]
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(table,)) as pool:
             return [g for gs in pool.map(_run_batch, batches) for g in gs]
@@ -523,7 +523,7 @@ def _truth(s: str) -> bool:
 
 
 _CONFIG_TYPES = {
-    "pmin": int, "pmax": int, "nmax": int, "K": int, "workers": int,
+    "pmin": int, "pmax": int, "nmax": int, "workers": int,
     "seed": int, "threshold": float,
     "timings": _truth, "out": str, "file": str,
     "suites": lambda s: tuple(s.split(",")),
@@ -565,7 +565,6 @@ def main(argv=None) -> int:
     def common(sp):
         sp.add_argument("--pmin", type=int)
         sp.add_argument("--pmax", type=int)
-        sp.add_argument("--K", type=int)
         sp.add_argument("--workers", type=int)
         sp.add_argument("--out", choices=("csv", "json"))
         sp.add_argument("--file", help="also write the report to this path")

@@ -10,14 +10,16 @@ explicit archimedean (Weil) bounds and fails loudly when the bound does not
 clear p^K/2. The Teichmueller character is one power chain: omega(g) is
 the one Hensel lift a context makes, and omega^c(x) = omega(g)^(c dlog x).
 
-A character sum wanted at every character, or at every lambda, is an O(p)
-histogram over discrete logs followed by teichmuller_dft, one chirp
-correlation through cyclic_convolve: the Jacobi table J_c, the table of
-S(lambda) = p(p-1) 2F1(lambda) that greene and prop6.6 share, the w_c of
-prop6.6, the lambda-sum inside the Gauss-sum integer I, and the nGn sums at
-every t. The literal O(p) sums, jacobi_sum and _greene_S, stay as the
-oracles of those tables; jacobi_sum is also the independent validator of
-Gross-Koblitz in gk_consistency_check.
+A character sum wanted at every character, or at every lambda, is one
+teichmuller_dft, a chirp correlation through cyclic_convolve: of an O(p)
+histogram over discrete logs (_character_sums: the Jacobi table J_c, the
+w_c of prop6.6, the lambda-sum inside the Gauss-sum integer I), of J_c^2
+(S(lambda) = p(p-1) 2F1(lambda), shared by greene and prop6.6), or of the
+nGn coefficients (their sums at every t). The literal O(p) sums, jacobi_sum
+and _greene_S, stay as the oracles of those tables; jacobi_sum is also the
+independent validator of Gross-Koblitz in gk_consistency_check. Suites and
+sweeps run on make_padic_ctx(p), at the K = 6 their Weil bounds need; an
+nGn table with p^-scale terms raises it on a context of its own.
 
 Gamma_p at a rational x reduces x to an integer n mod p^(K+1) (continuity,
 |Gamma_p(x)-Gamma_p(y)| <= |x-y|) through PadicCtx.residue, and evaluates
@@ -346,6 +348,18 @@ def teichmuller_dft(ctx: PadicCtx, x: list[int]) -> list[int]:
     return [d * c % mod for d, c in zip(down, w[q - 1:])]
 
 
+def _character_sums(ctx: PadicCtx, pairs) -> list[int]:
+    """sum of w omega(g)^(c k) over the pairs (k, w), mod p^K, for every c:
+    the O(p) histogram of the weights over k mod p-1, then one
+    teichmuller_dft. A pair (dlog x, w) contributes w omega^c(x), and
+    (-dlog x, w) contributes w omega-bar^c(x)."""
+    q = ctx.q
+    h = [0] * q
+    for k, w in pairs:
+        h[k % q] += w
+    return teichmuller_dft(ctx, h)
+
+
 def teichmuller(ctx: PadicCtx, x: int) -> int:
     """The (p-1)-th root of unity congruent to x mod p, omega(x)."""
     if x % ctx.p == 0:
@@ -579,17 +593,11 @@ def _centered(residue: int, mod: int, bound: int, what: str) -> int:
 
 @per_prime
 def _jacobi_table(ctx: PadicCtx) -> tuple[int, ...]:
-    """J_c = J(phi omega^c, omega-bar^c) for all c, as one DFT.
-
-    The summand at y is phi(y) omega^c(y/(1-y)), since omega^((p-1)/2) = -1,
-    so J is the transform of the histogram h_k = sum of phi(y) over the y
-    with dlog(y/(1-y)) = k. jacobi_sum is the literal oracle.
-    """
+    """J_c = J(phi omega^c, omega-bar^c) for all c; the summand at y is
+    phi(y) omega^c(y/(1-y)). jacobi_sum is the literal oracle."""
     p, dlog, qr = ctx.p, ctx.field.dlog, ctx.field.qr
-    h = [0] * ctx.q
-    for y in range(2, p):
-        h[(dlog[y] - dlog[p + 1 - y]) % ctx.q] += qr[y]
-    return tuple(teichmuller_dft(ctx, h))
+    return tuple(_character_sums(
+        ctx, ((dlog[y] - dlog[p + 1 - y], qr[y]) for y in range(2, p))))
 
 
 @per_prime
@@ -622,16 +630,17 @@ def greene_2f1_fraction(ctx: PadicCtx, lam: int) -> Fraction:
     return Fraction(_greene_S_table(ctx)[lam % ctx.p], ctx.p * (ctx.p - 1))
 
 
+def _j3_sum(ctx: PadicCtx, w: list[int]) -> int:
+    """sum_c omega^c(-1) J_c^3 w_c mod p^K; omega^c(-1) = (-1)^c."""
+    return sum((-1) ** c * pow(j, 3, ctx.mod) * w[c]
+               for c, j in enumerate(_jacobi_table(ctx))) % ctx.mod
+
+
 def _s3_integer(ctx: PadicCtx) -> int:
     """S3 = p^2(p-1) 3F2(1) = sum_c chi_c(-1) J_c^3, exact integer."""
-    p, q = ctx.p, ctx.q
-    J = _jacobi_table(ctx)
-    dlm = ctx.field.dlog[p - 1]
-    tot = 0
-    for c in range(q):
-        tot += pow(J[c], 3, ctx.mod) * ctx.pw[c * dlm % q]
+    p = ctx.p
     bound = (p - 1) * math.isqrt(p ** 3) + p
-    return _centered(tot, ctx.mod, bound, "S3")
+    return _centered(_j3_sum(ctx, [1] * ctx.q), ctx.mod, bound, "S3")
 
 
 # ---------------------------------------------------------------------------
@@ -761,16 +770,11 @@ def ngn_evaluate(ctx: PadicCtx, spec: GSpec) -> QpValue:
 # the section-6 identity checks
 
 def _gk_I_weights(ctx: PadicCtx) -> list[int]:
-    """w_a = sum_lam phi(lam) omega-bar^a(4(1-lam)/lam) mod p^K for every a:
-    one DFT of the histogram of dlog(4(1-lam)/lam) weighted by phi(lam),
-    read at -a."""
-    p, q = ctx.p, ctx.q
-    dlog, qr = ctx.field.dlog, ctx.field.qr
-    h = [0] * q
-    for lam in range(2, p):
-        h[dlog[4 * (1 - lam) * pow(lam, -1, p) % p]] += qr[lam]
-    W = teichmuller_dft(ctx, h)
-    return [W[0], *W[:0:-1]]
+    """w_a = sum_lam phi(lam) omega-bar^a(4(1-lam)/lam) mod p^K for every a,
+    at -dlog(4(1-lam)/lam) = dlog lam - dlog 4 - dlog(1-lam)."""
+    p, dlog, qr = ctx.p, ctx.field.dlog, ctx.field.qr
+    return _character_sums(ctx, ((dlog[lam] - dlog[4] - dlog[p + 1 - lam],
+                                  qr[lam]) for lam in range(2, p)))
 
 
 @per_prime
@@ -883,23 +887,18 @@ def prop65_check(ctx: PadicCtx) -> VerificationRecord:
 
 
 def _prop66_weights(ctx: PadicCtx) -> list[int]:
-    """w_c = sum_t phi(1+t) omega-bar^c(1-t^2) mod p^K for every c: one DFT
-    of the histogram of dlog(1-t^2) weighted by phi(1+t), read at -c."""
+    """w_c = sum_t phi(1+t) omega-bar^c(1-t^2) mod p^K for every c; phi(1+t)
+    is nonzero wherever 1 - t^2 = (1-t)(1+t) is."""
     p, dlog, qr = ctx.p, ctx.field.dlog, ctx.field.qr
-    h = [0] * ctx.q
-    for t in range(p):
-        u = (1 - t * t) % p
-        if u:   # 1 - t^2 = (1-t)(1+t), so phi(1+t) is nonzero too
-            h[dlog[u]] += qr[(1 + t) % p]
-    W = teichmuller_dft(ctx, h)
-    return [W[0], *W[:0:-1]]
+    return _character_sums(ctx, ((-dlog[(1 - t * t) % p], qr[(1 + t) % p])
+                                 for t in range(p) if (1 - t * t) % p))
 
 
 def prop66_check(ctx: PadicCtx) -> VerificationRecord:
     """The exact backbone behind the second-moment evaluation:
     trace relation, the three intermediate equations, and the assembled
     identity for sum_lam phi(lam) a_p(lam)^2, all as exact rationals."""
-    p, q = ctx.p, ctx.q
+    p = ctx.p
     qr = ctx.field.qr
 
     def phi(x):
@@ -913,14 +912,9 @@ def prop66_check(ctx: PadicCtx) -> VerificationRecord:
     F32 = Fraction(S3, p * p * (p - 1))
 
     # p3B = sum_c chi_c(-1) J_c^3 w_c with w_c = sum_t phi(1+t) chi_c-bar(1-t^2)
-    J = _jacobi_table(ctx)
-    dlm = ctx.field.dlog[p - 1]
-    p3B_res = 0
-    for c, w in enumerate(_prop66_weights(ctx)):
-        p3B_res = (p3B_res + pow(J[c], 3, ctx.mod) * ctx.pw[c * dlm % q]
-                   % ctx.mod * w) % ctx.mod
     bound_b = (p - 1) * p * (math.isqrt(p ** 3) + 1)
-    p3B = _centered(p3B_res, ctx.mod, bound_b, "p3B")
+    p3B = _centered(_j3_sum(ctx, _prop66_weights(ctx)), ctx.mod, bound_b,
+                    "p3B")
     B = Fraction(p3B, p ** 3)
     I = gk_I_integer(ctx)
 
@@ -948,7 +942,7 @@ def prop66_check(ctx: PadicCtx) -> VerificationRecord:
                f"assembled={assembled} slack/p^2={float(slack) / p ** 2:.4f}")
 
 
-def theorem62_record(p: int, K: int = 6) -> VerificationRecord | None:
+def theorem62_record(p: int) -> VerificationRecord | None:
     """|T(p)| for the weighted 3G3 average, normalized by the magnitude of
     its stated prefactor p^3(p-1) (the unit characters contribute nothing to
     absolute value); None unless p = 1 mod 6.  The corrected-prefactor
@@ -958,32 +952,32 @@ def theorem62_record(p: int, K: int = 6) -> VerificationRecord | None:
     """
     if p % 6 != 1:
         return None
-    I = gk_I_integer(make_padic_ctx(p, K))
+    I = gk_I_integer(make_padic_ctx(p))
     return VerificationRecord(
         p, "thm6.2", abs(I), 0, True, ratio=abs(I) / (p ** 3 * (p - 1)),
         detail=f"corrected-norm={abs(I) / (p ** 2.5 * (p - 1)):.6g}")
 
 
-def theorem63_record(p: int, K: int = 6) -> VerificationRecord | None:
+def theorem63_record(p: int) -> VerificationRecord | None:
     """|T9(p)|/p^2 for T9(p) = sum phi(lam^(1/3)-1) 9G9(lam) = I/(p(p-1));
     None unless p = 2 mod 3."""
     if p % 3 != 2:
         return None
-    I = gk_I_integer(make_padic_ctx(p, K))
+    I = gk_I_integer(make_padic_ctx(p))
     t9 = abs(I) / (p * (p - 1))
     return VerificationRecord(p, "thm6.3", abs(I), 0, True, ratio=t9 / p ** 2,
                               detail=f"|T9|={t9:.6g}")
 
 
-def theorem62_sweep(pmin: int, pmax: int, K: int = 6) -> list[VerificationRecord]:
+def theorem62_sweep(pmin: int, pmax: int) -> list[VerificationRecord]:
     """theorem62_record over the primes in [max(7, pmin), pmax]."""
-    recs = (theorem62_record(p, K) for p in primerange(max(7, pmin), pmax + 1))
+    recs = (theorem62_record(p) for p in primerange(max(7, pmin), pmax + 1))
     return [r for r in recs if r is not None]
 
 
-def theorem63_sweep(pmin: int, pmax: int, K: int = 6) -> list[VerificationRecord]:
+def theorem63_sweep(pmin: int, pmax: int) -> list[VerificationRecord]:
     """theorem63_record over the primes in [max(5, pmin), pmax]."""
-    recs = (theorem63_record(p, K) for p in primerange(max(5, pmin), pmax + 1))
+    recs = (theorem63_record(p) for p in primerange(max(5, pmin), pmax + 1))
     return [r for r in recs if r is not None]
 
 

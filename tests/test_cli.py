@@ -3,7 +3,7 @@ import json
 import multiprocessing
 import os
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -42,8 +42,7 @@ def test_moments_suite_reports_constant_gap(capsys):
 
 
 def test_verify_output_is_deterministic(capsys):
-    argv = ("verify", "--suite", "gk,curves", "--pmin", "7", "--pmax", "19",
-            "--K", "3")
+    argv = ("verify", "--suite", "gk,curves", "--pmin", "7", "--pmax", "19")
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
@@ -133,12 +132,29 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
-    # the census and brute-force caps are module constants, not config keys
+    # the census and brute-force caps are module constants, not config keys,
+    # and the p-adic precision is the K = 6 the suites' bounds fix
     cfgfile = tmp_path / "run.cfg"
-    for line in ("frobnicate = 3", "census_cap = 50", "cp_cap = 50"):
+    for line in ("frobnicate = 3", "census_cap = 50", "cp_cap = 50", "K = 6"):
         cfgfile.write_text(f"{line}\n")
         with pytest.raises(SystemExit, match="unknown config key"):
             main(["verify", "--suite", "eichler", "--config", str(cfgfile)])
+
+
+def test_config_keys_are_the_run_config_fields():
+    # a key in one place only would end in a TypeError from RunConfig(**base)
+    assert set(cli._CONFIG_TYPES) == {f.name for f in fields(cli.RunConfig)}
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --suite gk --pmin 7 --pmax 11 --K 6",
+    "sweep --claim thm6.2 --pmin 7 --pmax 31 --K 6",
+])
+def test_verify_and_sweep_have_no_precision_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2   # argparse's usage error
+    assert "unrecognized arguments: --K 6" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["suites = moments,bogus", "timings = ture",
@@ -507,3 +523,70 @@ def test_pool_keeps_each_prime_in_one_worker(capsys, monkeypatch, tmp_path):
     assert Counter((name, int(p)) for _, name, p in rows) == {
         (name, p): 1 for p in pids
         for name in ("ntlab.kloosterman", "ntlab.ecurve")}
+
+
+@pytest.mark.parametrize("pmax,want", [(7, []), (13, [3])])
+def test_pool_starts_no_more_workers_than_indices(capsys, monkeypatch, pmax,
+                                                  want):
+    # a fork pool starts every worker at the first submit; this one records
+    # max_workers and maps in-process, so no process is started. One prime
+    # is a serial run, three get three workers, not 64
+    import concurrent.futures
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, batches):
+            return map(fn, batches)
+
+    argv = ("verify", "--suite", "moments,gk", "--pmin", "7", "--pmax",
+            str(pmax))
+    _, serial, _ = run(capsys, *argv)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    _, pooled, _ = run(capsys, *argv, "--workers", "64")
+    assert pooled == serial and started == want
+
+
+_PADIC_RUNS = {
+    "verify all": SUITE_NAMES,
+    # the sweeps' records at a prime next to the suites': a sweep asking for
+    # make_padic_ctx(p, 6) where the suites ask make_padic_ctx(p) would
+    # build a second base context at every prime
+    "verify all, thm6.2 and thm6.3": (*SUITE_NAMES, "thm6.2", "thm6.3"),
+    "thm6.2 and thm6.3": ("thm6.2", "thm6.3"),
+}
+
+
+@pytest.mark.parametrize("names", list(_PADIC_RUNS.values()),
+                         ids=list(_PADIC_RUNS))
+def test_padic_runs_build_one_base_context_per_prime(capsys, monkeypatch,
+                                                     names):
+    # one context at K = 6 per prime, and one at 6 + 2 for the 3G3 table at
+    # p = 1 mod 6, whose scale is 2 (9G9's is 0, so prop6.5 needs none)
+    from ntlab import padic
+    built, real_init = Counter(), padic.PadicCtx.__init__
+
+    def counting(self, field, K):
+        built[field.p, K] += 1
+        real_init(self, field, K)
+
+    monkeypatch.setattr(padic.PadicCtx, "__init__", counting)
+    release_tables()
+    suites = [{**cli._SUITES, **cli._SWEEPS}[n] for n in names]
+    cli._run_suites(suites, cli.RunConfig(pmin=7, pmax=70))
+    capsys.readouterr()
+    primes = [p for p in range(7, 71) if all(p % d for d in range(2, p))]
+    want = Counter({(p, 6): 1 for p in primes})   # thm6.2 and 6.3 cover all
+    if "prop6.4" in names:
+        want.update((p, 8) for p in primes if p % 6 == 1)
+    assert built == want
+    assert sum(built.values()) == (24 if "prop6.4" in names else 16)

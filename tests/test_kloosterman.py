@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 from itertools import repeat
 
 import mpmath
@@ -171,6 +173,19 @@ def test_table_certified_against_mpmath(p):
         for a in range(1, p):
             exact = mpmath.ldexp(_kloosterman_mpmath(p, a), shift)
             assert abs(K[a] - exact) <= err
+
+
+@pytest.mark.parametrize("p", [13, 101, 1531])
+def test_table_against_the_quadric_route(p):
+    # route B, one a at a time, is the oracle of the whole table: the two
+    # certified intervals must overlap, checked exactly
+    ctx = make_field_ctx(p)
+    K, shift, err = kloosterman_table(ctx)
+    one = Fraction(1, 1 << shift)
+    for a in random.Random(p).sample(range(1, p), min(p - 1, 40)):
+        q = kloosterman_sum_via_quadric(ctx, a)
+        gap = abs(K[a] * one - Fraction(q.value))
+        assert gap <= err * one + Fraction(q.err), a
 
 
 def test_round_fixed_accepts_certified_values():
