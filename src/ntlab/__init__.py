@@ -14,10 +14,10 @@ from .ecurve import (CurveClass, ap_legendre, ap_table, curve_census,
                      curves_isomorphic, j_invariant, l_set, l_set_sizes,
                      short_weierstrass, torsion_class, twist_relation_check)
 from .ffield import FieldCtx, cyclic_convolve, legendre_phi, make_field_ctx
-from .identities import (asymptotic_sweep, counting_lemma_check, cp_count,
-                         s4_direct, s4_via_ap, s4_via_classnumbers,
-                         schoof_count_check, sheaf_via_s4,
-                         torsion_census_check, window8, window16)
+from .identities import (counting_lemma_check, cp_count, s4_direct, s4_via_ap,
+                         s4_via_classnumbers, schoof_count_check,
+                         sheaf_via_s4, torsion_census_check, window8,
+                         window16)
 from .kloosterman import (CertifiedReal, PrecisionError, TrigTable,
                           angle_histogram, closed_forms, kloosterman_sum,
                           kloosterman_sum_via_quadric, kloosterman_table,
@@ -29,8 +29,7 @@ from .padic import (GSpec, PadicCtx, PiRingElem, QpValue, g3_spec, g9_spec,
                     gk_I_integer, gk_consistency_check, greene_2f1_fraction,
                     hasse_davenport_check, jacobi_sum, make_padic_ctx,
                     ngn_evaluate, prop64_check, prop65_check, prop66_check,
-                    sweep_trend_ok, teichmuller, theorem62_sweep,
-                    theorem63_sweep)
+                    sweep_trend_ok, teichmuller)
 from .records import VerificationRecord, merge_records, records_to_csv
 
 __version__ = "0.1.0"

@@ -241,32 +241,16 @@ def _suite_greene(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     return [VerificationRecord(p, "greene-trace", len(bad), 0, not bad)]
 
 
-def _suite_prop64(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    return [pa.prop64_check(pa.make_padic_ctx(p))]
-
-
-def _suite_prop65(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    return [pa.prop65_check(pa.make_padic_ctx(p))]
-
-
-def _suite_prop66(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    return [pa.prop66_check(pa.make_padic_ctx(p))]
+def _padic(check: str, p: int, cfg: RunConfig,
+           table) -> list[VerificationRecord]:
+    # looked up by name at call time, so that a wrapper installed on the
+    # padic module attribute after import still sees the call
+    return [getattr(pa, check)(pa.make_padic_ctx(p))]
 
 
 def _sweep_window(claim: str, p: int, cfg: RunConfig,
                   table) -> list[VerificationRecord]:
-    rec = idn.asymptotic_record(p, claim, table, cfg.threshold)
-    return [] if rec is None else [rec]
-
-
-def _sweep_thm62(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    rec = pa.theorem62_record(p)
-    return [] if rec is None else [rec]
-
-
-def _sweep_thm63(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    rec = pa.theorem63_record(p)
-    return [] if rec is None else [rec]
+    return [idn.asymptotic_record(p, claim, table, cfg.threshold)]
 
 
 # --- the suite registry -------------------------------------------------------
@@ -320,16 +304,21 @@ _SUITES = {s.name: s for s in (
           _window_bound),
     Suite("gk", _suite_gk, _primes),
     Suite("greene", _suite_greene, _primes),
-    Suite("prop6.4", _suite_prop64, partial(_primes, modulus=6, residue=1)),
-    Suite("prop6.5", _suite_prop65, partial(_primes, modulus=3, residue=2)),
-    Suite("prop6.6", _suite_prop66, _primes),
+    Suite("prop6.4", partial(_padic, "prop64_check"),
+          partial(_primes, modulus=6, residue=1)),
+    Suite("prop6.5", partial(_padic, "prop65_check"),
+          partial(_primes, modulus=3, residue=2)),
+    Suite("prop6.6", partial(_padic, "prop66_check"), _primes),
 )}
 
 _SWEEPS = {s.name: s for s in (
-    *(Suite(c, partial(_sweep_window, c), _primes, _window_bound)
-      for c in idn.SWEEP_CLAIMS),
-    Suite("thm6.2", _sweep_thm62, _primes),
-    Suite("thm6.3", _sweep_thm63, _primes),
+    *(Suite(c, partial(_sweep_window, c),
+            partial(_primes, modulus=m, residue=r), _window_bound)
+      for c, (m, r) in idn.SWEEP_CLAIMS.items()),
+    Suite("thm6.2", partial(_padic, "theorem62_record"),
+          partial(_primes, modulus=6, residue=1)),
+    Suite("thm6.3", partial(_padic, "theorem63_record"),
+          partial(_primes, modulus=3, residue=2)),
 )}
 
 SUITE_NAMES = tuple(_SUITES)
@@ -391,7 +380,8 @@ def _run_tasks(tasks: list[tuple], table: cn.HurwitzTable | None,
 
 def _summarize(order: list[str], names: list[str], groups: list) -> None:
     """Record and mismatch counts, overall and by suite, and the reason for
-    every `error` record, on stderr; suites come in registry `order`."""
+    every `error` record, on stderr. Every suite in `order` gets a line, in
+    that order, a suite with no prime of its class in range included."""
     count, fails = Counter(), Counter()
     errors = []
     for name, recs in zip(names, groups):
@@ -400,7 +390,7 @@ def _summarize(order: list[str], names: list[str], groups: list) -> None:
         errors += [(name, r) for r in recs if r.lhs == "error"]
     print(f"{sum(count.values())} records, {sum(fails.values())} mismatches",
           file=sys.stderr)
-    for name in sorted(count, key=order.index):
+    for name in dict.fromkeys(order):
         print(f"  {name}: {count[name]} records, {fails[name]} mismatches",
               file=sys.stderr)
     for _, r in sorted(errors, key=lambda e: order.index(e[0])):

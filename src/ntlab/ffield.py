@@ -68,9 +68,6 @@ class FieldCtx:
     dlog: tuple[int, ...] = field(repr=False, compare=False)  # dlog[0] = -1
     qr: tuple[int, ...] = field(repr=False, compare=False)  # phi(x), x < p
 
-    def inv(self, x: int) -> int:
-        return pow(x, self.p - 2, self.p)
-
     def phi_idx(self) -> CharIdx:
         return (self.p - 1) // 2
 

@@ -20,7 +20,6 @@ from . import classnumber as cn
 from .ecurve import ap_table, curve_census, torsion_class
 from .ffield import FieldCtx, cyclic_convolve
 from .kloosterman import twisted_moment
-from .primes import primerange
 from .records import VerificationRecord
 
 # --- windows of traces used by the class-number translations ----------------
@@ -231,18 +230,18 @@ def torsion_census_check(ctx: FieldCtx,
 
 # --- asymptotic ratio sweeps --------------------------------------------------
 
-# The mod-8 / mod-16 window sums drift to p^2/6, p^2/2, p^2/4 with an
-# O(p^{3/2}) error; "prop4.4" is accepted as a legacy alias of "prop4.11".
-# prop4.6, prop4.9 and prop4.11 divide the 12 H* sum by 12 first; prop4.8
-# subtracts p^2/2 from the undivided 12 H* sum, whose H* form drifts to
-# p^2/24 (see _window_quantity).
-SWEEP_CLAIMS = ("thm1.1", "cor1.2", "prop4.6", "prop4.8", "prop4.9",
-                "prop4.11", "prop4.4")
+# claim -> (modulus, residue): a claim reads the primes p = residue mod
+# modulus. The mod-8 / mod-16 window sums drift to p^2/6, p^2/2, p^2/4 with
+# an O(p^{3/2}) error. prop4.6, prop4.9 and prop4.11 divide the 12 H* sum by
+# 12 first; prop4.8 subtracts p^2/2 from the undivided 12 H* sum, whose H*
+# form drifts to p^2/24 (see _window_quantity).
+SWEEP_CLAIMS = {"thm1.1": (1, 0), "cor1.2": (1, 0),
+                "prop4.6": (4, 1), "prop4.8": (4, 1),
+                "prop4.9": (8, 3), "prop4.11": (8, 7)}
 
 
-def _window_quantity(p: int, table: cn.HurwitzTable, which: str) -> Fraction | None:
-    """The window sum of a claim minus its p^2 main term, or None when the
-    window does not apply to p.
+def _window_quantity(p: int, table: cn.HurwitzTable, which: str) -> Fraction:
+    """The window sum of a claim minus its p^2 main term.
 
     prop4.6, prop4.9 and prop4.11 read sum H* s^2, the 12 H* sum divided by
     12. prop4.8 alone subtracts p^2/2 from the undivided sum of 12 H* s^2
@@ -250,57 +249,32 @@ def _window_quantity(p: int, table: cn.HurwitzTable, which: str) -> Fraction | N
     p^2/2. Which scale the paper states is not settled here; the sweep
     keeps the undivided reading, and its output with it.
     """
-    if which == "prop4.6":
-        if p % 4 != 1:
-            return None
-        return Fraction(_window_sum12(p, 4, 2, table), 12) - Fraction(p * p, 6)
     if which == "prop4.8":
-        if p % 4 != 1:
-            return None
         return _window_sum12(p, 16, 2, table) - Fraction(p * p, 2)
-    if which in ("prop4.9", "prop4.11", "prop4.4"):
-        want = 3 if which == "prop4.9" else 7
-        if p % 8 != want:
-            return None
-        return Fraction(_window_sum12(p, 4, 2, table), 12) - Fraction(p * p, 4)
-    raise ValueError(f"unknown claim {which!r}")
+    main = {"prop4.6": 6, "prop4.9": 4, "prop4.11": 4}[which]
+    return Fraction(_window_sum12(p, 4, 2, table), 12) - Fraction(p * p, main)
 
 
 def asymptotic_record(p: int, which: str, table: cn.HurwitzTable,
-                      threshold: float | None = None) -> VerificationRecord | None:
-    """One prime of an asymptotic ratio sweep, or None when the claim's
-    window does not apply to p. Moment values come from the (corrected)
-    class-number route, which costs O(sqrt p) per prime once the table
-    exists; the route equalities are enforced elsewhere. With a threshold
-    the record matches iff its ratio is at most that, and says so in
-    detail; without one it always matches.
+                      threshold: float) -> VerificationRecord:
+    """One prime of an asymptotic ratio sweep; it matches iff its ratio is
+    at most the threshold, and says so in detail. A prime outside the
+    claim's class in SWEEP_CLAIMS raises. Moment values come from the
+    (corrected) class-number route, which costs O(sqrt p) per prime once the
+    table exists; the route equalities are enforced elsewhere.
     """
+    if which not in SWEEP_CLAIMS:
+        raise ValueError(f"unknown claim {which!r}; pick from "
+                         f"{', '.join(SWEEP_CLAIMS)}")
+    modulus, residue = SWEEP_CLAIMS[which]
+    if p % modulus != residue:
+        raise ValueError(f"{which} reads p = {residue} mod {modulus}, got {p}")
     if which in ("thm1.1", "cor1.2"):
         s4 = s4_via_classnumbers(p, table, corrected=True)
         val = s4 if which == "thm1.1" else sheaf_via_s4(p, s4)
         ratio = abs(val) / p ** 2.5
     else:
-        q = _window_quantity(p, table, which)
-        if q is None:
-            return None
-        val = float(q)
+        val = float(_window_quantity(p, table, which))
         ratio = abs(val) / p ** 1.5
-    if threshold is None:
-        return VerificationRecord(p, which, val, 0, True, ratio=ratio)
     return VerificationRecord(p, which, val, 0, ratio <= threshold,
                               ratio=ratio, detail=f"threshold={threshold:g}")
-
-
-def asymptotic_sweep(pmin: int, pmax: int, which: str,
-                     table: cn.HurwitzTable) -> list[VerificationRecord]:
-    """Normalized-ratio sweep for the O(p^{5/2}) moment bounds and the
-    O(p^{3/2}) class-number window asymptotics: asymptotic_record over the
-    primes in [pmin, pmax], on a table to at least pmax.
-    """
-    if which not in SWEEP_CLAIMS:
-        raise ValueError(f"unknown claim {which!r}; pick from {SWEEP_CLAIMS}")
-    if pmin <= 5:
-        raise ValueError("sweeps start above p = 5")
-    recs = (asymptotic_record(p, which, table)
-            for p in primerange(pmin, pmax + 1))
-    return [r for r in recs if r is not None]

@@ -47,7 +47,6 @@ from fractions import Fraction
 from .ecurve import ap_table
 from .ffield import (CharIdx, FieldCtx, cyclic_convolve, make_field_ctx,
                      per_prime)
-from .primes import primerange
 from .records import VerificationRecord
 
 # ---------------------------------------------------------------------------
@@ -942,43 +941,33 @@ def prop66_check(ctx: PadicCtx) -> VerificationRecord:
                f"assembled={assembled} slack/p^2={float(slack) / p ** 2:.4f}")
 
 
-def theorem62_record(p: int) -> VerificationRecord | None:
+def theorem62_record(ctx: PadicCtx) -> VerificationRecord:
     """|T(p)| for the weighted 3G3 average, normalized by the magnitude of
     its stated prefactor p^3(p-1) (the unit characters contribute nothing to
-    absolute value); None unless p = 1 mod 6.  The corrected-prefactor
+    absolute value); p must be 1 mod 6.  The corrected-prefactor
     normalization |I|/(p^(5/2)(p-1)), which uses |J(psi3,psi3)| = sqrt(p),
     rides along in detail; it hovers at Theta(1), which is exactly the
     sqrt(p) gap between the two constants.
     """
+    p = ctx.p
     if p % 6 != 1:
-        return None
-    I = gk_I_integer(make_padic_ctx(p))
+        raise ValueError(f"p must be 1 mod 6, got {p}")
+    I = gk_I_integer(ctx)
     return VerificationRecord(
         p, "thm6.2", abs(I), 0, True, ratio=abs(I) / (p ** 3 * (p - 1)),
         detail=f"corrected-norm={abs(I) / (p ** 2.5 * (p - 1)):.6g}")
 
 
-def theorem63_record(p: int) -> VerificationRecord | None:
+def theorem63_record(ctx: PadicCtx) -> VerificationRecord:
     """|T9(p)|/p^2 for T9(p) = sum phi(lam^(1/3)-1) 9G9(lam) = I/(p(p-1));
-    None unless p = 2 mod 3."""
+    p must be 2 mod 3."""
+    p = ctx.p
     if p % 3 != 2:
-        return None
-    I = gk_I_integer(make_padic_ctx(p))
+        raise ValueError(f"p must be 2 mod 3, got {p}")
+    I = gk_I_integer(ctx)
     t9 = abs(I) / (p * (p - 1))
     return VerificationRecord(p, "thm6.3", abs(I), 0, True, ratio=t9 / p ** 2,
                               detail=f"|T9|={t9:.6g}")
-
-
-def theorem62_sweep(pmin: int, pmax: int) -> list[VerificationRecord]:
-    """theorem62_record over the primes in [max(7, pmin), pmax]."""
-    recs = (theorem62_record(p) for p in primerange(max(7, pmin), pmax + 1))
-    return [r for r in recs if r is not None]
-
-
-def theorem63_sweep(pmin: int, pmax: int) -> list[VerificationRecord]:
-    """theorem63_record over the primes in [max(5, pmin), pmax]."""
-    recs = (theorem63_record(p) for p in primerange(max(5, pmin), pmax + 1))
-    return [r for r in recs if r is not None]
 
 
 def sweep_trend_ok(records: list[VerificationRecord]) -> bool:

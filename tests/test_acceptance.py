@@ -224,7 +224,9 @@ def test_c8_bounded_ratio_sweeps(htable):
     worst = {}
     for claim in ("thm1.1", "cor1.2", "prop4.6", "prop4.8", "prop4.9",
                   "prop4.11"):
-        recs = idn.asymptotic_sweep(100, 2000, claim, table=htable)
+        modulus, residue = idn.SWEEP_CLAIMS[claim]
+        recs = [idn.asymptotic_record(p, claim, htable, 4.0)
+                for p in primerange(100, 2001) if p % modulus == residue]
         assert recs, claim
         worst[claim] = max(r.ratio for r in recs)
     ok = all(v <= 4.0 for v in worst.values())
@@ -237,8 +239,10 @@ def test_c9_gfun_magnitude_trends():
     """|T(p)| falls from the smallest to the largest admissible p <= 300 for
     the 3G3 family; |T(p)|/p^2 likewise for the 9G9 family."""
     t0 = time.perf_counter()
-    recs2 = pa.theorem62_sweep(7, 300)
-    recs3 = pa.theorem63_sweep(7, 300)
+    recs2 = [pa.theorem62_record(pa.make_padic_ctx(p))
+             for p in primerange(7, 301) if p % 6 == 1]
+    recs3 = [pa.theorem63_record(pa.make_padic_ctx(p))
+             for p in primerange(7, 301) if p % 3 == 2]
     ok2, ok3 = pa.sweep_trend_ok(recs2), pa.sweep_trend_ok(recs3)
     line = _report(9, "G-function magnitude trends", ok2 and ok3,
                    f"3G3 {recs2[0].ratio:.3f}@{recs2[0].p} -> "

@@ -12,6 +12,7 @@ from ntlab import identities as idn
 from ntlab import cli
 from ntlab.cli import SUITE_NAMES, SWEEP_NAMES, main
 from ntlab.ffield import release_tables
+from ntlab.primes import primerange
 from ntlab.records import (SCHEMA_HEADER, VerificationRecord, merge_records,
                            records_to_csv)
 
@@ -202,6 +203,42 @@ def test_sweep_claim(capsys):
     assert all(int(ln.split(",")[0]) % 4 == 1 for ln in out.splitlines()[2:])
 
 
+def test_summary_lists_every_requested_suite(capsys):
+    # a suite with no prime of its class in range still gets its line, in
+    # the order asked for: 11 is neither 1 mod 6, 1 mod 4 nor 7 mod 8
+    _, out, err = run(capsys, "verify", "--suite", "moments,prop6.4,counting",
+                      "--pmin", "8", "--pmax", "12")
+    assert {ln.split(",")[0] for ln in out.splitlines()[2:]} == {"11"}
+    assert err.splitlines()[:4] == ["9 records, 1 mismatches",
+                                    "  moments: 9 records, 1 mismatches",
+                                    "  prop6.4: 0 records, 0 mismatches",
+                                    "  counting: 0 records, 0 mismatches"]
+    code, out, err = run(capsys, "sweep", "--claim", "prop4.11", "--pmin", "8",
+                         "--pmax", "12")
+    assert code == 0 and len(out.splitlines()) == 2
+    assert err.splitlines()[:2] == ["0 records, 0 mismatches",
+                                    "  prop4.11: 0 records, 0 mismatches"]
+
+
+# the suites whose builders read one class of primes, and raise on the rest
+_CLASSED = {**cli._SWEEPS,
+            **{n: cli._SUITES[n] for n in ("counting", "prop6.4", "prop6.5")}}
+
+
+@pytest.mark.parametrize("name", list(_CLASSED))
+def test_indices_are_the_primes_the_builder_accepts(name, htable):
+    # the registry names a claim's class once; its builder raises off it
+    suite, cfg = _CLASSED[name], cli.RunConfig(pmin=7, pmax=400)
+    accepted = []
+    for p in primerange(7, 401):
+        try:
+            suite.run(p, cfg, htable)
+        except ValueError:
+            continue
+        accepted.append(p)
+    assert list(suite.indices(cfg)) == accepted
+
+
 def test_sweep_threshold_can_fail(capsys):
     code, out, err = run(capsys, "sweep", "--claim", "thm1.1", "--pmin", "7",
                          "--pmax", "31", "--threshold", "0.001")
@@ -293,6 +330,7 @@ def test_gfun_rejects_composite():
     "verify --suite moments --pmin 7 --pmax 11 --workers 0",
     "verify --suite moments --pmin 11 --pmax 7",
     "sweep --claim angles --p 389 --out json",
+    "sweep --claim prop4.4 --pmin 7 --pmax 11",
 ])
 def test_bad_input_exits_with_one_line(argv):
     with pytest.raises(SystemExit) as exc:

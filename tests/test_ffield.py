@@ -56,12 +56,6 @@ def test_dlog_is_multiplicative(p, a, b):
     assert ctx.dlog[x * y % p] == (ctx.dlog[x] + ctx.dlog[y]) % (p - 1)
 
 
-def test_inv():
-    ctx = make_field_ctx(17)
-    for x in range(1, 17):
-        assert x * ctx.inv(x) % 17 == 1
-
-
 def _naive_cyclic(u, v):
     n = len(u)
     w = [0] * n

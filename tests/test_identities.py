@@ -6,6 +6,7 @@ import pytest
 from ntlab.ffield import make_field_ctx
 from ntlab import identities as idn
 from ntlab import classnumber as cn
+from ntlab.primes import primerange
 
 
 FROZEN_S4PHI = {7: -315, 11: 121, 13: -793, 17: -1717, 19: -1919,
@@ -168,34 +169,47 @@ def test_windows_collect_residue_classes(p):
 
 
 def test_sweep_claim_registry():
-    assert set(idn.SWEEP_CLAIMS) == {"thm1.1", "cor1.2", "prop4.6", "prop4.8",
-                                     "prop4.9", "prop4.11", "prop4.4"}
+    assert idn.SWEEP_CLAIMS == {"thm1.1": (1, 0), "cor1.2": (1, 0),
+                                "prop4.6": (4, 1), "prop4.8": (4, 1),
+                                "prop4.9": (8, 3), "prop4.11": (8, 7)}
 
 
 @pytest.mark.parametrize("which", ["thm1.1", "cor1.2"])
 def test_moment_sweeps_bounded(which, htable):
-    recs = idn.asymptotic_sweep(100, 400, which, htable)
+    # the moment claims read every prime
+    recs = [idn.asymptotic_record(p, which, htable, 4.0)
+            for p in primerange(100, 401)]
     assert all(r.ratio is not None and r.ratio <= 4.0 for r in recs)
     assert [r.p for r in recs] == sorted(r.p for r in recs)
 
 
 def test_window_sweeps_respect_residue_classes(htable):
+    # off its class a window claim raises rather than give a record
     for which, mod, want in (("prop4.6", 4, 1), ("prop4.8", 4, 1),
-                             ("prop4.9", 8, 3), ("prop4.11", 8, 7),
-                             ("prop4.4", 8, 7)):
-        recs = idn.asymptotic_sweep(7, 300, which, table=htable)
+                             ("prop4.9", 8, 3), ("prop4.11", 8, 7)):
+        recs = []
+        for p in primerange(7, 301):
+            if p % mod == want:
+                recs.append(idn.asymptotic_record(p, which, htable, 4.0))
+            else:
+                with pytest.raises(ValueError, match=f"{which} reads p = "):
+                    idn.asymptotic_record(p, which, htable, 4.0)
         assert recs, which
-        assert all(r.p % mod == want for r in recs)
-        assert all(r.ratio <= 4.0 for r in recs)
+        assert all(r.match and r.ratio <= 4.0 for r in recs)
+
+
+def test_asymptotic_record_rejects_an_unknown_claim(htable):
+    for which in ("prop4.4", "thm6.2", "angles"):
+        with pytest.raises(ValueError, match="unknown claim"):
+            idn.asymptotic_record(101, which, htable, 4.0)
 
 
 def test_asymptotic_record_takes_a_threshold(htable):
-    free = idn.asymptotic_record(101, "prop4.8", htable)
-    assert free.match and free.detail == ""
-    for threshold, ok in ((4.0, True), (free.ratio / 2, False)):
-        rec = idn.asymptotic_record(101, "prop4.8", htable, threshold)
-        assert rec == replace(free, match=ok,
-                              detail=f"threshold={threshold:g}")
+    rec = idn.asymptotic_record(101, "prop4.8", htable, 4.0)
+    assert rec.match and rec.detail == "threshold=4"
+    tight = rec.ratio / 2
+    assert idn.asymptotic_record(101, "prop4.8", htable, tight) == replace(
+        rec, match=False, detail=f"threshold={tight:g}")
 
 
 def test_prop48_reads_the_undivided_12H_sum():
@@ -210,7 +224,3 @@ def test_prop48_reads_the_undivided_12H_sum():
     assert quantity == s12 - Fraction(p * p, 2)
 
 
-def test_alias_matches_original(htable):
-    a = idn.asymptotic_sweep(7, 200, "prop4.4", table=htable)
-    b = idn.asymptotic_sweep(7, 200, "prop4.11", table=htable)
-    assert [(r.p, r.lhs) for r in a] == [(r.p, r.lhs) for r in b]

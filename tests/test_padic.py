@@ -454,15 +454,24 @@ def test_second_moment_backbone_exact(p):
 
 
 def test_trend_sweeps():
-    recs2 = pa.theorem62_sweep(7, 120)
-    recs3 = pa.theorem63_sweep(7, 120)
+    recs2 = [pa.theorem62_record(pa.make_padic_ctx(p))
+             for p in primerange(7, 121) if p % 6 == 1]
+    recs3 = [pa.theorem63_record(pa.make_padic_ctx(p))
+             for p in primerange(7, 121) if p % 3 == 2]
     assert pa.sweep_trend_ok(recs2)
     assert pa.sweep_trend_ok(recs3)
-    assert all(r.p % 6 == 1 for r in recs2)
-    assert all(r.p % 3 == 2 for r in recs3)
     assert abs(recs2[0].lhs) == 714 and recs2[0].p == 7
     with pytest.raises(ValueError):
         pa.sweep_trend_ok(recs2[:1])
+
+
+@pytest.mark.parametrize("build,p", [(pa.theorem62_record, 11),
+                                     (pa.theorem62_record, 17),
+                                     (pa.theorem63_record, 7),
+                                     (pa.theorem63_record, 13)])
+def test_theorem_records_raise_off_their_class(build, p):
+    with pytest.raises(ValueError, match="p must be"):
+        build(pa.make_padic_ctx(p))
 
 
 def test_precision_raise_pathway(pctx13):

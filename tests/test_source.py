@@ -170,3 +170,19 @@ def test_tables_are_built_and_bypassed_only_where_allowed():
                     found.append(f"{path.name}:{node.lineno} {fn} calls "
                                  f"{callee}")
     assert not found, "; ".join(found)
+
+
+def test_only_the_cli_sweeps_primes():
+    # cli._run_suites is the one sweep driver: a claim names its class of
+    # primes in the registry, so no other module walks a prime range
+    found = []
+    for path in sorted(SRC.glob("**/*.py")):
+        if path.stem in ("primes", "cli"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.alias, ast.Attribute))
+                  and "primerange" in (getattr(node, "id", None),
+                                       getattr(node, "name", None),
+                                       getattr(node, "attr", None))]
+    assert not found, f"primerange used in: {', '.join(found)}"
