@@ -1,18 +1,17 @@
 from fractions import Fraction
 
-from ntlab import (ap_table, g3_spec, g9_spec, gamma_p, gk_consistency_check,
+from ntlab import (ap_table, gamma_p, gamma_p_direct, gk_consistency_check,
                    greene_2f1_fraction, legendre_phi, make_padic_ctx,
                    ngn_evaluate, prop64_check, prop65_check, prop66_check,
                    teichmuller)
-from ntlab.padic import gamma_p_direct
 
 p, K = 13, 6
 ctx = make_padic_ctx(p, K)
 mod = p ** K
 
-# block recursion vs the literal product definition
-for n in (1, 2, p, 5 * p + 3, 2024):
-    assert gamma_p(ctx, n) == gamma_p_direct(ctx, n)
+# the block method, at small and large n alike, vs the literal product
+for n in (0, 1, 2, p, 5 * p + 3, 2024):
+    assert gamma_p(ctx, n) == gamma_p_direct(p, K, n)
 print(f"Gamma_{p}(n) block route matches the O(n) product up to n=2024")
 
 # reflection: Gamma_p(x) Gamma_p(1-x) = (-1)^(x mod p, taken in 1..p)
@@ -35,10 +34,10 @@ for lam in (2, 3, 7):
     print(f"2F1(lam={lam}) = {val}, trace formula gives {pred}, equal: {val == pred}")
 
 # the two G-function families at a point, as p-adic numbers
-v3 = ngn_evaluate(make_padic_ctx(7, 6), g3_spec(3))
-print(f"3G3 family at t=3, p=7: valuation {v3.valuation}, unit {v3.unit}")
-v9 = ngn_evaluate(ctx, g9_spec(5))
-print(f"9G9 family at t=5, p=13: valuation {v9.valuation}, unit {v9.unit}")
+val, unit = ngn_evaluate(make_padic_ctx(7, 6), "3g3", 3)
+print(f"3G3 family at t=3, p=7: valuation {val}, unit {unit}")
+val, unit = ngn_evaluate(ctx, "9g9", 5)
+print(f"9G9 family at t=5, p=13: valuation {val}, unit {unit}")
 
 # weighted-sum identities mod p^6, each checked against its stated constant
 print(prop64_check(make_padic_ctx(7, 6)).detail)

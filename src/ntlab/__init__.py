@@ -14,7 +14,8 @@ from .ecurve import (CurveClass, ap_legendre, ap_table, curve_census,
                      curves_isomorphic, j_invariant, l_set, l_set_sizes,
                      short_weierstrass, torsion_class, twist_relation_check)
 from .ffield import FieldCtx, cyclic_convolve, legendre_phi, make_field_ctx
-from .identities import (counting_lemma_check, cp_count, s4_direct, s4_via_ap,
+from .identities import (counting_lemma_check, cp_count_brute,
+                         cp_count_formula, s4_direct, s4_via_ap,
                          s4_via_classnumbers, schoof_count_check,
                          sheaf_via_s4, torsion_census_check, window8,
                          window16)
@@ -24,8 +25,8 @@ from .kloosterman import (CertifiedReal, PrecisionError, TrigTable,
                           round_fixed, semicircle_bins, semicircle_chisq,
                           sheaf_moment, symmetric_moment_rhs, trig_table,
                           twisted_moment, untwisted_moment)
-from .padic import (GSpec, PadicCtx, PiRingElem, QpValue, g3_spec, g9_spec,
-                    gamma_p, gamma_product_checks, gauss_sum_gk,
+from .padic import (NGN_FAMILIES, PadicCtx, PiRingElem, gamma_p,
+                    gamma_p_direct, gamma_product_checks, gauss_sum_gk,
                     gk_I_integer, gk_consistency_check, greene_2f1_fraction,
                     hasse_davenport_check, jacobi_sum, make_padic_ctx,
                     ngn_evaluate, prop64_check, prop65_check, prop66_check,

@@ -33,12 +33,6 @@ from .primes import isprime, primerange
 from .records import (SCHEMA_HEADER, VerificationRecord, merge_records,
                       records_to_csv, records_to_json)
 
-# the schoof suite runs its isomorphism-class census only on primes up to
-# CENSUS_CAP, and cp-chain its brute-force solution count only up to CP_CAP
-CENSUS_CAP = 200
-CP_CAP = 100
-
-
 @dataclass(frozen=True)
 class RunConfig:
     pmin: int = 7
@@ -123,9 +117,9 @@ def _suite_triroute(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
 def _suite_cp(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
     out = [idn.ap_second_moment_check(ctx)]
-    if p <= CP_CAP:
-        brute = idn.cp_count(ctx, "brute", cap=CP_CAP)
-        formula = idn.cp_count(ctx, "formula", cap=CP_CAP)
+    if p <= idn.CP_CAP:
+        brute = idn.cp_count_brute(ctx)
+        formula = idn.cp_count_formula(ctx)
         out.append(VerificationRecord(p, "cp-count", brute, formula,
                                       brute == formula))
     return out
@@ -198,7 +192,7 @@ def _admissible_schoof(p: int) -> list[tuple[int, int]]:
 
 def _suite_schoof(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
-    recs = [idn.schoof_count_check(ctx, n, s, table, cap=CENSUS_CAP)
+    recs = [idn.schoof_count_check(ctx, n, s, table)
             for n, s in _admissible_schoof(p)]
     return [_collapse(p, "schoof-census", recs)]
 
@@ -271,7 +265,7 @@ def _primes(cfg: RunConfig, modulus: int = 1, residue: int = 0) -> list[int]:
 
 
 def _census_primes(cfg: RunConfig) -> Iterable[int]:
-    return primerange(cfg.pmin, min(cfg.pmax, CENSUS_CAP) + 1)
+    return primerange(cfg.pmin, min(cfg.pmax, idn.CENSUS_CAP) + 1)
 
 
 def _once(cfg: RunConfig) -> tuple[int]:
@@ -285,7 +279,7 @@ def _window_bound(cfg: RunConfig) -> int:
 
 def _schoof_bound(cfg: RunConfig) -> int:
     # the n = 1 check reads 4p - s^2, up to 4p - 1, on census primes only
-    return 4 * min(cfg.pmax, CENSUS_CAP)
+    return 4 * min(cfg.pmax, idn.CENSUS_CAP)
 
 
 def _nmax_bound(cfg: RunConfig) -> int:
@@ -390,7 +384,7 @@ def _summarize(order: list[str], names: list[str], groups: list) -> None:
         errors += [(name, r) for r in recs if r.lhs == "error"]
     print(f"{sum(count.values())} records, {sum(fails.values())} mismatches",
           file=sys.stderr)
-    for name in dict.fromkeys(order):
+    for name in order:
         print(f"  {name}: {count[name]} records, {fails[name]} mismatches",
               file=sys.stderr)
     for _, r in sorted(errors, key=lambda e: order.index(e[0])):
@@ -475,14 +469,13 @@ def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
 
 def cmd_gfun(p: int, family: str, lam: int, K: int) -> int:
     ctx = pa.make_padic_ctx(p, K)
-    spec = pa.g3_spec(lam) if family == "3g3" else pa.g9_spec(lam)
-    v = pa.ngn_evaluate(ctx, spec)
-    if v.is_zero:
+    v = pa.ngn_evaluate(ctx, family, lam)
+    if v is None:
         print(f"p={p} family={family} lambda={lam} K={K} value=0 "
-              f"(to precision p^{v.precision})")
+              f"(to precision p^{K})")
     else:
         print(f"p={p} family={family} lambda={lam} K={K} "
-              f"valuation={v.valuation} unit={v.unit} mod p^{v.precision}")
+              f"valuation={v[0]} unit={v[1]} mod p^{K}")
     return 0
 
 
@@ -538,7 +531,7 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
     suites = base.get("suites", ())
     if "all" in suites:
         suites = SUITE_NAMES
-    base["suites"] = tuple(suites)
+    base["suites"] = tuple(dict.fromkeys(suites))   # a repeat runs once
     try:
         return RunConfig(**base)
     except ValueError as e:
@@ -581,7 +574,7 @@ def main(argv=None) -> int:
 
     gp = sub.add_parser("gfun", help="evaluate one p-adic G-function value")
     gp.add_argument("--p", type=int, required=True)
-    gp.add_argument("--family", choices=("3g3", "9g9"), required=True)
+    gp.add_argument("--family", choices=tuple(pa.NGN_FAMILIES), required=True)
     gp.add_argument("--lambda", dest="lam", type=int, required=True)
     gp.add_argument("--K", type=int, default=6)
 

@@ -22,6 +22,11 @@ from .ffield import FieldCtx, cyclic_convolve
 from .kloosterman import twisted_moment
 from .records import VerificationRecord
 
+# the brute-force caps: schoof_count_check runs its isomorphism-class census
+# only on primes up to CENSUS_CAP, cp_count_brute only up to CP_CAP
+CENSUS_CAP = 200
+CP_CAP = 100
+
 # --- windows of traces used by the class-number translations ----------------
 
 def window8(p: int) -> list[int]:
@@ -112,57 +117,56 @@ def sheaf_via_s4(p: int, s4: int) -> int:
 
 # --- solution count C_p and the A_p chain ------------------------------------
 
-def cp_count(ctx: FieldCtx, mode: str = "formula", cap: int = 100) -> int:
-    """Number of (x,y,z,u) in (F_p*)^4 with sum of all eight x+1/x terms zero.
-
-    brute: cube the value distribution of x + 1/x by two cyclic convolutions
-    over Z/p, close the u-coordinate analytically via the root count
-    1 + phi(t^2 - 4).
-    formula: (p-1)^3 - 2(p-1)^2 + 3(p-1)(p-2) + 3(p-2) + S(4,phi)/p with the
-    as-printed moment; the two constant slips cancel, so this equals brute.
-    """
+def cp_count_brute(ctx: FieldCtx) -> int:
+    """Number C_p of (x,y,z,u) in (F_p*)^4 with sum of all eight x+1/x terms
+    zero, for p <= CP_CAP: cube the value distribution of x + 1/x by two
+    cyclic convolutions over Z/p, and close the u-coordinate analytically via
+    the root count 1 + phi(t^2 - 4)."""
     p = ctx.p
-    if mode == "brute":
-        if p > cap:
-            raise ValueError(f"brute-force cap exceeded: p={p} > {cap}")
-        cnt = [0] * p
-        for x in range(1, p):
-            cnt[(x + pow(x, p - 2, p)) % p] += 1
-        conv = cyclic_convolve(cyclic_convolve(cnt, cnt), cnt)
-        return sum(c * (1 + ctx.qr[(t * t - 4) % p])
-                   for t, c in enumerate(conv))
-    if mode == "formula":
-        s4 = s4_via_ap(ctx, corrected=False)
-        if s4 % p:
-            raise ArithmeticError(f"S(4,phi) = {s4} not divisible by p={p}")
-        return ((p - 1) ** 3 - 2 * (p - 1) ** 2 + 3 * (p - 1) * (p - 2)
-                + 3 * (p - 2) + s4 // p)
-    raise ValueError(f"unknown mode {mode!r}")
+    if p > CP_CAP:
+        raise ValueError(f"brute-force cap exceeded: p={p} > {CP_CAP}")
+    cnt = [0] * p
+    for x in range(1, p):
+        cnt[(x + pow(x, p - 2, p)) % p] += 1
+    conv = cyclic_convolve(cyclic_convolve(cnt, cnt), cnt)
+    return sum(c * (1 + ctx.qr[(t * t - 4) % p]) for t, c in enumerate(conv))
+
+
+def cp_count_formula(ctx: FieldCtx) -> int:
+    """C_p = (p-1)^3 - 2(p-1)^2 + 3(p-1)(p-2) + 3(p-2) + S(4,phi)/p with the
+    as-printed moment; the two constant slips cancel, so this equals
+    cp_count_brute."""
+    p = ctx.p
+    s4 = s4_via_ap(ctx, corrected=False)
+    if s4 % p:
+        raise ArithmeticError(f"S(4,phi) = {s4} not divisible by p={p}")
+    return ((p - 1) ** 3 - 2 * (p - 1) ** 2 + 3 * (p - 1) * (p - 2)
+            + 3 * (p - 2) + s4 // p)
 
 
 def ap_second_moment_check(ctx: FieldCtx) -> VerificationRecord:
     """C_p - (p^3 - 4p^2 + 6p - 4) must equal 1 - 3p + p^2 + sum a_p(gamma^2)^2."""
     p = ctx.p
-    lhs = cp_count(ctx, "formula") - (p ** 3 - 4 * p ** 2 + 6 * p - 4)
+    lhs = cp_count_formula(ctx) - (p ** 3 - 4 * p ** 2 + 6 * p - 4)
     rhs = 1 - 3 * p + p * p + _sum_ap_sq(ctx)
     return VerificationRecord(p, "ap-second-moment", lhs, rhs, lhs == rhs)
 
 
 # --- census-based checks ------------------------------------------------------
 
-def schoof_count_check(ctx: FieldCtx, n: int, s: int, table: cn.HurwitzTable,
-                       cap: int = 200) -> VerificationRecord:
+def schoof_count_check(ctx: FieldCtx, n: int, s: int,
+                       table: cn.HurwitzTable) -> VerificationRecord:
     """Isomorphism classes with trace s and full rational n-torsion, against
-    the class numbers of -(4p - s^2)/n^2, read from the table; a table short
-    of (4p - s^2)/n^2 raises.
+    the class numbers of -(4p - s^2)/n^2, read from the table, for
+    p <= CENSUS_CAP; a table short of (4p - s^2)/n^2 raises.
 
     The plain class count matches the ordinary (unweighted) convention and
     the 1/|Aut|-weighted count matches the Hurwitz one; the record's detail
     says which held, rather than presuming either.
     """
     p = ctx.p
-    if p > cap:
-        raise ValueError(f"census cap exceeded: p={p} > {cap}")
+    if p > CENSUS_CAP:
+        raise ValueError(f"census cap exceeded: p={p} > {CENSUS_CAP}")
     if s * s >= 4 * p or s % p == 0:
         raise ValueError(f"inadmissible trace s={s} for p={p}")
     if (p + 1 - s) % (n * n) or (p - 1) % n:

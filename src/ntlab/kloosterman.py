@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 from .ffield import CharIdx, FieldCtx, cyclic_convolve, per_prime
 
+# symmetric_moment_rhs convolves tables of p(2p-1) entries only up to here
+SYMMETRIC_CAP = 200
+
 
 class PrecisionError(ArithmeticError):
     """Raised when a certified bound is too large to round to an integer."""
@@ -320,7 +323,7 @@ def semicircle_chisq(counts: list[int]) -> float:
     return sum((c - e) ** 2 / max(e, 1e-12) for c, e in zip(counts, expected))
 
 
-def symmetric_moment_rhs(ctx: FieldCtx, m: int, cap: int = 200) -> int:
+def symmetric_moment_rhs(ctx: FieldCtx, m: int) -> int:
     """p phi(-1) sum over nonzero x_1..x_m of phi(sum x_i + 1) phi(sum 1/x_i + 1).
 
     Opening up K(a)^(m+1) and summing the geometric series in a shows this
@@ -334,8 +337,9 @@ def symmetric_moment_rhs(ctx: FieldCtx, m: int, cap: int = 200) -> int:
     p = ctx.p
     if m not in (1, 2, 3):
         raise ValueError("m must be 1, 2 or 3")
-    if p > cap:
-        raise ValueError(f"brute-force cap exceeded: p={p} > {cap}")
+    if p > SYMMETRIC_CAP:
+        raise ValueError(
+            f"brute-force cap exceeded: p={p} > {SYMMETRIC_CAP}")
     w = 2 * p - 1
     base = [0] * (p * w)
     for x in range(1, p):

@@ -32,9 +32,9 @@ polynomial in m with integer coefficients for every p, kept in monomial form
 mod p^(K+1) F: one Horner pass and an exact division by F give the block
 sum, exp of it gives prod_{t<m} R(t), and the r - 1 leftover factors are one
 of the prefix products prod_{0<i<r} (z + i) at z = m p, so a call costs
-O(poly(K)) time instead of O(n). Each engine checks itself against the
-literal product at every n in [64p, 65p]; that product is also the route for
-small arguments and the cross-check oracle.
+O(poly(K)) time instead of O(n), at every n >= 0. Each engine checks
+itself against the literal product, gamma_p_direct, at every n in [64p, 65p];
+that product is otherwise only the oracle of tests and demos.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ from .records import VerificationRecord
 # Gamma_p
 
 
-def _gamma_p_direct(p: int, K: int, n: int) -> int:
-    """(-1)^n prod_{0<i<n, p does not divide i} i mod p^K. O(n) oracle."""
+def gamma_p_direct(p: int, K: int, n: int) -> int:
+    """(-1)^n prod_{0<i<n, p does not divide i} i mod p^K: the literal O(n)
+    product, the oracle of the block engine and the start of its self-test."""
     mod = p ** K
     v = 1
     for i in range(1, n):
@@ -64,7 +65,7 @@ def _gamma_p_direct(p: int, K: int, n: int) -> int:
 
 
 class _GammaEngine:
-    """Block evaluation of Gamma_p(n) mod p^K for very large n.
+    """Block evaluation of Gamma_p(n) mod p^K for every n >= 0.
 
     n = m p + r splits into m whole blocks of p factors and a tail of r - 1.
     The m blocks are exp of the block sum, one polynomial in m kept as
@@ -73,7 +74,7 @@ class _GammaEngine:
     coefficient is built mod p^WK, where the guard digits absorb the series
     divisions, and then reduced to the precision at_int reads, so a call is
     three Horner passes of O(K) steps whatever n and p are. The self-test
-    compares every n in [64p, 65p] with one pass of the literal product.
+    compares every n in [64p, 65p] with the literal product.
     """
 
     BUF = 6  # guard digits absorbing the series-division losses
@@ -241,28 +242,25 @@ class _GammaEngine:
 
     def at_int(self, n: int) -> int:
         """Gamma_p(n) mod p^K for n >= 0 (n may be astronomically large)."""
-        p, mod = self.p, self.mod
-        m, r = divmod(n, p)
-        if m < 64:  # small enough for the literal product
-            return _gamma_p_direct(p, self.K, n)
+        mod = self.mod
+        m, r = divmod(n, self.p)
         val = self._exp(self._block_sum(m)) * self._tail(m, r) % mod
         # (-1)^m from the blocks, (-1)^n from Gamma_p's sign convention
         return -val % mod if (m + n) % 2 else val
 
     def _selftest(self):
-        """at_int against one pass of the literal product over n in [64p, 65p]:
-        every tail polynomial, and the block sums at m = 64 and 65."""
+        """at_int against the literal product over n in [64p, 65p]: every
+        tail polynomial, and the block sums at m = 64 and 65. The product is
+        taken once, to 64p, and carried on by Gamma_p(n+1) = -n Gamma_p(n)
+        (-Gamma_p(n) where p | n), reduced mod p^K at every factor."""
         p, mod = self.p, self.mod
         lo = 64 * p
-        v = 1
-        for b in range(0, lo, p):
-            v = v * math.prod(range(b + 1, b + p)) % mod
+        g = gamma_p_direct(p, self.K, lo)
         for n in range(lo, lo + p + 1):
-            if self.at_int(n) != (-v if n % 2 else v) % mod:
+            if self.at_int(n) != g:
                 raise ArithmeticError(
                     f"Gamma_p block method broken at p={p}, n={n}")
-            if n % p:
-                v = v * n % mod
+            g = -g * (n if n % p else 1) % mod
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +386,6 @@ def gamma_p(ctx: PadicCtx, x: int | Fraction) -> int:
             ctx._engine = _GammaEngine(ctx.p, ctx.K + 1)
         val = memo[n] = ctx._engine.at_int(n) % ctx.mod
     return val
-
-
-def gamma_p_direct(ctx: PadicCtx, n: int) -> int:
-    """Literal finite-product route; the oracle against the block engine."""
-    return _gamma_p_direct(ctx.p, ctx.K, n)
 
 
 def _frac(x: Fraction) -> Fraction:
@@ -561,21 +554,7 @@ def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecor
 
 
 # ---------------------------------------------------------------------------
-# QpValue and rational reconstruction
-
-@dataclass(frozen=True)
-class QpValue:
-    """A Q_p number as unit * p^valuation, with unit known mod p^precision."""
-    p: int
-    valuation: int
-    unit: int
-    precision: int
-    is_zero: bool = False
-
-    @staticmethod
-    def zero(p: int, precision: int) -> "QpValue":
-        return QpValue(p, precision, 0, precision, True)
-
+# rational reconstruction
 
 def _centered(residue: int, mod: int, bound: int, what: str) -> int:
     x = residue % mod
@@ -645,34 +624,14 @@ def _s3_integer(ctx: PadicCtx) -> int:
 # ---------------------------------------------------------------------------
 # nGn evaluator (Definition-style a-sum over Gamma_p quotients)
 
-@dataclass(frozen=True)
-class GSpec:
-    a_list: tuple
-    b_list: tuple
-    t: int
-
-    def __post_init__(self):
-        if len(self.a_list) != len(self.b_list):
-            raise ValueError("parameter lists must have equal length")
-
-
-G3_PARAMS = (
-    (Fraction(5, 6), Fraction(1, 12), Fraction(7, 12)),
-    (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
-)
-
-G9_PARAMS = (
-    tuple(Fraction(k, 12) for k in (1, 2, 3, 5, 6, 7, 9, 10, 11)),
-    (Fraction(1, 3),) * 3 + (Fraction(2, 3),) * 3 + (Fraction(0),) * 3,
-)
-
-
-def g3_spec(t: int) -> GSpec:
-    return GSpec(G3_PARAMS[0], G3_PARAMS[1], t)
-
-
-def g9_spec(t: int) -> GSpec:
-    return GSpec(G9_PARAMS[0], G9_PARAMS[1], t)
+# the (a, b) parameter lists of each nGn family, by the name gfun reads
+NGN_FAMILIES = {
+    "3g3": ((Fraction(5, 6), Fraction(1, 12), Fraction(7, 12)),
+            (Fraction(1, 3),) * 3),
+    "9g9": (tuple(Fraction(k, 12) for k in (1, 2, 3, 5, 6, 7, 9, 10, 11)),
+            (Fraction(1, 3),) * 3 + (Fraction(2, 3),) * 3
+            + (Fraction(0),) * 3),
+}
 
 
 class _NgnTable:
@@ -682,8 +641,9 @@ class _NgnTable:
     precision is raised to K + scale to preserve K digits of the result.
     The sums at every t are one DFT of the coefficients, taken once."""
 
-    def __init__(self, ctx: PadicCtx, a_list, b_list):
+    def __init__(self, ctx: PadicCtx, family: str):
         p, q = ctx.p, ctx.q
+        a_list, b_list = NGN_FAMILIES[family]
         n = len(a_list)
         for x in list(a_list) + list(b_list):
             if x.denominator % p == 0:
@@ -744,25 +704,27 @@ class _NgnTable:
 
 
 @per_prime
-def _ngn_table(ctx: PadicCtx, a_list: tuple, b_list: tuple) -> _NgnTable:
-    return _NgnTable(ctx, a_list, b_list)
+def _ngn_table(ctx: PadicCtx, family: str) -> _NgnTable:
+    """The coefficient table of one family of NGN_FAMILIES at ctx's prime."""
+    return _NgnTable(ctx, family)
 
 
-def ngn_evaluate(ctx: PadicCtx, spec: GSpec) -> QpValue:
-    """The full a-sum of the hypergeometric G-function, with exact (-p)-power
-    bookkeeping; result reported as unit * p^valuation mod p^K."""
-    if spec.t % ctx.p == 0:
-        return QpValue.zero(ctx.p, ctx.K)   # every omega-bar(t) term vanishes
-    table = _ngn_table(ctx, spec.a_list, spec.b_list)
-    raw = table.value_scaled(spec.t)
+def ngn_evaluate(ctx: PadicCtx, family: str, t: int) -> tuple[int, int] | None:
+    """The full a-sum of the hypergeometric G-function of one family at t,
+    with exact (-p)-power bookkeeping, as (valuation, unit mod p^K); None
+    when it is 0 mod p^K, as at every t = 0 mod p, where each omega-bar(t)
+    term vanishes."""
+    if t % ctx.p == 0:
+        return None
+    table = _ngn_table(ctx, family)
+    raw = table.value_scaled(t)
     if raw == 0:
-        return QpValue.zero(ctx.p, table.M - table.scale)
+        return None
     v = 0
     while raw % ctx.p == 0:
         raw //= ctx.p
         v += 1
-    unit = raw % (ctx.p ** max(1, ctx.K))
-    return QpValue(ctx.p, v - table.scale, unit, ctx.K)
+    return v - table.scale, raw % ctx.mod
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +776,7 @@ def prop64_check(ctx: PadicCtx) -> VerificationRecord:
     if p % 6 != 1:
         raise ValueError(f"p must be 1 mod 6, got {p}")
     I = gk_I_integer(ctx)
-    table = _ngn_table(ctx, *G3_PARAMS)
+    table = _ngn_table(ctx, "3g3")
     hctx = table.hctx
     mod = hctx.mod
 
@@ -866,7 +828,7 @@ def prop65_check(ctx: PadicCtx) -> VerificationRecord:
     if p % 3 != 2:
         raise ValueError(f"p must be 2 mod 3, got {p}")
     I = gk_I_integer(ctx)
-    table = _ngn_table(ctx, *G9_PARAMS)
+    table = _ngn_table(ctx, "9g9")
     mod = table.hctx.mod
     qr = ctx.field.qr
     inv3 = pow(3, -1, q)

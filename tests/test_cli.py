@@ -132,6 +132,18 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert names == {"eichler"}
 
 
+def test_repeated_suite_names_run_once(tmp_path, capsys):
+    argv = ("verify", "--pmin", "7", "--pmax", "7")
+    code, once, err = run(capsys, *argv, "--suite", "moments")
+    assert "9 records" in err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("suites = moments,moments\n")
+    for extra in (("--suite", "moments,moments"),
+                  ("--suite", "moments", "--suite", "moments"),
+                  ("--config", str(cfgfile))):
+        assert run(capsys, *argv, *extra) == (code, once, err), extra
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     # the census and brute-force caps are module constants, not config keys,
     # and the p-adic precision is the K = 6 the suites' bounds fix
@@ -609,15 +621,22 @@ _PADIC_RUNS = {
 def test_padic_runs_build_one_base_context_per_prime(capsys, monkeypatch,
                                                      names):
     # one context at K = 6 per prime, and one at 6 + 2 for the 3G3 table at
-    # p = 1 mod 6, whose scale is 2 (9G9's is 0, so prop6.5 needs none)
+    # p = 1 mod 6, whose scale is 2 (9G9's is 0, so prop6.5 needs none);
+    # each context builds one Gamma_p engine, at its K + 1
     from ntlab import padic
     built, real_init = Counter(), padic.PadicCtx.__init__
+    engines, real_engine = Counter(), padic._GammaEngine
 
     def counting(self, field, K):
         built[field.p, K] += 1
         real_init(self, field, K)
 
+    def engine(p, K):
+        engines[p, K - 1] += 1
+        return real_engine(p, K)
+
     monkeypatch.setattr(padic.PadicCtx, "__init__", counting)
+    monkeypatch.setattr(padic, "_GammaEngine", engine)
     release_tables()
     suites = [{**cli._SUITES, **cli._SWEEPS}[n] for n in names]
     cli._run_suites(suites, cli.RunConfig(pmin=7, pmax=70))
@@ -626,5 +645,5 @@ def test_padic_runs_build_one_base_context_per_prime(capsys, monkeypatch,
     want = Counter({(p, 6): 1 for p in primes})   # thm6.2 and 6.3 cover all
     if "prop6.4" in names:
         want.update((p, 8) for p in primes if p % 6 == 1)
-    assert built == want
-    assert sum(built.values()) == (24 if "prop6.4" in names else 16)
+    assert built == want and engines == want
+    assert sum(engines.values()) == (24 if "prop6.4" in names else 16)

@@ -76,12 +76,10 @@ def test_sheaf_offset_route(p):
 
 
 def test_cp_count_routes(ctx7, ctx13):
-    assert idn.cp_count(ctx7, "brute") == idn.cp_count(ctx7, "formula") == 214
-    assert idn.cp_count(ctx13, "brute") == idn.cp_count(ctx13, "formula")
-    with pytest.raises(ValueError):
-        idn.cp_count(ctx7, "guess")
-    with pytest.raises(ValueError):
-        idn.cp_count(make_field_ctx(103), "brute", cap=100)
+    assert idn.cp_count_brute(ctx7) == idn.cp_count_formula(ctx7) == 214
+    assert idn.cp_count_brute(ctx13) == idn.cp_count_formula(ctx13)
+    with pytest.raises(ValueError, match="p=103 > 100"):
+        idn.cp_count_brute(make_field_ctx(103))
 
 
 @pytest.mark.parametrize("p", [7, 11, 13, 31, 61])
@@ -119,6 +117,8 @@ def test_schoof_rejects_inadmissible(ctx13, htable):
         idn.schoof_count_check(ctx13, 1, 8, htable)    # s^2 > 4p
     with pytest.raises(ValueError):
         idn.schoof_count_check(ctx13, 4, 2, htable)    # 16 does not divide 12
+    with pytest.raises(ValueError, match="p=211 > 200"):
+        idn.schoof_count_check(make_field_ctx(211), 1, 1, htable)
 
 
 def test_schoof_refuses_a_table_short_of_its_discriminant(ctx13):

@@ -105,9 +105,10 @@ def test_symmetric_sum_is_next_twisted_moment(p, m):
 
 
 def test_symmetric_sum_cap():
-    ctx = make_field_ctx(11)
-    with pytest.raises(ValueError):
-        symmetric_moment_rhs(ctx, 2, cap=7)
+    # the cap is checked before any table of p(2p-1) entries is built
+    ctx = make_field_ctx(211)
+    with pytest.raises(ValueError, match="p=211 > 200"):
+        symmetric_moment_rhs(ctx, 2)
 
 
 def test_s3_values_fit_quadratic_character_form():

@@ -35,12 +35,36 @@ def test_ctx_validation():
 @pytest.mark.parametrize("p,K", [(5, 4), (7, 6), (13, 4), (97, 3), (5, 8),
                                  (7, 8)])
 def test_gamma_block_engine_against_literal_product(p, K):
+    # the block method serves every n, the smallest included
     ctx = pa.make_padic_ctx(p, K)
-    mod = p ** K
     edge = 64 * p
-    for n in (1, 2, p - 1, p, p + 1, 2 * p, edge - 1, edge, edge + 3,
-              edge + p - 1, 65 * p, 10 ** 4 + 11):
-        assert pa.gamma_p(ctx, n) % mod == pa.gamma_p_direct(ctx, n) % mod, n
+    for n in (*range(2 * p + 1), edge - 1, edge, edge + 3, edge + p - 1,
+              65 * p, 10 ** 4 + 11):
+        assert pa.gamma_p(ctx, n) == pa.gamma_p_direct(p, K, n), n
+
+
+def test_engine_reads_the_literal_product_once_at_build(monkeypatch):
+    # the self-test takes the product once, to 64 p, in one running product
+    # reduced at every factor; at_int never takes it, at any n
+    import math
+    calls = []
+
+    def direct(p, K, n, real=pa.gamma_p_direct):
+        calls.append((p, K, n))
+        return real(p, K, n)
+
+    def no_prod(*args, **kwargs):
+        raise AssertionError("math.prod in an engine build")
+
+    monkeypatch.setattr(pa, "gamma_p_direct", direct)
+    monkeypatch.setattr(math, "prod", no_prod)
+    for p, K in ((5, 8), (13, 4), (67, 7)):
+        eng = pa._GammaEngine(p, K)
+        assert calls == [(p, K, 64 * p)]
+        calls.clear()
+        for n in (*range(2 * p + 1), 64 * p, 10 ** 30):
+            eng.at_int(n)
+        assert not calls
 
 
 @pytest.mark.parametrize("p,K", [(5, 8), (7, 8), (13, 4)])
@@ -149,13 +173,13 @@ def _rational_in_zp(draw):
 @settings(max_examples=60, deadline=None)
 @given(_rational_in_zp())
 def test_gamma_at_rationals_against_literal_product(case):
-    # n = a/b mod p^(K+1) reaches past the literal-product cutoff 64 p, so
-    # rational arguments and the small-p degree cases go through the engine
+    # n = a/b mod p^(K+1) reaches past 64 p, where the engine's self-test
+    # starts, and the small-p degree cases
     p, K, x = case
     ctx = pa.make_padic_ctx(p, K)
     big = p ** (K + 1)
     n = x.numerator * pow(x.denominator, -1, big) % big
-    assert pa.gamma_p(ctx, x) == pa.gamma_p_direct(ctx, n)
+    assert pa.gamma_p(ctx, x) == pa.gamma_p_direct(p, K, n)
 
 
 def test_gamma_rejects_arguments_it_would_truncate():
@@ -376,14 +400,14 @@ def test_character_weights_equal_their_literal_loops(p):
 @pytest.mark.parametrize("p", ROUTED_PRIMES)
 def test_ngn_values_equal_the_literal_a_sum(p):
     ctx = pa.make_padic_ctx(p, 6)
-    for params in (pa.G3_PARAMS, pa.G9_PARAMS):
-        table = pa._NgnTable(ctx, *params)
+    for family in pa.NGN_FAMILIES:
+        table = pa._ngn_table(ctx, family)
         h = table.hctx
         for t in range(1, p):
             dl = h.field.dlog[t]
             want = sum(c * h.pw[-a * dl % h.q]
                        for a, c in enumerate(table.coeffs)) % h.mod
-            assert table.value_scaled(t) == want, (params, t)
+            assert table.value_scaled(t) == want, (family, t)
 
 
 def test_greene_2f1_known_value():
@@ -412,16 +436,14 @@ def test_greene_3f2_at_one(p):
 
 
 def test_gfun_evaluations_frozen():
-    v = pa.ngn_evaluate(pa.make_padic_ctx(7, 6), pa.g3_spec(3))
-    assert (v.valuation, v.unit) == (-2, 85926)
-    w = pa.ngn_evaluate(pa.make_padic_ctx(13, 6), pa.g9_spec(5))
-    assert (w.valuation, w.unit) == (0, 9)
+    assert pa.ngn_evaluate(pa.make_padic_ctx(7, 6), "3g3", 3) == (-2, 85926)
+    assert pa.ngn_evaluate(pa.make_padic_ctx(13, 6), "9g9", 5) == (0, 9)
 
 
 def test_gfun_zero_argument():
     ctx = pa.make_padic_ctx(7, 6)
-    assert pa.ngn_evaluate(ctx, pa.g3_spec(0)).is_zero
-    assert pa.ngn_evaluate(ctx, pa.g3_spec(7)).is_zero
+    assert pa.ngn_evaluate(ctx, "3g3", 0) is None
+    assert pa.ngn_evaluate(ctx, "3g3", 7) is None
 
 
 @pytest.mark.parametrize("p", [7, 13, 19, 31])
@@ -476,10 +498,10 @@ def test_theorem_records_raise_off_their_class(build, p):
 
 def test_precision_raise_pathway(pctx13):
     # 3G3's table premultiplies p^2, so it works at K + 2; 9G9's needs none
-    hctx = pa._ngn_table(pctx13, *pa.G3_PARAMS).hctx
+    hctx = pa._ngn_table(pctx13, "3g3").hctx
     assert hctx.K == 6 and hctx.p == 13
     assert pa.gamma_p(hctx, 5) % 13 ** 4 == pa.gamma_p(pctx13, 5) % 13 ** 4
-    assert pa._ngn_table(pctx13, *pa.G9_PARAMS).hctx is pctx13
+    assert pa._ngn_table(pctx13, "9g9").hctx is pctx13
 
 
 # Each probe runs under python -O, where an assert would vanish, and sets

@@ -141,8 +141,10 @@ def test_padic_passes_no_fraction_to_gamma_p():
 
 # callee -> the one (module, top-level function) allowed to call it, None
 # for any function of that module: a suite reads a_p from ap_table and H
-# from the table the cli builds once, and the per-value routes stay oracles
+# from the table the cli builds once, and the per-value routes stay oracles;
+# the literal Gamma_p product starts the engine's self-test and nothing else
 ONLY_CALLER = {
+    "gamma_p_direct": ("padic", "_GammaEngine"),
     "build_hurwitz_table": ("cli", None),
     "ap_legendre": ("ecurve", "l_set"),
     "class_number_h": ("classnumber", None),
