@@ -16,12 +16,11 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
-from pathlib import Path
 
 from . import classnumber as cn
 from . import identities as idn
@@ -41,7 +40,6 @@ class RunConfig:
     suites: tuple = ()
     workers: int = 1
     out: str = "csv"
-    file: str | None = None
     threshold: float = 4.0
     timings: bool = False
     seed: int = 1729
@@ -58,9 +56,13 @@ class RunConfig:
         if self.out not in ("csv", "json"):
             raise ValueError(
                 f"output format must be csv or json, got {self.out!r}")
-        unknown = set(self.suites) - set(_SUITES)
+        suites = SUITE_NAMES if "all" in self.suites else self.suites
+        unknown = set(suites) - set(_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {', '.join(sorted(unknown))}")
+        # frozen: the normalised tuple is set past the dataclass guard;
+        # a repeated name runs once
+        object.__setattr__(self, "suites", tuple(dict.fromkeys(suites)))
 
 
 # --- suites -------------------------------------------------------------------
@@ -407,18 +409,9 @@ def _run_suites(suites: list[Suite], cfg: RunConfig) -> list[VerificationRecord]
 
 # --- output -------------------------------------------------------------------
 
-def _write(text: str, cfg: RunConfig) -> None:
-    """A report goes to stdout and, with --file, to that path as well."""
-    sys.stdout.write(text)
-    if cfg.file:
-        path = Path(cfg.file)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-
-
 def _emit(records: list[VerificationRecord], cfg: RunConfig) -> None:
-    _write(records_to_json(records) if cfg.out == "json"
-           else records_to_csv(records), cfg)
+    sys.stdout.write(records_to_json(records) if cfg.out == "json"
+                     else records_to_csv(records))
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -433,8 +426,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
     if claim == "angles":
-        if p is None or p < 3 or not isprime(p):
-            raise SystemExit("angles sweep needs an odd prime --p")
+        _need_prime(p, 3, "angles sweep needs an odd prime --p")
         if cfg.out != "csv":
             raise SystemExit("angles sweep writes CSV only, not --out json")
         if bins < 1:
@@ -446,7 +438,7 @@ def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
         for k in range(bins):
             lines.append(f"{edges[k]:.6f},{edges[k + 1]:.6f},"
                          f"{counts[k]},{expected[k]:.3f}")
-        _write("\n".join(lines) + "\n", cfg)
+        sys.stdout.write("\n".join(lines) + "\n")
         chi = km.semicircle_chisq(counts)
         print(f"semicircle chi^2 = {chi:.2f} over {bins} bins", file=sys.stderr)
         return 0
@@ -481,59 +473,23 @@ def cmd_gfun(p: int, family: str, lam: int, K: int) -> int:
 
 # --- argument plumbing -----------------------------------------------------------
 
-def _load_config_file(path: str) -> dict:
-    out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SystemExit(f"config line not key=value: {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        out[key] = val
-    return out
-
-
-_TRUTH = {"1": True, "true": True, "yes": True,
-          "0": False, "false": False, "no": False}
-
-
-def _truth(s: str) -> bool:
+def _need_prime(p: int | None, least: int, message: str) -> None:
+    """Exit with `message` unless p is a prime >= least; a p past isprime's
+    proven bound exits with one line too."""
     try:
-        return _TRUTH[s.lower()]
-    except KeyError:
-        raise ValueError(f"not one of {', '.join(_TRUTH)}") from None
-
-
-_CONFIG_TYPES = {
-    "pmin": int, "pmax": int, "nmax": int, "workers": int,
-    "seed": int, "threshold": float,
-    "timings": _truth, "out": str, "file": str,
-    "suites": lambda s: tuple(s.split(",")),
-}
+        if p is not None and p >= least and isprime(p):
+            return
+    except ValueError as e:
+        raise SystemExit(f"--p: {e}") from None
+    raise SystemExit(message)
 
 
 def _build_config(ns: argparse.Namespace) -> RunConfig:
-    """Config-file values, then flags over them; RunConfig validates both."""
-    base: dict = {}
-    if getattr(ns, "config", None):
-        for key, val in _load_config_file(ns.config).items():
-            if key not in _CONFIG_TYPES:
-                raise SystemExit(f"unknown config key {key!r}")
-            try:
-                base[key] = _CONFIG_TYPES[key](val)
-            except ValueError as e:
-                raise SystemExit(f"bad config value {key} = {val!r}: {e}")
-    for key in _CONFIG_TYPES:
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            base[key] = flag
-    suites = base.get("suites", ())
-    if "all" in suites:
-        suites = SUITE_NAMES
-    base["suites"] = tuple(dict.fromkeys(suites))   # a repeat runs once
+    """The RunConfig fields whose flags were given; RunConfig validates them."""
+    given = {f.name: getattr(ns, f.name) for f in fields(RunConfig)
+             if getattr(ns, f.name, None) is not None}
     try:
-        return RunConfig(**base)
+        return RunConfig(**given)
     except ValueError as e:
         raise SystemExit(f"bad configuration: {e}")
 
@@ -550,15 +506,13 @@ def main(argv=None) -> int:
         sp.add_argument("--pmax", type=int)
         sp.add_argument("--workers", type=int)
         sp.add_argument("--out", choices=("csv", "json"))
-        sp.add_argument("--file", help="also write the report to this path")
-        sp.add_argument("--config", help="key=value defaults; flags win")
-        sp.add_argument("--timings", action="store_const", const=True,
-                        default=None, help="emit real elapsed_ms "
-                        "(breaks byte-reproducibility)")
+        sp.add_argument("--timings", action="store_true", help="emit real "
+                        "elapsed_ms (breaks byte-reproducibility)")
 
     vp = sub.add_parser("verify", help="run identity suites over a prime range")
     common(vp)
-    vp.add_argument("--suite", action="append", dest="suite",
+    vp.add_argument("--suite", action="extend", dest="suites",
+                    type=lambda s: s.split(","),
                     help=f"one of {', '.join(SUITE_NAMES)}, or 'all'; repeatable")
     vp.add_argument("--nmax", type=int, help="odd-index cap for eichler/cohen")
     vp.add_argument("--seed", type=int)
@@ -580,16 +534,11 @@ def main(argv=None) -> int:
 
     ns = ap.parse_args(argv)
     if ns.command == "verify":
-        picked = tuple(s for part in (ns.suite or ())
-                       for s in part.split(","))
-        ns.suites = picked or None
-        del ns.suite
         return cmd_verify(_build_config(ns))
     if ns.command == "sweep":
         return cmd_sweep(_build_config(ns), ns.claim, ns.p, ns.bins)
     if ns.command == "gfun":
-        if not isprime(ns.p) or ns.p < 5:
-            raise SystemExit(f"--p {ns.p}: need a prime >= 5")
+        _need_prime(ns.p, 5, f"--p {ns.p}: need a prime >= 5")
         if ns.K < 1:
             raise SystemExit(f"--K must be >= 1, got {ns.K}")
         return cmd_gfun(ns.p, ns.family, ns.lam, ns.K)

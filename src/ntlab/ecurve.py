@@ -192,7 +192,6 @@ def l_set_sizes(ctx: FieldCtx) -> dict[int, int]:
 class CurveClass:
     A: int
     B: int
-    j: int
     a_p: int
     two_rank: int        # 0, 1 or 2: rank of E[2](F_p)
     four_full: bool      # E[4] entirely rational
@@ -214,18 +213,13 @@ def _class_of(ctx: FieldCtx, A: int, B: int, cubes: list[int]) -> CurveClass:
             ctx.qr[(roots[i] - roots[k]) % p] == 1
             for i in range(3) for k in range(3) if i != k)
     if B == 0:
-        j = 1728 % p
         aut = 4 if p % 4 == 1 else 2
     elif A == 0:
-        j = 0
         aut = 6 if p % 3 == 1 else 2
     else:
-        num = 6912 * pow(A, 3, p)  # 1728 * 4A^3 / (4A^3 + 27B^2)
-        den = (4 * pow(A, 3, p) + 27 * pow(B, 2, p)) % p
-        j = num * pow(den, p - 2, p) % p
         aut = 2
     a_p = -sum(map(ctx.qr.__getitem__, vals))
-    return CurveClass(A, B, j, a_p, two_rank, four_full, aut)
+    return CurveClass(A, B, a_p, two_rank, four_full, aut)
 
 
 @per_prime

@@ -126,8 +126,11 @@ def trig_table(p: int) -> TrigTable:
     rotations, add a few dozen units more. For p < 2^22 that stays below
     2^28 units of 2^-w, so every entry is within 1/2 + 2^-20 units of
     2^-bits. 2^bits > 2^20 p^4 keeps the error bound of a fourth moment
-    about 2^11 sqrt(p) times below its rounding margin.
+    about 2^11 sqrt(p) times below its rounding margin. Past 2^22 the
+    bound is unproven, so a larger p raises ValueError before any work.
     """
+    if p >= 1 << 22:
+        raise ValueError(f"trig_table is certified only for p < 2^22: {p}")
     bits = 4 * p.bit_length() + 20
     w = bits + 48
     pi = 16 * _arctan_inv(5, 1 << w) - 4 * _arctan_inv(239, 1 << w)

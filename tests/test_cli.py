@@ -106,89 +106,48 @@ def test_json_output_mirrors_csv_fields(capsys):
                           "elapsed_ms", "detail"} for r in rows)
 
 
-def test_file_flag_writes_report(tmp_path, capsys):
-    target = tmp_path / "report.csv"
-    code, out, _ = run(capsys, "verify", "--suite", "counting", "--pmin", "13",
-                       "--pmax", "17", "--file", str(target))
-    assert code == 0
-    assert target.read_text() == out
-    # the histogram goes through the same writer, parent directory included
-    nested = tmp_path / "new" / "angles.csv"
-    code, out, _ = run(capsys, "sweep", "--claim", "angles", "--p", "101",
-                       "--file", str(nested))
-    assert code == 0
-    assert nested.read_text() == out
-
-
-def test_config_file_defaults_and_flag_override(tmp_path, capsys):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("# defaults\npmin = 7\npmax = 13\nsuites = moments,curves\n")
-    code, out, _ = run(capsys, "verify", "--config", str(cfgfile))
-    names = {ln.split(",")[1] for ln in out.splitlines()[2:]}
-    assert "S1-closed" in names and "twist-relations" in names
-    code, out, _ = run(capsys, "verify", "--config", str(cfgfile),
-                       "--suite", "eichler", "--nmax", "19")
-    names = {ln.split(",")[1] for ln in out.splitlines()[2:]}
-    assert names == {"eichler"}
-
-
-def test_repeated_suite_names_run_once(tmp_path, capsys):
+def test_repeated_suite_names_run_once(capsys):
     argv = ("verify", "--pmin", "7", "--pmax", "7")
     code, once, err = run(capsys, *argv, "--suite", "moments")
     assert "9 records" in err
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("suites = moments,moments\n")
     for extra in (("--suite", "moments,moments"),
-                  ("--suite", "moments", "--suite", "moments"),
-                  ("--config", str(cfgfile))):
+                  ("--suite", "moments", "--suite", "moments")):
         assert run(capsys, *argv, *extra) == (code, once, err), extra
+    # a RunConfig built directly normalises its suites as the flags do
+    assert cli.cmd_verify(cli.RunConfig(
+        pmin=7, pmax=7, suites=("moments", "moments"))) == code
+    assert capsys.readouterr() == (once, err)
+    assert cli.RunConfig(suites=("all",)).suites == SUITE_NAMES
 
 
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    # the census and brute-force caps are module constants, not config keys,
-    # and the p-adic precision is the K = 6 the suites' bounds fix
-    cfgfile = tmp_path / "run.cfg"
-    for line in ("frobnicate = 3", "census_cap = 50", "cp_cap = 50", "K = 6"):
-        cfgfile.write_text(f"{line}\n")
-        with pytest.raises(SystemExit, match="unknown config key"):
-            main(["verify", "--suite", "eichler", "--config", str(cfgfile)])
+def test_every_run_config_field_is_a_flag_dest(monkeypatch):
+    # _build_config reads the namespace by field name, so a field that no
+    # flag fills would silently keep its default
+    dests = set()
 
+    def capture(ns):
+        dests.update(vars(ns))
+        raise SystemExit(0)
 
-def test_config_keys_are_the_run_config_fields():
-    # a key in one place only would end in a TypeError from RunConfig(**base)
-    assert set(cli._CONFIG_TYPES) == {f.name for f in fields(cli.RunConfig)}
+    monkeypatch.setattr(cli, "_build_config", capture)
+    for argv in ("verify", "sweep --claim thm1.1"):
+        with pytest.raises(SystemExit):
+            main(argv.split())
+    assert {f.name for f in fields(cli.RunConfig)} <= dests
 
 
 @pytest.mark.parametrize("argv", [
     "verify --suite gk --pmin 7 --pmax 11 --K 6",
     "sweep --claim thm6.2 --pmin 7 --pmax 31 --K 6",
+    "verify --suite moments --pmin 7 --pmax 11 --config run.cfg",
+    "sweep --claim angles --p 101 --file out.csv",
 ])
 def test_verify_and_sweep_have_no_precision_flag(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2   # argparse's usage error
-    assert "unrecognized arguments: --K 6" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("line", ["suites = moments,bogus", "timings = ture",
-                                  "pmin = seven", "out = xml"])
-def test_config_values_are_validated_like_flags(tmp_path, line):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"suites = moments\npmax = 11\n{line}\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--config", str(cfgfile)])
-    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
-    assert line.split(" = ")[1].split(",")[-1] in exc.value.code
-
-
-def test_config_timings_reads_true_and_false(tmp_path, capsys):
-    cfgfile = tmp_path / "run.cfg"
-    for word, timed in (("false", False), ("no", False), ("True", True)):
-        cfgfile.write_text(f"suites = moments\npmax = 11\ntimings = {word}\n")
-        _, out, _ = run(capsys, "verify", "--config", str(cfgfile))
-        rows = out.splitlines()[2:]
-        assert rows and all((float(ln.rsplit(",", 1)[1]) > 0) == timed
-                            for ln in rows), word
+    flag = " ".join(argv.split()[-2:])
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_small_pmin_rejected():
@@ -338,6 +297,8 @@ def test_gfun_rejects_composite():
     "sweep --claim angles --p 389 --bins 0",
     "sweep --claim angles --p 2",
     "gfun --p 7 --family 3g3 --lambda 3 --K 0",
+    "gfun --p 3317044064679887385961981 --family 3g3 --lambda 2",
+    "sweep --claim angles --p 3317044064679887385961981",
     "verify --suite eichler --nmax -3",
     "verify --suite moments --pmin 7 --pmax 11 --workers 0",
     "verify --suite moments --pmin 11 --pmax 7",

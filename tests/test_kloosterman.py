@@ -6,6 +6,7 @@ from itertools import repeat
 import mpmath
 import pytest
 
+from ntlab import kloosterman as km
 from ntlab.ffield import make_field_ctx
 from ntlab.kloosterman import (PrecisionError, angle_histogram, closed_forms,
                                kloosterman_sum, kloosterman_sum_via_quadric,
@@ -13,7 +14,7 @@ from ntlab.kloosterman import (PrecisionError, angle_histogram, closed_forms,
                                semicircle_bins, semicircle_chisq,
                                sheaf_moment, symmetric_moment_rhs, trig_table,
                                twisted_moment, untwisted_moment)
-from ntlab.primes import primerange
+from ntlab.primes import isprime, primerange
 
 
 def _kloosterman_mpmath(p, a):
@@ -164,6 +165,21 @@ def test_trig_table_within_half_a_unit_and_2_to_minus_20():
         assert len(t.cos) == len(t.sin) == p
         for got, ref in zip(t.cos + t.sin, cos + sin):
             assert abs((got << drop) - ref) <= tol, p
+
+
+def test_trig_table_refuses_p_past_its_proven_bound(monkeypatch):
+    # 4194319 is the least prime above 2^22; the guard fires before pi or
+    # any rotation is computed, so no table of that size is built
+    p = 4194319
+    assert isprime(p) and not any(map(isprime, range(1 << 22, p)))
+
+    def no_work(*args):
+        raise AssertionError("trig_table worked past its guard")
+
+    monkeypatch.setattr(km, "_arctan_inv", no_work)
+    monkeypatch.setattr(km, "_rotations", no_work)
+    with pytest.raises(ValueError, match=r"p < 2\^22"):
+        trig_table(p)
 
 
 @pytest.mark.parametrize("p", [13, 101])
