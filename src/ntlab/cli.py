@@ -512,7 +512,7 @@ def main(argv=None) -> int:
     vp = sub.add_parser("verify", help="run identity suites over a prime range")
     common(vp)
     vp.add_argument("--suite", action="extend", dest="suites",
-                    type=lambda s: s.split(","),
+                    type=lambda s: [name for name in s.split(",") if name],
                     help=f"one of {', '.join(SUITE_NAMES)}, or 'all'; repeatable")
     vp.add_argument("--nmax", type=int, help="odd-index cap for eichler/cohen")
     vp.add_argument("--seed", type=int)

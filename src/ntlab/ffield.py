@@ -5,8 +5,9 @@ FieldCtx: an odd prime together with its smallest primitive root, a discrete
 log table, and the quadratic character table. Characters are handled as
 exponents of the generator, never as floating point roots of unity.
 cyclic_convolve is the exact convolution the routes share, as code only:
-one product of two decimals, which libmpdec multiplies by a
-number-theoretic transform once they are long.
+one product of two decimals, or one squaring when both inputs are the same
+list, which libmpdec multiplies by a number-theoretic transform once they
+are long; the product is folded mod n in the decimal domain.
 per_prime is the one way a per-prime table is shared: each builder keeps
 what it built for the current prime, so the checks of a prime build it once.
 """
@@ -108,28 +109,38 @@ def cyclic_convolve(u: list[int], v: list[int]) -> list[int]:
     One product of decimals, by libmpdec's number-theoretic transform: U
     (V) is added to every entry of u (v) so none is negative, each input is
     written as one decimal string of d digits per entry, wide enough for
-    n max u max v, and the product's 2n slots are folded mod n. The shifts
-    add U sum v + V sum u + n U V to every output, which is subtracted.
-    Slots pass through str and int, so one wider than
-    sys.get_int_max_str_digits() (4300 digits by default, entries near
-    2^7000 in both inputs) raises ValueError.
+    n max u max v, and the product's 2n - 1 slots are folded mod n in the
+    decimal domain: its top n slots and its other n - 1 with one zero slot
+    appended are split off by digit shifts and joined by one exact decimal
+    add, and only the n folded slots are parsed. Every folded slot is a
+    full cyclic sum, at most n max u max v, so none carries. When v is u
+    the one decimal is passed twice, and libmpdec squares it, one forward
+    transform fewer. The shifts add U sum v + V sum u + n U V to every
+    output, which is subtracted. Slots pass through str and int, so one
+    wider than sys.get_int_max_str_digits() (4300 digits by default,
+    entries near 2^7000 in both inputs) raises ValueError.
     """
     n = len(u)
     if len(v) != n:
         raise ValueError(f"lengths differ: {n} and {len(v)}")
     if not n:
         return []
-    U, V = max(0, -min(u)), max(0, -min(v))
+    square = v is u
+    U = max(0, -min(u))
+    V = U if square else max(0, -min(v))
     offset = U * sum(v) + V * sum(u) + n * U * V
     u = [x + U for x in u]
-    v = [y + V for y in v]
+    v = u if square else [y + V for y in v]
     # every slot is at most n mu mv < 2^b, b its bit length, and
     # 30103/100000 > log10(2) makes 10^d > 2^b
     mu, mv = max(u), max(v)
     d = max(n * mu * mv, mu, mv).bit_length() * 30103 // 100000 + 1
     slots = f"%0{d}d" * n
-    X = _EXACT.multiply(Decimal(slots % tuple(u)), Decimal(slots % tuple(v)))
-    s = format(X, "f").zfill((2 * n - 1) * d)
-    c = [int(s[i:i + d]) for i in range(0, (2 * n - 1) * d, d)]
-    c.append(0)
-    return [a + b - offset for a, b in zip(c[:n], c[n:])]
+    X = Decimal(slots % tuple(u))
+    X = _EXACT.multiply(X, X if square else Decimal(slots % tuple(v)))
+    # shift moves the coefficient by whole digits, exactly: hi is the top
+    # n slots, lo the other n - 1 with a zero slot appended
+    hi = _EXACT.shift(X, -(n - 1) * d)
+    lo = _EXACT.shift(_EXACT.subtract(X, _EXACT.shift(hi, (n - 1) * d)), d)
+    s = format(_EXACT.add(hi, lo), "f").zfill(n * d)
+    return [int(s[i:i + d]) - offset for i in range(0, n * d, d)]

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import classnumber as cn
 from .ecurve import ap_table, curve_census, torsion_class
-from .ffield import FieldCtx, cyclic_convolve
+from .ffield import FieldCtx, cyclic_convolve, per_prime
 from .kloosterman import twisted_moment
 from .records import VerificationRecord
 
@@ -64,17 +64,19 @@ def _window_sum12(p: int, k: int, e: int, table: cn.HurwitzTable) -> int:
                          ) from None
 
 
+@per_prime
 def _sum_ap_sq(ctx: FieldCtx) -> int:
-    """sum over gamma not in {0, +-1} of a_p(gamma^2)^2."""
+    """sum over gamma not in {0, +-1} of a_p(gamma^2)^2, once per prime:
+    both heads of route 2 and the C_p chain read it."""
     aps = ap_table(ctx)
     return sum(aps[g * g % ctx.p] ** 2 for g in range(2, ctx.p - 1))
 
 
 def s4_direct(ctx: FieldCtx) -> int:
     """Route 1: the moment itself, summed exactly over the fixed-point
-    Kloosterman table (one cyclic convolution, a libmpdec transform product)
-    from its power sums (one pass per prime) and rounded with an integer
-    error certificate."""
+    Kloosterman table (one cyclic convolution: one libmpdec transform
+    squaring, folded in the decimal domain) from its power sums (one pass
+    per prime) and rounded with an integer error certificate."""
     phi_idx = (ctx.p - 1) // 2
     return twisted_moment(ctx, 4, phi_idx)
 

@@ -6,8 +6,8 @@ and sin of 2 pi k/p scaled by 2^L and rounded, each entry within
 (pi by Machin's formula, e^(i t) by Taylor's series) gives k <= p/2, and
 symmetry gives the rest. Writing a = g^alpha and x = g^xi, the whole
 table of K(a,p) is one cyclic convolution over F_p^* (ffield.cyclic_convolve:
-one product of two long decimals by libmpdec's number-theoretic transform),
-on inputs only this route builds.
+one squaring of a long decimal by libmpdec's number-theoretic transform,
+folded mod p-1 in the decimal domain), on inputs only this route builds.
 Moments are exact integer combinations of the power sums of that table,
 taken in one pass per prime, and every one of them passes through
 round_fixed, which returns an integer only when an integer error bound
@@ -188,8 +188,12 @@ def kloosterman_table(ctx: FieldCtx) -> tuple[tuple[int, ...], int, int]:
     With a = g^alpha, x = g^xi, c(xi) = cos(2 pi g^xi/p) and s likewise,
     K(g^alpha) = (c*c - s*s)(alpha), cyclic over Z/(p-1). For u = C + S and
     v = C - S on the table's integers, the cross terms of u*v cancel exactly,
-    so one cyclic_convolve gives C*C - S*S. Each of its p-1 terms
-    is within 2^L(|c|+|c'|+|s|+|s'|) + 2 <= 6 2^L + 4 units of 2^-2L.
+    so u*v is C*C - S*S. Each of its p-1 terms is within
+    2^L(|c|+|c'|+|s|+|s'|) + 2 <= 6 2^L + 4 units of 2^-2L.
+    The table's second half mirrors its first exactly and g^h = -1 for
+    h = (p-1)/2, so v is u rotated by h, v(xi) = u(xi + h), and
+    (u*v)(alpha) = (u*u)(alpha + h): one cyclic_convolve squaring of u gives
+    the same integers.
     """
     p = ctx.p
     table = trig_table(p)
@@ -198,8 +202,10 @@ def kloosterman_table(ctx: FieldCtx) -> tuple[tuple[int, ...], int, int]:
     for i in range(1, p - 1):
         powers[i] = powers[i - 1] * ctx.g % p
     C, S = table.cos, table.sin
-    w = cyclic_convolve([C[x] + S[x] for x in powers],
-                        [C[x] - S[x] for x in powers])
+    u = [C[x] + S[x] for x in powers]
+    h = (p - 1) // 2
+    w = cyclic_convolve(u, u)
+    w = w[h:] + w[:h]   # (u*v)(alpha)
     K = (-(1 << 2 * L), *(w[alpha] for alpha in ctx.dlog[1:]))
     return K, 2 * L, (p - 1) * (6 * (1 << L) + 4)
 

@@ -110,8 +110,10 @@ def test_repeated_suite_names_run_once(capsys):
     argv = ("verify", "--pmin", "7", "--pmax", "7")
     code, once, err = run(capsys, *argv, "--suite", "moments")
     assert "9 records" in err
+    # an empty name in a comma list is dropped, not reported as unknown
     for extra in (("--suite", "moments,moments"),
-                  ("--suite", "moments", "--suite", "moments")):
+                  ("--suite", "moments", "--suite", "moments"),
+                  ("--suite", "moments,"), ("--suite", ",moments,,")):
         assert run(capsys, *argv, *extra) == (code, once, err), extra
     # a RunConfig built directly normalises its suites as the flags do
     assert cli.cmd_verify(cli.RunConfig(
@@ -158,6 +160,12 @@ def test_small_pmin_rejected():
 def test_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense", "--pmin", "7", "--pmax", "11"])
+
+
+def test_suite_list_of_empty_names_picks_none():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", ",", "--pmin", "7", "--pmax", "7"])
+    assert exc.value.code.startswith("verify: pick at least one --suite")
 
 
 def test_all_suites_registered():
@@ -427,6 +435,22 @@ def test_table_read_output_is_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_READS_SHA256[argv]
 
 
+# sha256 of the stdout of the moment and trace suites at the primes of the
+# large-p benchmark window, taken while the Kloosterman table was still the
+# product of two different inputs. It changes only with a deliberate output
+# change, recorded in CHANGES.md.
+LARGE_P_SHA256 = (
+    "55fa59ee3eb4a3406a31d70eb47b22785cbd65fa076955d5a573f7e6769cb1bd")
+
+
+def test_large_prime_moment_output_is_pinned(capsys):
+    release_tables()
+    _, out, _ = run(capsys, "verify", "--suite",
+                    "moments,s4-triroute,cp-chain", "--pmin", "1511",
+                    "--pmax", "1553")
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_P_SHA256
+
+
 def test_curves_suite_reads_only_the_trace_table(capsys, monkeypatch):
     # ap_legendre sums one lambda in O(p); the suite needs none of it
     from ntlab import ecurve
@@ -461,21 +485,39 @@ def test_schoof_suite_builds_one_census_per_prime(monkeypatch, htable):
 
 def test_moment_and_trace_suites_convolve_twice_per_prime(capsys, monkeypatch):
     # one Kloosterman table and one a_p table per prime serve all three
-    # suites, each the product of one cyclic convolution
+    # suites, each the product of one cyclic convolution; the Kloosterman
+    # one squares a single list, which a copy of it would silently undo
     from ntlab import ecurve, ffield, kloosterman
     calls = Counter()
     for mod in (kloosterman, ecurve):
         def counting(u, v, real=mod.cyclic_convolve, name=mod.__name__):
-            calls[name, len(u)] += 1
+            calls[name, len(u), v is u] += 1
             return real(u, v)
         monkeypatch.setattr(mod, "cyclic_convolve", counting)
     release_tables()
     run(capsys, "verify", "--suite", "moments,s4-triroute,cp-chain",
         "--pmin", "101", "--pmax", "107")
-    assert calls == {(m, n): 1 for p in (101, 103, 107)
-                     for m, n in (("ntlab.kloosterman", p - 1),
-                                  ("ntlab.ecurve", p))}
+    assert calls == {key: 1 for p in (101, 103, 107)
+                     for key in (("ntlab.kloosterman", p - 1, True),
+                                 ("ntlab.ecurve", p, False))}
     assert not ffield._SHARED   # the report needs no table; none is kept
+
+
+def test_trace_suites_sum_the_squared_traces_once_per_prime(capsys,
+                                                             monkeypatch):
+    # both heads of route 2 and the C_p chain read one sum of a_p(gamma^2)^2;
+    # each evaluation of it reads the a_p table once
+    evaluations = Counter()
+
+    def counting(ctx, real=idn.ap_table):
+        evaluations[ctx.p] += 1
+        return real(ctx)
+
+    monkeypatch.setattr(idn, "ap_table", counting)
+    release_tables()
+    run(capsys, "verify", "--suite", "moments,s4-triroute,cp-chain",
+        "--pmin", "101", "--pmax", "107")
+    assert evaluations == {101: 1, 103: 1, 107: 1}
 
 
 def test_padic_suites_compute_gk_I_once_per_prime(capsys, monkeypatch):

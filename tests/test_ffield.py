@@ -78,6 +78,13 @@ def test_cyclic_convolve_matches_double_loop(uv):
     assert cyclic_convolve(u, v) == _naive_cyclic(u, v)
 
 
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(_entries, min_size=n, max_size=n)))
+def test_cyclic_convolve_squaring_matches_double_loop(u):
+    # one list passed twice takes the squaring path
+    assert cyclic_convolve(u, u) == _naive_cyclic(u, u)
+
+
 @pytest.mark.parametrize("u,v", [
     ([0], [0]), ([5], [-7]), ([0] * 6, [0] * 6),
     ([0, 0, 0], [2 ** 200, -(2 ** 200), 1]),
@@ -93,8 +100,9 @@ def test_cyclic_convolve_tight_slot_width(n, k):
     m = math.isqrt((2 ** (8 * k - 1) - 1) // n)
     assert (n * m * m).bit_length() == 8 * k - 1
     for sign in (1, -1):
-        w = cyclic_convolve([sign * m] * n, [sign * m] * n)
-        assert w == [n * m * m] * n
+        u = [sign * m] * n
+        assert cyclic_convolve(u, [sign * m] * n) == [n * m * m] * n
+        assert cyclic_convolve(u, u) == [n * m * m] * n
 
 
 def _kronecker_cyclic(u, v):
@@ -119,7 +127,8 @@ def _kronecker_cyclic(u, v):
 
 
 def _kloosterman_inputs(p):
-    """kloosterman_table's two inputs: C + S and C - S over the powers of g."""
+    """C + S and C - S over the powers of g: kloosterman_table squares the
+    first, whose rotation by (p-1)/2 is the second."""
     ctx, table = make_field_ctx(p), trig_table(p)
     powers = [1] * (p - 1)
     for i in range(1, p - 1):
@@ -134,10 +143,22 @@ def _ap_inputs(p):
     return [qr[x] * qr[x - 1] for x in range(p)], list(qr)
 
 
+LAB_PRIMES = [*primerange(3, 1600), 7919]
+
+
 def test_cyclic_convolve_equals_the_kronecker_product_on_the_lab_tables():
-    for p in [*primerange(3, 1600), 7919]:
-        for u, v in (_kloosterman_inputs(p), _ap_inputs(p)):
-            assert cyclic_convolve(u, v) == _kronecker_cyclic(u, v), p
+    for p in LAB_PRIMES:
+        u, v = _kloosterman_inputs(p)
+        for a, b in ((u, v), (u, u), _ap_inputs(p)):
+            assert cyclic_convolve(a, b) == _kronecker_cyclic(a, b), p
+
+
+def test_kloosterman_difference_input_is_the_sum_rotated_by_half():
+    # the exact identity that lets kloosterman_table square C + S
+    for p in LAB_PRIMES:
+        u, v = _kloosterman_inputs(p)
+        h = (p - 1) // 2
+        assert v == u[h:] + u[:h], p
 
 
 @pytest.mark.parametrize("k", [1, 2, 19, 20, 43, 120])
