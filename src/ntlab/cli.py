@@ -3,8 +3,8 @@ ratio tables, and direct G-function evaluation.
 
 Exit status contract: `verify` returns 0 iff every emitted record matches.
 Output determinism: records are timed only under --timings, and their timing
-column is 0 otherwise, so identical configurations produce byte-identical
-CSV/JSON at any worker count and under any multiprocessing start method.
+column is 0 otherwise, so identical configurations produce a byte-identical
+CSV report at any worker count and under any multiprocessing start method.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .ecurve import ap_table, l_set_sizes, twist_relation_check
 from .ffield import make_field_ctx, release_tables
 from .primes import isprime, primerange
 from .records import (SCHEMA_HEADER, VerificationRecord, merge_records,
-                      records_to_csv, records_to_json)
+                      records_to_csv)
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -39,7 +39,6 @@ class RunConfig:
     nmax: int = 999
     suites: tuple = ()
     workers: int = 1
-    out: str = "csv"
     threshold: float = 4.0
     timings: bool = False
     seed: int = 1729
@@ -53,9 +52,8 @@ class RunConfig:
             raise ValueError(f"--nmax must be >= 1, got {self.nmax}")
         if self.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {self.workers}")
-        if self.out not in ("csv", "json"):
-            raise ValueError(
-                f"output format must be csv or json, got {self.out!r}")
+        if not self.threshold >= 0:   # NaN fails this too
+            raise ValueError(f"--threshold must be >= 0, got {self.threshold}")
         suites = SUITE_NAMES if "all" in self.suites else self.suites
         unknown = set(suites) - set(_SUITES)
         if unknown:
@@ -402,16 +400,9 @@ def _run_suites(suites: list[Suite], cfg: RunConfig) -> list[VerificationRecord]
     groups = _run_tasks(tasks, table, cfg.workers)
     release_tables()   # the report needs none of the last prime's tables
     records = merge_records(*groups)
-    _emit(records, cfg)
+    sys.stdout.write(records_to_csv(records))
     _summarize([s.name for s in suites], [t[0] for t in tasks], groups)
     return records
-
-
-# --- output -------------------------------------------------------------------
-
-def _emit(records: list[VerificationRecord], cfg: RunConfig) -> None:
-    sys.stdout.write(records_to_json(records) if cfg.out == "json"
-                     else records_to_csv(records))
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -424,11 +415,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 # --- sweeps --------------------------------------------------------------------
 
-def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
+def cmd_sweep(cfg: RunConfig, claim: str, p: int | None,
+              bins: int | None) -> int:
     if claim == "angles":
         _need_prime(p, 3, "angles sweep needs an odd prime --p")
-        if cfg.out != "csv":
-            raise SystemExit("angles sweep writes CSV only, not --out json")
+        bins = 20 if bins is None else bins
         if bins < 1:
             raise SystemExit(f"--bins must be >= 1, got {bins}")
         ctx = make_field_ctx(p)
@@ -444,6 +435,9 @@ def cmd_sweep(cfg: RunConfig, claim: str, p: int | None, bins: int) -> int:
         return 0
     if claim not in _SWEEPS:
         raise SystemExit(f"unknown claim {claim!r}; pick from {SWEEP_NAMES}")
+    if p is not None or bins is not None:
+        raise SystemExit(f"--p and --bins are for the angles sweep only, "
+                         f"not {claim}")
     records = _run_suites([_SWEEPS[claim]], cfg)
     ok = all(r.match for r in records)
     ratios = [r for r in records if r.ratio is not None]
@@ -505,7 +499,6 @@ def main(argv=None) -> int:
         sp.add_argument("--pmin", type=int)
         sp.add_argument("--pmax", type=int)
         sp.add_argument("--workers", type=int)
-        sp.add_argument("--out", choices=("csv", "json"))
         sp.add_argument("--timings", action="store_true", help="emit real "
                         "elapsed_ms (breaks byte-reproducibility)")
 
@@ -523,7 +516,8 @@ def main(argv=None) -> int:
     wp.add_argument("--claim", required=True,
                     help=f"one of {', '.join(SWEEP_NAMES)}")
     wp.add_argument("--p", type=int, help="single prime (angles)")
-    wp.add_argument("--bins", type=int, default=20)
+    wp.add_argument("--bins", type=int, help="histogram bins (angles; "
+                    "default 20)")
     wp.add_argument("--threshold", type=float)
 
     gp = sub.add_parser("gfun", help="evaluate one p-adic G-function value")

@@ -1,17 +1,18 @@
-"""Verification records and their CSV / JSON emission.
+"""Verification records and their CSV report.
 
-Every check in the suite reduces to a (p, name, lhs, rhs, match) row so that
-sweeps from different workers can be merged deterministically and diffed
-across runs.
+Every check in the suite reduces to a (p, name, lhs, rhs, match) row, with
+its ratio, elapsed time and detail, so that sweeps from different workers
+can be merged deterministically and diffed across runs.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+import csv
+import io
+from dataclasses import dataclass
 
-SCHEMA_HEADER = "# ntlab-schema v1"
-CSV_COLUMNS = "p,name,lhs,rhs,match,ratio,elapsed_ms"
+SCHEMA_HEADER = "# ntlab-schema v2"
+CSV_COLUMNS = "p,name,lhs,rhs,match,ratio,elapsed_ms,detail"
 
 
 @dataclass(frozen=True)
@@ -42,21 +43,13 @@ def _fmt(value) -> str:
 
 
 def records_to_csv(records) -> str:
-    lines = [SCHEMA_HEADER, CSV_COLUMNS]
-    for r in records:
-        ratio = "" if r.ratio is None else f"{r.ratio:.12g}"
-        lines.append(",".join([
-            str(r.p), r.name, _fmt(r.lhs), _fmt(r.rhs),
-            str(r.match).lower(), ratio, f"{r.elapsed_ms:.3f}",
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def records_to_json(records) -> str:
-    """The records as a JSON list; lhs and rhs are formatted as in the CSV."""
-    rows = []
-    for r in records:
-        d = asdict(r)
-        d["lhs"], d["rhs"] = _fmt(r.lhs), _fmt(r.rhs)
-        rows.append(d)
-    return json.dumps(rows, indent=1) + "\n"
+    """The report: the schema line, the header and one row per record. A
+    field holding a comma, a double quote or a newline is quoted."""
+    buf = io.StringIO()
+    buf.write(f"{SCHEMA_HEADER}\n{CSV_COLUMNS}\n")
+    csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerows(
+        (r.p, r.name, _fmt(r.lhs), _fmt(r.rhs), str(r.match).lower(),
+         "" if r.ratio is None else f"{r.ratio:.12g}", f"{r.elapsed_ms:.3f}",
+         r.detail)
+        for r in records)
+    return buf.getvalue()

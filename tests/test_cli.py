@@ -1,5 +1,6 @@
+import csv
 import hashlib
-import json
+import io
 import multiprocessing
 import os
 from collections import Counter
@@ -21,6 +22,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _rows(out):
+    """The report's records as dicts keyed by column name."""
+    head, body = out.split("\n", 1)
+    assert head == SCHEMA_HEADER
+    return list(csv.DictReader(io.StringIO(body)))
 
 
 def test_triroute_suite_passes(capsys):
@@ -47,7 +55,8 @@ def test_verify_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
-    assert all(ln.endswith(",0.000") for ln in out1.splitlines()[2:])
+    rows = _rows(out1)
+    assert rows and all(r["elapsed_ms"] == "0.000" for r in rows)
 
 
 def test_timings_flag_breaks_zeroing(capsys):
@@ -56,8 +65,8 @@ def test_timings_flag_breaks_zeroing(capsys):
                   "--pmax", "13", "--nmax", "15"),
                  ("sweep", "--claim", "thm1.1", "--pmin", "7", "--pmax", "31")):
         _, out, _ = run(capsys, *argv, "--timings")
-        rows = out.splitlines()[2:]
-        assert rows and all(float(ln.rsplit(",", 1)[1]) > 0 for ln in rows)
+        rows = _rows(out)
+        assert rows and all(float(r["elapsed_ms"]) > 0 for r in rows)
 
 
 @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
@@ -96,14 +105,25 @@ def test_error_reasons_reach_stderr(capsys, monkeypatch):
           for p in (7, 11, 13, 17))]
 
 
-def test_json_output_mirrors_csv_fields(capsys):
+def test_csv_carries_every_record_field(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "cp-chain", "--pmin", "7",
-                       "--pmax", "11", "--out", "json")
+                       "--pmax", "11")
     assert code == 0
-    rows = json.loads(out)
+    rows = _rows(out)
     assert {r["name"] for r in rows} >= {"ap-second-moment", "cp-count"}
-    assert all(set(r) >= {"p", "name", "lhs", "rhs", "match", "ratio",
-                          "elapsed_ms", "detail"} for r in rows)
+    assert all(list(r) == [f.name for f in fields(VerificationRecord)]
+               for r in rows)
+
+
+def test_csv_detail_carries_the_prop64_reading(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "prop6.4", "--pmin", "7",
+                       "--pmax", "13")
+    assert code == 0
+    rows = _rows(out)
+    assert [(r["p"], r["rhs"]) for r in rows] == [("7", "see detail"),
+                                                  ("13", "see detail")]
+    assert all("corrected-const/theorem-twist=True" in r["detail"].split()
+               for r in rows)
 
 
 def test_repeated_suite_names_run_once(capsys):
@@ -143,6 +163,8 @@ def test_every_run_config_field_is_a_flag_dest(monkeypatch):
     "sweep --claim thm6.2 --pmin 7 --pmax 31 --K 6",
     "verify --suite moments --pmin 7 --pmax 11 --config run.cfg",
     "sweep --claim angles --p 101 --file out.csv",
+    "verify --suite moments --pmin 7 --pmax 11 --out json",
+    "sweep --claim angles --p 389 --out json",
 ])
 def test_verify_and_sweep_have_no_precision_flag(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -310,8 +332,11 @@ def test_gfun_rejects_composite():
     "verify --suite eichler --nmax -3",
     "verify --suite moments --pmin 7 --pmax 11 --workers 0",
     "verify --suite moments --pmin 11 --pmax 7",
-    "sweep --claim angles --p 389 --out json",
     "sweep --claim prop4.4 --pmin 7 --pmax 11",
+    "sweep --claim thm1.1 --pmin 7 --pmax 12 --threshold nan",
+    "sweep --claim thm1.1 --pmin 7 --pmax 12 --threshold -1",
+    "sweep --claim thm1.1 --pmin 7 --pmax 20 --p 5",
+    "sweep --claim thm1.1 --pmin 7 --pmax 20 --bins 3",
 ])
 def test_bad_input_exits_with_one_line(argv):
     with pytest.raises(SystemExit) as exc:
@@ -400,11 +425,28 @@ def test_greene_suites_build_one_S_table_per_prime(capsys, monkeypatch):
     assert built == 6 + 10 + 12
 
 
-# sha256 of the stdout below, taken before the p-adic sums went through
-# teichmuller_dft and eichler/cohen through the table reads. It changes
-# only with a deliberate output change, recorded in CHANGES.md.
+def _v1_sha256(out):
+    """sha256 of the report projected back to schema v1: the v1 schema
+    line, the detail column dropped and each row re-joined from its fields
+    unquoted, as v1 wrote them. The pins below were taken from v1 reports,
+    so they hold only while the first seven columns are the same bytes."""
+    head, body = out.split("\n", 1)
+    assert head == SCHEMA_HEADER
+    rows = list(csv.reader(io.StringIO(body)))
+    assert rows[0][-1] == "detail"
+    v1 = "".join(f"{line}\n" for line in
+                 ["# ntlab-schema v1", *(",".join(r[:-1]) for r in rows)])
+    return hashlib.sha256(v1.encode()).hexdigest()
+
+
+# sha256 of the v1 form of the stdout below, taken before the p-adic sums
+# went through teichmuller_dft and eichler/cohen through the table reads,
+# and of its full v2 bytes, taken when the detail column was added. They
+# change only with a deliberate output change, recorded in CHANGES.md.
 PADIC_AND_EICHLER_SHA256 = (
     "89d5daed2135c715e3caeba65e6f66101d95c893dc4be16b4c01559ce555ff4e")
+PADIC_AND_EICHLER_V2_SHA256 = (
+    "2dc8a52bcea2388f54476331a8aaa37289ef0ea157e1b73f0276ed2b1bd9a653")
 
 
 def test_padic_and_eichler_output_is_pinned(capsys):
@@ -412,13 +454,15 @@ def test_padic_and_eichler_output_is_pinned(capsys):
     _, out, _ = run(capsys, "verify", "--suite",
                     "gk,greene,prop6.4,prop6.5,prop6.6,eichler,cohen",
                     "--pmin", "7", "--pmax", "120", "--seed", "3")
-    assert hashlib.sha256(out.encode()).hexdigest() == PADIC_AND_EICHLER_SHA256
+    assert _v1_sha256(out) == PADIC_AND_EICHLER_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        PADIC_AND_EICHLER_V2_SHA256)
 
 
-# sha256 of each command's stdout, taken while the twist relations still
-# summed every trace per lambda and the Hurwitz readers could fall back to
-# the per-D enumeration. It changes only with a deliberate output change,
-# recorded in CHANGES.md.
+# sha256 of the v1 form of each command's stdout, taken while the twist
+# relations still summed every trace per lambda and the Hurwitz readers
+# could fall back to the per-D enumeration. It changes only with a
+# deliberate output change, recorded in CHANGES.md.
 TABLE_READS_SHA256 = {
     ("verify", "--suite", "curves,schoof,counting,s4-triroute,cp-chain",
      "--pmin", "7", "--pmax", "400"):
@@ -432,13 +476,13 @@ TABLE_READS_SHA256 = {
 def test_table_read_output_is_pinned(capsys, argv):
     release_tables()
     _, out, _ = run(capsys, *argv)
-    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_READS_SHA256[argv]
+    assert _v1_sha256(out) == TABLE_READS_SHA256[argv]
 
 
-# sha256 of the stdout of the moment and trace suites at the primes of the
-# large-p benchmark window, taken while the Kloosterman table was still the
-# product of two different inputs. It changes only with a deliberate output
-# change, recorded in CHANGES.md.
+# sha256 of the v1 form of the stdout of the moment and trace suites at the
+# primes of the large-p benchmark window, taken while the Kloosterman table
+# was still the product of two different inputs. It changes only with a
+# deliberate output change, recorded in CHANGES.md.
 LARGE_P_SHA256 = (
     "55fa59ee3eb4a3406a31d70eb47b22785cbd65fa076955d5a573f7e6769cb1bd")
 
@@ -448,7 +492,7 @@ def test_large_prime_moment_output_is_pinned(capsys):
     _, out, _ = run(capsys, "verify", "--suite",
                     "moments,s4-triroute,cp-chain", "--pmin", "1511",
                     "--pmax", "1553")
-    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_P_SHA256
+    assert _v1_sha256(out) == LARGE_P_SHA256
 
 
 def test_curves_suite_reads_only_the_trace_table(capsys, monkeypatch):

@@ -1,8 +1,9 @@
-import json
+import csv
+import io
 from fractions import Fraction
 
 from ntlab.records import (CSV_COLUMNS, SCHEMA_HEADER, VerificationRecord,
-                           merge_records, records_to_csv, records_to_json)
+                           merge_records, records_to_csv)
 
 
 def _sample():
@@ -12,6 +13,13 @@ def _sample():
         VerificationRecord(7, "z-check", Fraction(1, 3), Fraction(1, 3), True),
         VerificationRecord(7, "a-check", -315, -245, False, detail="gap=70"),
     ]
+
+
+def _rows(text):
+    """The report's records as dicts keyed by column name."""
+    head, body = text.split("\n", 1)
+    assert head == SCHEMA_HEADER
+    return list(csv.DictReader(io.StringIO(body)))
 
 
 def test_merge_sorts_by_prime_then_name():
@@ -25,27 +33,49 @@ def test_csv_layout():
     lines = text.splitlines()
     assert lines[0] == SCHEMA_HEADER
     assert lines[1] == CSV_COLUMNS
-    assert lines[2] == "7,a-check,-315,-245,false,,0.000"
-    assert lines[3] == "7,z-check,1/3,1/3,true,,0.000"
-    assert lines[4] == "13,b-check,5,5,true,0.25,1.234"
+    assert lines[2] == "7,a-check,-315,-245,false,,0.000,gap=70"
+    assert lines[3] == "7,z-check,1/3,1/3,true,,0.000,"
+    assert lines[4] == "13,b-check,5,5,true,0.25,1.234,"
     assert text.endswith("\n")
+    rows = _rows(text)
+    assert [r["elapsed_ms"] for r in rows] == ["0.000", "0.000", "1.234"]
+    assert [r["detail"] for r in rows] == ["gap=70", "", ""]
 
 
-def test_write_csv_and_json():
-    recs = merge_records(_sample())
-    rows = json.loads(records_to_json(recs))
-    assert len(rows) == 3
-    assert set(rows[0]) >= {"p", "name", "lhs", "rhs", "match"}
-    assert rows[0]["name"] == "a-check" and rows[0]["match"] is False
-    # lhs and rhs read exactly as in the CSV, floats included
-    csv_rows = [ln.split(",") for ln in records_to_csv(recs).splitlines()[2:]]
-    assert [[r["lhs"], r["rhs"]] for r in rows] == [c[2:4] for c in csv_rows]
+def test_csv_reads_lhs_and_rhs_as_formatted():
+    rows = _rows(records_to_csv(merge_records(_sample())))
+    assert rows[0]["name"] == "a-check" and rows[0]["match"] == "false"
+    assert [(r["lhs"], r["rhs"]) for r in rows] == [
+        ("-315", "-245"), ("1/3", "1/3"), ("5", "5")]
     r = VerificationRecord(7, "x", 0.1 + 0.2, 1 / 3, False)
-    assert json.loads(records_to_json([r]))[0]["lhs"] == "0.3"
-    assert json.loads(records_to_json([r]))[0]["rhs"] == "0.333333333333"
+    [row] = _rows(records_to_csv([r]))
+    assert row["lhs"] == "0.3"
+    assert row["rhs"] == "0.333333333333"
+
+
+def test_csv_round_trips_text_fields():
+    # a field holding a comma, a quote or a newline is quoted, so each comes
+    # back whole; a tuple lhs (as gamma_product_checks builds) prints with
+    # commas
+    recs = [
+        VerificationRecord(7, "a", 1, 2, False,
+                           detail='reading "b", then c=3, d\nnext'),
+        VerificationRecord(7, "b", 1, 1, True, detail=""),
+        VerificationRecord(7, "c", (True, True, True), "see detail", True,
+                           detail="x=1 y=2"),
+    ]
+    rows = _rows(records_to_csv(recs))
+    assert list(rows[0]) == CSV_COLUMNS.split(",")
+    assert [(r["lhs"], r["rhs"], r["detail"]) for r in rows] == [
+        ("1", "2", 'reading "b", then c=3, d\nnext'),
+        ("1", "1", ""),
+        ("(True, True, True)", "see detail", "x=1 y=2"),
+    ]
 
 
 def test_float_formatting_is_stable():
     r = VerificationRecord(7, "x", 0.1 + 0.2, 0.3, False, ratio=1 / 3)
-    line = records_to_csv([r]).splitlines()[2]
-    assert line == "7,x,0.3,0.3,false,0.333333333333,0.000"
+    text = records_to_csv([r])
+    assert text.splitlines()[2] == "7,x,0.3,0.3,false,0.333333333333,0.000,"
+    [row] = _rows(text)
+    assert (row["ratio"], row["elapsed_ms"]) == ("0.333333333333", "0.000")
