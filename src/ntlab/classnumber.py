@@ -23,8 +23,8 @@ cohen_coefficient, divisor_sums) stay as their test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .primes import divisors
 
@@ -59,8 +59,7 @@ def class_number_h(D: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class HurwitzTable:
+class HurwitzTable(NamedTuple):
     bound: int
     h: tuple[int, ...]
     hfull: tuple[int, ...]

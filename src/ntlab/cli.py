@@ -16,11 +16,11 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import classnumber as cn
 from . import identities as idn
@@ -32,8 +32,7 @@ from .primes import isprime, primerange
 from .records import (SCHEMA_HEADER, VerificationRecord, merge_records,
                       records_to_csv)
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     pmin: int = 7
     pmax: int = 97
     nmax: int = 999
@@ -43,24 +42,37 @@ class RunConfig:
     timings: bool = False
     seed: int = 1729
 
-    def __post_init__(self):
-        if self.pmin <= 5:
+
+class RunConfig(_RunFields):
+    """A validated run. The constructor, _make, _replace and unpickling in a
+    pool worker all pass through __new__, which rejects a bad value and
+    normalises the suites: 'all' names every suite, a repeat runs once."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        f = _RunFields(*args, **kwargs)
+        if f.pmin <= 5:
             raise ValueError("suites assume p > 5; pass --pmin 7 or higher")
-        if self.pmin > self.pmax:
-            raise ValueError(f"--pmin {self.pmin} exceeds --pmax {self.pmax}")
-        if self.nmax < 1:
-            raise ValueError(f"--nmax must be >= 1, got {self.nmax}")
-        if self.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {self.workers}")
-        if not self.threshold >= 0:   # NaN fails this too
-            raise ValueError(f"--threshold must be >= 0, got {self.threshold}")
-        suites = SUITE_NAMES if "all" in self.suites else self.suites
+        if f.pmin > f.pmax:
+            raise ValueError(f"--pmin {f.pmin} exceeds --pmax {f.pmax}")
+        if f.nmax < 1:
+            raise ValueError(f"--nmax must be >= 1, got {f.nmax}")
+        if f.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {f.workers}")
+        if not f.threshold >= 0:   # NaN fails this too
+            raise ValueError(f"--threshold must be >= 0, got {f.threshold}")
+        suites = SUITE_NAMES if "all" in f.suites else f.suites
         unknown = set(suites) - set(_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {', '.join(sorted(unknown))}")
-        # frozen: the normalised tuple is set past the dataclass guard;
-        # a repeated name runs once
-        object.__setattr__(self, "suites", tuple(dict.fromkeys(suites)))
+        return super().__new__(
+            cls, *f._replace(suites=tuple(dict.fromkeys(suites))))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 # --- suites -------------------------------------------------------------------
@@ -249,8 +261,7 @@ def _sweep_window(claim: str, p: int, cfg: RunConfig,
 
 # --- the suite registry -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """`run(index, cfg, table)` gives the records of one index of
     `indices(cfg)`; `bound(cfg)` is the largest Hurwitz D read, if any."""
     name: str
@@ -344,7 +355,7 @@ def _run_task(task) -> list[VerificationRecord]:
     if not cfg.timings:
         return recs
     ms = (time.perf_counter() - t0) * 1e3 / max(len(recs), 1)
-    return [replace(r, elapsed_ms=ms) for r in recs]
+    return [r._replace(elapsed_ms=ms) for r in recs]
 
 
 def _run_batch(batch: list[tuple]) -> list[list[VerificationRecord]]:
@@ -433,11 +444,6 @@ def cmd_sweep(cfg: RunConfig, claim: str, p: int | None,
         chi = km.semicircle_chisq(counts)
         print(f"semicircle chi^2 = {chi:.2f} over {bins} bins", file=sys.stderr)
         return 0
-    if claim not in _SWEEPS:
-        raise SystemExit(f"unknown claim {claim!r}; pick from {SWEEP_NAMES}")
-    if p is not None or bins is not None:
-        raise SystemExit(f"--p and --bins are for the angles sweep only, "
-                         f"not {claim}")
     records = _run_suites([_SWEEPS[claim]], cfg)
     ok = all(r.match for r in records)
     ratios = [r for r in records if r.ratio is not None]
@@ -478,10 +484,28 @@ def _need_prime(p: int | None, least: int, message: str) -> None:
     raise SystemExit(message)
 
 
+def _check_sweep_flags(ns: argparse.Namespace) -> None:
+    """Exit with one line on an unknown claim or on a flag its sweep would
+    ignore: angles reads only --p and --bins, which no other claim reads,
+    and only the window claims compare their ratios to --threshold."""
+    claim = ns.claim
+    if claim == "angles":
+        unread = ("pmin", "pmax", "workers", "timings", "threshold")
+    elif claim in idn.SWEEP_CLAIMS:
+        unread = ("p", "bins")
+    elif claim in _SWEEPS:
+        unread = ("p", "bins", "threshold")
+    else:
+        raise SystemExit(f"unknown claim {claim!r}; pick from {SWEEP_NAMES}")
+    given = [f"--{k}" for k in unread if getattr(ns, k) is not None]
+    if given:
+        raise SystemExit(f"the {claim} sweep does not read {', '.join(given)}")
+
+
 def _build_config(ns: argparse.Namespace) -> RunConfig:
     """The RunConfig fields whose flags were given; RunConfig validates them."""
-    given = {f.name: getattr(ns, f.name) for f in fields(RunConfig)
-             if getattr(ns, f.name, None) is not None}
+    given = {k: getattr(ns, k) for k in RunConfig._fields
+             if getattr(ns, k, None) is not None}
     try:
         return RunConfig(**given)
     except ValueError as e:
@@ -499,8 +523,10 @@ def main(argv=None) -> int:
         sp.add_argument("--pmin", type=int)
         sp.add_argument("--pmax", type=int)
         sp.add_argument("--workers", type=int)
-        sp.add_argument("--timings", action="store_true", help="emit real "
-                        "elapsed_ms (breaks byte-reproducibility)")
+        # None when not given, as for every other flag
+        sp.add_argument("--timings", action="store_true", default=None,
+                        help="emit real elapsed_ms (breaks "
+                        "byte-reproducibility)")
 
     vp = sub.add_parser("verify", help="run identity suites over a prime range")
     common(vp)
@@ -530,6 +556,7 @@ def main(argv=None) -> int:
     if ns.command == "verify":
         return cmd_verify(_build_config(ns))
     if ns.command == "sweep":
+        _check_sweep_flags(ns)
         return cmd_sweep(_build_config(ns), ns.claim, ns.p, ns.bins)
     if ns.command == "gfun":
         _need_prime(ns.p, 5, f"--p {ns.p}: need a prime >= 5")

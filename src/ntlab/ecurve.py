@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ffield import FieldCtx, cyclic_convolve, per_prime
 
@@ -188,8 +188,7 @@ def l_set_sizes(ctx: FieldCtx) -> dict[int, int]:
 
 # --- full isomorphism-class census ------------------------------------------
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(NamedTuple):
     A: int
     B: int
     a_p: int

@@ -14,8 +14,8 @@ what it built for the current prime, so the checks of a prime build it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import wraps
+from typing import NamedTuple
 
 # the C module itself: without libmpdec this fails here, rather than
 # falling back to the pure-Python _pydecimal, whose products are far slower
@@ -60,17 +60,32 @@ def release_tables() -> None:
     _SHARED.clear()
 
 
-@dataclass(frozen=True)
-class FieldCtx:
-    """Immutable context for one odd prime; hashes and compares on (p, g)."""
+class FieldCtx(NamedTuple):
+    """Immutable context for one odd prime; hashes, compares and prints on
+    (p, g) alone, as the tables follow from them."""
 
     p: int
     g: int
-    dlog: tuple[int, ...] = field(repr=False, compare=False)  # dlog[0] = -1
-    qr: tuple[int, ...] = field(repr=False, compare=False)  # phi(x), x < p
+    dlog: tuple[int, ...]  # dlog[0] = -1
+    qr: tuple[int, ...]  # phi(x), x < p
 
     def phi_idx(self) -> CharIdx:
         return (self.p - 1) // 2
+
+    # the tuple's own == and != would read the tables, and would take a
+    # plain tuple of the same entries for a context
+    def __eq__(self, other):
+        return (isinstance(other, FieldCtx) and self.p == other.p
+                and self.g == other.g)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.p, self.g))
+
+    def __repr__(self):
+        return f"FieldCtx(p={self.p!r}, g={self.g!r})"
 
 
 def _smallest_primitive_root(p: int) -> int:

@@ -19,7 +19,7 @@ trig_table, kloosterman_table and the power sums are per_prime builders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ffield import CharIdx, FieldCtx, cyclic_convolve, per_prime
 
@@ -31,8 +31,7 @@ class PrecisionError(ArithmeticError):
     """Raised when a certified bound is too large to round to an integer."""
 
 
-@dataclass(frozen=True)
-class CertifiedReal:
+class CertifiedReal(NamedTuple):
     """A real number known to lie within err of value (absolute bound)."""
 
     value: float
@@ -59,8 +58,7 @@ def round_fixed(num: int, shift: int, err: int) -> int:
 # ---------------------------------------------------------------------------
 # the trig table, shared by both routes to K(a,p)
 
-@dataclass(frozen=True)
-class TrigTable:
+class TrigTable(NamedTuple):
     """cos[k] and sin[k] are 2^bits cos(2 pi k/p) and 2^bits sin(2 pi k/p),
     k = 0..p-1, rounded to integers within 1/2 + 2^-20 units."""
 

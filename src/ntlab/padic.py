@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ecurve import ap_table
 from .ffield import (CharIdx, FieldCtx, cyclic_convolve, make_field_ctx,
@@ -395,13 +395,14 @@ def _frac(x: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # pi-ring and Gauss sums
 
-@dataclass(frozen=True)
-class PiRingElem:
+class PiRingElem(NamedTuple):
     """The monomial pi^deg * unit in Z[pi]/(pi^(p-1) + p), unit mod p^K.
 
     Every Gauss sum from Gross-Koblitz is such a monomial, and so is every
     product of them: pi^(p-1) = -p folds a degree overflow into the unit.
     A zero unit is kept at degree 0, so equal elements compare equal.
+    Monomials have no sum in the ring and a scalar multiple is scale(c), so
+    + and c * raise TypeError rather than concatenate or repeat the tuple.
     """
     p: int
     K: int
@@ -425,6 +426,12 @@ class PiRingElem:
 
     def scale(self, c: int) -> "PiRingElem":
         return PiRingElem.monomial(self.p, self.K, self.deg, self.unit * c)
+
+    def _no_tuple_arithmetic(self, other):
+        raise TypeError("PiRingElem supports only * by another PiRingElem "
+                        "and scale(c)")
+
+    __add__ = __radd__ = __rmul__ = _no_tuple_arithmetic
 
 
 def gauss_sum_gk(ctx: PadicCtx, j: CharIdx) -> PiRingElem:

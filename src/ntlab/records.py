@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SCHEMA_HEADER = "# ntlab-schema v2"
 CSV_COLUMNS = "p,name,lhs,rhs,match,ratio,elapsed_ms,detail"
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     p: int
     name: str
     lhs: object

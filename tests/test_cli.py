@@ -3,8 +3,8 @@ import hashlib
 import io
 import multiprocessing
 import os
+import pickle
 from collections import Counter
-from dataclasses import fields, replace
 
 import pytest
 
@@ -111,7 +111,7 @@ def test_csv_carries_every_record_field(capsys):
     assert code == 0
     rows = _rows(out)
     assert {r["name"] for r in rows} >= {"ap-second-moment", "cp-count"}
-    assert all(list(r) == [f.name for f in fields(VerificationRecord)]
+    assert all(list(r) == list(VerificationRecord._fields)
                for r in rows)
 
 
@@ -142,6 +142,37 @@ def test_repeated_suite_names_run_once(capsys):
     assert cli.RunConfig(suites=("all",)).suites == SUITE_NAMES
 
 
+def _config_fields(kw):
+    return [kw.get(k, v) for k, v in cli.RunConfig._field_defaults.items()]
+
+
+_RUN_CONFIG_PATHS = {
+    "constructor": lambda kw: cli.RunConfig(**kw),
+    "_make": lambda kw: cli.RunConfig._make(_config_fields(kw)),
+    "_replace": lambda kw: cli.RunConfig()._replace(**kw),
+    # as a spawn worker unpickles its task, here of a tuple made past __new__
+    "pickle": lambda kw: pickle.loads(pickle.dumps(
+        tuple.__new__(cli.RunConfig, _config_fields(kw)))),
+}
+
+
+@pytest.mark.parametrize("path", list(_RUN_CONFIG_PATHS))
+@pytest.mark.parametrize("kw", [{"pmin": 5}, {"pmin": 11, "pmax": 7},
+                                {"nmax": 0}, {"workers": 0},
+                                {"threshold": float("nan")},
+                                {"suites": ("moments", "nonsense")}])
+def test_every_way_of_making_a_run_config_validates_it(path, kw):
+    with pytest.raises(ValueError):
+        _RUN_CONFIG_PATHS[path](kw)
+
+
+@pytest.mark.parametrize("path", list(_RUN_CONFIG_PATHS))
+def test_every_way_of_making_a_run_config_normalises_its_suites(path):
+    cfg = _RUN_CONFIG_PATHS[path]({"suites": ("gk", "moments", "gk")})
+    assert type(cfg) is cli.RunConfig and cfg.suites == ("gk", "moments")
+    assert _RUN_CONFIG_PATHS[path]({"suites": ["all"]}).suites == SUITE_NAMES
+
+
 def test_every_run_config_field_is_a_flag_dest(monkeypatch):
     # _build_config reads the namespace by field name, so a field that no
     # flag fills would silently keep its default
@@ -155,7 +186,7 @@ def test_every_run_config_field_is_a_flag_dest(monkeypatch):
     for argv in ("verify", "sweep --claim thm1.1"):
         with pytest.raises(SystemExit):
             main(argv.split())
-    assert {f.name for f in fields(cli.RunConfig)} <= dests
+    assert set(cli.RunConfig._fields) <= dests
 
 
 @pytest.mark.parametrize("argv", [
@@ -298,6 +329,32 @@ def test_trend_sweep_exits_1_when_the_ratio_rises(capsys):
     assert "falls from first to last prime: False" in err
 
 
+@pytest.mark.parametrize("claim", ["thm6.2", "thm6.3"])
+def test_trend_sweeps_reject_a_threshold(capsys, claim):
+    # only the window claims compare their ratios to --threshold
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--claim", claim, "--pmin", "7", "--pmax", "31",
+              "--threshold", "0.001"])
+    assert exc.value.code == f"the {claim} sweep does not read --threshold"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--pmin", "7"], ["--pmax", "11"], ["--workers", "2"], ["--timings"],
+    ["--threshold", "0.1"],
+    ["--pmin", "7", "--pmax", "11", "--workers", "2", "--timings",
+     "--threshold", "0.1"],
+], ids=lambda flags: " ".join(flags))
+def test_angles_sweep_rejects_the_flags_it_ignores(capsys, flags):
+    # angles histograms one prime: no range, pool, timing or threshold
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--claim", "angles", "--p", "389", "--bins", "3",
+              *flags])
+    named = ", ".join(f for f in flags if f.startswith("--"))
+    assert exc.value.code == f"the angles sweep does not read {named}"
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_workers_do_not_change_the_report(capsys):
     for claim in ("prop4.8", "thm6.3"):
         argv = ("sweep", "--claim", claim, "--pmin", "7", "--pmax", "60")
@@ -349,7 +406,7 @@ def test_cohen_record_demands_an_exact_zero(capsys, monkeypatch, htable):
     # of 0.0084: under the 0.01 the record used to allow, yet not zero
     hstar12 = list(htable.hstar12)
     hstar12[99] += 1
-    bad = replace(htable, hstar12=tuple(hstar12))
+    bad = htable._replace(hstar12=tuple(hstar12))
     monkeypatch.setattr(cn, "build_hurwitz_table", lambda bound: bad)
     code, out, _ = run(capsys, "verify", "--suite", "cohen", "--nmax", "99")
     assert code == 1
@@ -386,7 +443,7 @@ def test_eichler_cohen_misses_equal_the_per_term_oracles(htable):
     hstar12 = list(htable.hstar12)
     for D, delta in ((3, 7), (99, 1), (440, -5), (1000, 13)):
         hstar12[D] += delta
-    bad = replace(htable, hstar12=tuple(hstar12))
+    bad = htable._replace(hstar12=tuple(hstar12))
     cfg = cli.RunConfig(nmax=1201)
     got = merge_records(cli._suite_eichler(0, cfg, bad),
                         cli._suite_cohen(0, cfg, bad))

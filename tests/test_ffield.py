@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from ntlab import kloosterman
 from ntlab.ecurve import ap_table, curve_census
-from ntlab.ffield import (cyclic_convolve, legendre_phi, make_field_ctx,
-                          per_prime, release_tables)
+from ntlab.ffield import (FieldCtx, cyclic_convolve, legendre_phi,
+                          make_field_ctx, per_prime, release_tables)
 from ntlab.kloosterman import kloosterman_table, trig_table
 from ntlab.primes import primerange
 
@@ -24,6 +24,17 @@ def test_rejects_non_odd_primes(bad):
 @pytest.mark.parametrize("p,g", [(7, 3), (11, 2), (13, 2), (23, 5)])
 def test_smallest_primitive_root(p, g):
     assert make_field_ctx(p).g == g
+
+
+def test_field_ctx_compares_hashes_and_prints_on_p_and_g():
+    ctx = make_field_ctx(7)
+    other = FieldCtx(7, 3, (), ())   # the same (p, g), other tables
+    assert ctx == other and not ctx != other
+    assert hash(ctx) == hash(other)
+    assert ctx != FieldCtx(7, 5, ctx.dlog, ctx.qr)
+    assert ctx != make_field_ctx(11)
+    assert ctx != (7, 3, ctx.dlog, ctx.qr)
+    assert repr(ctx) == "FieldCtx(p=7, g=3)"
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -39,7 +38,7 @@ def test_class_number_route_raises_on_a_remainder(htable):
     s = next(s for s in idn.window8(p) if s % 3)
     hstar12 = list(htable.hstar12)
     hstar12[(4 * p - s * s) // 4] += 1
-    bad = replace(htable, hstar12=tuple(hstar12))
+    bad = htable._replace(hstar12=tuple(hstar12))
     assert idn.s4_via_classnumbers(p, htable) == idn.s4_via_ap(make_field_ctx(p))
     with pytest.raises(ArithmeticError):
         idn.s4_via_classnumbers(p, bad)
@@ -208,8 +207,8 @@ def test_asymptotic_record_takes_a_threshold(htable):
     rec = idn.asymptotic_record(101, "prop4.8", htable, 4.0)
     assert rec.match and rec.detail == "threshold=4"
     tight = rec.ratio / 2
-    assert idn.asymptotic_record(101, "prop4.8", htable, tight) == replace(
-        rec, match=False, detail=f"threshold={tight:g}")
+    assert idn.asymptotic_record(101, "prop4.8", htable, tight) == rec._replace(
+        match=False, detail=f"threshold={tight:g}")
 
 
 def test_prop48_reads_the_undivided_12H_sum():

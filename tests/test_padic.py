@@ -282,6 +282,16 @@ def test_pi_ring_reduction_and_scalars():
     assert x.scale(7 ** 3) == pa.PiRingElem.scalar(7, 3, 0)
 
 
+@pytest.mark.parametrize("op", [lambda x: 2 * x, lambda x: x + x,
+                                lambda x: (1,) + x, lambda x: x + 1],
+                         ids=["int*x", "x+x", "tuple+x", "x+int"])
+def test_pi_ring_has_no_sum_and_no_tuple_arithmetic(op):
+    # the element is a tuple underneath: repetition or concatenation must
+    # not pass for ring arithmetic
+    with pytest.raises(TypeError):
+        op(pa.PiRingElem.monomial(7, 3, 2, 5))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 342), min_size=3, max_size=3),
        st.lists(st.integers(0, 11), min_size=3, max_size=3))

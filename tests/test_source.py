@@ -76,6 +76,14 @@ def test_no_module_imports_decimal_or_pydecimal():
     assert not found, f"imported in ntlab: {', '.join(found)}"
 
 
+def test_no_module_imports_dataclasses():
+    # the value types are NamedTuples: dataclasses loads inspect, ast, dis
+    # and tokenize, and each decoration execs generated methods, about
+    # 20 ms of every run's start-up
+    found = _imports_of({"dataclasses"})
+    assert not found, f"imported in ntlab: {', '.join(found)}"
+
+
 def test_importing_the_cli_loads_only_the_stdlib_and_ntlab():
     # the difference of sys.modules, since site hooks load modules first
     out = subprocess.run(
@@ -94,6 +102,8 @@ def test_importing_the_cli_loads_only_the_stdlib_and_ntlab():
     pool = [m for m in added if m == "concurrent.futures.process"
             or m.split(".")[0] == "multiprocessing"]
     assert not pool, f"the cli imports the process pool: {', '.join(pool)}"
+    slow = [m for m in added if m in ("dataclasses", "inspect")]
+    assert not slow, f"the cli imports {', '.join(slow)}"
 
 
 def test_routes_share_nothing_beyond_ffield():
