@@ -8,10 +8,12 @@ Conventions. For D > 0 with -D a valid discriminant (D = 0 or 3 mod 4):
              discriminant -3, 1/2 for -4, 1 otherwise; H(0) = -1/12.
 Everything is exact integer or Fraction arithmetic.
 
-Every reader of H takes a HurwitzTable, sieved once by build_hurwitz_table,
-and indexes it directly, so a table short of a D read raises. The per-D
-routes class_number_h, hurwitz_hstar12 and hurwitz_hfull read no table:
-they are the oracles the table is tested against.
+Every reader of H takes a HurwitzTable, built by build_hurwitz_table in one
+sieve over reduced forms, and indexes it directly, so a table short of a D
+read raises. The sieve counts hfull; hstar12 is 12 hfull less the CM
+correction, 8 at each D = 3f^2 and 6 at each D = 4f^2. The per-D routes
+class_number_h, hurwitz_hstar12 and hurwitz_hfull read no table: they are
+the oracles the table is tested against.
 
 The eichler and cohen suites read the table directly: theta_sums12 gives
 the sums of 12 H*(n - s^2) and s^2 12 H*(n - s^2) at one n, and
@@ -61,40 +63,25 @@ def class_number_h(D: int) -> int:
 
 class HurwitzTable(NamedTuple):
     bound: int
-    h: tuple[int, ...]
     hfull: tuple[int, ...]
     hstar12: tuple[int, ...]
-
-
-def _mobius(n: int) -> list[int]:
-    """mu(0), ..., mu(n) by a prime sieve; mu(0) is never read."""
-    mu = [1] * (n + 1)
-    composite = bytearray(n + 1)
-    for q in range(2, n + 1):
-        if composite[q]:
-            continue
-        for m in range(q, n + 1, q):
-            composite[m] = 1
-            mu[m] = -mu[m]
-        for m in range(q * q, n + 1, q * q):
-            mu[m] = 0
-    return mu
 
 
 def build_hurwitz_table(bound: int) -> HurwitzTable:
     """Sieve all reduced forms of discriminant -D for D <= bound in one pass.
 
     Forms (a, b, c) with a, b fixed have D = 4ac - b^2, one strided slice
-    of hfull for c = a..cmax. h inverts the conductor sum by Moebius:
-    h(D) = sum over f^2 | D of mu(f) hfull(D/f^2), one slice h[::f^2] per
-    squarefree f <= sqrt(bound). hstar12 re-sums h with the CM weights the
-    same way, one slice per f. O(bound log bound) list work after the sieve.
+    of hfull for c = a..cmax. hstar12 is 12 hfull with the CM weights put
+    in: of the classes hfull(D) counts, only the order of discriminant -3
+    (present iff D = 3f^2) and that of -4 (iff D = 4f^2) have weight below
+    1, 1/3 and 1/2, so 12 hfull(D) overcounts by 8 and 6 there, one
+    correction per f. hstar12(0) = -1.
 
-    The sieve itself costs O(bound^{3/2}): about amax * bound / 4 list
-    updates, so quadrupling the bound costs about 8x. Size it to the largest
-    D read. The mod-8 and mod-16 windows of the fourth moment read
-    (4p - s^2)/4 and (4p - s^2)/16, both at most p; only the n = 1 Schoof
-    count reads 4p - s^2, past p.
+    The sieve costs O(bound^{3/2}): about amax * bound / 4 list updates, so
+    quadrupling the bound costs about 8x. Size it to the largest D read.
+    The mod-8 and mod-16 windows of the fourth moment read (4p - s^2)/4 and
+    (4p - s^2)/16, both at most p; only the n = 1 Schoof count reads
+    4p - s^2, past p.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -112,24 +99,12 @@ def build_hurwitz_table(bound: int) -> HurwitzTable:
             s = slice(D + 4 * a, 4 * a * cmax - b * b + 1, 4 * a)
             hfull[s] = [n + w for n in hfull[s]]
 
-    # hfull(D) = sum over f^2 | D of h(D/f^2); hfull vanishes off the valid
-    # D, so each f is one strided slice and no mask is needed
-    fmax = math.isqrt(bound)
-    mu = _mobius(fmax)
-    h = hfull[:]
-    for f in range(2, fmax + 1):
-        if mu[f]:
-            h[::f * f] = [n + mu[f] * m for n, m in zip(h[::f * f], hfull)]
-
-    hw = [12 * n for n in h]
-    for D, w in ((3, 4), (4, 6)):   # CM weights 1/3 at D = 3, 1/2 at D = 4
-        if D <= bound:
-            hw[D] = w
-    hstar12 = hw[:]
-    for f in range(2, fmax + 1):
-        hstar12[::f * f] = [n + m for n, m in zip(hstar12[::f * f], hw)]
+    hstar12 = [12 * n for n in hfull]
+    for d, excess in ((3, 8), (4, 6)):   # 12 - 4 at -3, 12 - 6 at -4
+        for f in range(1, math.isqrt(bound // d) + 1):
+            hstar12[d * f * f] -= excess
     hstar12[0] = -1
-    return HurwitzTable(bound, tuple(h), tuple(hfull), tuple(hstar12))
+    return HurwitzTable(bound, tuple(hfull), tuple(hstar12))
 
 
 def hurwitz_hstar12(D: int) -> int:

@@ -44,8 +44,8 @@ class _RunFields(NamedTuple):
 
 
 class RunConfig(_RunFields):
-    """A validated run. The constructor, _make, _replace and unpickling in a
-    pool worker all pass through __new__, which rejects a bad value and
+    """A validated run. The constructor, _make, _replace and unpickling at
+    any protocol all pass through __new__, which rejects a bad value and
     normalises the suites: 'all' names every suite, a repeat runs once."""
 
     __slots__ = ()
@@ -73,6 +73,10 @@ class RunConfig(_RunFields):
     def _make(cls, iterable):
         # the namedtuple's own _make, which _replace calls, skips __new__
         return cls(*iterable)
+
+    def __reduce__(self):
+        # protocols 0 and 1 would rebuild the tuple past __new__
+        return type(self), tuple(self)
 
 
 # --- suites -------------------------------------------------------------------
@@ -366,19 +370,20 @@ def _run_tasks(tasks: list[tuple], table: cn.HurwitzTable | None,
                workers: int) -> list[list[VerificationRecord]]:
     """The one place tasks are mapped, serially or over a process pool
     whose workers get the table from the initializer (any start method).
-    The pool takes the index-sorted tasks one index at a time, so the tasks
-    of a prime share one worker and its per-prime tables. It starts no more
-    workers than there are indices, as a fork pool starts all of them at
-    the first submit; a run of one index is a serial run."""
-    batches = [list(ts) for _, ts in groupby(tasks, key=itemgetter(2))]
-    workers = min(workers, len(batches))
+    Only a pool groups the index-sorted tasks into batches, one index each,
+    so the tasks of a prime share one worker and its per-prime tables. It
+    starts no more workers than there are indices, as a fork pool starts
+    all of them at the first submit; a run of one index is a serial run."""
     if workers > 1:
-        # imported here: the pool machinery is a large import a serial run
-        # never uses
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(table,)) as pool:
-            return [g for gs in pool.map(_run_batch, batches) for g in gs]
+        batches = [list(ts) for _, ts in groupby(tasks, key=itemgetter(2))]
+        if len(batches) > 1:
+            # imported here: the pool machinery is a large import a serial
+            # run never uses
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=min(workers, len(batches)),
+                                     initializer=_init_worker,
+                                     initargs=(table,)) as pool:
+                return [g for gs in pool.map(_run_batch, batches) for g in gs]
     _init_worker(table)
     return _run_batch(tasks)
 
@@ -387,12 +392,15 @@ def _summarize(order: list[str], names: list[str], groups: list) -> None:
     """Record and mismatch counts, overall and by suite, and the reason for
     every `error` record, on stderr. Every suite in `order` gets a line, in
     that order, a suite with no prime of its class in range included."""
-    count, fails = Counter(), Counter()
+    count, fails = dict.fromkeys(order, 0), dict.fromkeys(order, 0)
     errors = []
     for name, recs in zip(names, groups):
         count[name] += len(recs)
-        fails[name] += sum(not r.match for r in recs)
-        errors += [(name, r) for r in recs if r.lhs == "error"]
+        for r in recs:
+            if not r.match:   # an error record never matches
+                fails[name] += 1
+                if r.lhs == "error":
+                    errors.append((name, r))
     print(f"{sum(count.values())} records, {sum(fails.values())} mismatches",
           file=sys.stderr)
     for name in order:
@@ -407,7 +415,7 @@ def _run_suites(suites: list[Suite], cfg: RunConfig) -> list[VerificationRecord]
     bounds = [s.bound(cfg) for s in suites if s.bound is not None]
     table = cn.build_hurwitz_table(max(bounds)) if bounds else None
     tasks = [(s.name, s.run, idx, cfg) for s in suites for idx in s.indices(cfg)]
-    tasks.sort(key=lambda t: t[2])
+    tasks.sort(key=itemgetter(2))
     groups = _run_tasks(tasks, table, cfg.workers)
     release_tables()   # the report needs none of the last prime's tables
     records = merge_records(*groups)

@@ -47,16 +47,19 @@ def window16(p: int) -> list[int]:
 
 
 def _window_sum12(p: int, k: int, e: int, table: cn.HurwitzTable) -> int:
-    """sum of 12 H*((4p - s^2)/k) s^e over window8 (k = 4) or window16
-    (k = 16), as an exact integer read straight from the table.
+    """sum of 12 H*((4p - s^2)/k) s^e, e = 0 or 2, over window8 (k = 4) or
+    window16 (k = 16), as an exact integer read straight from the table.
 
     Every D read is at most p. A table that stops short of the largest D
     raises.
     """
-    window = {4: window8, 16: window16}[k](p)
+    window = window8(p) if k == 4 else window16(p)
     h12 = table.hstar12
+    q = 4 * p
     try:
-        return sum(h12[(4 * p - s * s) // k] * s ** e for s in window)
+        if e:
+            return sum([h12[(q - s * s) // k] * s * s for s in window])
+        return sum([h12[(q - s * s) // k] for s in window])
     except IndexError:
         top = max((4 * p - s * s) // k for s in window)
         raise ValueError(f"Hurwitz table to D={table.bound} is too small for "

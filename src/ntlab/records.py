@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from operator import itemgetter
 from typing import NamedTuple
 
 SCHEMA_HEADER = "# ntlab-schema v2"
@@ -31,24 +32,22 @@ def merge_records(*groups) -> list[VerificationRecord]:
     out: list[VerificationRecord] = []
     for g in groups:
         out.extend(g)
-    out.sort(key=lambda r: (r.p, r.name))
+    out.sort(key=itemgetter(0, 1))   # (p, name)
     return out
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
 
 
 def records_to_csv(records) -> str:
     """The report: the schema line, the header and one row per record. A
-    field holding a comma, a double quote or a newline is quoted."""
+    float prints to 12 significant digits and any other lhs or rhs as its
+    str, None, a bool and a Fraction included. A field holding a comma, a
+    double quote or a newline is quoted."""
     buf = io.StringIO()
     buf.write(f"{SCHEMA_HEADER}\n{CSV_COLUMNS}\n")
     csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerows(
-        (r.p, r.name, _fmt(r.lhs), _fmt(r.rhs), str(r.match).lower(),
-         "" if r.ratio is None else f"{r.ratio:.12g}", f"{r.elapsed_ms:.3f}",
-         r.detail)
-        for r in records)
+        (p, name,
+         f"{lhs:.12g}" if isinstance(lhs, float) else str(lhs),
+         f"{rhs:.12g}" if isinstance(rhs, float) else str(rhs),
+         str(match).lower(),
+         "" if ratio is None else f"{ratio:.12g}", f"{ms:.3f}", detail)
+        for p, name, lhs, rhs, match, ratio, ms, detail in records)
     return buf.getvalue()

@@ -44,8 +44,9 @@ def test_table_agrees_with_single_shot(htable):
         assert htable.hfull[D] == cn.hurwitz_hfull(D), D
 
 
-# conductors with mu(f) = -1 (30, 42, 66, 70, 105), +1 (210) and 0 (60), far
-# past the f <= 17 that D < 300 reaches
+# conductors far past the f <= 17 that D < 300 reaches, at the CM
+# discriminants -3 and -4, whose weights the table corrects per f, and at
+# -7 and -8, which it does not
 LARGE_CONDUCTOR_D = [f * f * d for f in (30, 42, 60, 66, 70, 105, 210)
                      for d in (3, 4, 7, 8)]
 
@@ -53,7 +54,27 @@ LARGE_CONDUCTOR_D = [f * f * d for f in (30, 42, 60, 66, 70, 105, 210)
 def test_table_agrees_with_per_d_route_at_large_conductors():
     table = cn.build_hurwitz_table(max(LARGE_CONDUCTOR_D))
     for D in [*range(2001), *LARGE_CONDUCTOR_D]:
-        assert table.h[D] == cn.class_number_h(D), D
+        assert table.hfull[D] == cn.hurwitz_hfull(D), D
+        assert table.hstar12[D] == cn.hurwitz_hstar12(D), D
+
+
+@pytest.mark.parametrize("bound", range(17))
+def test_table_agrees_with_the_oracles_at_every_small_bound(bound):
+    # the sieve's first forms and the CM corrections at D = 3, 4, 12 and 16
+    # start inside these bounds; the table has exactly bound + 1 entries
+    table = cn.build_hurwitz_table(bound)
+    assert table.bound == bound
+    assert table.hfull == tuple(map(cn.hurwitz_hfull, range(bound + 1)))
+    assert table.hstar12 == tuple(map(cn.hurwitz_hstar12, range(bound + 1)))
+
+
+def test_table_agrees_with_the_oracles_at_every_cm_point():
+    # each D = 3f^2 and D = 4f^2 to 32000 takes the CM correction once
+    table = cn.build_hurwitz_table(32000)
+    cm = sorted({d * f * f for d in (3, 4)
+                 for f in range(1, math.isqrt(32000 // d) + 1)})
+    assert cm[-1] <= 32000 and len(cm) == 103 + 89
+    for D in cm:
         assert table.hfull[D] == cn.hurwitz_hfull(D), D
         assert table.hstar12[D] == cn.hurwitz_hstar12(D), D
 

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pickle
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -146,13 +147,19 @@ def _config_fields(kw):
     return [kw.get(k, v) for k, v in cli.RunConfig._field_defaults.items()]
 
 
+def _unpickled(kw, protocol=None):
+    # as a spawn worker unpickles its task, here of a tuple made past __new__
+    return pickle.loads(pickle.dumps(
+        tuple.__new__(cli.RunConfig, _config_fields(kw)), protocol))
+
+
 _RUN_CONFIG_PATHS = {
     "constructor": lambda kw: cli.RunConfig(**kw),
     "_make": lambda kw: cli.RunConfig._make(_config_fields(kw)),
     "_replace": lambda kw: cli.RunConfig()._replace(**kw),
-    # as a spawn worker unpickles its task, here of a tuple made past __new__
-    "pickle": lambda kw: pickle.loads(pickle.dumps(
-        tuple.__new__(cli.RunConfig, _config_fields(kw)))),
+    "pickle": _unpickled,   # the default protocol, as a pool pickles
+    **{f"pickle{n}": partial(_unpickled, protocol=n)
+       for n in range(pickle.HIGHEST_PROTOCOL + 1)},
 }
 
 
@@ -550,6 +557,33 @@ def test_large_prime_moment_output_is_pinned(capsys):
                     "moments,s4-triroute,cp-chain", "--pmin", "1511",
                     "--pmax", "1553")
     assert _v1_sha256(out) == LARGE_P_SHA256
+
+
+# sha256 of the stdout of each window sweep, taken while the Hurwitz table
+# was still Moebius-inverted from the primitive class numbers and the
+# window sums were generators. prop4.8's pin covers its undivided 12 H* sum.
+# They change only with a deliberate output change, recorded in CHANGES.md.
+WINDOW_SWEEP_SHA256 = {
+    ("sweep", "--claim", "thm1.1", "--pmin", "100", "--pmax", "8000"):
+    "e021aa304640862690d94d3594d09c8ac35226c9c98944da56b6e4e254d1ee06",
+    ("sweep", "--claim", "cor1.2", "--pmin", "7", "--pmax", "3000"):
+    "9785fd421165a75100cfb881b13def212157f1ede83d76b56cc800a84ed671b5",
+    ("sweep", "--claim", "prop4.6", "--pmin", "7", "--pmax", "3000"):
+    "2debee4bc919f5336f70ecebfac385db73fe70d9e427874a257e0bff833cbab0",
+    ("sweep", "--claim", "prop4.8", "--pmin", "7", "--pmax", "3000"):
+    "d7b2f10cd6943790fe63eded35eef4042a940434142125dfcbb9fa17c642d088",
+    ("sweep", "--claim", "prop4.9", "--pmin", "7", "--pmax", "3000"):
+    "395da8d655e7c7c4e9fe62358b5350098002f0ba0464da609f72d71690e1c9a8",
+    ("sweep", "--claim", "prop4.11", "--pmin", "7", "--pmax", "3000"):
+    "772980f8202bf897de8572599abc38cbe8783db4d02b83d57a42e56da1bfb698",
+}
+
+
+@pytest.mark.parametrize("argv", list(WINDOW_SWEEP_SHA256), ids=" ".join)
+def test_window_sweep_output_is_pinned(capsys, argv):
+    _, out, _ = run(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        WINDOW_SWEEP_SHA256[argv])
 
 
 def test_curves_suite_reads_only_the_trace_table(capsys, monkeypatch):

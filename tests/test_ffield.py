@@ -252,6 +252,6 @@ def test_shared_tables_are_immutable(htable):
     P, M, _ = kloosterman._power_sums(ctx, 4)
     for table in (kloosterman_table(ctx), K, P, M, ap_table(ctx),
                   curve_census(ctx), ctx.qr, ctx.dlog, trig_table(13).cos,
-                  htable.h, htable.hfull, htable.hstar12):
+                  htable.hfull, htable.hstar12):
         with pytest.raises(TypeError):
             table[1] = 0

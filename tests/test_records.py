@@ -79,3 +79,16 @@ def test_float_formatting_is_stable():
     assert text.splitlines()[2] == "7,x,0.3,0.3,false,0.333333333333,0.000,"
     [row] = _rows(text)
     assert (row["ratio"], row["elapsed_ms"]) == ("0.333333333333", "0.000")
+
+
+def test_csv_prints_none_bools_and_fractions_as_their_str():
+    # csv.writer alone would write None as an empty field; the report
+    # prints every lhs and rhs that is not a float as its str
+    recs = [VerificationRecord(7, "a", None, False, False),
+            VerificationRecord(7, "b", True, Fraction(1, 3), True),
+            VerificationRecord(7, "c", Fraction(1, 3), None, False)]
+    assert records_to_csv(recs).splitlines()[2:] == [
+        "7,a,None,False,false,,0.000,",
+        "7,b,True,1/3,true,,0.000,",
+        "7,c,1/3,None,false,,0.000,",
+    ]
