@@ -1,9 +1,8 @@
 from fractions import Fraction
 
 from ntlab import (ap_table, gamma_p, gamma_p_direct, gk_consistency_check,
-                   greene_2f1_fraction, legendre_phi, make_padic_ctx,
-                   ngn_evaluate, prop64_check, prop65_check, prop66_check,
-                   teichmuller)
+                   greene_2f1_fraction, make_padic_ctx, ngn_evaluate,
+                   prop64_check, prop65_check, prop66_check)
 
 p, K = 13, 6
 ctx = make_padic_ctx(p, K)
@@ -22,15 +21,15 @@ print(f"Gamma_p(1/2) Gamma_p(1/2) = {refl if refl < mod // 2 else refl - mod}")
 # Gauss sums via the factorial formula, cross-checked against Jacobi sums
 rec = gk_consistency_check(ctx, 3, 5)
 print(f"g(chi^3) g(chi^5) vs J(chi^3,chi^5) g(chi^8): match={rec.match}")
-t2 = teichmuller(ctx, 2)
-print(f"teichmuller(2) = {t2}; reduces to 2 mod p: {t2 % p == 2}; "
+t2 = ctx.omega(2)
+print(f"omega(2) = {t2}; reduces to 2 mod p: {t2 % p == 2}; "
       f"t^(p-1) = 1: {pow(t2, p - 1, mod) == 1}")
 
 # hypergeometric values reconstructed as exact rationals
 aps = ap_table(ctx.field)
 for lam in (2, 3, 7):
     val = greene_2f1_fraction(ctx, lam)
-    pred = Fraction(-legendre_phi(ctx.field, -1) * aps[lam], p)
+    pred = Fraction(-ctx.field.qr[-1 % p] * aps[lam], p)
     print(f"2F1(lam={lam}) = {val}, trace formula gives {pred}, equal: {val == pred}")
 
 # the two G-function families at a point, as p-adic numbers

@@ -9,11 +9,11 @@ sweeps. See the README for the findings the lab surfaced.
 
 from .classnumber import (HurwitzTable, build_hurwitz_table, class_number_h,
                           cohen_coefficient, eichler_lhs, eichler_rhs,
-                          hurwitz_hfull, hurwitz_hstar12, hurwitz_rational)
+                          hurwitz_hfull, hurwitz_hstar12)
 from .ecurve import (CurveClass, ap_legendre, ap_table, curve_census,
                      curves_isomorphic, j_invariant, l_set, l_set_sizes,
                      short_weierstrass, torsion_class, twist_relation_check)
-from .ffield import FieldCtx, cyclic_convolve, legendre_phi, make_field_ctx
+from .ffield import FieldCtx, cyclic_convolve, make_field_ctx
 from .identities import (counting_lemma_check, cp_count_brute,
                          cp_count_formula, s4_direct, s4_via_ap,
                          s4_via_classnumbers, schoof_count_check,
@@ -30,7 +30,7 @@ from .padic import (NGN_FAMILIES, PadicCtx, PiRingElem, gamma_p,
                     gk_I_integer, gk_consistency_check, greene_2f1_fraction,
                     hasse_davenport_check, jacobi_sum, make_padic_ctx,
                     ngn_evaluate, prop64_check, prop65_check, prop66_check,
-                    sweep_trend_ok, teichmuller)
+                    sweep_trend_ok)
 from .records import VerificationRecord, merge_records, records_to_csv
 
 __version__ = "0.1.0"

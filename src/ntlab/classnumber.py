@@ -125,11 +125,6 @@ def hurwitz_hstar12(D: int) -> int:
     return total
 
 
-def hurwitz_rational(D: int) -> Fraction:
-    """The Hurwitz class number H(D) itself, as a Fraction."""
-    return Fraction(hurwitz_hstar12(D), 12)
-
-
 def hurwitz_hfull(D: int) -> int:
     """Number of classes of all (primitive or not) forms of discriminant -D;
     the per-D oracle of HurwitzTable.hfull."""

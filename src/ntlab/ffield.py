@@ -113,11 +113,6 @@ def make_field_ctx(p: int) -> FieldCtx:
     return FieldCtx(p=p, g=g, dlog=tuple(dlog), qr=tuple(qr))
 
 
-def legendre_phi(ctx: FieldCtx, x: int) -> int:
-    """Quadratic character phi(x) in {-1, 0, +1}."""
-    return ctx.qr[x % ctx.p]
-
-
 def cyclic_convolve(u: list[int], v: list[int]) -> list[int]:
     """w[k] = sum over i + j = k (mod n) of u[i] v[j], exact, n = len(u).
 

@@ -21,20 +21,22 @@ independent validator of Gross-Koblitz in gk_consistency_check. Suites and
 sweeps run on make_padic_ctx(p), at the K = 6 their Weil bounds need; an
 nGn table with p^-scale terms raises it on a context of its own.
 
-Gamma_p at a rational x reduces x to an integer n mod p^(K+1) (continuity,
-|Gamma_p(x)-Gamma_p(y)| <= |x-y|) through PadicCtx.residue, and evaluates
-the defining product in blocks of p consecutive integers: the block
-polynomial R(t) = prod (tp+i) satisfies -R(t) = 1 + O(p), so
-L(t) = log(-R(t)) is a polynomial mod p^WK. Written in Newton form,
-L(t) = sum_k D_k C(t, k) with integer forward differences D_k, the block sum
-is sum_{t<m} L(t) = sum_k D_k C(m, k+1). With F = len(D)!, F times it is a
-polynomial in m with integer coefficients for every p, kept in monomial form
-mod p^(K+1) F: one Horner pass and an exact division by F give the block
-sum, exp of it gives prod_{t<m} R(t), and the r - 1 leftover factors are one
-of the prefix products prod_{0<i<r} (z + i) at z = m p, so a call costs
-O(poly(K)) time instead of O(n), at every n >= 0. Each engine checks
-itself against the literal product, gamma_p_direct, at every n in [64p, 65p];
-that product is otherwise only the oracle of tests and demos.
+Gamma_p at a rational x reduces x to an integer n mod p^K through
+PadicCtx.residue: Gamma_p is 1-Lipschitz for odd p, |Gamma_p(x)-Gamma_p(y)|
+<= |x-y|, so x = y mod p^K gives equal values mod p^K. It evaluates the
+defining product in blocks of p consecutive integers: the block polynomial
+R(t) = prod (tp+i) satisfies -R(t) = 1 + O(p), so L(t) = log(-R(t)) is one
+scalar p-adic log at each integer t. Written in Newton form through its
+values at t = 0..WK-1, L(t) = sum_k D_k C(t, k) with integer forward
+differences D_k, the block sum is sum_{t<m} L(t) = sum_k D_k C(m, k+1). With
+F = len(D)!, F times it is a polynomial in m with integer coefficients for
+every p, kept in monomial form mod p^(K+1) F: one Horner pass and an exact
+division by F give the block sum, exp of it gives prod_{t<m} R(t), and the
+r - 1 leftover factors are one of the prefix products prod_{0<i<r} (z + i)
+at z = m p, so a call costs O(poly(K)) time instead of O(n), at every
+n >= 0. Each engine checks itself against the literal product,
+gamma_p_direct, at every n in [64p, 65p]; that product is otherwise only
+the oracle of tests and demos.
 """
 
 from __future__ import annotations
@@ -69,12 +71,14 @@ class _GammaEngine:
 
     n = m p + r splits into m whole blocks of p factors and a tail of r - 1.
     The m blocks are exp of the block sum, one polynomial in m kept as
-    monomial coefficients mod p^(K+1) F; the tail is the prefix product
-    prod_{0<i<r} (z + i) at z = m p, kept mod p^K to degree < K. Every
-    coefficient is built mod p^WK, where the guard digits absorb the series
-    divisions, and then reduced to the precision at_int reads, so a call is
-    three Horner passes of O(K) steps whatever n and p are. The self-test
-    compares every n in [64p, 65p] with the literal product.
+    monomial coefficients mod p^(K+1) F, whose Newton coefficients are the
+    differences of the scalar logs L(t) = log(-R(t)) at t = 0..WK-1, read
+    from R's values; the tail is the prefix product prod_{0<i<r} (z + i) at
+    z = m p, kept mod p^K to degree < K. Every coefficient is built mod p^WK,
+    where the guard digits absorb the series divisions, and then reduced to
+    the precision at_int reads, so a call is three Horner passes of O(K)
+    steps whatever n and p are. The self-test compares every n in [64p, 65p]
+    with the literal product.
     """
 
     BUF = 6  # guard digits absorbing the series-division losses
@@ -85,7 +89,7 @@ class _GammaEngine:
         self.WK = K + self.BUF
         self.wmod = p ** self.WK
         # prefix products prod_{0<i<r} (z + i) truncated to degree < WK; the
-        # last one, r = p, gives R
+        # last one, r = p, gives R(t) at z = tp
         wmod = self.wmod
         poly = [1]
         prefixes = [[1]]
@@ -97,30 +101,18 @@ class _GammaEngine:
         # degrees >= K vanish mod p^K
         self._tails = [[c % self.mod for c in reversed(f[:K])]
                        for f in prefixes]
-        # R(t) = prod (tp + i): coefficient of t^d is poly[d] p^d
-        self.R = [poly[d] * pow(p, d, self.wmod) % self.wmod
-                  for d in range(len(poly))]
-        # W(t) = -R(t) - 1 has all coefficients divisible by p
-        self.W = [(-c) % self.wmod for c in self.R]
-        self.W[0] = (self.W[0] - 1) % self.wmod
-        if self.W[0] % p:
-            raise ArithmeticError(f"Wilson sanity failed at p={p}")
-        self._logpoly = self._log_series()
+        # L(t) = log(-R(t)) at t = 0..WK-1; z^d for d >= WK is 0 mod p^WK
+        self._logs = []
+        for t in range(self.WK):
+            r = 0
+            for c in reversed(poly):
+                r = (r * t * p + c) % wmod
+            self._logs.append(self._log(-r))
         self._F = math.factorial(self.WK)  # len(D)! for the WK coefficients D_k
         self._fmod = p ** (K + 1) * self._F
         self._bsum = self._block_sum_coeffs()
         self._exp_coeffs = self._exp_series()
         self._selftest()
-
-    def _polymul(self, f, g):
-        """f g truncated to degree < WK, mod p^WK."""
-        n = min(len(f) + len(g) - 1, self.WK)
-        out = [0] * n
-        for i, a in enumerate(f[:n]):
-            if a:
-                for j, b in enumerate(g[:n - i], start=i):
-                    out[j] += a * b
-        return [c % self.wmod for c in out]
 
     def _div_exact(self, c: int, j: int) -> int:
         """c/j when p^{v_p(j)} | c; the top v digits of the result are noise
@@ -135,30 +127,27 @@ class _GammaEngine:
             c //= self.p ** v
         return c * pow(j, -1, self.wmod) % self.wmod
 
-    def _log_series(self):
-        """log(1 + W(t)) as a polynomial in t, good mod p^(K+4) per coeff."""
-        target = self.K + 4
-        out = [0] * self.WK
-        term = [1]
-        j = 1
+    def _log(self, x: int) -> int:
+        """log(x) mod p^WK for x = 1 mod p, good mod p^(K+4); by Wilson's
+        theorem every -R(t) is such an x."""
+        p, wmod = self.p, self.wmod
+        w = (x - 1) % wmod
+        if w % p:
+            raise ArithmeticError(f"Wilson sanity failed at p={p}")
+        tot, term, j = 0, 1, 1
         while True:
-            term = self._polymul(term, self.W)
-            contrib = [self._div_exact(c, j) for c in term]
-            sign = 1 if j % 2 else -1
-            for d, c in enumerate(contrib):
-                out[d] = (out[d] + sign * c) % self.wmod
-            # v_p(W^j / j) >= j - v_p(j); stop once the dropped tail is deep
+            term = term * w % wmod
+            c = self._div_exact(term, j)
+            tot += c if j % 2 else -c
+            # v_p(w^j / j) >= j - v_p(j); stop once the dropped tail is deep
             j += 1
-            if j - int(math.log(j, self.p)) > target:
-                break
-        return out
+            if j - int(math.log(j, p)) > self.K + 4:
+                return tot % wmod
 
     def _newton_coeffs(self) -> list[int]:
-        """D_k = Delta^k L(0) mod p^WK for L(t) = sum_d logpoly[d] t^d, so that
+        """D_k = Delta^k L(0) mod p^WK from the values L(0..WK-1), so that
         L(t) = sum_k D_k C(t, k): integer coefficients, no denominators."""
-        lam = self._logpoly
-        vals = [sum(c * t ** d for d, c in enumerate(lam))
-                for t in range(len(lam))]
+        vals = self._logs
         diffs = []
         while vals:
             diffs.append(vals[0] % self.wmod)
@@ -270,9 +259,10 @@ class PadicCtx:
     """Tables mod p^K: the powers pw[k] = omega(g)^k, which every
     Teichmueller value is read from, and memo caches. omega(g) is the fixed
     point of t -> t^p from t = g, reached in at most K steps. The chirps of
-    teichmuller_dft are built on first use and kept here, one pair per
-    context, so a context at K and one at a raised precision never evict
-    each other's.
+    teichmuller_dft and the Gamma_p engine, at the context's own K, are
+    built on first use and kept here, one of each per context, so a context
+    at K and one at a raised precision never evict each other's. Gamma_p
+    arguments live mod p^K, with no guard digit.
 
     Mutable only through internal memoization; shared via make_padic_ctx.
     """
@@ -293,22 +283,21 @@ class PadicCtx:
         self.pw = [1] * self.q
         for e in range(1, self.q):
             self.pw[e] = self.pw[e - 1] * wg % self.mod
-        self.big = field.p ** (K + 1)  # Gamma_p arguments live mod p^(K+1)
         self._engine: _GammaEngine | None = None
         self._chirps: tuple[list[int], list[int]] | None = None
         self._gamma_memo: dict[int, int] = {}
         self._inverses: dict[int, int] = {}
 
     def residue(self, num: int, den: int) -> int:
-        """num/den mod p^(K+1), the integer gamma_p reduces a rational to;
-        the inverse of each denominator is cached."""
+        """num/den mod p^K, the integer gamma_p reduces a rational to; the
+        inverse of each denominator is cached."""
         inv = self._inverses.get(den)
         if inv is None:
             if den % self.p == 0:
                 raise ValueError(
                     f"{num}/{den} is not a p-adic integer for p={self.p}")
-            inv = self._inverses[den] = pow(den, -1, self.big)
-        return num * inv % self.big
+            inv = self._inverses[den] = pow(den, -1, self.mod)
+        return num * inv % self.mod
 
     def omega(self, x: int, c: int = 1) -> int:
         """omega^c(x) mod p^K; zero for x = 0 mod p."""
@@ -357,34 +346,28 @@ def _character_sums(ctx: PadicCtx, pairs) -> list[int]:
     return teichmuller_dft(ctx, h)
 
 
-def teichmuller(ctx: PadicCtx, x: int) -> int:
-    """The (p-1)-th root of unity congruent to x mod p, omega(x)."""
-    if x % ctx.p == 0:
-        raise ValueError("x = 0 has no Teichmueller lift")
-    return ctx.omega(x)
-
-
 def gamma_p(ctx: PadicCtx, x: int | Fraction) -> int:
     """Morita's Gamma_p at an integer or a rational in Z_p, mod p^K.
 
-    Both reduce to the integer n = x mod p^(K+1), a rational through
-    ctx.residue; one guard digit keeps the continuity argument exact mod p^K.
-    Anything else (a float, a Decimal) raises TypeError.
+    Both reduce to the integer n = x mod p^K, a rational through
+    ctx.residue; continuity, |Gamma_p(x) - Gamma_p(y)| <= |x - y| for odd p,
+    makes that exact mod p^K with no guard digit. Anything else (a float, a
+    Decimal) raises TypeError.
     """
     # type(x) is int first: an isinstance test against the Fraction ABC
     # costs more than the memo hit that most calls are
     if type(x) is int:
-        n = x % ctx.big
+        n = x % ctx.mod
     elif isinstance(x, Fraction):
         n = ctx.residue(x.numerator, x.denominator)
     else:
-        n = operator.index(x) % ctx.big
+        n = operator.index(x) % ctx.mod
     memo = ctx._gamma_memo
     val = memo.get(n)
     if val is None:
         if ctx._engine is None:
-            ctx._engine = _GammaEngine(ctx.p, ctx.K + 1)
-        val = memo[n] = ctx._engine.at_int(n) % ctx.mod
+            ctx._engine = _GammaEngine(ctx.p, ctx.K)
+        val = memo[n] = ctx._engine.at_int(n)
     return val
 
 

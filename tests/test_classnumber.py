@@ -22,10 +22,10 @@ def test_weighted_values():
     assert cn.hurwitz_hstar12(3) == 4
     assert cn.hurwitz_hstar12(4) == 6
     assert cn.hurwitz_hstar12(12) == 16
-    assert cn.hurwitz_rational(0) == Fraction(-1, 12)
-    assert cn.hurwitz_rational(3) == Fraction(1, 3)
-    assert cn.hurwitz_rational(4) == Fraction(1, 2)
-    assert cn.hurwitz_rational(23) == 3
+    assert Fraction(cn.hurwitz_hstar12(0), 12) == Fraction(-1, 12)
+    assert Fraction(cn.hurwitz_hstar12(3), 12) == Fraction(1, 3)
+    assert Fraction(cn.hurwitz_hstar12(4), 12) == Fraction(1, 2)
+    assert Fraction(cn.hurwitz_hstar12(23), 12) == 3
     with pytest.raises(ValueError):
         cn.hurwitz_hstar12(-4)
 

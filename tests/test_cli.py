@@ -657,7 +657,7 @@ def test_trace_suites_sum_the_squared_traces_once_per_prime(capsys,
 
 def test_padic_suites_compute_gk_I_once_per_prime(capsys, monkeypatch):
     # gk_I_integer reconstructs I through one _centered(..., "I") call, and
-    # the checks of one prime share one context, so one Gamma_p engine at K+1
+    # the checks of one prime share one context, so one Gamma_p engine at K
     from ntlab import padic
     engines, whats = Counter(), Counter()
     real_engine, real_centered = padic._GammaEngine, padic._centered
@@ -678,7 +678,7 @@ def test_padic_suites_compute_gk_I_once_per_prime(capsys, monkeypatch):
                      "--pmin", "7", "--pmax", "13")
     assert code == 0
     assert whats["I"] == 3
-    assert {p: engines[p, 7] for p in (7, 11, 13)} == {7: 1, 11: 1, 13: 1}
+    assert {p: engines[p, 6] for p in (7, 11, 13)} == {7: 1, 11: 1, 13: 1}
 
 
 def test_pool_keeps_each_prime_in_one_worker(capsys, monkeypatch, tmp_path):
@@ -760,7 +760,7 @@ def test_padic_runs_build_one_base_context_per_prime(capsys, monkeypatch,
                                                      names):
     # one context at K = 6 per prime, and one at 6 + 2 for the 3G3 table at
     # p = 1 mod 6, whose scale is 2 (9G9's is 0, so prop6.5 needs none);
-    # each context builds one Gamma_p engine, at its K + 1
+    # each context builds one Gamma_p engine, at its own K
     from ntlab import padic
     built, real_init = Counter(), padic.PadicCtx.__init__
     engines, real_engine = Counter(), padic._GammaEngine
@@ -770,7 +770,7 @@ def test_padic_runs_build_one_base_context_per_prime(capsys, monkeypatch,
         real_init(self, field, K)
 
     def engine(p, K):
-        engines[p, K - 1] += 1
+        engines[p, K] += 1
         return real_engine(p, K)
 
     monkeypatch.setattr(padic.PadicCtx, "__init__", counting)

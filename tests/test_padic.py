@@ -78,7 +78,7 @@ def test_gamma_functional_equation_far_beyond_the_literal_product(p, K):
     vals = [eng.at_int(n) for n in range(base, base + 2 * p + 2)]
     for n, (g, g1) in enumerate(zip(vals, vals[1:]), start=base):
         assert g1 == (-(n if n % p else 1) * g) % mod, n
-    # continuity: the public entry point reduces n mod p^(K+1) first
+    # continuity: the public entry point reduces n mod p^K first
     assert pa.gamma_p(ctx, base) == vals[0]
 
 
@@ -92,19 +92,25 @@ def engines():
     return {pk: pa._GammaEngine(*pk) for pk in ENGINE_CASES}
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 7, 64, 1000])
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 64, 300, 1000])
 def test_newton_block_sum_against_brute_force(engines, m):
+    # exp of the block sum is the product of the m whole blocks
+    # -R(t) = -prod_{0<i<p} (t p + i), each taken literally, factor by factor
     for (p, K), eng in engines.items():
-        lam = eng._logpoly
-        brute = sum(sum(c * t ** d for d, c in enumerate(lam))
-                    for t in range(m))
-        assert eng._block_sum(m) == brute % p ** (K + 1), (p, K)
+        mod = p ** K
+        brute = 1
+        for t in range(m):
+            block = -1
+            for i in range(1, p):
+                block = block * (t * p + i) % mod
+            brute = brute * block % mod
+        assert eng._exp(eng._block_sum(m)) == brute, (p, K)
 
 
 def _sum_log_binomial(eng, m: int) -> int:
-    """sum_k D_k C(m, k+1) mod p^WK through exact binomial divisions: the
-    block sum the engine evaluated before its monomial form, kept as the
-    oracle for it."""
+    """sum_k D_k C(m, k+1) mod p^WK through exact binomial divisions, with
+    the D_k differenced from the engine's block logs: the block sum the
+    engine evaluated before its monomial form, kept as the oracle for it."""
     tot = 0
     binom = m  # C(m, k+1) at k = 0
     for k, dk in enumerate(eng._newton_coeffs()):
@@ -163,7 +169,7 @@ def test_exp_series_turns_sums_into_products(engines, pk, y1, y2):
 @st.composite
 def _rational_in_zp(draw):
     p = draw(st.sampled_from([5, 7, 11, 13]))
-    kmin = next(k for k in range(1, 9) if p ** k > 64)  # p^(K+1) > 64 p
+    kmin = next(k for k in range(1, 9) if p ** k > 64 * p)  # p^K > 64 p
     K = draw(st.integers(kmin, kmin + 1))
     b = draw(st.integers(1, 10 ** 6).filter(lambda b: b % p))
     a = draw(st.integers(-10 ** 9, 10 ** 9))
@@ -173,8 +179,8 @@ def _rational_in_zp(draw):
 @settings(max_examples=60, deadline=None)
 @given(_rational_in_zp())
 def test_gamma_at_rationals_against_literal_product(case):
-    # n = a/b mod p^(K+1) reaches past 64 p, where the engine's self-test
-    # starts, and the small-p degree cases
+    # the engine's input a/b mod p^K reaches past 64 p, where its self-test
+    # starts, and the small-p degree cases; the oracle reads a/b mod p^(K+1)
     p, K, x = case
     ctx = pa.make_padic_ctx(p, K)
     big = p ** (K + 1)
@@ -209,13 +215,28 @@ def test_residue_equals_the_fraction_path(pk, num, den, k):
     if den % p == 0 or k % p == 0:
         den, k = den * p + 1, k * p + 1
     ctx = pa.make_padic_ctx(p, K)
-    big = p ** (K + 1)
+    mod = p ** K
     x = Fraction(num, den)
-    want = x.numerator * pow(x.denominator, -1, big) % big
+    want = x.numerator * pow(x.denominator, -1, mod) % mod
     assert ctx.residue(num, den) == want
     assert ctx.residue(num * k, den * k) == want
     assert (pa.gamma_p(ctx, ctx.residue(num * k, den * k))
             == pa.gamma_p(ctx, Fraction(num * k, den * k)))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_gamma_is_continuous_mod_p_to_the_K(p, K):
+    # |Gamma_p(x) - Gamma_p(y)| <= |x - y| for odd p: the engine and the
+    # residues live mod p^K with no guard digit on the strength of this
+    mod = p ** K
+    ctx = pa.make_padic_ctx(p, K)
+    for n in (*range(3 * p), 64 * p - 1, 64 * p + 2, mod - 1, 3 * mod + 5):
+        want = pa.gamma_p_direct(p, K, n)
+        assert pa.gamma_p_direct(p, K, n + mod) == want, n
+        for j in (1, 2, 7, 10 ** 20):
+            assert pa.gamma_p(ctx, n + j * mod) == pa.gamma_p(ctx, n), (n, j)
+        assert pa.gamma_p(ctx, n) == want, n
 
 
 def test_gamma_small_values():
@@ -244,15 +265,15 @@ def test_teichmuller_properties(pctx13):
     p, K = 13, 4
     mod = p ** K
     for x in range(1, p):
-        t = pa.teichmuller(pctx13, x)
+        t = pctx13.omega(x)
         assert t % p == x
         assert pow(t, p, mod) == t
     for x in range(1, p):
         for y in range(1, p):
-            tx, ty = pa.teichmuller(pctx13, x), pa.teichmuller(pctx13, y)
-            assert tx * ty % mod == pa.teichmuller(pctx13, x * y % p)
-    with pytest.raises(ValueError):
-        pa.teichmuller(pctx13, 0)
+            tx, ty = pctx13.omega(x), pctx13.omega(y)
+            assert tx * ty % mod == pctx13.omega(x * y % p)
+    # the character convention chi(0) = 0
+    assert pctx13.omega(0) == 0
 
 
 def _teichmuller_hensel(p, K, x):
@@ -268,7 +289,7 @@ def _teichmuller_hensel(p, K, x):
 @pytest.mark.parametrize("K", [1, 6, 9])
 def test_teichmuller_equals_the_per_x_hensel_lift(p, K):
     ctx = pa.make_padic_ctx(p, K)
-    assert ([pa.teichmuller(ctx, x) for x in range(1, p)]
+    assert ([ctx.omega(x) for x in range(1, p)]
             == [_teichmuller_hensel(p, K, x) for x in range(1, p)])
 
 
@@ -527,6 +548,19 @@ PYTHON_O_PROBES = {
         "    result = e._div_exact(7, 5)\n"
         "except ArithmeticError as exc:\n"
         "    result = type(exc).__name__\n"),
+    # the block logs rest on Wilson's theorem, -R(t) = 1 mod p; a log handed
+    # anything else would return a value that is no log at all. At p = 13,
+    # K = 4 the series stops before j = p, so no inexact division catches it
+    "log-off-one": (
+        "from ntlab.padic import _GammaEngine\n"
+        "e = _GammaEngine(13, 4)\n"
+        "raised = []\n"
+        "for x in (0, 2, 7, 12):\n"
+        "    try:\n"
+        "        e._log(x)\n"
+        "    except ArithmeticError as exc:\n"
+        "        raised.append(type(exc).__name__)\n"
+        "result = ' '.join(raised)\n"),
     # p F added to a monomial block-sum coefficient keeps the division by F
     # exact and every exp argument divisible by p, so only the self-test's
     # comparison can catch it; try each coefficient
@@ -581,6 +615,10 @@ def python_O_results() -> dict[str, str]:
 
 def test_inexact_division_raises_under_python_O(python_O_results):
     assert python_O_results["inexact-division"] == "ArithmeticError"
+
+
+def test_log_off_one_mod_p_raises_under_python_O(python_O_results):
+    assert python_O_results["log-off-one"] == " ".join(["ArithmeticError"] * 4)
 
 
 def test_corrupted_newton_coefficient_raises_under_python_O(python_O_results):
