@@ -23,20 +23,15 @@ nGn table with p^-scale terms raises it on a context of its own.
 
 Gamma_p at a rational x reduces x to an integer n mod p^K through
 PadicCtx.residue: Gamma_p is 1-Lipschitz for odd p, |Gamma_p(x)-Gamma_p(y)|
-<= |x-y|, so x = y mod p^K gives equal values mod p^K. It evaluates the
-defining product in blocks of p consecutive integers: the block polynomial
-R(t) = prod (tp+i) satisfies -R(t) = 1 + O(p), so L(t) = log(-R(t)) is one
-scalar p-adic log at each integer t. Written in Newton form through its
-values at t = 0..WK-1, L(t) = sum_k D_k C(t, k) with integer forward
-differences D_k, the block sum is sum_{t<m} L(t) = sum_k D_k C(m, k+1). With
-F = len(D)!, F times it is a polynomial in m with integer coefficients for
-every p, kept in monomial form mod p^(K+1) F: one Horner pass and an exact
-division by F give the block sum, exp of it gives prod_{t<m} R(t), and the
-r - 1 leftover factors are one of the prefix products prod_{0<i<r} (z + i)
-at z = m p, so a call costs O(poly(K)) time instead of O(n), at every
-n >= 0. Each engine checks itself against the literal product,
-gamma_p_direct, at every n in [64p, 65p]; that product is otherwise only
-the oracle of tests and demos.
+<= |x-y|, so x = y mod p^K gives equal values mod p^K. _GammaEngine takes
+the defining product in blocks of p integers: Q(m) = Gamma_p(m p) =
+prod_{t<m} (-R(t)), R(t) = prod_{0<i<p} (tp+i), has Newton differences
+D_k = Delta^k Q(0) with v_p(D_k) >= ceil(k/2), so its Newton form cut at
+k < 2K-1 is Q(m) mod p^K exactly: one polynomial in m, no log, no exp, no
+guard digit. The r - 1 leftover factors are a prefix product at z = m p, so
+a call costs O(K) time instead of O(n), at every n >= 0. Each engine checks
+itself against the literal product, gamma_p_direct, at every n in
+[64p, 65p]; that product is otherwise only the oracle of tests and demos.
 """
 
 from __future__ import annotations
@@ -69,145 +64,78 @@ def gamma_p_direct(p: int, K: int, n: int) -> int:
 class _GammaEngine:
     """Block evaluation of Gamma_p(n) mod p^K for every n >= 0.
 
-    n = m p + r splits into m whole blocks of p factors and a tail of r - 1.
-    The m blocks are exp of the block sum, one polynomial in m kept as
-    monomial coefficients mod p^(K+1) F, whose Newton coefficients are the
-    differences of the scalar logs L(t) = log(-R(t)) at t = 0..WK-1, read
-    from R's values; the tail is the prefix product prod_{0<i<r} (z + i) at
-    z = m p, kept mod p^K to degree < K. Every coefficient is built mod p^WK,
-    where the guard digits absorb the series divisions, and then reduced to
-    the precision at_int reads, so a call is three Horner passes of O(K)
-    steps whatever n and p are. The self-test compares every n in [64p, 65p]
-    with the literal product.
-    """
+    n = m p + r splits into m whole blocks of p factors and a tail of r - 1:
+    Gamma_p(n) = (-1)^(m+n) Q(m) prod_{0<i<r} (m p + i), where
+    Q(m) = Gamma_p(m p) = prod_{t<m} (-R(t)) and R(t) = prod_{0<i<p} (tp + i).
+    R and the tails are the prefix products prod_{0<i<r} (z + i), kept mod
+    p^K to degree < K: z = t p or m p has v_p >= 1, so higher degrees vanish.
 
-    BUF = 6  # guard digits absorbing the series-division losses
+    Q is read from its Newton form Q(m) = sum_k D_k C(m, k), D_k =
+    Delta^k Q(0), cut at k < 2K - 1; the cut is exact mod p^K because
+    v_p(Delta^k Q(t)) >= ceil(k/2) at every t >= 0. Proof: Delta Q = Q h with
+    h(t) = -R(t) - 1. Wilson's theorem gives v_p(h) >= 1, and for j >= 1,
+    v_p(Delta^j h) >= j: R's z^d coefficient is multiplied by (tp)^d =
+    p^d t^d, and Delta^j t^d is an integer polynomial, zero for d < j.
+    Leibniz for forward differences gives
+        Delta^k Q(t) = sum_{j<k} C(k-1, j) Delta^j Q(t) Delta^(k-1-j) h(t+j),
+    and by induction on k each term has v_p >= ceil(j/2) + max(k-1-j, 1)
+    >= ceil(k/2). Only v_p(h) >= 1 is used, so the Wilson primes 5, 13 and
+    563, where (p-1)! = -1 mod p^2, need no exception.
+
+    The D_k are differenced from Q(0..2K-2), products of R's values. With
+    F = (2K-2)!, F Q(m) = sum_k D_k (F/k!) m(m-1)...(m-k+1) has integer
+    coefficients, kept in monomial form mod p^K F, so a call is two Horner
+    passes of O(K) steps and an exact division by F, whatever n and p are.
+    The self-test compares every n in [64p, 65p] with the literal product.
+    """
 
     def __init__(self, p: int, K: int):
         self.p, self.K = p, K
-        self.mod = p ** K
-        self.WK = K + self.BUF
-        self.wmod = p ** self.WK
-        # prefix products prod_{0<i<r} (z + i) truncated to degree < WK; the
-        # last one, r = p, gives R(t) at z = tp
-        wmod = self.wmod
+        self.mod = mod = p ** K
+        # prefix products prod_{0<i<r} (z + i) mod p^K, truncated to degree
+        # < K; the last one, r = p, is R(t) at z = tp
         poly = [1]
         prefixes = [[1]]
         for i in range(1, p):
             prefixes.append(poly)
-            poly = [(c * i + b) % wmod
-                    for c, b in zip(poly + [0], [0] + poly)][:self.WK]
-        # tail polynomials, highest degree first: z = m p has v_p >= 1, so
-        # degrees >= K vanish mod p^K
-        self._tails = [[c % self.mod for c in reversed(f[:K])]
-                       for f in prefixes]
-        # L(t) = log(-R(t)) at t = 0..WK-1; z^d for d >= WK is 0 mod p^WK
-        self._logs = []
-        for t in range(self.WK):
+            poly = [(c * i + b) % mod
+                    for c, b in zip(poly + [0], [0] + poly)][:K]
+        self._tails = [f[::-1] for f in prefixes]  # highest degree first
+        # Q(t) at t = 0..2K-2 from Q(t+1) = -R(t) Q(t), then D_k = Delta^k Q(0)
+        vals = [1]
+        for t in range(2 * K - 2):
             r = 0
             for c in reversed(poly):
-                r = (r * t * p + c) % wmod
-            self._logs.append(self._log(-r))
-        self._F = math.factorial(self.WK)  # len(D)! for the WK coefficients D_k
-        self._fmod = p ** (K + 1) * self._F
-        self._bsum = self._block_sum_coeffs()
-        self._exp_coeffs = self._exp_series()
-        self._selftest()
-
-    def _div_exact(self, c: int, j: int) -> int:
-        """c/j when p^{v_p(j)} | c; the top v digits of the result are noise
-        already covered by the BUF guard."""
-        v = 0
-        while j % self.p == 0:
-            j //= self.p
-            v += 1
-        if v:
-            if c % self.p ** v:
-                raise ArithmeticError("inexact division; raise BUF")
-            c //= self.p ** v
-        return c * pow(j, -1, self.wmod) % self.wmod
-
-    def _log(self, x: int) -> int:
-        """log(x) mod p^WK for x = 1 mod p, good mod p^(K+4); by Wilson's
-        theorem every -R(t) is such an x."""
-        p, wmod = self.p, self.wmod
-        w = (x - 1) % wmod
-        if w % p:
-            raise ArithmeticError(f"Wilson sanity failed at p={p}")
-        tot, term, j = 0, 1, 1
-        while True:
-            term = term * w % wmod
-            c = self._div_exact(term, j)
-            tot += c if j % 2 else -c
-            # v_p(w^j / j) >= j - v_p(j); stop once the dropped tail is deep
-            j += 1
-            if j - int(math.log(j, p)) > self.K + 4:
-                return tot % wmod
-
-    def _newton_coeffs(self) -> list[int]:
-        """D_k = Delta^k L(0) mod p^WK from the values L(0..WK-1), so that
-        L(t) = sum_k D_k C(t, k): integer coefficients, no denominators."""
-        vals = self._logs
+                r = (r * t * p + c) % mod
+            vals.append(-r * vals[-1] % mod)
         diffs = []
         while vals:
-            diffs.append(vals[0] % self.wmod)
+            diffs.append(vals[0])
             vals = [b - a for a, b in zip(vals, vals[1:])]
-        return diffs
-
-    def _block_sum_coeffs(self) -> list[int]:
-        """F sum_{t<m} L(t) = sum_k D_k (F/(k+1)!) m(m-1)...(m-k) as monomial
-        coefficients in m mod p^(K+1) F, highest degree first, F = len(D)!.
-
-        Hockey stick: sum_{t<m} C(t, k) = C(m, k+1), and F C(m, k+1) has
-        integer coefficients for k < len(D), so no denominator enters at any
-        p, p | F included; _block_sum divides F out of the value exactly.
-        """
-        diffs = self._newton_coeffs()
-        F = self._F
-        out = [0] * (len(diffs) + 1)
+        # F Q(m) in monomials of m, highest degree first
+        self._F = F = math.factorial(2 * K - 2)
+        self._fmod = mod * F
+        out = [0] * len(diffs)
         fall = [1]  # m(m-1)...(m-k+1), lowest degree first
         for k, dk in enumerate(diffs):
-            fall = [a - k * b for a, b in zip([0] + fall, fall + [0])]
-            scale = dk * (F // math.factorial(k + 1))
+            scale = dk * (F // math.factorial(k))
             for d, c in enumerate(fall):
                 out[d] += scale * c
-        return [c % self._fmod for c in reversed(out)]
+            fall = [a - k * b for a, b in zip([0] + fall, fall + [0])]
+        self._newton = [c % self._fmod for c in reversed(out)]
+        self._selftest()
 
-    def _exp_series(self) -> list[int]:
-        """e_j = p^j / j! mod p^K, highest degree first, so that
-        exp(p y) = sum_j e_j y^j mod p^K; the e_j that vanish mod p^K are
-        dropped."""
-        p = self.p
-        coeffs = [1]
-        fact = 1
-        vfact = 0  # cumulative v_p(j!)
-        j = 0
-        while True:
-            j += 1
-            fact *= j
-            f = j
-            while f % p == 0:
-                f //= p
-                vfact += 1
-            coeffs.append(self._div_exact(p ** j, fact) % self.mod)
-            # dropped tail has v_p >= (j+1) - v_p((j+1)!), increasing in j
-            if j - vfact > self.K + 2:
-                break
-        while not coeffs[-1]:
-            coeffs.pop()
-        return coeffs[::-1]
-
-    def _block_sum(self, m: int) -> int:
-        """sum_{t<m} log(-R(t)) mod p^(K+1)."""
+    def _blocks(self, m: int) -> int:
+        """Q(m) = Gamma_p(m p) = prod_{t<m} (-R(t)) mod p^K."""
         fmod = self._fmod
         x = m % fmod
         tot = 0
-        for c in self._bsum:
+        for c in self._newton:
             tot = (tot * x + c) % fmod
-        s, rem = divmod(tot, self._F)
+        q, rem = divmod(tot, self._F)
         if rem:
-            raise ArithmeticError(f"block sum at m={m} is not divisible by F")
-        return s
+            raise ArithmeticError(f"F Q(m) at m={m} is not divisible by F")
+        return q
 
     def _tail(self, m: int, r: int) -> int:
         """prod_{0<i<r} (m p + i) mod p^K."""
@@ -218,28 +146,17 @@ class _GammaEngine:
             tot = (tot * z + c) % mod
         return tot
 
-    def _exp(self, x: int) -> int:
-        """exp(x) mod p^K for v_p(x) >= 1."""
-        if x % self.p:
-            raise ArithmeticError("exp argument not divisible by p")
-        mod = self.mod
-        y = x // self.p % mod
-        tot = 0
-        for e in self._exp_coeffs:
-            tot = (tot * y + e) % mod
-        return tot
-
     def at_int(self, n: int) -> int:
         """Gamma_p(n) mod p^K for n >= 0 (n may be astronomically large)."""
         mod = self.mod
         m, r = divmod(n, self.p)
-        val = self._exp(self._block_sum(m)) * self._tail(m, r) % mod
+        val = self._blocks(m) * self._tail(m, r) % mod
         # (-1)^m from the blocks, (-1)^n from Gamma_p's sign convention
         return -val % mod if (m + n) % 2 else val
 
     def _selftest(self):
         """at_int against the literal product over n in [64p, 65p]: every
-        tail polynomial, and the block sums at m = 64 and 65. The product is
+        tail polynomial, and the blocks Q(m) at m = 64 and 65. The product is
         taken once, to 64p, and carried on by Gamma_p(n+1) = -n Gamma_p(n)
         (-Gamma_p(n) where p | n), reduced mod p^K at every factor."""
         p, mod = self.p, self.mod

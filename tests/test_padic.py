@@ -83,8 +83,10 @@ def test_gamma_functional_equation_far_beyond_the_literal_product(p, K):
 
 
 # p = 5, 7 and 13 are the primes where power sums of the engine's degrees
-# would need p in a denominator; 67 is a small-p benchmark prime
-ENGINE_CASES = [(5, 8), (7, 8), (13, 4), (67, 7)]
+# would need p in a denominator; 67 is a small-p benchmark prime. 5, 13 and
+# 563 are the Wilson primes, (p-1)! = -1 mod p^2, where h = -R - 1 starts at
+# v_p >= 2 at t = 0; the truncation lemma uses only v_p(h) >= 1
+ENGINE_CASES = [(5, 8), (7, 8), (13, 4), (67, 7), (563, 4)]
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +96,7 @@ def engines():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 64, 300, 1000])
 def test_newton_block_sum_against_brute_force(engines, m):
-    # exp of the block sum is the product of the m whole blocks
+    # the block reader is the product of the m whole blocks
     # -R(t) = -prod_{0<i<p} (t p + i), each taken literally, factor by factor
     for (p, K), eng in engines.items():
         mod = p ** K
@@ -104,33 +106,57 @@ def test_newton_block_sum_against_brute_force(engines, m):
             for i in range(1, p):
                 block = block * (t * p + i) % mod
             brute = brute * block % mod
-        assert eng._exp(eng._block_sum(m)) == brute, (p, K)
+        assert eng._blocks(m) == brute, (p, K)
 
 
-def _sum_log_binomial(eng, m: int) -> int:
-    """sum_k D_k C(m, k+1) mod p^WK through exact binomial divisions, with
-    the D_k differenced from the engine's block logs: the block sum the
-    engine evaluated before its monomial form, kept as the oracle for it."""
+def _literal_blocks(p: int, mod: int, count: int) -> list[int]:
+    """Q(t) = prod_{s<t} -prod_{0<i<p} (s p + i) mod `mod` for t < count,
+    factor by factor."""
+    vals = [1]
+    for t in range(count - 1):
+        block = -1
+        for i in range(1, p):
+            block = block * (t * p + i) % mod
+        vals.append(vals[-1] * block % mod)
+    return vals
+
+
+def _differences(vals: list[int]) -> list[int]:
+    """Delta^k v(0) for k < len(vals)."""
+    diffs = []
+    while vals:
+        diffs.append(vals[0])
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    return diffs
+
+
+def _newton_binomial(p: int, K: int, m: int) -> int:
+    """sum_{k<2K-1} D_k C(m, k) mod p^K through exact binomial divisions,
+    with D_k differenced from literal block products: the Newton form of
+    Q(m) = Gamma_p(m p), sharing no coefficient with the engine."""
+    mod = p ** K
     tot = 0
-    binom = m  # C(m, k+1) at k = 0
-    for k, dk in enumerate(eng._newton_coeffs()):
+    binom = 1  # C(m, k) at k = 0
+    for k, dk in enumerate(_differences(_literal_blocks(p, mod, 2 * K - 1))):
         if k:
-            binom, rem = divmod(binom * (m - k), k + 1)
+            binom, rem = divmod(binom * (m - k + 1), k)
             assert not rem
-        tot = (tot + dk * (binom % eng.wmod)) % eng.wmod
+        tot = (tot + dk * (binom % mod)) % mod
     return tot
 
 
 def _tail_loop(eng, m: int, r: int) -> int:
-    """prod_{0<i<r} (m p + i) mod p^WK, factor by factor."""
+    """prod_{0<i<r} (m p + i) mod p^K, factor by factor."""
     tail = 1
     for i in range(1, r):
-        tail = tail * (m * eng.p + i) % eng.wmod
+        tail = tail * (m * eng.p + i) % eng.mod
     return tail
 
 
-# p | F = (K+6)! at p = 5, 7, 11 and 13 for every K here
+# p | F = (2K-2)! at p = 5 for every K here, at 7 and 11 for K = 7 and 9,
+# and at 13 for K = 9; 563 is the largest Wilson prime known
 ORACLE_CASES = [(p, K) for p in (5, 7, 11, 13, 53, 67) for K in (4, 7, 9)]
+ORACLE_CASES.append((563, 4))
 
 
 @pytest.fixture(scope="module")
@@ -141,10 +167,8 @@ def oracle_engines():
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(ORACLE_CASES), st.integers(0, 10 ** 40))
 def test_horner_block_sum_against_binomial_oracle(oracle_engines, pk, m):
-    # at_int reads the block sum mod p^(K+1), so that is what it keeps
     eng = oracle_engines[pk]
-    want = _sum_log_binomial(eng, m) % eng.p ** (eng.K + 1)
-    assert eng._block_sum(m) == want
+    assert eng._blocks(m) == _newton_binomial(*pk, m)
 
 
 @pytest.mark.parametrize("pk", ORACLE_CASES)
@@ -152,18 +176,20 @@ def test_prefix_polynomial_tails_against_the_loop(oracle_engines, pk):
     eng = oracle_engines[pk]
     for m in (64, 65, 12345, 10 ** 30 + 7):
         for r in range(eng.p):
-            assert eng._tail(m, r) == _tail_loop(eng, m, r) % eng.mod, (m, r)
+            assert eng._tail(m, r) == _tail_loop(eng, m, r), (m, r)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(ENGINE_CASES), st.integers(0, 10 ** 40),
-       st.integers(0, 10 ** 40))
-def test_exp_series_turns_sums_into_products(engines, pk, y1, y2):
-    eng = engines[pk]
-    x1, x2 = eng.p * y1, eng.p * y2
-    assert eng._exp(x1) * eng._exp(x2) % eng.mod == eng._exp(x1 + x2) % eng.mod
-    with pytest.raises(ArithmeticError):
-        eng._exp(x1 + 1)
+@pytest.mark.parametrize("p", [5, 7, 13, 563])
+@pytest.mark.parametrize("K", [2, 4, 6])
+def test_newton_differences_of_the_blocks_gain_a_digit_every_two_steps(p, K):
+    # v_p(Delta^k Q(0)) >= ceil(k/2), the lemma that lets the engine cut the
+    # Newton form of Q(m) = Gamma_p(m p) at k < 2K - 1; read mod p^(2K),
+    # the deepest bound checked here, ceil((4K-1)/2) = 2K
+    mod = p ** (2 * K)
+    diffs = _differences(_literal_blocks(p, mod, 4 * K))
+    assert len(diffs) == 4 * K
+    for k, dk in enumerate(diffs):
+        assert dk % p ** ((k + 1) // 2) == 0, k
 
 
 @st.composite
@@ -539,41 +565,36 @@ def test_precision_raise_pathway(pctx13):
 # `result`; one interpreter runs them all, since its start-up (compiling the
 # package without opt-1 bytecode) costs more than the probes.
 PYTHON_O_PROBES = {
-    # an assert would hand back a wrong quotient
-    "inexact-division": (
-        "from ntlab.padic import _GammaEngine\n"
-        "e = _GammaEngine.__new__(_GammaEngine)\n"
-        "e.p, e.wmod = 5, 5 ** 8\n"
-        "try:\n"
-        "    result = e._div_exact(7, 5)\n"
-        "except ArithmeticError as exc:\n"
-        "    result = type(exc).__name__\n"),
-    # the block logs rest on Wilson's theorem, -R(t) = 1 mod p; a log handed
-    # anything else would return a value that is no log at all. At p = 13,
-    # K = 4 the series stops before j = p, so no inexact division catches it
-    "log-off-one": (
-        "from ntlab.padic import _GammaEngine\n"
-        "e = _GammaEngine(13, 4)\n"
-        "raised = []\n"
-        "for x in (0, 2, 7, 12):\n"
-        "    try:\n"
-        "        e._log(x)\n"
-        "    except ArithmeticError as exc:\n"
-        "        raised.append(type(exc).__name__)\n"
-        "result = ' '.join(raised)\n"),
-    # p F added to a monomial block-sum coefficient keeps the division by F
-    # exact and every exp argument divisible by p, so only the self-test's
-    # comparison can catch it; try each coefficient
+    # F added to a monomial coefficient of F Q(m) keeps the division by F
+    # exact and moves Q(m) by m^d, so only the self-test's comparison can
+    # catch it; try each coefficient
     "corrupted-newton": (
         "from ntlab.padic import _GammaEngine\n"
         "e = _GammaEngine(5, 4)\n"
-        "good = e._bsum\n"
+        "good = e._newton\n"
         "missed = []\n"
         "for k in range(len(good)):\n"
-        "    e._bsum = list(good)\n"
-        "    e._bsum[k] = (good[k] + 5 * e._F) % e._fmod\n"
+        "    e._newton = list(good)\n"
+        "    e._newton[k] = (good[k] + e._F) % e._fmod\n"
         "    try:\n"
         "        e._selftest()\n"
+        "        missed.append(k)\n"
+        "    except ArithmeticError:\n"
+        "        pass\n"
+        "result = f'missed {missed}'\n"),
+    # 1 added to a monomial coefficient leaves F Q(64) off a multiple of F
+    # by 64^d, which F = 6! does not divide; an assert would hand back a
+    # wrong quotient, so at_int itself must raise, at each coefficient
+    "inexact-F": (
+        "from ntlab.padic import _GammaEngine\n"
+        "e = _GammaEngine(5, 4)\n"
+        "good = e._newton\n"
+        "missed = []\n"
+        "for k in range(len(good)):\n"
+        "    e._newton = list(good)\n"
+        "    e._newton[k] = (good[k] + 1) % e._fmod\n"
+        "    try:\n"
+        "        e.at_int(64 * 5)\n"
         "        missed.append(k)\n"
         "    except ArithmeticError:\n"
         "        pass\n"
@@ -613,16 +634,12 @@ def python_O_results() -> dict[str, str]:
     return lines
 
 
-def test_inexact_division_raises_under_python_O(python_O_results):
-    assert python_O_results["inexact-division"] == "ArithmeticError"
-
-
-def test_log_off_one_mod_p_raises_under_python_O(python_O_results):
-    assert python_O_results["log-off-one"] == " ".join(["ArithmeticError"] * 4)
-
-
 def test_corrupted_newton_coefficient_raises_under_python_O(python_O_results):
     assert python_O_results["corrupted-newton"] == "missed []"
+
+
+def test_inexact_F_division_raises_under_python_O(python_O_results):
+    assert python_O_results["inexact-F"] == "missed []"
 
 
 def test_corrupted_tail_coefficient_raises_under_python_O(python_O_results):

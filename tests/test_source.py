@@ -149,6 +149,23 @@ def test_padic_passes_no_fraction_to_gamma_p():
     assert not found, f"Fraction passed to gamma_p: {', '.join(found)}"
 
 
+def test_gamma_engine_computes_without_floats():
+    # the engine is exact integer arithmetic mod p^K; a float anywhere in it
+    # (a log-based series stopping rule, a float literal, a true division)
+    # would make its precision depend on rounding
+    path = SRC / "padic.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    engine = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "_GammaEngine")
+    found = [f"padic.py:{node.lineno}" for node in ast.walk(engine)
+             if isinstance(node, ast.Constant) and isinstance(node.value, float)
+             or isinstance(node, ast.Div)
+             or isinstance(node, ast.Attribute) and node.attr == "log"
+             or isinstance(node, ast.Name) and node.id == "float"]
+    assert not found, f"float in _GammaEngine: {', '.join(found)}"
+
+
 # callee -> the one (module, top-level function) allowed to call it, None
 # for any function of that module: a suite reads a_p from ap_table and H
 # from the table the cli builds once, and the per-value routes stay oracles;
