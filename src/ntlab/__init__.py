@@ -25,9 +25,9 @@ from .kloosterman import (CertifiedReal, PrecisionError, TrigTable,
                           round_fixed, semicircle_bins, semicircle_chisq,
                           sheaf_moment, symmetric_moment_rhs, trig_table,
                           twisted_moment, untwisted_moment)
-from .padic import (NGN_FAMILIES, PadicCtx, PiRingElem, gamma_p,
-                    gamma_p_direct, gamma_product_checks, gauss_sum_gk,
-                    gk_I_integer, gk_consistency_check, greene_2f1_fraction,
+from .padic import (NGN_FAMILIES, PadicCtx, gamma_p, gamma_p_direct,
+                    gamma_product_checks, gauss_product, gk_I_integer,
+                    gk_consistency_check, greene_2f1_fraction,
                     hasse_davenport_check, jacobi_sum, make_padic_ctx,
                     ngn_evaluate, prop64_check, prop65_check, prop66_check,
                     sweep_trend_ok)

@@ -39,13 +39,21 @@ _SHARED: dict = {}   # "p": the prime; each builder: (its arguments, object)
 
 def per_prime(build):
     """One-entry memo for a builder whose first argument is a prime or has
-    it as .p. A call for another prime first drops every builder's object,
-    so one prime's tables are held at a time; callers share them read-only."""
+    it as .p, keyed on the arguments with the defaults filled in: f(13),
+    f(13, 6) and f(13, K=6) are one call. A call for another prime first
+    drops every builder's object, so one prime's tables are held at a time;
+    callers share them read-only."""
+    names = build.__code__.co_varnames[:build.__code__.co_argcount]
+    defaults = dict(zip(names[::-1], (build.__defaults__ or ())[::-1]))
+
     @wraps(build)
     def cached(*args, **kwargs):
-        key = (args, kwargs)
+        # any other keyword stays in the key as given
+        rest = names[len(args):]
+        key = (*args, *(kwargs.get(n, defaults.get(n)) for n in rest),
+               {k: v for k, v in kwargs.items() if k not in rest})
         if _SHARED.get(build, (None,))[0] != key:
-            p = getattr(args[0], "p", args[0])
+            p = getattr(key[0], "p", key[0])
             if _SHARED.get("p") != p:
                 release_tables()
                 _SHARED["p"] = p

@@ -4,11 +4,12 @@ Greene/McCarthy hypergeometric functions, and the twisted-moment identity
 checks that hinge on them.
 
 No root of unity zeta_p is ever constructed: Gauss-sum arithmetic goes
-through Gross-Koblitz exclusively, with direct Jacobi sums as the
-independent validator. Rational reconstruction from residues mod p^K uses
-explicit archimedean (Weil) bounds and fails loudly when the bound does not
-clear p^K/2. The Teichmueller character is one power chain: omega(g) is
-the one Hensel lift a context makes, and omega^c(x) = omega(g)^(c dlog x).
+through gauss_product, one Gross-Koblitz product read as a (pi-degree,
+unit) pair, with direct Jacobi sums as the independent validator. Rational
+reconstruction from residues mod p^K uses explicit archimedean (Weil)
+bounds and fails loudly when the bound does not clear p^K/2. The
+Teichmueller character is one power chain: omega(g) is the one Hensel lift
+a context makes, and omega^c(x) = omega(g)^(c dlog x).
 
 A character sum wanted at every character, or at every lambda, is one
 teichmuller_dft, a chirp correlation through cyclic_convolve: of an O(p)
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import NamedTuple
 
 from .ecurve import ap_table
 from .ffield import (CharIdx, FieldCtx, cyclic_convolve, make_field_ctx,
@@ -293,57 +293,25 @@ def _frac(x: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# pi-ring and Gauss sums
+# Gauss sums
 
-class PiRingElem(NamedTuple):
-    """The monomial pi^deg * unit in Z[pi]/(pi^(p-1) + p), unit mod p^K.
-
-    Every Gauss sum from Gross-Koblitz is such a monomial, and so is every
-    product of them: pi^(p-1) = -p folds a degree overflow into the unit.
-    A zero unit is kept at degree 0, so equal elements compare equal.
-    Monomials have no sum in the ring and a scalar multiple is scale(c), so
-    + and c * raise TypeError rather than concatenate or repeat the tuple.
+def gauss_product(ctx: PadicCtx, js, c: int = 1) -> tuple[int, int]:
+    """c prod_j g(omega-bar^j) as (deg, unit), the monomial pi^deg * unit of
+    Z[pi]/(pi^(p-1) + p) with unit mod p^K, by Gross-Koblitz:
+    g(omega-bar^j) = -pi^j Gamma_p(j/(p-1)). Each j is reduced mod p-1, and
+    pi^(p-1) = -p folds the degree overflow into the unit. A zero unit sits
+    at degree 0, so two zero products compare equal. At j = 0 the formula
+    yields -1, the direct value g(eps) = sum of psi over F_p^*.
     """
-    p: int
-    K: int
-    deg: int
-    unit: int
-
-    @staticmethod
-    def monomial(p: int, K: int, deg: int, c: int) -> "PiRingElem":
-        mod = p ** K
-        e, r = divmod(deg, p - 1)
-        u = c * pow(-p % mod, e, mod) % mod
-        return PiRingElem(p, K, r if u else 0, u)
-
-    @staticmethod
-    def scalar(p: int, K: int, c: int) -> "PiRingElem":
-        return PiRingElem.monomial(p, K, 0, c)
-
-    def __mul__(self, other: "PiRingElem") -> "PiRingElem":
-        return PiRingElem.monomial(self.p, self.K, self.deg + other.deg,
-                                   self.unit * other.unit)
-
-    def scale(self, c: int) -> "PiRingElem":
-        return PiRingElem.monomial(self.p, self.K, self.deg, self.unit * c)
-
-    def _no_tuple_arithmetic(self, other):
-        raise TypeError("PiRingElem supports only * by another PiRingElem "
-                        "and scale(c)")
-
-    __add__ = __radd__ = __rmul__ = _no_tuple_arithmetic
-
-
-def gauss_sum_gk(ctx: PadicCtx, j: CharIdx) -> PiRingElem:
-    """g(omega-bar^j) = -pi^j Gamma_p(j/(p-1)) via Gross-Koblitz.
-
-    At j = 0 the formula itself yields the degree-0 element -1, which is the
-    direct-definition value g(eps) = sum of psi over F_p^* = -1; no special
-    case is required, only this note.
-    """
-    j %= ctx.q
-    u = (-gamma_p(ctx, ctx.residue(j, ctx.q))) % ctx.mod
-    return PiRingElem.monomial(ctx.p, ctx.K, j, u)
+    q, mod = ctx.q, ctx.mod
+    deg, unit = 0, c
+    for j in js:
+        j %= q
+        deg += j
+        unit = -unit * gamma_p(ctx, ctx.residue(j, q)) % mod
+    e, deg = divmod(deg, q)
+    unit = unit * pow(-ctx.p, e, mod) % mod
+    return (deg, unit) if unit else (0, 0)
 
 
 def jacobi_sum(ctx: PadicCtx, a: CharIdx, b: CharIdx) -> int:
@@ -360,9 +328,10 @@ def jacobi_sum(ctx: PadicCtx, a: CharIdx, b: CharIdx) -> int:
     return tot % mod
 
 
-def _pi_fingerprint(x: PiRingElem) -> str:
-    """Compact printable form: pi^deg*unit, or 0."""
-    return f"pi^{x.deg}*{x.unit}" if x.unit else "0"
+def _pi_fingerprint(x: tuple[int, int]) -> str:
+    """Compact printable form of a gauss_product: pi^deg*unit, or 0."""
+    deg, unit = x
+    return f"pi^{deg}*{unit}" if unit else "0"
 
 
 def gk_consistency_check(ctx: PadicCtx, a: CharIdx, b: CharIdx) -> VerificationRecord:
@@ -378,18 +347,16 @@ def gk_consistency_check(ctx: PadicCtx, a: CharIdx, b: CharIdx) -> VerificationR
     b %= q
     if a == 0 or b == 0:
         raise ValueError("a and b must be nontrivial")
-    lhs = gauss_sum_gk(ctx, a) * gauss_sum_gk(ctx, b)
+    lhs = gauss_product(ctx, (a, b))
     if (a + b) % q == 0:
-        rhs = PiRingElem.scalar(ctx.p, ctx.K, (-1) ** a * ctx.p)
+        rhs = gauss_product(ctx, (), (-1) ** a * ctx.p)
         detail = "conjugate-pair norm"
     else:
         jv = jacobi_sum(ctx, (q - a) % q, (q - b) % q)
-        rhs = gauss_sum_gk(ctx, (a + b) % q).scale(jv)
+        rhs = gauss_product(ctx, (a + b,), jv)
         detail = f"pi-excess={(a + b) // q}"
-    return VerificationRecord(
-        ctx.p, f"gk-j{a}-j{b}", _pi_fingerprint(lhs), _pi_fingerprint(rhs),
-        lhs == rhs,
-        detail=detail)
+    return VerificationRecord(ctx.p, f"gk-j{a}-j{b}", _pi_fingerprint(lhs),
+                              _pi_fingerprint(rhs), lhs == rhs, detail=detail)
 
 
 def hasse_davenport_check(ctx: PadicCtx, m: int, sidx: CharIdx) -> VerificationRecord:
@@ -402,17 +369,12 @@ def hasse_davenport_check(ctx: PadicCtx, m: int, sidx: CharIdx) -> VerificationR
         raise ValueError(f"m={m} does not divide p-1={q}")
     step = q // m
     sidx %= q
-    lhs = PiRingElem.scalar(p, ctx.K, 1)
-    for i in range(m):
-        lhs = lhs * gauss_sum_gk(ctx, (sidx + i * step) % q)
-    rhs = gauss_sum_gk(ctx, m * sidx % q)
-    for i in range(1, m):
-        rhs = rhs * gauss_sum_gk(ctx, i * step)
+    lhs = gauss_product(ctx, [sidx + i * step for i in range(m)])
     # psi^(-m)(m) with psi = omega-bar^sidx is omega^(m sidx)(m)
-    rhs = rhs.scale(ctx.omega(m % p, m * sidx % q))
-    return VerificationRecord(
-        p, f"hd-m{m}-s{sidx}", _pi_fingerprint(lhs), _pi_fingerprint(rhs),
-        lhs == rhs)
+    rhs = gauss_product(ctx, [m * sidx, *(i * step for i in range(1, m))],
+                        ctx.omega(m % p, m * sidx % q))
+    return VerificationRecord(p, f"hd-m{m}-s{sidx}", _pi_fingerprint(lhs),
+                              _pi_fingerprint(rhs), lhs == rhs)
 
 
 def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecord:
@@ -660,12 +622,10 @@ def gk_I_integer(ctx: PadicCtx) -> int:
         raise ArithmeticError("raise K: Weil bound does not clear p^K/2")
     tot = 0
     for a, w in enumerate(_gk_I_weights(ctx)):
-        ga = gauss_sum_gk(ctx, a)
-        term = (gauss_sum_gk(ctx, half - a) * ga * ga * ga
-                * gauss_sum_gk(ctx, half - 2 * a))
-        if term.deg:
+        deg, unit = gauss_product(ctx, (half - a, a, a, a, half - 2 * a))
+        if deg:
             raise ArithmeticError("Gauss-sum product not degree-0")
-        tot = (tot + term.unit * w) % mod
+        tot = (tot + unit * w) % mod
     return _centered(tot, mod, bound, "I")
 
 

@@ -8,8 +8,8 @@ can be merged deterministically and diffed across runs.
 from __future__ import annotations
 
 import csv
-import io
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 SCHEMA_HEADER = "# ntlab-schema v2"
@@ -40,14 +40,15 @@ def records_to_csv(records) -> str:
     """The report: the schema line, the header and one row per record. A
     float prints to 12 significant digits and any other lhs or rhs as its
     str, None, a bool and a Fraction included. A field holding a comma, a
-    double quote or a newline is quoted."""
-    buf = io.StringIO()
-    buf.write(f"{SCHEMA_HEADER}\n{CSV_COLUMNS}\n")
-    csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerows(
-        (p, name,
-         f"{lhs:.12g}" if isinstance(lhs, float) else str(lhs),
-         f"{rhs:.12g}" if isinstance(rhs, float) else str(rhs),
-         str(match).lower(),
-         "" if ratio is None else f"{ratio:.12g}", f"{ms:.3f}", detail)
+    double quote, a newline or a carriage return is quoted."""
+    # csv quotes a field holding a character of the line terminator: rows
+    # are written with "\r\n", handed back by write=str, and end in "\n"
+    row = csv.writer(SimpleNamespace(write=str),
+                     lineterminator="\r\n").writerow
+    return f"{SCHEMA_HEADER}\n{CSV_COLUMNS}\n" + "".join(
+        row((p, name,
+             f"{lhs:.12g}" if isinstance(lhs, float) else str(lhs),
+             f"{rhs:.12g}" if isinstance(rhs, float) else str(rhs),
+             str(match).lower(), "" if ratio is None else f"{ratio:.12g}",
+             f"{ms:.3f}", detail))[:-2] + "\n"
         for p, name, lhs, rhs, match, ratio, ms, detail in records)
-    return buf.getvalue()

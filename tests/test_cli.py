@@ -746,9 +746,8 @@ def test_pool_starts_no_more_workers_than_indices(capsys, monkeypatch, pmax,
 
 _PADIC_RUNS = {
     "verify all": SUITE_NAMES,
-    # the sweeps' records at a prime next to the suites': a sweep asking for
-    # make_padic_ctx(p, 6) where the suites ask make_padic_ctx(p) would
-    # build a second base context at every prime
+    # the sweeps' records at a prime next to the suites': they share the
+    # suites' base context, however each spells make_padic_ctx's K
     "verify all, thm6.2 and thm6.3": (*SUITE_NAMES, "thm6.2", "thm6.3"),
     "thm6.2 and thm6.3": ("thm6.2", "thm6.3"),
 }

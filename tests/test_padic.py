@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -18,6 +19,24 @@ from ntlab.primes import primerange
 @pytest.fixture(scope="module")
 def pctx13():
     return pa.make_padic_ctx(13, 4)
+
+
+def test_one_context_whether_K_is_defaulted_positional_or_keyword():
+    # per_prime keys a call with the builder's defaults filled in, so the
+    # forms neither build three contexts nor evict one another
+    pa.make_padic_ctx(7)
+    ctx = pa.make_padic_ctx(p=13)
+    assert pa.make_padic_ctx(13) is ctx
+    assert pa.make_padic_ctx(13, 6) is ctx
+    assert pa.make_padic_ctx(13, K=6) is ctx
+    assert pa.make_padic_ctx(p=13, K=6) is ctx
+    assert ctx.K == 6
+    assert pa.make_padic_ctx(13, 4) is not ctx
+    # a call the builder cannot take still reaches it, and raises
+    with pytest.raises(TypeError):
+        pa.make_padic_ctx(13, k=6)
+    with pytest.raises(TypeError):
+        pa.make_padic_ctx(13, 6, K=6)
 
 
 def test_ctx_validation():
@@ -319,35 +338,58 @@ def test_teichmuller_equals_the_per_x_hensel_lift(p, K):
             == [_teichmuller_hensel(p, K, x) for x in range(1, p)])
 
 
-def test_pi_ring_reduction_and_scalars():
-    c = 123
-    assert pa.PiRingElem.monomial(7, 3, 6, c) == pa.PiRingElem.scalar(7, 3, -7 * c % 7 ** 3)
-    one = pa.PiRingElem.scalar(7, 3, 1)
-    x = pa.PiRingElem.monomial(7, 3, 2, 5)
-    assert x * one == x
-    # a zero unit sits at degree 0, so every zero compares equal
-    assert x.scale(7 ** 3) == pa.PiRingElem.scalar(7, 3, 0)
+def test_gauss_product_of_one_index_is_gross_koblitz(pctx13):
+    q, mod = pctx13.q, pctx13.mod
+    # each index is reduced mod p-1 first; at j = 0 the formula gives -1,
+    # the direct value of g(eps)
+    assert pa.gauss_product(pctx13, (0,)) == (0, mod - 1)
+    for j in range(-q, 2 * q):
+        assert pa.gauss_product(pctx13, (j,)) == (
+            j % q, -pa.gamma_p(pctx13, Fraction(j % q, q)) % mod)
 
 
-@pytest.mark.parametrize("op", [lambda x: 2 * x, lambda x: x + x,
-                                lambda x: (1,) + x, lambda x: x + 1],
-                         ids=["int*x", "x+x", "tuple+x", "x+int"])
-def test_pi_ring_has_no_sum_and_no_tuple_arithmetic(op):
-    # the element is a tuple underneath: repetition or concatenation must
-    # not pass for ring arithmetic
-    with pytest.raises(TypeError):
-        op(pa.PiRingElem.monomial(7, 3, 2, 5))
+def test_gauss_product_folds_pi_to_the_p_minus_1_into_minus_p(pctx13):
+    p, q, mod = pctx13.p, pctx13.q, pctx13.mod
+    _, g1 = pa.gauss_product(pctx13, (1,))
+    _, gq1 = pa.gauss_product(pctx13, (q - 1,))
+    assert pa.gauss_product(pctx13, (q - 1, 1)) == (0, -p * g1 * gq1 % mod)
+    assert pa.gauss_product(pctx13, (q,), 5) == (0, -5 % mod)
+
+
+def test_gauss_product_keeps_a_zero_unit_at_degree_0(pctx13):
+    # two zero products compare equal, whatever their degrees
+    assert pa.gauss_product(pctx13, (3, 4), pctx13.mod) == (0, 0)
+    assert pa.gauss_product(pctx13, (), 0) == pa.gauss_product(
+        pctx13, (5,), 13 ** 4)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 342), min_size=3, max_size=3),
-       st.lists(st.integers(0, 11), min_size=3, max_size=3))
-def test_pi_ring_is_commutative_and_associative(coeffs, degs):
-    a = pa.PiRingElem.monomial(7, 3, degs[0], coeffs[0])
-    b = pa.PiRingElem.monomial(7, 3, degs[1], coeffs[1])
-    c = pa.PiRingElem.monomial(7, 3, degs[2], coeffs[2])
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
+@given(st.lists(st.integers(-30, 30), max_size=6), st.randoms(),
+       st.integers(-400, 400))
+def test_gauss_product_does_not_depend_on_the_order(js, rnd, c):
+    ctx = pa.make_padic_ctx(13, 4)
+    shuffled = list(js)
+    rnd.shuffle(shuffled)
+    assert pa.gauss_product(ctx, js, c) == pa.gauss_product(ctx, shuffled, c)
+
+
+# sha256 of (name, lhs, rhs, match, detail) of every record below, taken
+# while the Gauss sums were monomials of a ring type
+GAUSS_RECORDS_SHA256 = (
+    "cbba4c9bc9c1d8e35ef6cd2f7f72d696879fa1627aad74c6a8379f0e70ccbb3d")
+
+
+def test_gauss_sum_records_are_pinned():
+    ctx = pa.make_padic_ctx(13, 6)
+    recs = [pa.gk_consistency_check(ctx, a, b)
+            for a in range(1, 12) for b in range(1, 12)]
+    recs += [pa.hasse_davenport_check(ctx, m, s)
+             for m in (2, 3) for s in range(12)]
+    rows = "".join(f"{r.name},{r.lhs},{r.rhs},{r.match},{r.detail}\n"
+                   for r in recs)
+    assert len(recs) == 145 and rows.startswith(
+        "gk-j1-j1,pi^2*49830,pi^2*49830,True,pi-excess=0\n")
+    assert hashlib.sha256(rows.encode()).hexdigest() == GAUSS_RECORDS_SHA256
 
 
 @pytest.mark.parametrize("p", [7, 13])

@@ -73,6 +73,21 @@ def test_csv_round_trips_text_fields():
     ]
 
 
+def test_csv_round_trips_a_lone_carriage_return():
+    # csv.writer quotes only the characters of its line terminator, and the
+    # report's rows end in "\n": a field holding "\r" alone must be quoted
+    # too, or csv.reader splits its row
+    details = ["a\rb", "a\r\nb", "\r", "a\nb", "plain"]
+    recs = [VerificationRecord(7, f"x{i}", "l\rl", 1, True, detail=d)
+            for i, d in enumerate(details)]
+    text = records_to_csv(recs)
+    body = text.split("\n", 2)[2]
+    assert body.startswith('7,x0,"l\rl",1,true,,0.000,"a\rb"\n7,x1,')
+    rows = list(csv.reader(io.StringIO(body, newline="")))
+    assert [row[2] for row in rows] == ["l\rl"] * len(details)
+    assert [row[-1] for row in rows] == details
+
+
 def test_float_formatting_is_stable():
     r = VerificationRecord(7, "x", 0.1 + 0.2, 0.3, False, ratio=1 / 3)
     text = records_to_csv([r])
