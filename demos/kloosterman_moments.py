@@ -5,8 +5,9 @@ Certified Kloosterman sums and their power moments
 Everything here is computed twice: the sums by two unrelated summation
 orders, the moments by exact fixed-point sums against exact closed forms.
 The whole table of K(a,p) is one cyclic convolution over F_p^*, evaluated
-as one product of two long decimals by libmpdec's number-theoretic
-transform; K[a] / 2^shift is within err / 2^shift of K(a,p).
+as one squaring: at p = 101 a Python int product, and above p ≈ 600 one
+of a long decimal by libmpdec's number-theoretic transform;
+K[a] / 2^shift is within err / 2^shift of K(a,p).
 """
 
 import math

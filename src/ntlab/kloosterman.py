@@ -6,8 +6,9 @@ and sin of 2 pi k/p scaled by 2^L and rounded, each entry within
 (pi by Machin's formula, e^(i t) by Taylor's series) gives k <= p/2, and
 symmetry gives the rest. Writing a = g^alpha and x = g^xi, the whole
 table of K(a,p) is one cyclic convolution over F_p^* (ffield.cyclic_convolve:
-one squaring of a long decimal by libmpdec's number-theoretic transform,
-folded mod p-1 in the decimal domain), on inputs only this route builds.
+one squaring, of a Python int below p ~ 600 and of a long decimal by
+libmpdec's number-theoretic transform above, folded mod p-1), on inputs
+only this route builds.
 Moments are exact integer combinations of the power sums of that table,
 taken in one pass per prime, and every one of them passes through
 round_fixed, which returns an integer only when an integer error bound
@@ -191,7 +192,7 @@ def kloosterman_table(ctx: FieldCtx) -> tuple[tuple[int, ...], int, int]:
     The table's second half mirrors its first exactly and g^h = -1 for
     h = (p-1)/2, so v is u rotated by h, v(xi) = u(xi + h), and
     (u*v)(alpha) = (u*u)(alpha + h): one cyclic_convolve squaring of u gives
-    the same integers.
+    the same integers, whichever multiplier its size picks.
     """
     p = ctx.p
     table = trig_table(p)

@@ -1,15 +1,17 @@
 import decimal
 import math
 import weakref
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ntlab import kloosterman
+from ntlab import ffield, kloosterman
 from ntlab.ecurve import ap_table, curve_census
 from ntlab.ffield import (FieldCtx, cyclic_convolve, make_field_ctx,
                           per_prime, release_tables)
 from ntlab.kloosterman import kloosterman_table, trig_table
+from ntlab.padic import _greene_S_table, _jacobi_table, make_padic_ctx
 from ntlab.primes import primerange
 
 PRIMES = (3, 5, 7, 11, 13, 17, 23, 41)
@@ -76,6 +78,40 @@ def _naive_cyclic(u, v):
     return w
 
 
+# the multiplier that must not run when the size rule picks the other
+_OTHER = {"binary": "_decimal_cyclic", "decimal": "_binary_cyclic"}
+
+
+@contextmanager
+def _forced(path, threshold=None):
+    """Within the block, set _BINARY_BITS to threshold and make the
+    multiplier other than path raise, so a product that reaches it fails.
+    The default threshold sends every product to path: unbounded, or -1,
+    below even an all-zero input's n b = 0."""
+    if threshold is None:
+        threshold = math.inf if path == "binary" else -1
+    other = _OTHER[path]
+
+    def refuse(*args):
+        raise AssertionError(f"{other} ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffield, "_BINARY_BITS", threshold)
+        mp.setattr(ffield, other, refuse)
+        yield
+
+
+def _on_both(compute, *args):
+    """compute(*args) on each multiplier in turn; the two results must be
+    equal, and the one is returned. The small inputs of the tests below
+    would all take the binary one by size."""
+    with _forced("binary"):
+        got = compute(*args)
+    with _forced("decimal"):
+        assert compute(*args) == got, "the multipliers differ"
+    return got
+
+
 # entries up to 2^200, past the fixed-point trig entries (about 2^(L+1),
 # L = 4 bitlen(p) + 20) of any prime the lab reaches
 _entries = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 200), 2 ** 200))
@@ -86,14 +122,14 @@ _entries = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 200), 2 ** 200))
                         st.lists(_entries, min_size=n, max_size=n))))
 def test_cyclic_convolve_matches_double_loop(uv):
     u, v = uv
-    assert cyclic_convolve(u, v) == _naive_cyclic(u, v)
+    assert _on_both(cyclic_convolve, u, v) == _naive_cyclic(u, v)
 
 
 @given(st.integers(1, 12).flatmap(
     lambda n: st.lists(_entries, min_size=n, max_size=n)))
 def test_cyclic_convolve_squaring_matches_double_loop(u):
     # one list passed twice takes the squaring path
-    assert cyclic_convolve(u, u) == _naive_cyclic(u, u)
+    assert _on_both(cyclic_convolve, u, u) == _naive_cyclic(u, u)
 
 
 @pytest.mark.parametrize("u,v", [
@@ -101,7 +137,29 @@ def test_cyclic_convolve_squaring_matches_double_loop(u):
     ([0, 0, 0], [2 ** 200, -(2 ** 200), 1]),
     ([-1, 2, -3, 4], [4, -3, 2, -1])])
 def test_cyclic_convolve_edge_cases(u, v):
-    assert cyclic_convolve(u, v) == _naive_cyclic(u, v)
+    assert _on_both(cyclic_convolve, u, v) == _naive_cyclic(u, v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_cyclic_convolve_threshold_is_inclusive(n):
+    # n b exactly at _BINARY_BITS is binary, one bit above it decimal
+    m = math.isqrt((2 ** 300 - 1) // n)
+    u, v = [m - i for i in range(n)], [m - 3 * i for i in range(n)]
+    bits = n * (n * m * m).bit_length()
+    for path, threshold in (("binary", bits), ("decimal", bits - 1)):
+        with _forced(path, threshold):
+            assert cyclic_convolve(u, v) == _naive_cyclic(u, v), path
+            assert cyclic_convolve(u, u) == _naive_cyclic(u, u), path
+
+
+def test_cyclic_convolve_slots_past_the_int_str_limit(monkeypatch):
+    # each slot is 8 2^14400, 4336 digits, past the default 4300 of
+    # sys.get_int_max_str_digits(): the decimal path would parse it from a
+    # string and raise, so the binary path takes it at any size
+    monkeypatch.setattr(ffield, "_BINARY_BITS", -1)
+    u = [2 ** 7200] * 8
+    assert cyclic_convolve(u, [2 ** 7200] * 8) == [8 * 2 ** 14400] * 8
+    assert cyclic_convolve(u, u) == [8 * 2 ** 14400] * 8
 
 
 @pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (3, 9), (5, 26), (8, 26)])
@@ -112,15 +170,16 @@ def test_cyclic_convolve_tight_slot_width(n, k):
     assert (n * m * m).bit_length() == 8 * k - 1
     for sign in (1, -1):
         u = [sign * m] * n
-        assert cyclic_convolve(u, [sign * m] * n) == [n * m * m] * n
-        assert cyclic_convolve(u, u) == [n * m * m] * n
+        assert _on_both(cyclic_convolve, u, [sign * m] * n) == [n * m * m] * n
+        assert _on_both(cyclic_convolve, u, u) == [n * m * m] * n
 
 
 def _kronecker_cyclic(u, v):
-    """The big-integer product cyclic_convolve replaced, as an oracle: each
-    input packed into one integer, a byte-aligned slot per entry (Kronecker
-    substitution), the slot width sized by bit_length, so no int-str
-    conversion is involved."""
+    """The independent signed-slot oracle of both of cyclic_convolve's
+    multipliers: each input packed into one integer, a byte-aligned slot
+    per entry (Kronecker substitution) holding it offset by half the slot,
+    the slot width sized by bit_length, so no int-str conversion is
+    involved."""
     n = len(u)
     mu, mv = (max(map(abs, x), default=0) for x in (u, v))
     nbytes = (max(n * mu * mv, mu, mv).bit_length() + 8) // 8
@@ -164,6 +223,21 @@ def test_cyclic_convolve_equals_the_kronecker_product_on_the_lab_tables():
             assert cyclic_convolve(a, b) == _kronecker_cyclic(a, b), p
 
 
+@pytest.mark.parametrize("p", [61, 1531])
+def test_lab_tables_agree_across_both_multipliers(p):
+    # by size, every product at p = 61 is binary, and at 1531 all but
+    # ap_table's are decimal; forced either way, each table is the same
+    def tables():
+        release_tables()
+        ctx, pctx = make_field_ctx(p), make_padic_ctx(p)
+        out = (kloosterman_table(ctx), ap_table(ctx), _jacobi_table(pctx),
+               _greene_S_table(pctx))
+        release_tables()
+        return out
+
+    _on_both(tables)
+
+
 def test_kloosterman_difference_input_is_the_sum_rotated_by_half():
     # the exact identity that lets kloosterman_table square C + S
     for p in LAB_PRIMES:
@@ -177,16 +251,16 @@ def test_cyclic_convolve_all_nines_slots(k):
     # every slot of the product is 9 (10^k - 1)/9 = 10^k - 1, all nines at
     # the widest slot value the inputs can give
     rep = (10 ** k - 1) // 9
-    assert cyclic_convolve([1] * 9, [rep] * 9) == [10 ** k - 1] * 9
-    assert cyclic_convolve([-1] * 9, [rep] * 9) == [1 - 10 ** k] * 9
-    assert cyclic_convolve([0] * 8 + [9], [rep] * 9) == [10 ** k - 1] * 9
+    for u, want in (([1] * 9, 10 ** k - 1), ([-1] * 9, 1 - 10 ** k),
+                    ([0] * 8 + [9], 10 ** k - 1)):
+        assert _on_both(cyclic_convolve, u, [rep] * 9) == [want] * 9
 
 
 @pytest.mark.parametrize("u,v", [
     ([-3, -5, -7], [-2, -9, -1]), ([-(2 ** 90)] * 4, [-1, -2, -3, -4]),
     ([-1] * 5, [1] * 5), ([0] * 7, [0] * 7), ([0, 0], [-5, 3]), ([], [])])
 def test_cyclic_convolve_negative_zero_and_empty(u, v):
-    assert cyclic_convolve(u, v) == _naive_cyclic(u, v)
+    assert _on_both(cyclic_convolve, u, v) == _naive_cyclic(u, v)
 
 
 def test_cyclic_convolve_ignores_the_thread_decimal_context():
@@ -196,7 +270,7 @@ def test_cyclic_convolve_ignores_the_thread_decimal_context():
         ctx.prec = 5
         ctx.Emax = 10
         ctx.traps[decimal.Inexact] = True
-        assert cyclic_convolve(u, v) == want
+        assert _on_both(cyclic_convolve, u, v) == want
         assert decimal.getcontext().prec == 5
 
 

@@ -215,3 +215,14 @@ def test_only_the_cli_sweeps_primes():
                                        getattr(node, "name", None),
                                        getattr(node, "attr", None))]
     assert not found, f"primerange used in: {', '.join(found)}"
+
+
+def test_one_exact_convolution_primitive():
+    # packing slots into one integer or one decimal, and the exact decimal
+    # context, belong to cyclic_convolve alone: a second packed product
+    # elsewhere would be a second convolution primitive to keep exact
+    marks = ("int.from_bytes", ".to_bytes(", "Decimal(", "_EXACT")
+    found = [f"{path.name}: {mark}" for path in sorted(SRC.glob("**/*.py"))
+             if path.name != "ffield.py"
+             for mark in marks if mark in path.read_text()]
+    assert not found, "; ".join(found)
