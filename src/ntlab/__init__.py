@@ -27,7 +27,7 @@ from .kloosterman import (CertifiedReal, PrecisionError, TrigTable,
                           twisted_moment, untwisted_moment)
 from .padic import (NGN_FAMILIES, PadicCtx, gamma_p, gamma_p_direct,
                     gamma_product_checks, gauss_product, gk_I_integer,
-                    gk_consistency_check, greene_2f1_fraction,
+                    gk_consistency_check, greene_2f1_fraction, greene_check,
                     hasse_davenport_check, jacobi_sum, make_padic_ctx,
                     ngn_evaluate, prop64_check, prop65_check, prop66_check,
                     sweep_trend_ok)

@@ -26,7 +26,7 @@ from . import classnumber as cn
 from . import identities as idn
 from . import kloosterman as km
 from . import padic as pa
-from .ecurve import ap_table, l_set_sizes, twist_relation_check
+from .ecurve import l_set_sizes, twist_relation_check
 from .ffield import make_field_ctx, release_tables
 from .primes import isprime, primerange
 from .records import (SCHEMA_HEADER, VerificationRecord, merge_records,
@@ -241,16 +241,6 @@ def _suite_gk(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     return out
 
 
-def _suite_greene(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    ctx = pa.make_padic_ctx(p)
-    aps = ap_table(ctx.field)
-    phim = ctx.field.qr[p - 1]
-    bad = [lam for lam in range(2, p)
-           if pa.greene_2f1_fraction(ctx, lam)
-           != Fraction(-phim * aps[lam], p)]
-    return [VerificationRecord(p, "greene-trace", len(bad), 0, not bad)]
-
-
 def _padic(check: str, p: int, cfg: RunConfig,
            table) -> list[VerificationRecord]:
     # looked up by name at call time, so that a wrapper installed on the
@@ -312,7 +302,7 @@ _SUITES = {s.name: s for s in (
     Suite("counting", _suite_counting, partial(_primes, modulus=4, residue=1),
           _window_bound),
     Suite("gk", _suite_gk, _primes),
-    Suite("greene", _suite_greene, _primes),
+    Suite("greene", partial(_padic, "greene_check"), _primes),
     Suite("prop6.4", partial(_padic, "prop64_check"),
           partial(_primes, modulus=6, residue=1)),
     Suite("prop6.5", partial(_padic, "prop65_check"),
@@ -474,8 +464,9 @@ def cmd_gfun(p: int, family: str, lam: int, K: int) -> int:
         print(f"p={p} family={family} lambda={lam} K={K} value=0 "
               f"(to precision p^{K})")
     else:
+        # a positive valuation leaves K - v known digits of the unit
         print(f"p={p} family={family} lambda={lam} K={K} "
-              f"valuation={v[0]} unit={v[1]} mod p^{K}")
+              f"valuation={v[0]} unit={v[1]} mod p^{K - max(0, v[0])}")
     return 0
 
 

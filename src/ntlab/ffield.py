@@ -164,13 +164,7 @@ def cyclic_convolve(u: list[int], v: list[int]) -> list[int]:
     Up to n b = _BINARY_BITS bits, _binary_cyclic multiplies Python ints,
     which is faster than libmpdec below its transform threshold, where its
     multiply is quadratic; above, _decimal_cyclic uses libmpdec's
-    number-theoretic transform. One call, u*v, on a 2-core Xeon (ms):
-
-        n      b     n b       decimal   binary
-        120    91    11k       0.53      0.19
-        500    93    47k       1.58      1.16
-        1500   95    143k      5.34      5.42
-        4000   48    192k      8.23      11.8
+    number-theoretic transform; the module docstring times both.
 
     A slot of more decimal digits than a nonzero
     sys.get_int_max_str_digits() allows takes the binary path at any size,

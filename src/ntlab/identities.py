@@ -222,19 +222,23 @@ def counting_lemma_check(ctx: FieldCtx,
 
 def torsion_census_check(ctx: FieldCtx,
                          table: cn.HurwitzTable) -> VerificationRecord:
-    """4 * sum_{s in W8} H*((4p-s^2)/4) is close to p; the census side counts
-    lambda not in {0,+-1} whose E_{lambda^2} has a rational 4-torsion point
-    (all of them, if the 2x4 containment claim is right)."""
+    """4 * sum_{s in W8} H*((4p-s^2)/4) is exactly p - 3 at p = 3 mod 4 and
+    (2p - 4)/3 at p = 1 mod 4; the census side counts lambda not in {0,+-1}
+    whose E_{lambda^2} has a rational 4-torsion point (all p - 3 of them, if
+    the 2x4 containment claim is right). match needs both; ratio is
+    |lhs - form|/sqrt(p)."""
     p = ctx.p
     lhs = Fraction(4 * _window_sum12(p, 4, 0, table), 12)
+    form, name = ((p - 3, "p-3") if p % 4 == 3
+                  else (Fraction(2 * p - 4, 3), "(2p-4)/3"))
     census = sum(
         1 for lam in range(2, p - 1)
         if torsion_class(ctx, lam * lam % p) in ("2x4", "4x4"))
-    diff = abs(lhs - p)
+    diff = abs(lhs - form)
     return VerificationRecord(
-        p, "torsion-census", float(lhs), census, census == p - 3,
-        ratio=float(diff) / math.sqrt(p),
-        detail=f"|lhs-p|={float(diff):.3f}")
+        p, "torsion-census", float(lhs), census,
+        census == p - 3 and lhs == form, ratio=float(diff) / math.sqrt(p),
+        detail=f"form={name} |lhs-form|={float(diff):.3f}")
 
 
 # --- asymptotic ratio sweeps --------------------------------------------------

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ecurve import ap_table
 from .ffield import (CharIdx, FieldCtx, cyclic_convolve, make_field_ctx,
@@ -288,10 +289,6 @@ def gamma_p(ctx: PadicCtx, x: int | Fraction) -> int:
     return val
 
 
-def _frac(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
 # ---------------------------------------------------------------------------
 # Gauss sums
 
@@ -477,6 +474,21 @@ def greene_2f1_fraction(ctx: PadicCtx, lam: int) -> Fraction:
     return Fraction(_greene_S_table(ctx)[lam % ctx.p], ctx.p * (ctx.p - 1))
 
 
+def _greene_trace_misses(ctx: PadicCtx, aps) -> int:
+    """How many lam not 0, 1 break Greene's trace relation p 2F1(lam) =
+    -phi(-1) a_p(lam), read in integers as S(lam) = -phi(-1) (p-1) a_p(lam)
+    against the traces aps."""
+    p, S = ctx.p, _greene_S_table(ctx)
+    unit = -ctx.field.qr[p - 1] * (p - 1)
+    return sum(S[lam] != unit * aps[lam] for lam in range(2, p))
+
+
+def greene_check(ctx: PadicCtx) -> VerificationRecord:
+    """The trace relation at every lam; lhs counts the lam where it fails."""
+    bad = _greene_trace_misses(ctx, ap_table(ctx.field))
+    return VerificationRecord(ctx.p, "greene-trace", bad, 0, not bad)
+
+
 def _j3_sum(ctx: PadicCtx, w: list[int]) -> int:
     """sum_c omega^c(-1) J_c^3 w_c mod p^K; omega^c(-1) = (-1)^c."""
     return sum((-1) ** c * pow(j, 3, ctx.mod) * w[c]
@@ -503,90 +515,78 @@ NGN_FAMILIES = {
 }
 
 
-class _NgnTable:
-    """Per-a coefficients of the a-sum; they do not depend on t, so one table
-    serves a whole lambda-sweep. scale = max(0, -min_a E_a) powers of p are
-    premultiplied so every stored term is p-integral, and the working
-    precision is raised to K + scale to preserve K digits of the result.
-    The sums at every t are one DFT of the coefficients, taken once."""
-
-    def __init__(self, ctx: PadicCtx, family: str):
-        p, q = ctx.p, ctx.q
-        a_list, b_list = NGN_FAMILIES[family]
-        n = len(a_list)
-        for x in list(a_list) + list(b_list):
-            if x.denominator % p == 0:
-                raise ValueError(f"parameter {x} not p-integral for p={p}")
-        # ak = an/ad and <-bk> = bn/bd; with al = a/q the a-loops below take
-        # floor and fractional part of ak - al and <-bk> + al in integers
-        nums = []
-        for ak, bk in zip(a_list, b_list):
-            nb = _frac(-bk)
-            nums.append((ak.numerator, ak.denominator,
-                         nb.numerator, nb.denominator))
-        Es = []
-        for a in range(q):
-            E = 0
-            for an, ad, bn, bd in nums:
-                E -= (an * q - a * ad) // (ad * q)
-                E -= (bn * q + a * bd) // (bd * q)
-            Es.append(E)
-        self.scale = max(0, -min(Es))
-        self.M = ctx.K + self.scale
-        hctx = ctx if self.M == ctx.K else PadicCtx(ctx.field, self.M)
-        self.hctx = hctx
-        mod = hctx.mod
-        coeffs = []
-        norm = (-pow(q, -1, mod)) % mod
-        res = hctx.residue
-        # 1/(Gamma_p(<ak>) Gamma_p(<-bk>)): free of a
-        invs = [pow(gamma_p(hctx, res(an % ad, ad))
-                    * gamma_p(hctx, res(bn, bd)), -1, mod)
-                for an, ad, bn, bd in nums]
-        for a in range(q):
-            c = norm
-            for (an, ad, bn, bd), inv in zip(nums, invs):
-                c = c * gamma_p(hctx, res((an * q - a * ad) % (ad * q),
-                                          ad * q)) % mod
-                c = c * gamma_p(hctx, res((bn * q + a * bd) % (bd * q),
-                                          bd * q)) % mod
-                c = c * inv % mod
-            e = Es[a] + self.scale
-            if e < 0:
-                raise ArithmeticError("scale bookkeeping is off")
-            c = c * pow(-p % mod, e, mod) % mod
-            if self.scale % 2:
-                c = -c % mod  # (-p)^E p^scale = (-1)^scale (-p)^(E+scale)
-            if (a * n) % 2:
-                c = -c % mod
-            coeffs.append(c)
-        self.coeffs = tuple(coeffs)
-        # sum_a coeffs[a] omega-bar^a(t), at index -dlog(t)
-        self._values = teichmuller_dft(hctx, coeffs)
-
-    def value_scaled(self, t: int) -> int:
-        """p^scale * nGn(...|t) mod p^(K+scale)."""
-        hctx = self.hctx
-        if t % hctx.p == 0:
-            raise ValueError("t = 0 rejected")
-        return self._values[-hctx.field.dlog[t % hctx.p] % hctx.q]
+class NgnTable(NamedTuple):
+    """The a-sum of one nGn family at one prime. Its per-a coefficients do
+    not depend on t, so one table serves a whole lambda-sweep, and values
+    holds their sums at every t, one DFT taken once. scale = max(0,
+    -min_a E_a) powers of p are premultiplied so every coefficient is
+    p-integral, and ctx works at K + scale so the sums keep K digits."""
+    ctx: PadicCtx
+    scale: int
+    coeffs: tuple[int, ...]
+    values: list[int]
 
 
 @per_prime
-def _ngn_table(ctx: PadicCtx, family: str) -> _NgnTable:
-    """The coefficient table of one family of NGN_FAMILIES at ctx's prime."""
-    return _NgnTable(ctx, family)
+def _ngn_table(ctx: PadicCtx, family: str) -> NgnTable:
+    """The table of one family of NGN_FAMILIES at ctx's prime: for n pairs
+    (a_k, b_k) and every a mod p-1, with al = a/(p-1),
+        c_a = -(1/(p-1)) (-1)^(a n + E_a) p^(E_a + scale) G(a) / G(0),
+    G(a) = prod_k Gamma_p(<a_k - al>) Gamma_p(<-b_k + al>) and E_a = -sum_k
+    (floor(a_k - al) + floor(<-b_k> + al)). Row 0 normalises: its
+    arguments are exactly <a_k> and <-b_k>."""
+    p, q = ctx.p, ctx.q
+    a_list, b_list = NGN_FAMILIES[family]
+    n = len(a_list)
+    for x in a_list + b_list:
+        if x.denominator % p == 0:
+            raise ValueError(f"parameter {x} not p-integral for p={p}")
+    # ak = an/ad and <-bk> = bn/bd; the floors and fractional parts of
+    # ak - al and <-bk> + al are taken in integers over ad q and bd q
+    nums = [(ak.numerator, ak.denominator, nb.numerator, nb.denominator)
+            for ak, nb in zip(a_list, (-b % 1 for b in b_list))]
+    Es = [-sum((an * q - a * ad) // (ad * q) + (bn * q + a * bd) // (bd * q)
+               for an, ad, bn, bd in nums) for a in range(q)]
+    scale = max(0, -min(Es))
+    tctx = ctx if scale == 0 else PadicCtx(ctx.field, ctx.K + scale)
+    mod, res = tctx.mod, tctx.residue
+    G = []
+    for a in range(q):
+        g = 1
+        for an, ad, bn, bd in nums:
+            g = (g * gamma_p(tctx, res((an * q - a * ad) % (ad * q), ad * q))
+                 * gamma_p(tctx, res((bn * q + a * bd) % (bd * q), bd * q))
+                 % mod)
+        G.append(g)
+    norm = -pow(q * G[0], -1, mod)
+    # the sign is a parity, as (-1) ** E is a float at E < 0; pow raises
+    # at a negative E + scale, since p has no inverse mod p^(K + scale)
+    coeffs = tuple(
+        (-norm if (a * n + E) % 2 else norm) * g * pow(p, E + scale, mod) % mod
+        for a, (g, E) in enumerate(zip(G, Es)))
+    # sum_a coeffs[a] omega-bar^a(t), at index -dlog(t)
+    return NgnTable(tctx, scale, coeffs, teichmuller_dft(tctx, list(coeffs)))
+
+
+def _ngn_at(table: NgnTable, t: int) -> int:
+    """p^scale nGn(...|t) mod p^(K+scale), read from the table; t = 0 mod p
+    raises."""
+    ctx = table.ctx
+    if t % ctx.p == 0:
+        raise ValueError("t = 0 rejected")
+    return table.values[-ctx.field.dlog[t % ctx.p] % ctx.q]
 
 
 def ngn_evaluate(ctx: PadicCtx, family: str, t: int) -> tuple[int, int] | None:
     """The full a-sum of the hypergeometric G-function of one family at t,
-    with exact (-p)-power bookkeeping, as (valuation, unit mod p^K); None
-    when it is 0 mod p^K, as at every t = 0 mod p, where each omega-bar(t)
-    term vanishes."""
+    with exact (-p)-power bookkeeping, as (valuation v, unit); None when it
+    is 0 mod p^K, as at every t = 0 mod p, where each omega-bar(t) term
+    vanishes. The unit is known mod p^(K - max(0, v)): a positive valuation
+    spends v of the K digits."""
     if t % ctx.p == 0:
         return None
     table = _ngn_table(ctx, family)
-    raw = table.value_scaled(t)
+    raw = _ngn_at(table, t)
     if raw == 0:
         return None
     v = 0
@@ -644,41 +644,26 @@ def prop64_check(ctx: PadicCtx) -> VerificationRecord:
         raise ValueError(f"p must be 1 mod 6, got {p}")
     I = gk_I_integer(ctx)
     table = _ngn_table(ctx, "3g3")
-    hctx = table.hctx
-    mod = hctx.mod
+    tctx, mod = table.ctx, table.ctx.mod
 
     def psi6(x):
-        return hctx.omega(x, q // 6)
+        return tctx.omega(x, q // 6)
 
-    qr = ctx.field.qr
     acc_printed = 0
     acc_theorem = 0
     for lam in range(2, p):
-        t = (lam - 1) * pow(lam, p - 2, p) % p
-        val = table.value_scaled(t)
+        val = _ngn_at(table, (lam - 1) * pow(lam, p - 2, p))
         acc_printed = (acc_printed + psi6(lam * (1 - lam * lam)) * val) % mod
         acc_theorem = (acc_theorem + psi6(lam * (1 - lam) ** 2) * val) % mod
-    J33 = jacobi_sum(hctx, q // 3, q // 3)
-    scale_pow = p ** table.scale
-
-    def printed_const(acc):
-        # I == p^3 (p-1) psi6(-2) phi(2) * Sigma; acc = p^scale * Sigma
-        lhs = I * scale_pow % mod
-        rhs = p ** 3 * (p - 1) * psi6(-2) * qr[2] * acc % mod
-        return lhs == rhs
-
-    def corrected_const(acc):
-        # I == -p^2 (p-1) psi6(-16) J33 * Sigma
-        lhs = I * scale_pow % mod
-        rhs = (-(p ** 2) * (p - 1) * psi6(-16) * J33 * acc) % mod
-        return lhs == rhs
-
-    flags = {
-        "printed-const/printed-twist": printed_const(acc_printed),
-        "printed-const/theorem-twist": printed_const(acc_theorem),
-        "corrected-const/printed-twist": corrected_const(acc_printed),
-        "corrected-const/theorem-twist": corrected_const(acc_theorem),
-    }
+    # acc = p^scale Sigma; printed: I = p^3 (p-1) psi6(-2) phi(2) Sigma,
+    # corrected: I = -p^2 (p-1) psi6(-16) J(psi3, psi3) Sigma
+    lhs = I * p ** table.scale % mod
+    consts = (("printed", p ** 3 * (p - 1) * psi6(-2) * ctx.field.qr[2]),
+              ("corrected", -(p ** 2) * (p - 1) * psi6(-16)
+               * jacobi_sum(tctx, q // 3, q // 3)))
+    twists = (("printed", acc_printed), ("theorem", acc_theorem))
+    flags = {f"{cn}-const/{tn}-twist": lhs == c * acc % mod
+             for cn, c in consts for tn, acc in twists}
     match = flags["corrected-const/theorem-twist"]
     return VerificationRecord(
         p, "prop6.4", I, "see detail", match,
@@ -696,7 +681,7 @@ def prop65_check(ctx: PadicCtx) -> VerificationRecord:
         raise ValueError(f"p must be 2 mod 3, got {p}")
     I = gk_I_integer(ctx)
     table = _ngn_table(ctx, "9g9")
-    mod = table.hctx.mod
+    mod = table.ctx.mod
     qr = ctx.field.qr
     inv3 = pow(3, -1, q)
     acc = 0
@@ -704,7 +689,7 @@ def prop65_check(ctx: PadicCtx) -> VerificationRecord:
         w = qr[(pow(lam, inv3, p) - 1) % p]
         if w == 0:
             continue
-        acc = (acc + w * table.value_scaled(lam)) % mod
+        acc = (acc + w * _ngn_at(table, lam)) % mod
     lhs = I * p ** table.scale % mod
     rhs = p * (p - 1) * acc % mod
     plain = lhs == rhs
@@ -732,10 +717,8 @@ def prop66_check(ctx: PadicCtx) -> VerificationRecord:
     def phi(x):
         return qr[x % p]
 
-    F1 = {lam: greene_2f1_fraction(ctx, lam) for lam in range(1, p)}
-    aps = ap_table(ctx.field)
-    trace_ok = all(F1[lam] == Fraction(-phi(-1) * aps[lam], p)
-                   for lam in range(2, p))
+    S, aps = _greene_S_table(ctx), ap_table(ctx.field)
+    trace_ok = not _greene_trace_misses(ctx, aps)
     S3 = _s3_integer(ctx)
     F32 = Fraction(S3, p * p * (p - 1))
 
@@ -749,17 +732,18 @@ def prop66_check(ctx: PadicCtx) -> VerificationRecord:
     inv2 = pow(2, p - 2, p)
     Sphi = sum(phi(lam) * aps[lam] ** 2
                for lam in range(2, p) if lam != p - 1)
-    F1h, F1m = F1[inv2], F1[p - 1]
-    A_def = Fraction(phi(2)) * sum(
-        (Fraction(phi(1 - t)) * F1[(1 - t) * inv2 % p] ** 2
-         for t in range(2, p - 1) if (1 - t) % p), Fraction(0))
+    # 2F1(lam) = S(lam)/(p(p-1)), so A's sum of 2F1^2 is one integer sum
+    pq = p * (p - 1)
+    F1h, F1m = Fraction(S[inv2], pq), Fraction(S[p - 1], pq)
+    A_def = Fraction(phi(2) * sum(phi(1 - t) * S[(1 - t) * inv2 % p] ** 2
+                                  for t in range(2, p - 1)), pq * pq)
     eqn6 = Sphi == (p * p * phi(2) * F1h ** 2 - p * p * phi(-1) * F1m ** 2
                     + p * p * A_def)
     eqn7 = A_def == (Fraction(-1, p) - Fraction(phi(2), p) - phi(-2) * F32
                      + Fraction(phi(-2) * p, p - 1) * B)
-    eqn9 = p * p3B == phi(-2) * (I - p * (p - 1))
+    eqn9 = p * p3B == phi(-2) * (I - pq)
     assembled = Sphi == (p * p * phi(2) * F1h ** 2 - p * p * phi(-1) * F1m ** 2
-                         - p * p * phi(-2) * F32 + Fraction(I, p * (p - 1))
+                         - p * p * phi(-2) * F32 + Fraction(I, pq)
                          - p - p * phi(2) - 1)
     slack = Sphi - p * p * phi(2) * F1h ** 2
     match = trace_ok and eqn6 and eqn7 and eqn9 and assembled

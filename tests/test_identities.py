@@ -143,6 +143,9 @@ def test_counting_lemma_needs_1_mod_4(ctx7, htable):
 def test_torsion_census(p, htable):
     rec = idn.torsion_census_check(make_field_ctx(p), htable)
     assert rec.match
+    # the window sum is exactly its form: p - 3 at 23, (2p - 4)/3 at 13, 17
+    assert rec.ratio == 0
+    assert rec.lhs == (p - 3 if p % 4 == 3 else (2 * p - 4) / 3)
 
 
 @pytest.mark.parametrize("p", [29, 37, 53, 31, 43, 47])

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ntlab.ecurve import ap_legendre
+from ntlab.ecurve import ap_legendre, ap_table
 from ntlab.ffield import make_field_ctx
 from ntlab import padic as pa
 from ntlab.primes import primerange
@@ -501,12 +501,35 @@ def test_ngn_values_equal_the_literal_a_sum(p):
     ctx = pa.make_padic_ctx(p, 6)
     for family in pa.NGN_FAMILIES:
         table = pa._ngn_table(ctx, family)
-        h = table.hctx
+        h = table.ctx
         for t in range(1, p):
             dl = h.field.dlog[t]
             want = sum(c * h.pw[-a * dl % h.q]
                        for a, c in enumerate(table.coeffs)) % h.mod
-            assert table.value_scaled(t) == want, (family, t)
+            assert pa._ngn_at(table, t) == want, (family, t)
+
+
+def test_ngn_accessor_rejects_t_zero_mod_p(pctx13):
+    for family in pa.NGN_FAMILIES:
+        table = pa._ngn_table(pctx13, family)
+        for t in (0, 13, -26):
+            with pytest.raises(ValueError, match="t = 0"):
+                pa._ngn_at(table, t)
+
+
+@pytest.mark.parametrize("p", ROUTED_PRIMES)
+def test_greene_check_equals_the_fraction_comparison(p):
+    # the integer read S(lam) = -phi(-1)(p-1) a_p(lam) against the per-lam
+    # comparison of rationals it replaced
+    ctx = pa.make_padic_ctx(p, 6)
+    aps = ap_table(ctx.field)
+    phi_m1 = ctx.field.qr[p - 1]
+    bad = sum(pa.greene_2f1_fraction(ctx, lam)
+              != Fraction(-phi_m1 * aps[lam], p) for lam in range(2, p))
+    rec = pa.greene_check(ctx)
+    assert (rec.name, rec.lhs, rec.rhs, rec.match) == (
+        "greene-trace", bad, 0, bad == 0)
+    assert rec.match
 
 
 def test_greene_2f1_known_value():
@@ -597,10 +620,10 @@ def test_theorem_records_raise_off_their_class(build, p):
 
 def test_precision_raise_pathway(pctx13):
     # 3G3's table premultiplies p^2, so it works at K + 2; 9G9's needs none
-    hctx = pa._ngn_table(pctx13, "3g3").hctx
+    hctx = pa._ngn_table(pctx13, "3g3").ctx
     assert hctx.K == 6 and hctx.p == 13
     assert pa.gamma_p(hctx, 5) % 13 ** 4 == pa.gamma_p(pctx13, 5) % 13 ** 4
-    assert pa._ngn_table(pctx13, "9g9").hctx is pctx13
+    assert pa._ngn_table(pctx13, "9g9").ctx is pctx13
 
 
 # Each probe runs under python -O, where an assert would vanish, and sets
