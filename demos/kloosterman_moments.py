@@ -4,10 +4,11 @@ Certified Kloosterman sums and their power moments
 
 Everything here is computed twice: the sums by two unrelated summation
 orders, the moments by exact fixed-point sums against exact closed forms.
-The whole table of K(a,p) is one cyclic convolution over F_p^*, evaluated
-as one squaring: at p = 101 a Python int product, and above p ≈ 600 one
-of a long decimal by libmpdec's number-theoretic transform;
-K[a] / 2^shift is within err / 2^shift of K(a,p).
+The whole table of K(a,p) is one cyclic convolution over Z/p, the
+quadric point count: the cosines gathered by u^2 times phi, at p = 101 a
+Python int product, and above p ≈ 1000 one of long decimals by libmpdec's
+number-theoretic transform; K[a] / 2^shift is within err / 2^shift of
+K(a,p).
 """
 
 import math

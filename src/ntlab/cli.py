@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -511,7 +511,10 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
         raise SystemExit(f"bad configuration: {e}")
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built by the first main call of a process, not at
+    import, and reused by the later ones: parse_args keeps no state in it."""
     ap = argparse.ArgumentParser(
         prog="ntlab",
         description="Cross-checked verification lab for Kloosterman moments, "
@@ -550,8 +553,11 @@ def main(argv=None) -> int:
     gp.add_argument("--family", choices=tuple(pa.NGN_FAMILIES), required=True)
     gp.add_argument("--lambda", dest="lam", type=int, required=True)
     gp.add_argument("--K", type=int, default=6)
+    return ap
 
-    ns = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    ns = _parser().parse_args(argv)
     if ns.command == "verify":
         return cmd_verify(_build_config(ns))
     if ns.command == "sweep":

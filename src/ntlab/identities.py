@@ -77,9 +77,10 @@ def _sum_ap_sq(ctx: FieldCtx) -> int:
 
 def s4_direct(ctx: FieldCtx) -> int:
     """Route 1: the moment itself, summed exactly over the fixed-point
-    Kloosterman table (one cyclic convolution: one squaring, by Python int
-    or libmpdec's transform as its size picks) from its power sums (one pass
-    per prime) and rounded with an integer error certificate."""
+    Kloosterman table (one cyclic convolution over Z/p of the cosines
+    gathered by quadric point count with phi, by Python int or libmpdec's
+    transform as its size picks) from its power sums (one pass per prime)
+    and rounded with an integer error certificate."""
     phi_idx = (ctx.p - 1) // 2
     return twisted_moment(ctx, 4, phi_idx)
 

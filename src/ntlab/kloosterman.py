@@ -4,13 +4,14 @@ Everything runs on integers, on the stdlib alone. A trig table holds cos
 and sin of 2 pi k/p scaled by 2^L and rounded, each entry within
 1/2 + 2^-20 units: one chain of rotations by e^(2 pi i/p) at 48 guard bits
 (pi by Machin's formula, e^(i t) by Taylor's series) gives k <= p/2, and
-symmetry gives the rest. Writing a = g^alpha and x = g^xi, the whole
-table of K(a,p) is one cyclic convolution over F_p^* (ffield.cyclic_convolve:
-one squaring, of a Python int below p ~ 600 and of a long decimal by
-libmpdec's number-theoretic transform above, folded mod p-1), on inputs
-only this route builds.
+symmetry gives the rest. Counting the points of the quadric
+x^2 - vx + a = 0, K(a,p) is a sum of phi(u^2 - a) cos(4 pi u/p) over u, so
+the whole table of K(a,p) is one cyclic convolution over Z/p
+(ffield.cyclic_convolve: the cosines gathered by u^2 times phi, as Python
+ints below p ~ 1000 and as long decimals by libmpdec's number-theoretic
+transform above, folded mod p), at the trig table's own scale.
 Moments are exact integer combinations of the power sums of that table,
-taken in one pass per prime, and every one of them passes through
+taken in one vectorised pass per prime, and every one of them passes through
 round_fixed, which returns an integer only when an integer error bound
 proves it; a precision shortfall raises PrecisionError instead of silently
 truncating. L grows with p, so the headroom does not shrink as p grows.
@@ -20,6 +21,8 @@ trig_table, kloosterman_table and the power sums are per_prime builders.
 from __future__ import annotations
 
 import math
+from itertools import compress
+from operator import mul, not_
 from typing import NamedTuple
 
 from .ffield import CharIdx, FieldCtx, cyclic_convolve, per_prime
@@ -125,7 +128,8 @@ def trig_table(p: int) -> TrigTable:
     rotations, add a few dozen units more. For p < 2^22 that stays below
     2^28 units of 2^-w, so every entry is within 1/2 + 2^-20 units of
     2^-bits. 2^bits > 2^20 p^4 keeps the error bound of a fourth moment
-    about 2^11 sqrt(p) times below its rounding margin. Past 2^22 the
+    about 2^14 sqrt(p) times below its rounding margin, and by the Weil
+    bound that of S(6) below it for every p < 2^22. Past 2^22 the
     bound is unproven, so a larger p raises ValueError before any work.
     """
     if p >= 1 << 22:
@@ -184,29 +188,32 @@ def kloosterman_table(ctx: FieldCtx) -> tuple[tuple[int, ...], int, int]:
     """All K(a,p), a = 0..p-1, as (K, shift, err): K[a] is an integer within
     err of 2^shift K(a,p).
 
-    With a = g^alpha, x = g^xi, c(xi) = cos(2 pi g^xi/p) and s likewise,
-    K(g^alpha) = (c*c - s*s)(alpha), cyclic over Z/(p-1). For u = C + S and
-    v = C - S on the table's integers, the cross terms of u*v cancel exactly,
-    so u*v is C*C - S*S. Each of its p-1 terms is within
-    2^L(|c|+|c'|+|s|+|s'|) + 2 <= 6 2^L + 4 units of 2^-2L.
-    The table's second half mirrors its first exactly and g^h = -1 for
-    h = (p-1)/2, so v is u rotated by h, v(xi) = u(xi + h), and
-    (u*v)(alpha) = (u*u)(alpha + h): one cyclic_convolve squaring of u gives
-    the same integers, whichever multiplier its size picks.
+    Counting the x with x + a/x = v gives K(a,p) as the sum over v of
+    phi(v^2 - 4a) cos(2 pi v/p), kloosterman_sum_via_quadric's sum at one
+    a, and with v = 2u as the sum over u of phi(u^2 - a) cos(4 pi u/p).
+    Gather u by s = u^2 mod p: m(0) = C[0] and m(u^2) = 2 C[2u] for
+    0 < u < p/2, since u and p - u give C[2u] and C[p - 2u], which the
+    table's mirrored halves make equal. Then K(a) = sum over s of
+    m(s) phi(s - a) = phi(-1) (m*phi)(a), cyclic over Z/p: one
+    cyclic_convolve of phi(-1) m with ctx.qr, in slots of about
+    L + bitlen(p) + 3 bits. cyclic_convolve and ctx.qr are all this table
+    shares with ap_table.
+
+    C[0] is 2^L exactly and every other m(s) is within 1 + 2^-19 units of
+    2^-L; at most (p-1)/2 of them meet phi(s - a) != 0, so K[a] is within
+    (p-1)/2 + (p-1) 2^-20 < (p-1)/2 + 4 units for p < 2^22. K[0] = -2^L
+    is exact.
     """
     p = ctx.p
     table = trig_table(p)
-    L = table.bits
-    powers = [1] * (p - 1)
-    for i in range(1, p - 1):
-        powers[i] = powers[i - 1] * ctx.g % p
-    C, S = table.cos, table.sin
-    u = [C[x] + S[x] for x in powers]
-    h = (p - 1) // 2
-    w = cyclic_convolve(u, u)
-    w = w[h:] + w[:h]   # (u*v)(alpha)
-    K = (-(1 << 2 * L), *(w[alpha] for alpha in ctx.dlog[1:]))
-    return K, 2 * L, (p - 1) * (6 * (1 << L) + 4)
+    L, C = table.bits, table.cos
+    sign = ctx.qr[-1]   # phi(-1)
+    m = [0] * p
+    m[0] = sign * C[0]
+    for u in range(1, (p + 1) // 2):
+        m[u * u % p] = 2 * sign * C[2 * u]
+    w = cyclic_convolve(m, ctx.qr)
+    return (-(1 << L), *w[1:]), L, (p - 1) // 2 + 4
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +225,23 @@ def _power_sums(ctx: FieldCtx, n: int) -> tuple[tuple[int, ...],
     """(P, M, kabs): P[j] and M[j] are the sums of K~(a)^j, j = 0..n, over
     the a != 0 with phi(a) = +1 and phi(a) = -1, and kabs = max |K~(a)|.
 
-    One pass over the table, one a at a time, so no list of big integers
-    joins the shared tables; every moment of degree up to n reads it.
+    One vectorised pass over the table: compress splits it by phi, and each
+    degree is one map(mul) of the last by the first and one sum, so no list
+    of big integers joins the shared tables; every moment of degree up to n
+    reads it.
     """
-    K = kloosterman_table(ctx)[0]
-    P, M = [0] * (n + 1), [0] * (n + 1)
-    degrees = range(1, n + 1)
-    for q, k in zip(ctx.qr[1:], K[1:]):
-        s = P if q > 0 else M
-        s[0] += 1
-        x = 1
-        for j in degrees:
-            x *= k
-            s[j] += x
-    return tuple(P), tuple(M), max(map(abs, K[1:]))
+    K = kloosterman_table(ctx)[0][1:]
+    plus = [q > 0 for q in ctx.qr[1:]]
+
+    def sums(ks: list[int]) -> tuple[int, ...]:
+        out, x = [len(ks), sum(ks)], ks
+        for _ in range(n - 1):
+            x = list(map(mul, x, ks))
+            out.append(sum(x))
+        return tuple(out)
+
+    return (sums(list(compress(K, plus))),
+            sums(list(compress(K, map(not_, plus)))), max(map(abs, K)))
 
 
 def _moment(ctx: FieldCtx, coeffs: list[int], twisted: bool) -> int:

@@ -212,6 +212,19 @@ def test_verify_and_sweep_have_no_precision_flag(capsys, argv):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+def test_repeated_main_calls_print_the_same_bytes(capsys):
+    # main parses with one argparse tree per process; no call may leave
+    # state in it for the next, such as a flag a later call leaves out
+    runs = [("verify", "--suite", "moments", "--pmin", "7", "--pmax", "13"),
+            ("sweep", "--claim", "angles", "--p", "389")]
+    first = [run(capsys, *argv) for argv in runs]
+    run(capsys, "sweep", "--claim", "angles", "--p", "101", "--bins", "8")
+    run(capsys, "verify", "--suite", "gk", "--pmin", "7", "--pmax", "11",
+        "--seed", "3")
+    assert [run(capsys, *argv) for argv in runs] == first
+    assert cli._parser.cache_info().currsize == 1
+
+
 def test_small_pmin_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "moments", "--pmin", "5", "--pmax", "7"])
@@ -631,8 +644,7 @@ def test_schoof_suite_builds_one_census_per_prime(monkeypatch, htable):
 
 def test_moment_and_trace_suites_convolve_twice_per_prime(capsys, monkeypatch):
     # one Kloosterman table and one a_p table per prime serve all three
-    # suites, each the product of one cyclic convolution; the Kloosterman
-    # one squares a single list, which a copy of it would silently undo
+    # suites, each the product of one cyclic convolution of p slots with phi
     from ntlab import ecurve, ffield, kloosterman
     calls = Counter()
     for mod in (kloosterman, ecurve):
@@ -644,7 +656,7 @@ def test_moment_and_trace_suites_convolve_twice_per_prime(capsys, monkeypatch):
     run(capsys, "verify", "--suite", "moments,s4-triroute,cp-chain",
         "--pmin", "101", "--pmax", "107")
     assert calls == {key: 1 for p in (101, 103, 107)
-                     for key in (("ntlab.kloosterman", p - 1, True),
+                     for key in (("ntlab.kloosterman", p, False),
                                  ("ntlab.ecurve", p, False))}
     assert not ffield._SHARED   # the report needs no table; none is kept
 
@@ -697,12 +709,11 @@ def test_pool_keeps_each_prime_in_one_worker(capsys, monkeypatch, tmp_path):
     # inherits the patched functions, so the log is written worker-side
     from ntlab import ecurve, kloosterman
     log = tmp_path / "log"
-    # the Kloosterman table has p - 1 entries, the a_p table p
-    for mod, shift in ((kloosterman, 1), (ecurve, 0)):
-        def logged(u, v, real=mod.cyclic_convolve, name=mod.__name__,
-                   shift=shift):
+    # both tables are products of p slots, so len(u) is the prime
+    for mod in (kloosterman, ecurve):
+        def logged(u, v, real=mod.cyclic_convolve, name=mod.__name__):
             with log.open("a") as fh:
-                fh.write(f"{os.getpid()} {name} {len(u) + shift}\n")
+                fh.write(f"{os.getpid()} {name} {len(u)}\n")
             return real(u, v)
         monkeypatch.setattr(mod, "cyclic_convolve", logged)
     old = multiprocessing.get_start_method(allow_none=True)

@@ -197,14 +197,14 @@ def _kronecker_cyclic(u, v):
 
 
 def _kloosterman_inputs(p):
-    """C + S and C - S over the powers of g: kloosterman_table squares the
-    first, whose rotation by (p-1)/2 is the second."""
-    ctx, table = make_field_ctx(p), trig_table(p)
-    powers = [1] * (p - 1)
-    for i in range(1, p - 1):
-        powers[i] = powers[i - 1] * ctx.g % p
-    C, S = table.cos, table.sin
-    return [C[x] + S[x] for x in powers], [C[x] - S[x] for x in powers]
+    """kloosterman_table's two inputs: phi(-1) m, with m(u^2) = 2 C[2u] for
+    0 < u < p/2 and m(0) = C[0] over the cosine table C, and phi."""
+    qr, C = make_field_ctx(p).qr, trig_table(p).cos
+    m = [0] * p
+    m[0] = qr[-1] * C[0]
+    for u in range(1, (p + 1) // 2):
+        m[u * u % p] = 2 * qr[-1] * C[2 * u]
+    return m, list(qr)
 
 
 def _ap_inputs(p):
@@ -238,12 +238,20 @@ def test_lab_tables_agree_across_both_multipliers(p):
     _on_both(tables)
 
 
-def test_kloosterman_difference_input_is_the_sum_rotated_by_half():
-    # the exact identity that lets kloosterman_table square C + S
+def test_kloosterman_input_folds_the_cosine_of_every_root():
+    # the exact mirror C[p - k] = C[k] that lets kloosterman_table read only
+    # u < p/2: its input is phi(-1) times the sum of C[2u] over every u with
+    # u^2 = s, and the table is that input's product with phi, at primes
+    # 1 and 3 mod 4 on both sides of the binary-decimal crossover
     for p in LAB_PRIMES:
-        u, v = _kloosterman_inputs(p)
-        h = (p - 1) // 2
-        assert v == u[h:] + u[:h], p
+        ctx, C = make_field_ctx(p), trig_table(p).cos
+        m = [0] * p
+        for u in range(p):
+            m[u * u % p] += ctx.qr[-1] * C[2 * u % p]
+        assert _kloosterman_inputs(p)[0] == m, p
+        if p in (3, 5, 7, 13, 101, 103, 1021, 1031, 1033, 7919):
+            K, _, _ = kloosterman_table(ctx)
+            assert K[1:] == tuple(cyclic_convolve(m, ctx.qr)[1:]), p
 
 
 @pytest.mark.parametrize("k", [1, 2, 19, 20, 43, 120])

@@ -182,8 +182,10 @@ def test_trig_table_refuses_p_past_its_proven_bound(monkeypatch):
         trig_table(p)
 
 
-@pytest.mark.parametrize("p", [13, 101])
+@pytest.mark.parametrize("p", [11, 13, 101, 103])
 def test_table_certified_against_mpmath(p):
+    # 13 and 101 are 1 mod 4 and 11 and 103 are 3 mod 4, so both signs of
+    # phi(-1), which the table's product carries, are certified
     K, shift, err = kloosterman_table(make_field_ctx(p))
     assert K[0] == -(1 << shift)
     with mpmath.workdps(60):
@@ -193,16 +195,17 @@ def test_table_certified_against_mpmath(p):
 
 
 @pytest.mark.parametrize("p", [13, 101, 1531])
-def test_table_against_the_quadric_route(p):
-    # route B, one a at a time, is the oracle of the whole table: the two
-    # certified intervals must overlap, checked exactly
+def test_table_against_the_direct_sum(p):
+    # the table is the quadric count of every a at once, so the direct
+    # cosine sum over x, one a at a time, is its oracle: the two certified
+    # intervals must overlap, checked exactly
     ctx = make_field_ctx(p)
     K, shift, err = kloosterman_table(ctx)
     one = Fraction(1, 1 << shift)
     for a in random.Random(p).sample(range(1, p), min(p - 1, 40)):
-        q = kloosterman_sum_via_quadric(ctx, a)
-        gap = abs(K[a] * one - Fraction(q.value))
-        assert gap <= err * one + Fraction(q.err), a
+        d = kloosterman_sum(ctx, a)
+        gap = abs(K[a] * one - Fraction(d.value))
+        assert gap <= err * one + Fraction(d.err), a
 
 
 def test_round_fixed_accepts_certified_values():
