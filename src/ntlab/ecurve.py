@@ -4,7 +4,12 @@ twist relations, 2-power torsion, and F_p-isomorphism classes.
 ap_table gets every a_p(lambda) from one cyclic_convolve of character tables,
 and the suites read every Legendre trace from it; ap_legendre, the oracle it
 is checked against, sums one lambda directly. ap_table and curve_census are
-per_prime builders; the census sums its own a_p.
+per_prime builders; the census gets its own a_p from a second convolution.
+Its generic classes are y^2 = x^3 + k(3x + 2) and their twists; off
+x = -2/3 the cubic factors as (3x + 2)(k - rho(x)), rho(x) = -x^3/(3x + 2),
+so every a_p is one correlation of phi with the weights of rho's fibres,
+and the fibre over k holds the curve's roots. Only the at most ten classes
+at j = 0 and 1728 are evaluated one by one.
 Isomorphism testing uses the cheap (j, a_p) key in the generic case and falls
 back to explicit twist tests (quadratic / quartic / sextic, depending on j)
 whenever the key is ambiguous (a_p = 0 or j in {0, 1728}).
@@ -225,26 +230,59 @@ def _class_of(ctx: FieldCtx, A: int, B: int, cubes: list[int]) -> CurveClass:
 def curve_census(ctx: FieldCtx) -> tuple[CurveClass, ...]:
     """One representative per F_p-isomorphism class of elliptic curves.
 
-    j not in {0, 1728}: the standard model plus its quadratic twist;
     j = 1728: y^2 = x^3 + g^i x, i < gcd(4, p-1);
-    j = 0:    y^2 = x^3 + g^i,   i < gcd(6, p-1).
+    j = 0:    y^2 = x^3 + g^i,   i < gcd(6, p-1);
+    j not in {0, 1728}: y^2 = x^3 + 3kx + 2k, k = j/(1728 - j), and its
+    quadratic twist (3kd^2, 2kd^3), d the least non-residue.
+
+    The at most ten CM classes go through _class_of. The generic ones
+    share one pass over x: with x0 = -2/3 and rho(x) = -x^3/(3x + 2),
+    x^3 + k(3x + 2) = (3x + 2)(k - rho(x)) for x != x0, so
+    a_p(k) = -phi(x0) - sum over r of W(r) phi(k - r), with
+    W(r) = sum over rho(x) = r of phi(3x + 2): one cyclic_convolve(W, phi).
+    The roots of curve k are the x with rho(x) = k. The twist's a_p is
+    the negative, and its roots are d times those of curve k, so its E[4]
+    is rational iff every phi(r_i - r_k) is -1.
     """
     p = ctx.p
     if p <= 3:
         raise ValueError("census needs p > 3")
-    g = ctx.g
+    g, qr, dlog = ctx.g, ctx.qr, ctx.dlog
     cubes = [x * x * x % p for x in range(p)]
     out = []
     for i in range(math.gcd(4, p - 1)):
         out.append(_class_of(ctx, pow(g, i, p), 0, cubes))
     for i in range(math.gcd(6, p - 1)):
         out.append(_class_of(ctx, 0, pow(g, i, p), cubes))
-    d = next(x for x in range(2, p) if ctx.qr[x] == -1)
+    # 1/t = g^(-dlog t), read from one table of powers of g
+    powers = [1] * (p - 1)
+    for i in range(1, p - 1):
+        powers[i] = powers[i - 1] * g % p
+    W, roots = [0] * p, {}
+    for x, c in enumerate(cubes):
+        t = (3 * x + 2) % p
+        if t:
+            r = -c * powers[-dlog[t]] % p
+            W[r] += qr[t]
+            roots.setdefault(r, []).append(x)
+    sums = cyclic_convolve(W, qr)
+    phi_x0 = qr[-6 % p]   # phi(-2/3) = phi(-6)
+    d = next(x for x in range(2, p) if qr[x] == -1)
+    d2, d3 = d * d % p, pow(d, 3, p)
     for j in range(1, p):
         if j == 1728 % p:
             continue
-        k = j * pow(1728 - j, p - 2, p) % p
+        k = j * powers[-dlog[(1728 - j) % p]] % p
         A, B = 3 * k % p, 2 * k % p
-        out.append(_class_of(ctx, A, B, cubes))
-        out.append(_class_of(ctx, A * d * d % p, B * pow(d, 3, p) % p, cubes))
+        a_p = -phi_x0 - sums[k]
+        rs = roots.get(k, ())
+        two_rank = {0: 0, 1: 1, 3: 2}[len(rs)]
+        four = twist_four = False
+        if two_rank == 2 and p % 4 == 1:   # phi(-1) = 1: one sign a pair
+            r0, r1, r2 = rs
+            signs = {qr[r0 - r1], qr[r0 - r2], qr[r1 - r2]}
+            four, twist_four = signs == {1}, signs == {-1}
+        out.append(CurveClass(A, B, a_p, two_rank, four, 2))
+        out.append(CurveClass(A * d2 % p, B * d3 % p, -a_p, two_rank,
+                              twist_four, 2))
     return tuple(out)

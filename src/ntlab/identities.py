@@ -22,8 +22,9 @@ from .ffield import FieldCtx, cyclic_convolve, per_prime
 from .kloosterman import twisted_moment
 from .records import VerificationRecord
 
-# the brute-force caps: schoof_count_check runs its isomorphism-class census
-# only on primes up to CENSUS_CAP, cp_count_brute only up to CP_CAP
+# the caps: schoof_count_check runs its isomorphism-class census only on
+# primes up to CENSUS_CAP, which fixes the schoof suite's primes (the census
+# is O(p), so not its cost); the brute-force cp_count_brute only up to CP_CAP
 CENSUS_CAP = 200
 CP_CAP = 100
 
@@ -160,11 +161,26 @@ def ap_second_moment_check(ctx: FieldCtx) -> VerificationRecord:
 
 # --- census-based checks ------------------------------------------------------
 
+@per_prime
+def _schoof_tally(ctx: FieldCtx) -> dict[tuple[int, int], tuple[int, int]]:
+    """(plain, weighted12) by (n, a_p) over the census: the number of
+    classes of that trace with full rational n-torsion, and the sum of
+    24/|Aut| over them. n = 2 needs E[2] rational, n = 4 E[4]."""
+    tally: dict[tuple[int, int], tuple[int, int]] = {}
+    for c in curve_census(ctx):
+        for n, full in ((1, True), (2, c.two_rank == 2), (4, c.four_full)):
+            if full:
+                plain, w12 = tally.get((n, c.a_p), (0, 0))
+                tally[n, c.a_p] = (plain + 1, w12 + 24 // c.aut)
+    return tally
+
+
 def schoof_count_check(ctx: FieldCtx, n: int, s: int,
                        table: cn.HurwitzTable) -> VerificationRecord:
     """Isomorphism classes with trace s and full rational n-torsion, against
     the class numbers of -(4p - s^2)/n^2, read from the table, for
-    p <= CENSUS_CAP; a table short of (4p - s^2)/n^2 raises.
+    p <= CENSUS_CAP; a table short of (4p - s^2)/n^2 raises. The census
+    side is one lookup in the prime's tally.
 
     The plain class count matches the ordinary (unweighted) convention and
     the 1/|Aut|-weighted count matches the Hurwitz one; the record's detail
@@ -183,17 +199,10 @@ def schoof_count_check(ctx: FieldCtx, n: int, s: int,
     if D > table.bound:
         raise ValueError(f"Hurwitz table to D={table.bound} does not "
                          f"cover D={D}")
-    census = curve_census(ctx)
-    if n == 1:
-        hits = [c for c in census if c.a_p == s]
-    elif n == 2:
-        hits = [c for c in census if c.a_p == s and c.two_rank == 2]
-    elif n == 4:
-        hits = [c for c in census if c.a_p == s and c.four_full]
-    else:
+    tally = _schoof_tally(ctx)
+    if n not in (1, 2, 4):
         raise ValueError(f"n must be 1, 2 or 4, got {n}")
-    plain = len(hits)
-    weighted12 = sum(24 // c.aut for c in hits)
+    plain, weighted12 = tally.get((n, s), (0, 0))
     rhs_plain = table.hfull[D]
     rhs_w12 = table.hstar12[D]
     ok_plain = plain == rhs_plain

@@ -1,10 +1,10 @@
 """Kloosterman sums and their power moments, exact in fixed point.
 
 Everything runs on integers, on the stdlib alone. A trig table holds cos
-and sin of 2 pi k/p scaled by 2^L and rounded, each entry within
-1/2 + 2^-20 units: one chain of rotations by e^(2 pi i/p) at 48 guard bits
-(pi by Machin's formula, e^(i t) by Taylor's series) gives k <= p/2, and
-symmetry gives the rest. Counting the points of the quadric
+of 2 pi k/p scaled by 2^L and rounded, each entry within 1/2 + 2^-20
+units: one chain of rotations by e^(2 pi i/p) at 48 guard bits (pi by
+Machin's formula, e^(i t) by Taylor's series) gives k <= p/2, and symmetry
+gives the rest. Counting the points of the quadric
 x^2 - vx + a = 0, K(a,p) is a sum of phi(u^2 - a) cos(4 pi u/p) over u, so
 the whole table of K(a,p) is one cyclic convolution over Z/p
 (ffield.cyclic_convolve: the cosines gathered by u^2 times phi, as Python
@@ -63,13 +63,12 @@ def round_fixed(num: int, shift: int, err: int) -> int:
 # the trig table, shared by both routes to K(a,p)
 
 class TrigTable(NamedTuple):
-    """cos[k] and sin[k] are 2^bits cos(2 pi k/p) and 2^bits sin(2 pi k/p),
-    k = 0..p-1, rounded to integers within 1/2 + 2^-20 units."""
+    """cos[k] is 2^bits cos(2 pi k/p), k = 0..p-1, rounded to an integer
+    within 1/2 + 2^-20 units."""
 
     p: int
     bits: int
     cos: tuple[int, ...]
-    sin: tuple[int, ...]
 
 
 def _arctan_inv(x: int, one: int) -> int:
@@ -100,27 +99,26 @@ def _expi(theta: int, w: int) -> tuple[int, int]:
 
 
 def _rotations(step: tuple[int, int], count: int, w: int,
-               bits: int) -> tuple[list[int], list[int]]:
-    """2^bits (cos, sin) of i theta, i = 0..count-1, rounded, where step is
-    2^w (cos, sin) of theta: repeated complex rotation at w bits."""
+               bits: int) -> list[int]:
+    """2^bits cos(i theta), i = 0..count-1, rounded, where step is
+    2^w (cos, sin) of theta: repeated complex rotation at w bits, which
+    carries both coordinates, though only the cosine is kept."""
     drop = w - bits
     half_w, half_s = 1 << (w - 1), 1 << (drop - 1)
     dc, ds = step
     x, y = 1 << w, 0
-    cs, ss = [], []
+    cs = []
     for _ in range(count):
         cs.append((x + half_s) >> drop)
-        ss.append((y + half_s) >> drop)
         x, y = (x * dc - y * ds + half_w) >> w, (x * ds + y * dc + half_w) >> w
-    return cs, ss
+    return cs
 
 
 @per_prime
 def trig_table(p: int) -> TrigTable:
     """One rotation chain: e^(i k tau), tau = 2 pi/p, for k = 0..p//2 by
     repeated rotation at w = bits + 48 bits, each value rounded to
-    2^-bits; the other half mirrors it, cos(2 pi (p-k)/p) = cos(2 pi k/p) and
-    sin(2 pi (p-k)/p) = -sin(2 pi k/p).
+    2^-bits; the other half mirrors it, cos(2 pi (p-k)/p) = cos(2 pi k/p).
 
     pi comes from Machin's formula and is within 2^11 units of 2^-w, so
     tau = 2 pi // p is within 1 + 2^12/p units and k tau, k <= p/2, within
@@ -137,11 +135,9 @@ def trig_table(p: int) -> TrigTable:
     bits = 4 * p.bit_length() + 20
     w = bits + 48
     pi = 16 * _arctan_inv(5, 1 << w) - 4 * _arctan_inv(239, 1 << w)
-    cos, sin = _rotations(_expi(2 * pi // p, w), p // 2 + 1, w, bits)
-    half = (p - 1) // 2
-    cos += cos[half:0:-1]
-    sin += [-s for s in sin[half:0:-1]]
-    return TrigTable(p, bits, tuple(cos), tuple(sin))
+    cos = _rotations(_expi(2 * pi // p, w), p // 2 + 1, w, bits)
+    cos += cos[(p - 1) // 2:0:-1]
+    return TrigTable(p, bits, tuple(cos))
 
 
 def _certify(num: int, bits: int, terms: int) -> CertifiedReal:

@@ -625,21 +625,29 @@ def test_curves_suite_reads_only_the_trace_table(capsys, monkeypatch):
 
 
 def test_schoof_suite_builds_one_census_per_prime(monkeypatch, htable):
-    # count classes evaluated, not calls: a memo hit costs no class at all
+    # count classes evaluated and convolutions, not calls: a memo hit costs
+    # neither
     from ntlab import cli, ecurve
-    real, classes = ecurve._class_of, Counter()
+    classes, convolutions = Counter(), Counter()
 
-    def counting(ctx, *args):
+    def counting(ctx, *args, real=ecurve._class_of):
         classes[ctx.p] += 1
         return real(ctx, *args)
 
+    def convolving(u, v, real=ecurve.cyclic_convolve):
+        convolutions[len(u)] += 1
+        return real(u, v)
+
     monkeypatch.setattr(ecurve, "_class_of", counting)
+    monkeypatch.setattr(ecurve, "cyclic_convolve", convolving)
     release_tables()
     for p in (53, 59):
         [rec] = cli._suite_schoof(p, cli.RunConfig(), htable)
         assert rec.match and rec.rhs > 10
-    # 2p + 6, 2, 4, 0 isomorphism classes for p = 1, 5, 7, 11 mod 12
-    assert classes == {53: 2 * 53 + 2, 59: 2 * 59}
+    # only the CM classes, gcd(4, p - 1) + gcd(6, p - 1) of them, are
+    # evaluated one by one; one convolution of p slots gives the rest
+    assert classes == {53: 4 + 2, 59: 2 + 2}
+    assert convolutions == {53: 1, 59: 1}
 
 
 def test_moment_and_trace_suites_convolve_twice_per_prime(capsys, monkeypatch):

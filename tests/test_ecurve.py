@@ -3,7 +3,8 @@ import math
 import pytest
 
 from ntlab.ffield import make_field_ctx
-from ntlab.ecurve import (ap_legendre, ap_table, curve_census,
+from ntlab.primes import primerange
+from ntlab.ecurve import (_class_of, ap_legendre, ap_table, curve_census,
                           curves_isomorphic, j_invariant, l_set, l_set_sizes,
                           short_weierstrass, torsion_class,
                           twist_relation_check)
@@ -143,3 +144,32 @@ def test_census_covers_all_curves(p):
     assert sum((p - 1) // c.aut for c in census) == smooth
     assert all(abs(c.a_p) <= 2 * math.sqrt(p) for c in census)
     assert all(c.two_rank in (0, 1, 2) for c in census)
+
+
+def _census_class_by_class(ctx):
+    """The census with one cubic evaluation per class: _class_of at every
+    model (A, B), in curve_census's order."""
+    p, g = ctx.p, ctx.g
+    cubes = [x * x * x % p for x in range(p)]
+    out = []
+    for i in range(math.gcd(4, p - 1)):
+        out.append(_class_of(ctx, pow(g, i, p), 0, cubes))
+    for i in range(math.gcd(6, p - 1)):
+        out.append(_class_of(ctx, 0, pow(g, i, p), cubes))
+    d = next(x for x in range(2, p) if ctx.qr[x] == -1)
+    for j in range(1, p):
+        if j == 1728 % p:
+            continue
+        k = j * pow(1728 - j, p - 2, p) % p
+        A, B = 3 * k % p, 2 * k % p
+        out.append(_class_of(ctx, A, B, cubes))
+        out.append(_class_of(ctx, A * d * d % p, B * pow(d, 3, p) % p, cubes))
+    return tuple(out)
+
+
+def test_census_matches_the_class_by_class_census():
+    # every prime the schoof suite runs on: both classes mod 4 and mod 3,
+    # and j = 1728 mod p skipped wherever it falls
+    for p in primerange(5, 200):
+        ctx = make_field_ctx(p)
+        assert curve_census(ctx) == _census_class_by_class(ctx), p

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ntlab.ecurve import curve_census
 from ntlab.ffield import make_field_ctx
 from ntlab import identities as idn
 from ntlab import classnumber as cn
@@ -109,6 +110,24 @@ def test_schoof_counts_exhaustive(p, htable):
         assert "plain=H" in rec.detail and "weighted=H*" in rec.detail
 
 
+@pytest.mark.parametrize("p", [13, 53, 61, 197])
+def test_schoof_tally_matches_a_scan_of_the_census(p, htable):
+    ctx = make_field_ctx(p)
+    census = curve_census(ctx)
+    has_full = {1: lambda c: True, 2: lambda c: c.two_rank == 2,
+                4: lambda c: c.four_full}
+    for n, s in _admissible(p):
+        hits = [c for c in census if c.a_p == s and has_full[n](c)]
+        D = (4 * p - s * s) // (n * n)
+        ok_plain = len(hits) == htable.hfull[D]
+        ok_weighted = sum(24 // c.aut for c in hits) == htable.hstar12[D]
+        want = (len(hits), htable.hfull[D], ok_plain and ok_weighted,
+                f"plain={'H' if ok_plain else 'mismatch'} "
+                f"weighted={'H*' if ok_weighted else 'mismatch'}")
+        rec = idn.schoof_count_check(ctx, n, s, htable)
+        assert (rec.lhs, rec.rhs, rec.match, rec.detail) == want, (p, n, s)
+
+
 def test_schoof_rejects_inadmissible(ctx13, htable):
     with pytest.raises(ValueError):
         idn.schoof_count_check(ctx13, 1, 13, htable)   # p | s
@@ -118,6 +137,9 @@ def test_schoof_rejects_inadmissible(ctx13, htable):
         idn.schoof_count_check(ctx13, 4, 2, htable)    # 16 does not divide 12
     with pytest.raises(ValueError, match="p=211 > 200"):
         idn.schoof_count_check(make_field_ctx(211), 1, 1, htable)
+    # 9 | 14 - 5 and 3 | 12: n = 3 passes every other test
+    with pytest.raises(ValueError, match="n must be 1, 2 or 4, got 3"):
+        idn.schoof_count_check(ctx13, 3, 5, htable)
 
 
 def test_schoof_refuses_a_table_short_of_its_discriminant(ctx13):

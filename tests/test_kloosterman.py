@@ -123,16 +123,15 @@ def test_s3_values_fit_quadratic_character_form():
 @pytest.mark.parametrize("p", [7, 97, 499])
 def test_trig_table_certified_against_mpmath(p):
     t = trig_table(p)
-    assert len(t.cos) == len(t.sin) == p
+    assert len(t.cos) == p
     with mpmath.workdps(60):
         for k in range(0, p, max(1, p // 23)):
             angle = 2 * mpmath.pi * k / p
             assert abs(t.cos[k] - mpmath.ldexp(mpmath.cos(angle), t.bits)) <= 1
-            assert abs(t.sin[k] - mpmath.ldexp(mpmath.sin(angle), t.bits)) <= 1
 
 
 def _trig_reference(p, seed):
-    """2^(2 seed) (cos, sin) of 2 pi k/p, k < p, unrounded: baby-step
+    """2^(2 seed) cos(2 pi k/p), k < p, unrounded: baby-step
     giant-step on seeds from mpmath, each rounded to 2^-seed. A seed is
     within 1/2 + 2^-31 units, so an entry is within 2^(seed + 1) units of
     2^-2seed."""
@@ -148,9 +147,7 @@ def _trig_reference(p, seed):
         sb = [fixed(mpmath.sin(tau * j)) for j in range(m)]
         cg = [fixed(mpmath.cos(tau * m * i)) for i in range(n_giant)]
         sg = [fixed(mpmath.sin(tau * m * i)) for i in range(n_giant)]
-    cos = [cg[k // m] * cb[k % m] - sg[k // m] * sb[k % m] for k in range(p)]
-    sin = [sg[k // m] * cb[k % m] + cg[k // m] * sb[k % m] for k in range(p)]
-    return cos, sin
+    return [cg[k // m] * cb[k % m] - sg[k // m] * sb[k % m] for k in range(p)]
 
 
 def test_trig_table_within_half_a_unit_and_2_to_minus_20():
@@ -161,9 +158,9 @@ def test_trig_table_within_half_a_unit_and_2_to_minus_20():
         seed = t.bits + 48
         drop = 2 * seed - t.bits
         tol = (1 << (drop - 1)) + (1 << (drop - 20))
-        cos, sin = _trig_reference(p, seed)
-        assert len(t.cos) == len(t.sin) == p
-        for got, ref in zip(t.cos + t.sin, cos + sin):
+        cos = _trig_reference(p, seed)
+        assert len(t.cos) == p
+        for got, ref in zip(t.cos, cos):
             assert abs((got << drop) - ref) <= tol, p
 
 

@@ -169,8 +169,10 @@ def test_gamma_engine_computes_without_floats():
 # callee -> the one (module, top-level function) allowed to call it, None
 # for any function of that module: a suite reads a_p from ap_table and H
 # from the table the cli builds once, and the per-value routes stay oracles;
-# the literal Gamma_p product starts the engine's self-test and nothing else
+# the literal Gamma_p product starts the engine's self-test and nothing else;
+# curve classes are evaluated one by one only at the census's CM points
 ONLY_CALLER = {
+    "_class_of": ("ecurve", "curve_census"),
     "gamma_p_direct": ("padic", "_GammaEngine"),
     "build_hurwitz_table": ("cli", None),
     "ap_legendre": ("ecurve", "l_set"),
