@@ -27,7 +27,7 @@ from . import identities as idn
 from . import kloosterman as km
 from . import padic as pa
 from .ecurve import l_set_sizes, twist_relation_check
-from .ffield import make_field_ctx, release_tables
+from .ffield import make_field_ctx, per_prime, release_tables
 from .primes import isprime, primerange
 from .records import (SCHEMA_HEADER, VerificationRecord, merge_records,
                       records_to_csv)
@@ -149,11 +149,20 @@ def _twelfths(x: int) -> str:
 
 # eichler and cohen compare twelfths as integers: the Hurwitz side is the
 # table's 12 H* sums, the divisor side one sieve to nmax
+@per_prime
+def _odd_n_sums(nmax: int, table: cn.HurwitzTable) -> tuple[list, ...]:
+    """The one pass both suites read: divisor_sum_table(nmax), and
+    theta_sums12 at every odd n <= nmax, in order. per_prime keys it by
+    equality on (nmax, table), with nmax in a prime's place, so the
+    suites of one run share it and it is dropped like a prime's tables."""
+    return (*cn.divisor_sum_table(nmax),
+            [cn.theta_sums12(n, table) for n in range(1, nmax + 1, 2)])
+
+
 def _suite_eichler(_: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    sigma, lam1x2, _ = cn.divisor_sum_table(cfg.nmax)
+    sigma, lam1x2, _, theta = _odd_n_sums(cfg.nmax, table)
     out = []
-    for n in range(1, cfg.nmax + 1, 2):
-        lhs, _ = cn.theta_sums12(n, table)
+    for n, (lhs, _) in zip(range(1, cfg.nmax + 1, 2), theta):
         rhs = 4 * sigma[n] - 6 * lam1x2[n]   # 12 (sigma_1/3 - lambda_1)
         # the index column holds n: these records sweep odd n, not primes
         out.append(VerificationRecord(n, "eichler", _twelfths(lhs),
@@ -162,10 +171,9 @@ def _suite_eichler(_: int, cfg: RunConfig, table) -> list[VerificationRecord]:
 
 
 def _suite_cohen(_: int, cfg: RunConfig, table) -> list[VerificationRecord]:
-    _, _, lam3x2 = cn.divisor_sum_table(cfg.nmax)
+    _, _, lam3x2, theta = _odd_n_sums(cfg.nmax, table)
     out = []
-    for ell in range(1, cfg.nmax + 1, 2):
-        plain, weighted = cn.theta_sums12(ell, table)
+    for ell, (plain, weighted) in zip(range(1, cfg.nmax + 1, 2), theta):
         c12 = 4 * weighted - ell * plain + 6 * lam3x2[ell]   # 12 c(l)
         miss = abs(float(Fraction(c12, 12))) / ell ** 1.5 if c12 else 0.0
         out.append(VerificationRecord(ell, "cohen", _twelfths(c12), "0",

@@ -4,8 +4,11 @@ import io
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -491,6 +494,52 @@ def test_eichler_cohen_call_no_per_term_route(capsys, monkeypatch):
                        "--nmax", "199")
     assert code == 0 and ",error," not in out
     assert out.count(",true,") == 200
+
+
+def test_eichler_and_cohen_share_one_pass(capsys, monkeypatch):
+    # one divisor sieve and one theta_sums12 per odd n serve both suites
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(cn, name)
+
+        def f(*args):
+            calls[name] += 1
+            return real(*args)
+        return f
+
+    for name in ("divisor_sum_table", "theta_sums12"):
+        monkeypatch.setattr(cn, name, counted(name))
+    release_tables()
+    code, out, _ = run(capsys, "verify", "--suite", "eichler,cohen",
+                       "--nmax", "301")
+    assert code == 0 and out.count(",true,") == 302
+    assert calls == {"divisor_sum_table": 1, "theta_sums12": 151}
+    # keyed by equality: a table built again shares the pass, another nmax
+    # builds its own
+    calls.clear()
+    cfg = cli.RunConfig(nmax=301)
+    one, other = cn.build_hurwitz_table(301), cn.build_hurwitz_table(301)
+    eichler = cli._suite_eichler(0, cfg, one)
+    assert cli._suite_cohen(0, cfg, other) == cli._suite_cohen(0, cfg, one)
+    assert calls == {"divisor_sum_table": 1, "theta_sums12": 151}
+    assert cli._suite_eichler(0, cfg._replace(nmax=99), one) == eichler[:50]
+    assert calls == {"divisor_sum_table": 2, "theta_sums12": 201}
+    release_tables()
+
+
+def test_eichler_cohen_runs_in_one_process_print_what_fresh_ones_do(capsys):
+    # the shared pass is keyed on nmax and the table, so a second run with
+    # another nmax reads its own
+    runs = [("verify", "--suite", "eichler,cohen", "--nmax", n)
+            for n in ("401", "201")]
+    here = [run(capsys, *argv) for argv in runs]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv, got in zip(runs, here):
+        fresh = subprocess.run([sys.executable, "-m", "ntlab.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_greene_suites_build_one_S_table_per_prime(capsys, monkeypatch):

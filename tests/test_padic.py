@@ -5,6 +5,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,55 @@ def test_prefix_polynomial_tails_against_the_loop(oracle_engines, pk):
             assert eng._tail(m, r) == _tail_loop(eng, m, r), (m, r)
 
 
+def _blocks_reduced_each_step(eng, m: int) -> int:
+    """_blocks as one Horner pass reduced mod p^K F at every step, then
+    divided by F."""
+    x, tot = m % eng._fmod, 0
+    for c in eng._newton:
+        tot = (tot * x + c) % eng._fmod
+    q, rem = divmod(tot, eng._F)
+    assert not rem
+    return q
+
+
+def _tail_reduced_each_step(eng, m: int, r: int) -> int:
+    """_tail as one Horner pass reduced mod p^K at every step."""
+    z, tot = m * eng.p % eng.mod, 0
+    for c in eng._tails[r]:
+        tot = (tot * z + c) % eng.mod
+    return tot
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ENGINE_CASES), st.integers(0, 10 ** 40),
+       st.integers(0, 562))
+def test_horner_reduced_once_equals_the_per_step_reduced_forms(
+        engines, pk, m, r):
+    eng = engines[pk]
+    r %= eng.p
+    assert eng._blocks(m) == _blocks_reduced_each_step(eng, m)
+    assert eng._tail(m, r) == _tail_reduced_each_step(eng, m, r)
+    assert 0 <= eng._tail(m, r) < eng.mod
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+@pytest.mark.parametrize("K", [1, 4, 8])
+def test_literal_product_walks_its_blocks_like_the_per_factor_loop(p, K):
+    # gamma_p_direct skips each multiple of p by its block bounds; the
+    # oracle tests every factor
+    mod = p ** K
+
+    def per_factor(n):
+        v = 1
+        for i in range(1, n):
+            if i % p:
+                v = v * i % mod
+        return (-v if n % 2 else v) % mod
+
+    for n in (*range(3 * p + 3), 64 * p):
+        assert pa.gamma_p_direct(p, K, n) == per_factor(n), n
+
+
 @pytest.mark.parametrize("p", [5, 7, 13, 563])
 @pytest.mark.parametrize("K", [2, 4, 6])
 def test_newton_differences_of_the_blocks_gain_a_digit_every_two_steps(p, K):
@@ -371,6 +421,101 @@ def test_gauss_product_does_not_depend_on_the_order(js, rnd, c):
     shuffled = list(js)
     rnd.shuffle(shuffled)
     assert pa.gauss_product(ctx, js, c) == pa.gauss_product(ctx, shuffled, c)
+
+
+@cache
+def _row_ctx(p, K):
+    """A context of its own per (p, K), out of make_padic_ctx's reach, so
+    that its row holds only what these tests read."""
+    return pa.PadicCtx(make_field_ctx(p), K)
+
+
+def _gauss_product_per_factor(ctx, js, c):
+    """c prod_j g(omega-bar^j) as (deg, unit), one gamma_p per factor."""
+    q, mod = ctx.q, ctx.mod
+    deg, unit = 0, c
+    for j in js:
+        deg += j % q
+        unit = -unit * pa.gamma_p(ctx, Fraction(j % q, q)) % mod
+    unit = unit * pow(-ctx.p, deg // q, mod) % mod
+    return (deg % q, unit) if unit else (0, 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([5, 7, 13, 61]), st.sampled_from([1, 6, 8]),
+       st.lists(st.integers(-200, 200), max_size=6), st.integers(-99, 99))
+def test_gauss_product_equals_the_per_factor_product(p, K, js, c):
+    ctx = _row_ctx(p, K)
+    assert pa.gauss_product(ctx, js, c) == _gauss_product_per_factor(
+        ctx, js, c)
+    # every entry the row holds is -Gamma_p(j/(p-1)), and only the js read
+    # so far are filled
+    q = ctx.q
+    for j, g in enumerate(ctx._gauss_row):
+        if g is not None:
+            assert g == -pa.gamma_p(ctx, Fraction(j, q)) % ctx.mod, j
+    assert {j % q for j in js} <= {
+        j for j, g in enumerate(ctx._gauss_row) if g is not None}
+
+
+def test_the_row_fills_only_the_entries_read():
+    ctx = pa.PadicCtx(make_field_ctx(61), 6)
+    assert ctx._gauss_row == [None] * 60
+    pa.gauss_product(ctx, (7, -3, 67))
+    assert [j for j, g in enumerate(ctx._gauss_row) if g is not None] == [
+        7, 57]
+    pa.gamma_product_checks(ctx, 3, 5)
+    # the row also serves j and the collapsed t j and t (q - j) mod q
+    filled = {j for j, g in enumerate(ctx._gauss_row) if g is not None}
+    assert filled == {7, 57, 5, 15, 45}
+    for j in filled:
+        assert ctx._gauss_row[j] == -pa.gamma_p(ctx, Fraction(j, 60)) % ctx.mod
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_contexts_at_K_and_K_plus_2_keep_their_own_rows_and_constants(p):
+    field = make_field_ctx(p)
+    ctxs = pa.PadicCtx(field, 6), pa.PadicCtx(field, 8)
+    q = p - 1
+    for ctx in ctxs:
+        for t in (2, 3, 4, 6, 12):
+            for j in range(q):
+                assert pa.gamma_product_checks(ctx, t, j).match, (t, j)
+        pa.gauss_product(ctx, range(q))
+    lo, hi = ctxs
+    assert lo._gauss_row is not hi._gauss_row
+    assert lo._gamma_consts is not hi._gamma_consts
+    for ctx in ctxs:
+        assert ctx._gauss_row == [-pa.gamma_p(ctx, Fraction(j, q)) % ctx.mod
+                                  for j in range(q)]
+        assert sorted(ctx._gamma_consts) == [2, 3, 4, 6, 12]
+        for t, const in ctx._gamma_consts.items():
+            want = 1
+            for h in range(1, t):
+                want = want * pa.gamma_p(ctx, Fraction(h, t)) % ctx.mod
+            assert const == want, t
+    # the K + 2 values reduce to the K = 6 ones, and carry digits past them
+    assert [g % lo.mod for g in hi._gauss_row] == lo._gauss_row
+    assert hi._gauss_row != lo._gauss_row
+    assert {t: c % lo.mod for t, c in hi._gamma_consts.items()} == (
+        lo._gamma_consts)
+
+
+@pytest.mark.parametrize("p,K,pairs", [
+    (7, 6, None), (13, 6, None), (61, 8, 50)])
+def test_jacobi_sum_equals_the_per_y_loop(p, K, pairs):
+    ctx = pa.PadicCtx(make_field_ctx(p), K)
+    q, mod = ctx.q, ctx.mod
+    if pairs is None:
+        ab = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(61)
+        ab = [(rng.randrange(q), rng.randrange(q)) for _ in range(pairs)]
+    for a, b in ab:
+        tot = 0
+        for y in range(2, p):
+            tot += ctx.omega(y, a) * ctx.omega((1 - y) % p, b)
+        assert pa.jacobi_sum(ctx, a, b) == tot % mod, (a, b)
 
 
 # sha256 of (name, lhs, rhs, match, detail) of every record below, taken
