@@ -63,7 +63,7 @@ class RunConfig(_RunFields):
         if not f.threshold >= 0:   # NaN fails this too
             raise ValueError(f"--threshold must be >= 0, got {f.threshold}")
         suites = SUITE_NAMES if "all" in f.suites else f.suites
-        unknown = set(suites) - set(_SUITES)
+        unknown = set(suites) - set(SUITE_NAMES)
         if unknown:
             raise ValueError(f"unknown suites: {', '.join(sorted(unknown))}")
         return super().__new__(
@@ -153,8 +153,9 @@ def _twelfths(x: int) -> str:
 def _odd_n_sums(nmax: int, table: cn.HurwitzTable) -> tuple[list, ...]:
     """The one pass both suites read: divisor_sum_table(nmax), and
     theta_sums12 at every odd n <= nmax, in order. per_prime keys it by
-    equality on (nmax, table), with nmax in a prime's place, so the
-    suites of one run share it and it is dropped like a prime's tables."""
+    (nmax, table), with nmax in a prime's place, so the suites of one run
+    share it and it is dropped like a prime's tables; the key's hash reads
+    the table's two tuples at each call."""
     return (*cn.divisor_sum_table(nmax),
             [cn.theta_sums12(n, table) for n in range(1, nmax + 1, 2)])
 
@@ -299,7 +300,7 @@ def _nmax_bound(cfg: RunConfig) -> int:
     return cfg.nmax
 
 
-_SUITES = {s.name: s for s in (
+_VERIFY = (
     Suite("moments", _suite_moments, _primes),
     Suite("s4-triroute", _suite_triroute, _primes, _window_bound),
     Suite("cp-chain", _suite_cp, _primes),
@@ -316,9 +317,9 @@ _SUITES = {s.name: s for s in (
     Suite("prop6.5", partial(_padic, "prop65_check"),
           partial(_primes, modulus=3, residue=2)),
     Suite("prop6.6", partial(_padic, "prop66_check"), _primes),
-)}
+)
 
-_SWEEPS = {s.name: s for s in (
+_CLAIMS = (
     *(Suite(c, partial(_sweep_window, c),
             partial(_primes, modulus=m, residue=r), _window_bound)
       for c, (m, r) in idn.SWEEP_CLAIMS.items()),
@@ -326,10 +327,12 @@ _SWEEPS = {s.name: s for s in (
           partial(_primes, modulus=6, residue=1)),
     Suite("thm6.3", partial(_padic, "theorem63_record"),
           partial(_primes, modulus=3, residue=2)),
-)}
+)
 
-SUITE_NAMES = tuple(_SUITES)
-SWEEP_NAMES = tuple(_SWEEPS) + ("angles",)
+# the one registry: verify runs the first names, sweep the claims
+_SUITES = {s.name: s for s in (*_VERIFY, *_CLAIMS)}
+SUITE_NAMES = tuple(s.name for s in _VERIFY)
+SWEEP_NAMES = (*(s.name for s in _CLAIMS), "angles")
 
 
 # --- the task runner ----------------------------------------------------------
@@ -450,7 +453,7 @@ def cmd_sweep(cfg: RunConfig, claim: str, p: int | None,
         chi = km.semicircle_chisq(counts)
         print(f"semicircle chi^2 = {chi:.2f} over {bins} bins", file=sys.stderr)
         return 0
-    records = _run_suites([_SWEEPS[claim]], cfg)
+    records = _run_suites([_SUITES[claim]], cfg)
     ok = all(r.match for r in records)
     ratios = [r for r in records if r.ratio is not None]
     if claim in idn.SWEEP_CLAIMS:
@@ -500,7 +503,7 @@ def _check_sweep_flags(ns: argparse.Namespace) -> None:
         unread = ("pmin", "pmax", "workers", "timings", "threshold")
     elif claim in idn.SWEEP_CLAIMS:
         unread = ("p", "bins")
-    elif claim in _SWEEPS:
+    elif claim in SWEEP_NAMES:
         unread = ("p", "bins", "threshold")
     else:
         raise SystemExit(f"unknown claim {claim!r}; pick from {SWEEP_NAMES}")

@@ -27,8 +27,8 @@ on a 2-core Xeon with Python 3.11.7 (ms):
 The crossover is near 85k bits; libmpdec is also ahead from about 52k to
 63k, just before its own cost steps up. _BINARY_BITS is 80k.
 
-per_prime is the one way a per-prime table is shared: each builder keeps
-what it built for the current prime, so the checks of a prime build it once.
+per_prime is the one home of a prime's tables: it keeps every object
+built for the current prime, so the checks of a prime build each once.
 """
 
 from __future__ import annotations
@@ -65,37 +65,39 @@ _ARRAY = ({array(t).itemsize: t for t in "BHILQ"}
           if sys.byteorder == "little" else {})
 
 
-_SHARED: dict = {}   # "p": the prime; each builder: (its arguments, object)
+_SHARED: dict = {}   # "p": the prime; (builder, its arguments): the object
 
 
 def per_prime(build):
-    """One-entry memo for a builder whose first argument is a prime or has
-    it as .p, keyed on the arguments with the defaults filled in: f(13),
-    f(13, 6) and f(13, K=6) are one call. A call for another prime first
-    drops every builder's object, so one prime's tables are held at a time;
-    callers share them read-only."""
+    """Memo of a builder whose first argument is a prime or has it as .p:
+    every object built for the current prime is kept, keyed by the builder
+    and its arguments with the defaults filled in, so f(13), f(13, 6) and
+    f(13, K=6) are one entry and f(13, 8) another. Keys are hashed. A call
+    for another prime first drops every entry, so one prime's tables are
+    held at a time; callers share them read-only."""
     names = build.__code__.co_varnames[:build.__code__.co_argcount]
     defaults = dict(zip(names[::-1], (build.__defaults__ or ())[::-1]))
 
     @wraps(build)
     def cached(*args, **kwargs):
-        # any other keyword stays in the key as given
+        # any other keyword stays in the key as given, and the builder raises
         rest = names[len(args):]
-        key = (*args, *(kwargs.get(n, defaults.get(n)) for n in rest),
-               {k: v for k, v in kwargs.items() if k not in rest})
-        if _SHARED.get(build, (None,))[0] != key:
-            p = getattr(key[0], "p", key[0])
-            if _SHARED.get("p") != p:
-                release_tables()
-                _SHARED["p"] = p
-            _SHARED[build] = (key, build(*args, **kwargs))
-        return _SHARED[build][1]
+        key = (build, *args, *(kwargs.get(n, defaults.get(n)) for n in rest),
+               tuple((k, v) for k, v in kwargs.items() if k not in rest))
+        p = getattr(key[1], "p", key[1])
+        if _SHARED.get("p") != p:
+            release_tables()
+            _SHARED["p"] = p
+        obj = _SHARED.get(key, _SHARED)   # _SHARED itself marks a miss
+        if obj is _SHARED:
+            obj = _SHARED[key] = build(*args, **kwargs)
+        return obj
 
     return cached
 
 
 def release_tables() -> None:
-    """Drop the objects of every per_prime builder."""
+    """Drop every object per_prime keeps."""
     _SHARED.clear()
 
 

@@ -2,7 +2,9 @@
 traces and Hurwitz class numbers.
 
 Route independence is the point: each identity is computed by two or three
-pipelines that share nothing beyond FieldCtx.
+pipelines that share nothing beyond FieldCtx and the transform primitives,
+with one exception, ap-second-moment, whose two sides both read
+_sum_ap_sq.
 
 A recurring theme, flagged where it appears: the published closed form for
 the fourth twisted moment carries a constant-term slip of 2p(p-2). Both the
@@ -152,7 +154,12 @@ def cp_count_formula(ctx: FieldCtx) -> int:
 
 
 def ap_second_moment_check(ctx: FieldCtx) -> VerificationRecord:
-    """C_p - (p^3 - 4p^2 + 6p - 4) must equal 1 - 3p + p^2 + sum a_p(gamma^2)^2."""
+    """C_p - (p^3 - 4p^2 + 6p - 4) must equal 1 - 3p + p^2 + sum a_p(gamma^2)^2.
+
+    This record cannot fail: C_p here is cp_count_formula, which reads the
+    same sum through s4_via_ap, so both sides equal p^2 - 3p + 1 + sum
+    a_p(gamma^2)^2 whatever the sum is. It checks the printed constant's
+    algebra, not the traces."""
     p = ctx.p
     lhs = cp_count_formula(ctx) - (p ** 3 - 4 * p ** 2 + 6 * p - 4)
     rhs = 1 - 3 * p + p * p + _sum_ap_sq(ctx)

@@ -20,7 +20,7 @@ nGn coefficients (their sums at every t). The literal O(p) sums, jacobi_sum
 and _greene_S, stay as the oracles of those tables; jacobi_sum is also the
 independent validator of Gross-Koblitz in gk_consistency_check. Suites and
 sweeps run on make_padic_ctx(p), at the K = 6 their Weil bounds need; an
-nGn table with p^-scale terms raises it on a context of its own.
+nGn table with p^-scale terms reads make_padic_ctx(p, K + scale).
 
 Gamma_p at a rational x reduces x to an integer n mod p^K through
 PadicCtx.residue: Gamma_p is 1-Lipschitz for odd p, |Gamma_p(x)-Gamma_p(y)|
@@ -35,12 +35,11 @@ on unreduced ints, each reduced once at its end. Each engine checks itself
 against the literal product, gamma_p_direct, at every n in [64p, 65p];
 that product is otherwise only the oracle of tests and demos.
 
-A check reads each distinct Gamma_p value once. gauss_product and
-gamma_product_checks read -Gamma_p(j/(p-1)) from a row on the context,
-indexed by j mod p-1 and filled lazily through gamma_p, so a context pays
-only for the j it reads; the constant prod_{0<h<t} Gamma_p(h/t) of the
-product formulas is cached on the context by t; an nGn table reads a
-repeated bottom parameter once per a and raises it to its multiplicity.
+Every Gamma_p value a check reads is Gamma_p(i/(12(p-1))), 0 <= i <
+12(p-1): the Gauss units at j/(p-1), the product formulas at t and t(p-1)
+for t | 12, and the nGn parameters, all in twelfths. _gamma_at reads them
+from one row per context, each entry computed on its first read, so a
+check pays once per distinct value.
 """
 
 from __future__ import annotations
@@ -188,17 +187,12 @@ class _GammaEngine:
 
 class PadicCtx:
     """Tables mod p^K: the powers pw[k] = omega(g)^k, which every
-    Teichmueller value is read from, and memo caches. omega(g) is the fixed
-    point of t -> t^p from t = g, reached in at most K steps. The chirps of
-    teichmuller_dft and the Gamma_p engine, at the context's own K, are
-    built on first use and kept here, one of each per context, so a context
-    at K and one at a raised precision never evict each other's. Gamma_p
-    arguments live mod p^K, with no guard digit. Kept per context too are
-    the Gauss-sum row of _gauss_unit, -Gamma_p(j/(p-1)) at each j mod p-1,
-    each entry filled through gamma_p on its first read, and the constants
-    prod_{0<h<t} Gamma_p(h/t) of gamma_product_checks, keyed by t.
-
-    Mutable only through internal memoization; shared via make_padic_ctx.
+    Teichmueller value is read from, and, filled on first use, the Gamma_p
+    engine at the context's own K and the row _gamma_at reads. omega(g) is
+    the fixed point of t -> t^p from t = g, reached in at most K steps.
+    Gamma_p arguments live mod p^K, with no guard digit. Every other table
+    of a context is a per_prime builder's; the package builds contexts
+    through make_padic_ctx alone.
     """
 
     def __init__(self, field: FieldCtx, K: int):
@@ -218,22 +212,16 @@ class PadicCtx:
         for e in range(1, self.q):
             self.pw[e] = self.pw[e - 1] * wg % self.mod
         self._engine: _GammaEngine | None = None
-        self._chirps: tuple[list[int], list[int]] | None = None
-        self._gamma_memo: dict[int, int] = {}
-        self._inverses: dict[int, int] = {}
-        self._gauss_row: list[int | None] = [None] * self.q
-        self._gamma_consts: dict[int, int] = {}
+        # Gamma_p(i/(12(p-1))) at entry i, and 1/(12(p-1)) mod p^K
+        self._row: list[int | None] | None = None
+        self._row_step = pow(12 * self.q, -1, self.mod)
 
     def residue(self, num: int, den: int) -> int:
-        """num/den mod p^K, the integer gamma_p reduces a rational to; the
-        inverse of each denominator is cached."""
-        inv = self._inverses.get(den)
-        if inv is None:
-            if den % self.p == 0:
-                raise ValueError(
-                    f"{num}/{den} is not a p-adic integer for p={self.p}")
-            inv = self._inverses[den] = pow(den, -1, self.mod)
-        return num * inv % self.mod
+        """num/den mod p^K, the integer gamma_p reduces a rational to."""
+        if den % self.p == 0:
+            raise ValueError(
+                f"{num}/{den} is not a p-adic integer for p={self.p}")
+        return num * pow(den, -1, self.mod) % self.mod
 
     def omega(self, x: int, c: int = 1) -> int:
         """omega^c(x) mod p^K; zero for x = 0 mod p."""
@@ -244,7 +232,17 @@ class PadicCtx:
 
 @per_prime
 def make_padic_ctx(p: int, K: int = 6) -> PadicCtx:
+    """The context at (p, K), one per pair at the current prime."""
     return PadicCtx(make_field_ctx(p), K)
+
+
+@per_prime
+def _chirps(ctx: PadicCtx) -> tuple[list[int], list[int]]:
+    """teichmuller_dft's chirps: omega^-C(k,2) for k < q and omega^C(m,2)
+    for m < 2q."""
+    q, pw = ctx.q, ctx.pw
+    tri = [m * (m - 1) // 2 % q for m in range(2 * q)]
+    return [pw[-t % q] for t in tri[:q]], [pw[t] for t in tri]
 
 
 def teichmuller_dft(ctx: PadicCtx, x: list[int]) -> list[int]:
@@ -259,11 +257,7 @@ def teichmuller_dft(ctx: PadicCtx, x: list[int]) -> list[int]:
     q, mod = ctx.q, ctx.mod
     if len(x) != q:
         raise ValueError(f"need {q} values, got {len(x)}")
-    if ctx._chirps is None:
-        pw = ctx.pw
-        tri = [m * (m - 1) // 2 % q for m in range(2 * q)]
-        ctx._chirps = [pw[-t % q] for t in tri[:q]], [pw[t] for t in tri]
-    down, up = ctx._chirps
+    down, up = _chirps(ctx)
     u = [xk * d % mod for xk, d in zip(x, down)]
     # with u reversed, slot q - 1 + a of the product is sum_k u_k up[a + k]
     w = cyclic_convolve(u[::-1] + [0] * q, up)
@@ -283,42 +277,45 @@ def _character_sums(ctx: PadicCtx, pairs) -> list[int]:
 
 
 def gamma_p(ctx: PadicCtx, x: int | Fraction) -> int:
-    """Morita's Gamma_p at an integer or a rational in Z_p, mod p^K.
+    """Morita's Gamma_p at an integer or a rational in Z_p, mod p^K, from
+    the context's engine, built on the first call; it keeps no memo.
 
     Both reduce to the integer n = x mod p^K, a rational through
     ctx.residue; continuity, |Gamma_p(x) - Gamma_p(y)| <= |x - y| for odd p,
     makes that exact mod p^K with no guard digit. Anything else (a float, a
     Decimal) raises TypeError.
     """
-    # type(x) is int first: an isinstance test against the Fraction ABC
-    # costs more than the memo hit that most calls are
-    if type(x) is int:
-        n = x % ctx.mod
-    elif isinstance(x, Fraction):
+    if isinstance(x, Fraction):
         n = ctx.residue(x.numerator, x.denominator)
     else:
         n = operator.index(x) % ctx.mod
-    memo = ctx._gamma_memo
-    val = memo.get(n)
-    if val is None:
-        if ctx._engine is None:
-            ctx._engine = _GammaEngine(ctx.p, ctx.K)
-        val = memo[n] = ctx._engine.at_int(n)
-    return val
+    if ctx._engine is None:
+        ctx._engine = _GammaEngine(ctx.p, ctx.K)
+    return ctx._engine.at_int(n)
+
+
+def _gamma_at(ctx: PadicCtx, num: int, den: int) -> int:
+    """Gamma_p(num/den) mod p^K for 0 <= num < den, den | 12(p-1): entry
+    num 12(p-1)/den of the context's row of 12(p-1) slots, made on its first
+    read, each entry computed through gamma_p on its own first read. Any
+    other num or den raises ValueError."""
+    row = ctx._row
+    if row is None:
+        row = ctx._row = [None] * (12 * ctx.q)
+    size = len(row)
+    step = size // den
+    if step * den != size or not 0 <= num < den:
+        raise ValueError(f"{num}/{den} is not in [0, 1) over a divisor of "
+                         f"12(p-1) = {size}")
+    i = num * step
+    g = row[i]
+    if g is None:
+        g = row[i] = gamma_p(ctx, i * ctx._row_step % ctx.mod)
+    return g
 
 
 # ---------------------------------------------------------------------------
 # Gauss sums
-
-def _gauss_unit(ctx: PadicCtx, j: int) -> int:
-    """-Gamma_p(j/(p-1)) mod p^K for 0 <= j < p-1, the unit of
-    g(omega-bar^j), read from the context's row; an entry is computed
-    through gamma_p on its first read, so no value is computed unread."""
-    g = ctx._gauss_row[j]
-    if g is None:
-        g = ctx._gauss_row[j] = -gamma_p(ctx, ctx.residue(j, ctx.q)) % ctx.mod
-    return g
-
 
 def gauss_product(ctx: PadicCtx, js, c: int = 1) -> tuple[int, int]:
     """c prod_j g(omega-bar^j) as (deg, unit), the monomial pi^deg * unit of
@@ -333,7 +330,7 @@ def gauss_product(ctx: PadicCtx, js, c: int = 1) -> tuple[int, int]:
     for j in js:
         j %= q
         deg += j
-        unit = unit * _gauss_unit(ctx, j) % mod
+        unit = -unit * _gamma_at(ctx, j, q) % mod
     e, deg = divmod(deg, q)
     unit = unit * pow(-ctx.p, e, mod) % mod
     return (deg, unit) if unit else (0, 0)
@@ -414,28 +411,23 @@ def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecor
         raise ValueError("t must be coprime to p")
     j %= q
     qt = q * t
-    const = ctx._gamma_consts.get(t)
-    if const is None:
-        const = 1
-        for h in range(1, t):
-            const = const * gamma_p(ctx, ctx.residue(h, t)) % mod
-        ctx._gamma_consts[t] = const
+    const = 1
+    for h in range(1, t):
+        const = const * _gamma_at(ctx, h, t) % mod
 
     lhs1 = 1
     for h in range(t):
-        lhs1 = lhs1 * gamma_p(ctx, ctx.residue(j + h * q, qt)) % mod
-    # (1-x)(1-p) = j - (p-1) when x = j/(p-1), an integer; Gamma_p(j/(p-1))
-    # is minus the Gauss-sum row's entry
-    rhs1 = -ctx.omega(t % p, j) * _gauss_unit(ctx, j) % mod * const % mod
+        lhs1 = lhs1 * _gamma_at(ctx, j + h * q, qt) % mod
+    # (1-x)(1-p) = j - (p-1) when x = j/(p-1), an integer
+    rhs1 = ctx.omega(t % p, j) * _gamma_at(ctx, j, q) % mod * const % mod
     ok1 = lhs1 == rhs1
 
     def collapsed(jj: int) -> bool:
         # <jj/q + h/t> and <t jj/q>
         lhs = 1
         for h in range(t):
-            x = ctx.residue((jj * t + h * q) % qt, qt)
-            lhs = lhs * gamma_p(ctx, x) % mod
-        rhs = (-ctx.omega(t % p, t * jj % q) * _gauss_unit(ctx, t * jj % q)
+            lhs = lhs * _gamma_at(ctx, (jj * t + h * q) % qt, qt) % mod
+        rhs = (ctx.omega(t % p, t * jj % q) * _gamma_at(ctx, t * jj % q, q)
                % mod * const % mod)
         return lhs == rhs
 
@@ -568,9 +560,6 @@ def _ngn_table(ctx: PadicCtx, family: str) -> NgnTable:
     p, q = ctx.p, ctx.q
     a_list, b_list = NGN_FAMILIES[family]
     n = len(a_list)
-    for x in a_list + b_list:
-        if x.denominator % p == 0:
-            raise ValueError(f"parameter {x} not p-integral for p={p}")
     # ak = an/ad and <-bk> = bn/bd, each distinct bk with its multiplicity
     # e; the floors and fractional parts of ak - al and <-bk> + al are
     # taken in integers over ad q and bd q
@@ -582,17 +571,16 @@ def _ngn_table(ctx: PadicCtx, family: str) -> NgnTable:
           - sum(e * ((bn * q + a * bd) // (bd * q)) for bn, bd, e in bots)
           for a in range(q)]
     scale = max(0, -min(Es))
-    tctx = ctx if scale == 0 else PadicCtx(ctx.field, ctx.K + scale)
-    mod, res = tctx.mod, tctx.residue
+    tctx = ctx if scale == 0 else make_padic_ctx(p, ctx.K + scale)
+    mod = tctx.mod
     G = []
     for a in range(q):
         g = 1
         for an, ad in tops:
-            g = (g * gamma_p(tctx, res((an * q - a * ad) % (ad * q), ad * q))
-                 % mod)
+            g = g * _gamma_at(tctx, (an * q - a * ad) % (ad * q), ad * q) % mod
         for bn, bd, e in bots:
-            g = g * pow(gamma_p(tctx, res((bn * q + a * bd) % (bd * q),
-                                          bd * q)), e, mod) % mod
+            g = g * pow(_gamma_at(tctx, (bn * q + a * bd) % (bd * q), bd * q),
+                        e, mod) % mod
         G.append(g)
     norm = -pow(q * G[0], -1, mod)
     # the sign is a parity, as (-1) ** E is a float at E < 0; pow raises

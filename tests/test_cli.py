@@ -276,8 +276,8 @@ def test_summary_lists_every_requested_suite(capsys):
 
 
 # the suites whose builders read one class of primes, and raise on the rest
-_CLASSED = {**cli._SWEEPS,
-            **{n: cli._SUITES[n] for n in ("counting", "prop6.4", "prop6.5")}}
+_CLASSED = {n: cli._SUITES[n] for n in (*SWEEP_NAMES, "counting", "prop6.4",
+                                        "prop6.5") if n != "angles"}
 
 
 @pytest.mark.parametrize("name", list(_CLASSED))
@@ -316,7 +316,7 @@ def test_hurwitz_table_covers_every_read(capsys, monkeypatch, argv, pmin,
     argv = (*argv, "--pmin", str(pmin), "--pmax", str(pmax))
     _, tight, _ = run(capsys, *argv)
     assert ",error," not in tight
-    suite = {**cli._SUITES, **cli._SWEEPS}[argv[2]]
+    suite = cli._SUITES[argv[2]]
     if suite.bound is None:
         return
     # the same bytes as on the 4 pmax table the windowed suites used to get
@@ -432,6 +432,18 @@ def test_bad_input_exits_with_one_line(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("verify --suite thm6.2 --pmin 7 --pmax 13",
+     "bad configuration: unknown suites: thm6.2"),
+    ("sweep --claim moments --pmin 7 --pmax 13", "unknown claim 'moments'"),
+])
+def test_one_registry_keeps_suites_and_claims_apart(argv, message):
+    # verify and sweep read one registry, yet each takes only its own names
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code.startswith(message)
 
 
 def test_cohen_record_demands_an_exact_zero(capsys, monkeypatch, htable):
@@ -854,7 +866,7 @@ def test_padic_runs_build_one_base_context_per_prime(capsys, monkeypatch,
     monkeypatch.setattr(padic.PadicCtx, "__init__", counting)
     monkeypatch.setattr(padic, "_GammaEngine", engine)
     release_tables()
-    suites = [{**cli._SUITES, **cli._SWEEPS}[n] for n in names]
+    suites = [cli._SUITES[n] for n in names]
     cli._run_suites(suites, cli.RunConfig(pmin=7, pmax=70))
     capsys.readouterr()
     primes = [p for p in range(7, 71) if all(p % d for d in range(2, p))]

@@ -317,6 +317,25 @@ def test_per_prime_holds_one_prime_and_releases_it_before_a_rebuild():
     assert all(r() is None for r in refs.values())
 
 
+def test_per_prime_keeps_each_set_of_arguments(monkeypatch):
+    # a second degree no longer evicts the first: 4, 6, 4 build twice
+    builds, real = [], kloosterman.kloosterman_table
+
+    def counting(ctx):
+        builds.append(ctx.p)
+        return real(ctx)
+
+    monkeypatch.setattr(kloosterman, "kloosterman_table", counting)
+    ctx = make_field_ctx(13)
+    release_tables()
+    four = kloosterman._power_sums(ctx, 4)
+    six = kloosterman._power_sums(ctx, 6)
+    assert kloosterman._power_sums(ctx, 4) is four
+    assert kloosterman._power_sums(ctx, 6) is six
+    assert builds == [13, 13]
+    release_tables()
+
+
 def test_equal_contexts_share_their_tables():
     a = make_field_ctx(13)
     release_tables()

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ntlab.ecurve import ap_legendre, ap_table
-from ntlab.ffield import make_field_ctx
+from ntlab.ffield import make_field_ctx, release_tables
 from ntlab import padic as pa
 from ntlab.primes import primerange
 
@@ -430,6 +431,11 @@ def _row_ctx(p, K):
     return pa.PadicCtx(make_field_ctx(p), K)
 
 
+def _filled(ctx):
+    """The entries of the context's Gamma_p row read so far, by index."""
+    return {i: g for i, g in enumerate(ctx._row or ()) if g is not None}
+
+
 def _gauss_product_per_factor(ctx, js, c):
     """c prod_j g(omega-bar^j) as (deg, unit), one gamma_p per factor."""
     q, mod = ctx.q, ctx.mod
@@ -448,28 +454,29 @@ def test_gauss_product_equals_the_per_factor_product(p, K, js, c):
     ctx = _row_ctx(p, K)
     assert pa.gauss_product(ctx, js, c) == _gauss_product_per_factor(
         ctx, js, c)
-    # every entry the row holds is -Gamma_p(j/(p-1)), and only the js read
-    # so far are filled
+    # every entry the row holds is Gamma_p(i/(12(p-1))), and each j read
+    # so far is filled, at i = 12 (j mod p-1)
     q = ctx.q
-    for j, g in enumerate(ctx._gauss_row):
-        if g is not None:
-            assert g == -pa.gamma_p(ctx, Fraction(j, q)) % ctx.mod, j
-    assert {j % q for j in js} <= {
-        j for j, g in enumerate(ctx._gauss_row) if g is not None}
+    filled = _filled(ctx)
+    for i, g in filled.items():
+        assert g == pa.gamma_p(ctx, Fraction(i, 12 * q)), i
+    assert {12 * (j % q) for j in js} <= set(filled)
 
 
 def test_the_row_fills_only_the_entries_read():
     ctx = pa.PadicCtx(make_field_ctx(61), 6)
-    assert ctx._gauss_row == [None] * 60
+    assert ctx._row is None
     pa.gauss_product(ctx, (7, -3, 67))
-    assert [j for j, g in enumerate(ctx._gauss_row) if g is not None] == [
-        7, 57]
+    # j = 7 and 57 (= -3 and 67 mod 60) sit at 12 j; the row has 720 slots
+    assert len(ctx._row) == 720 and sorted(_filled(ctx)) == [84, 684]
     pa.gamma_product_checks(ctx, 3, 5)
-    # the row also serves j and the collapsed t j and t (q - j) mod q
-    filled = {j for j, g in enumerate(ctx._gauss_row) if g is not None}
-    assert filled == {7, 57, 5, 15, 45}
-    for j in filled:
-        assert ctx._gauss_row[j] == -pa.gamma_p(ctx, Fraction(j, 60)) % ctx.mod
+    # the constant's h/3 at 240 h; (5 + 60 h)/180 at 4 (5 + 60 h); j and the
+    # collapsed 3 j and 3 (60 - j) mod 60 over 60 at 12 times themselves,
+    # which the collapsed sums over 180 meet again at 60, 180 and 540
+    assert set(_filled(ctx)) == {84, 684, 240, 480, 20, 260, 500, 60, 300,
+                                 540, 180, 660, 420}
+    for i, g in _filled(ctx).items():
+        assert g == pa.gamma_p(ctx, Fraction(i, 720)), i
 
 
 @pytest.mark.parametrize("p", [7, 13])
@@ -483,22 +490,49 @@ def test_contexts_at_K_and_K_plus_2_keep_their_own_rows_and_constants(p):
                 assert pa.gamma_product_checks(ctx, t, j).match, (t, j)
         pa.gauss_product(ctx, range(q))
     lo, hi = ctxs
-    assert lo._gauss_row is not hi._gauss_row
-    assert lo._gamma_consts is not hi._gamma_consts
+    assert lo._row is not hi._row
+    # the Gauss units at 12 j and the constants' h/t at 12 q h/t are filled
+    # on each, and every filled entry is Gamma_p(i/(12 q)) at its own K
+    wanted = {12 * j for j in range(q)} | {
+        12 * q * h // t for t in (2, 3, 4, 6, 12) for h in range(1, t)}
     for ctx in ctxs:
-        assert ctx._gauss_row == [-pa.gamma_p(ctx, Fraction(j, q)) % ctx.mod
-                                  for j in range(q)]
-        assert sorted(ctx._gamma_consts) == [2, 3, 4, 6, 12]
-        for t, const in ctx._gamma_consts.items():
-            want = 1
-            for h in range(1, t):
-                want = want * pa.gamma_p(ctx, Fraction(h, t)) % ctx.mod
-            assert const == want, t
+        filled = _filled(ctx)
+        assert wanted <= set(filled)
+        for i, g in filled.items():
+            assert g == pa.gamma_p(ctx, Fraction(i, 12 * q)), i
     # the K + 2 values reduce to the K = 6 ones, and carry digits past them
-    assert [g % lo.mod for g in hi._gauss_row] == lo._gauss_row
-    assert hi._gauss_row != lo._gauss_row
-    assert {t: c % lo.mod for t, c in hi._gamma_consts.items()} == (
-        lo._gamma_consts)
+    assert [g if g is None else g % lo.mod for g in hi._row] == lo._row
+    assert hi._row != lo._row
+
+
+def test_gamma_at_reads_only_denominators_dividing_12_p_minus_1():
+    ctx = _row_ctx(13, 4)
+    assert pa._gamma_at(ctx, 5, 144) == pa.gamma_p(ctx, Fraction(5, 144))
+    assert pa._gamma_at(ctx, 1, 3) == pa.gamma_p(ctx, Fraction(1, 3))
+    for num, den in ((1, 5), (1, 13), (1, 288), (1, 7)):
+        with pytest.raises(ValueError):
+            pa._gamma_at(ctx, num, den)
+    # and only 0 <= num < den, as a negative index would read the wrong slot
+    for num, den in ((-1, 12), (12, 12), (144, 144)):
+        with pytest.raises(ValueError):
+            pa._gamma_at(ctx, num, den)
+
+
+def test_ngn_parameters_are_twelfths():
+    # so the nGn tables read every Gamma_p value from the row
+    for tops, bots in pa.NGN_FAMILIES.values():
+        for x in tops + bots:
+            assert 12 % x.denominator == 0, x
+
+
+def test_contexts_at_K_and_K_plus_2_are_kept_until_the_next_prime():
+    for drop in (lambda: pa.make_padic_ctx(17), release_tables):
+        lo, hi = pa.make_padic_ctx(13, 6), pa.make_padic_ctx(13, 8)
+        assert pa.make_padic_ctx(13) is lo and pa.make_padic_ctx(13, 8) is hi
+        refs = weakref.ref(lo), weakref.ref(hi)
+        del lo, hi
+        drop()
+        assert all(r() is None for r in refs)
 
 
 @pytest.mark.parametrize("p,K,pairs", [

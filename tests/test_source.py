@@ -134,9 +134,9 @@ def test_public_callables_are_plain_functions_or_classes():
 
 
 def test_padic_passes_no_fraction_to_gamma_p():
-    # gamma_p's callers in padic.py reduce a rational through ctx.residue,
-    # which caches each denominator's inverse, instead of building a Fraction
-    # per call
+    # gamma_p's caller in padic.py passes the row entry's integer residue,
+    # one multiplication by the row's inverse, instead of building a
+    # Fraction per call
     path = SRC / "padic.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [f"padic.py:{node.lineno}" for node in ast.walk(tree)
@@ -170,10 +170,14 @@ def test_gamma_engine_computes_without_floats():
 # for any function of that module: a suite reads a_p from ap_table and H
 # from the table the cli builds once, and the per-value routes stay oracles;
 # the literal Gamma_p product starts the engine's self-test and nothing else;
-# curve classes are evaluated one by one only at the census's CM points
+# the package reads Gamma_p through the row alone and builds p-adic contexts
+# through make_padic_ctx alone; curve classes are evaluated one by one only
+# at the census's CM points
 ONLY_CALLER = {
     "_class_of": ("ecurve", "curve_census"),
     "gamma_p_direct": ("padic", "_GammaEngine"),
+    "gamma_p": ("padic", "_gamma_at"),
+    "PadicCtx": ("padic", "make_padic_ctx"),
     "build_hurwitz_table": ("cli", None),
     "ap_legendre": ("ecurve", "l_set"),
     "class_number_h": ("classnumber", None),
