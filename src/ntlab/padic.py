@@ -19,8 +19,8 @@ w_c of prop6.6, the lambda-sum inside the Gauss-sum integer I), of J_c^2
 nGn coefficients (their sums at every t). The literal O(p) sums, jacobi_sum
 and _greene_S, stay as the oracles of those tables; jacobi_sum is also the
 independent validator of Gross-Koblitz in gk_consistency_check. Suites and
-sweeps run on make_padic_ctx(p), at the K = 6 their Weil bounds need; an
-nGn table with p^-scale terms reads make_padic_ctx(p, K + scale).
+sweeps read every table of a prime on one context, make_padic_ctx(p), at the
+K = 6 their Weil bounds need; only gfun's ngn_evaluate raises K by the scale.
 
 Gamma_p at a rational x reduces x to an integer n mod p^K through
 PadicCtx.residue: Gamma_p is 1-Lipschitz for odd p, |Gamma_p(x)-Gamma_p(y)|
@@ -403,6 +403,10 @@ def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecor
         prod_{0<h<t} Gamma_p(h/t), at x = j/(p-1);
     (2) the same collapsed through x = <tj/(p-1)>, picking up omega(t^(tj));
     (3) the mirror of (2) with j -> -j.
+
+    Formula (2) is (1) at j' = tj mod (p-1), and (3) is (1) at -tj: with
+    tj = f(p-1) + j', <tj/(p-1) + h/t> is (j' + ((f+h) mod t)(p-1))/(t(p-1)),
+    and (f+h) mod t runs over 0..t-1 with h: the same row entries.
     """
     p, q, mod = ctx.p, ctx.q, ctx.mod
     if t not in (2, 3, 4, 6, 12):
@@ -415,24 +419,15 @@ def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecor
     for h in range(1, t):
         const = const * _gamma_at(ctx, h, t) % mod
 
-    lhs1 = 1
-    for h in range(t):
-        lhs1 = lhs1 * _gamma_at(ctx, j + h * q, qt) % mod
-    # (1-x)(1-p) = j - (p-1) when x = j/(p-1), an integer
-    rhs1 = ctx.omega(t % p, j) * _gamma_at(ctx, j, q) % mod * const % mod
-    ok1 = lhs1 == rhs1
-
-    def collapsed(jj: int) -> bool:
-        # <jj/q + h/t> and <t jj/q>
+    def formula1(i: int) -> bool:
         lhs = 1
         for h in range(t):
-            lhs = lhs * _gamma_at(ctx, (jj * t + h * q) % qt, qt) % mod
-        rhs = (ctx.omega(t % p, t * jj % q) * _gamma_at(ctx, t * jj % q, q)
-               % mod * const % mod)
+            lhs = lhs * _gamma_at(ctx, i + h * q, qt) % mod
+        # (1-x)(1-p) = i - (p-1) when x = i/(p-1), an integer
+        rhs = ctx.omega(t % p, i) * _gamma_at(ctx, i, q) % mod * const % mod
         return lhs == rhs
 
-    ok2 = collapsed(j)
-    ok3 = collapsed((q - j) % q)
+    ok1, ok2, ok3 = (formula1(i) for i in (j, t * j % q, -t * j % q))
     return VerificationRecord(
         p, f"gamma-prod-t{t}-j{j}", (ok1, ok2, ok3), (True, True, True),
         ok1 and ok2 and ok3,
@@ -536,33 +531,23 @@ NGN_FAMILIES = {
 
 
 class NgnTable(NamedTuple):
-    """The a-sum of one nGn family at one prime. Its per-a coefficients do
-    not depend on t, so one table serves a whole lambda-sweep, and values
-    holds their sums at every t, one DFT taken once. scale = max(0,
-    -min_a E_a) powers of p are premultiplied so every coefficient is
-    p-integral, and ctx works at K + scale so the sums keep K digits."""
+    """The a-sum of one nGn family at one prime, on the context ctx it was
+    built on. Its per-a coefficients do not depend on t, so one table serves
+    a whole lambda-sweep, and values holds their sums at every t, one DFT
+    taken once: p^scale nGn mod p^K, where the p^scale, scale = max(0,
+    -min_a E_a), makes every coefficient p-integral."""
     ctx: PadicCtx
     scale: int
     coeffs: tuple[int, ...]
     values: list[int]
 
 
-@per_prime
-def _ngn_table(ctx: PadicCtx, family: str) -> NgnTable:
-    """The table of one family of NGN_FAMILIES at ctx's prime: for n pairs
-    (a_k, b_k) and every a mod p-1, with al = a/(p-1),
-        c_a = -(1/(p-1)) (-1)^(a n + E_a) p^(E_a + scale) G(a) / G(0),
-    G(a) = prod_k Gamma_p(<a_k - al>) Gamma_p(<-b_k + al>) and E_a = -sum_k
-    (floor(a_k - al) + floor(<-b_k> + al)). Row 0 normalises: its
-    arguments are exactly <a_k> and <-b_k>. A bottom parameter repeated
-    e times is read once per a and raised to the e-th power: 3G3's three
-    bottom factors are one value, 9G9's nine are three."""
-    p, q = ctx.p, ctx.q
+def _ngn_exponents(family: str, q: int) -> tuple[list, list, list[int], int]:
+    """A family's tops (an, ad), a_k = an/ad; its distinct bottoms (bn, bd,
+    e), <-b_k> = bn/bd repeated e times; E_a = -sum_k (floor(a_k - al) +
+    floor(<-b_k> + al)) at al = a/q, in integers over ad q and bd q, for
+    every a mod q = p-1; and scale = max(0, -min_a E_a)."""
     a_list, b_list = NGN_FAMILIES[family]
-    n = len(a_list)
-    # ak = an/ad and <-bk> = bn/bd, each distinct bk with its multiplicity
-    # e; the floors and fractional parts of ak - al and <-bk> + al are
-    # taken in integers over ad q and bd q
     nbs = [-b % 1 for b in b_list]
     tops = [(ak.numerator, ak.denominator) for ak in a_list]
     bots = [(nb.numerator, nb.denominator, nbs.count(nb))
@@ -570,31 +555,43 @@ def _ngn_table(ctx: PadicCtx, family: str) -> NgnTable:
     Es = [-sum((an * q - a * ad) // (ad * q) for an, ad in tops)
           - sum(e * ((bn * q + a * bd) // (bd * q)) for bn, bd, e in bots)
           for a in range(q)]
-    scale = max(0, -min(Es))
-    tctx = ctx if scale == 0 else make_padic_ctx(p, ctx.K + scale)
-    mod = tctx.mod
+    return tops, bots, Es, max(0, -min(Es))
+
+
+@per_prime
+def _ngn_table(ctx: PadicCtx, family: str) -> NgnTable:
+    """The table of one family of NGN_FAMILIES at ctx's prime and own K:
+    for n pairs (a_k, b_k) and every a mod p-1, with al = a/(p-1),
+        c_a = -(1/(p-1)) (-1)^(a n + E_a) p^(E_a + scale) G(a) / G(0),
+    G(a) = prod_k Gamma_p(<a_k - al>) Gamma_p(<-b_k + al>). Row 0
+    normalises: its arguments are exactly <a_k> and <-b_k>. A bottom
+    parameter repeated e times is read once per a and raised to the e-th
+    power: 3G3's three bottom factors are one value, 9G9's nine are three.
+    Every step is a ring operation: a larger K's table is this one mod p^K."""
+    p, q, mod = ctx.p, ctx.q, ctx.mod
+    tops, bots, Es, scale = _ngn_exponents(family, q)
+    n = len(tops)
     G = []
     for a in range(q):
         g = 1
         for an, ad in tops:
-            g = g * _gamma_at(tctx, (an * q - a * ad) % (ad * q), ad * q) % mod
+            g = g * _gamma_at(ctx, (an * q - a * ad) % (ad * q), ad * q) % mod
         for bn, bd, e in bots:
-            g = g * pow(_gamma_at(tctx, (bn * q + a * bd) % (bd * q), bd * q),
+            g = g * pow(_gamma_at(ctx, (bn * q + a * bd) % (bd * q), bd * q),
                         e, mod) % mod
         G.append(g)
     norm = -pow(q * G[0], -1, mod)
     # the sign is a parity, as (-1) ** E is a float at E < 0; pow raises
-    # at a negative E + scale, since p has no inverse mod p^(K + scale)
-    coeffs = tuple(
-        (-norm if (a * n + E) % 2 else norm) * g * pow(p, E + scale, mod) % mod
-        for a, (g, E) in enumerate(zip(G, Es)))
+    # at a negative E + scale, since p has no inverse mod p^K
+    coeffs = tuple((-norm if (a * n + E) % 2 else norm) * g
+                   * pow(p, E + scale, mod) % mod
+                   for a, (g, E) in enumerate(zip(G, Es)))
     # sum_a coeffs[a] omega-bar^a(t), at index -dlog(t)
-    return NgnTable(tctx, scale, coeffs, teichmuller_dft(tctx, list(coeffs)))
+    return NgnTable(ctx, scale, coeffs, teichmuller_dft(ctx, list(coeffs)))
 
 
 def _ngn_at(table: NgnTable, t: int) -> int:
-    """p^scale nGn(...|t) mod p^(K+scale), read from the table; t = 0 mod p
-    raises."""
+    """p^scale nGn(...|t) mod p^K, read from the table; t = 0 mod p raises."""
     ctx = table.ctx
     if t % ctx.p == 0:
         raise ValueError("t = 0 rejected")
@@ -606,10 +603,11 @@ def ngn_evaluate(ctx: PadicCtx, family: str, t: int) -> tuple[int, int] | None:
     with exact (-p)-power bookkeeping, as (valuation v, unit); None when it
     is 0 mod p^K, as at every t = 0 mod p, where each omega-bar(t) term
     vanishes. The unit is known mod p^(K - max(0, v)): a positive valuation
-    spends v of the K digits."""
+    spends v of the K digits. Its one table is built at K + scale."""
     if t % ctx.p == 0:
         return None
-    table = _ngn_table(ctx, family)
+    scale = _ngn_exponents(family, ctx.q)[3]
+    table = _ngn_table(make_padic_ctx(ctx.p, ctx.K + scale), family)
     raw = _ngn_at(table, t)
     if raw == 0:
         return None
@@ -663,15 +661,16 @@ def prop64_check(ctx: PadicCtx) -> VerificationRecord:
     off by J(psi3,psi3)/(-p) and the duplication step). The record's detail
     reports all four; match means the corrected reading holds exactly.
     """
-    p, q = ctx.p, ctx.q
+    p, q, mod = ctx.p, ctx.q, ctx.mod
     if p % 6 != 1:
         raise ValueError(f"p must be 1 mod 6, got {p}")
     I = gk_I_integer(ctx)
     table = _ngn_table(ctx, "3g3")
-    tctx, mod = table.ctx, table.ctx.mod
+    if table.scale != 2:
+        raise ArithmeticError(f"3G3's scale is {table.scale}, not 2")
 
     def psi6(x):
-        return tctx.omega(x, q // 6)
+        return ctx.omega(x, q // 6)
 
     acc_printed = 0
     acc_theorem = 0
@@ -679,12 +678,13 @@ def prop64_check(ctx: PadicCtx) -> VerificationRecord:
         val = _ngn_at(table, (lam - 1) * pow(lam, p - 2, p))
         acc_printed = (acc_printed + psi6(lam * (1 - lam * lam)) * val) % mod
         acc_theorem = (acc_theorem + psi6(lam * (1 - lam) ** 2) * val) % mod
-    # acc = p^scale Sigma; printed: I = p^3 (p-1) psi6(-2) phi(2) Sigma,
-    # corrected: I = -p^2 (p-1) psi6(-16) J(psi3, psi3) Sigma
-    lhs = I * p ** table.scale % mod
-    consts = (("printed", p ** 3 * (p - 1) * psi6(-2) * ctx.field.qr[2]),
-              ("corrected", -(p ** 2) * (p - 1) * psi6(-16)
-               * jacobi_sum(tctx, q // 3, q // 3)))
+    # acc = p^2 Sigma mod p^K, so each constant drops that p^2: printed,
+    # I = p^3 (p-1) psi6(-2) phi(2) Sigma; corrected,
+    # I = -p^2 (p-1) psi6(-16) J(psi3, psi3) Sigma
+    lhs = I % mod
+    consts = (("printed", p * (p - 1) * psi6(-2) * ctx.field.qr[2]),
+              ("corrected", -(p - 1) * psi6(-16)
+               * jacobi_sum(ctx, q // 3, q // 3)))
     twists = (("printed", acc_printed), ("theorem", acc_theorem))
     flags = {f"{cn}-const/{tn}-twist": lhs == c * acc % mod
              for cn, c in consts for tn, acc in twists}
@@ -700,12 +700,11 @@ def prop65_check(ctx: PadicCtx) -> VerificationRecord:
     Both the bare prefactor and the phi(-1)-dressed variant are evaluated;
     the bare one is the identity (p = 11 separates them, p = 5 does not).
     """
-    p, q = ctx.p, ctx.q
+    p, q, mod = ctx.p, ctx.q, ctx.mod
     if p % 3 != 2:
         raise ValueError(f"p must be 2 mod 3, got {p}")
     I = gk_I_integer(ctx)
     table = _ngn_table(ctx, "9g9")
-    mod = table.ctx.mod
     qr = ctx.field.qr
     inv3 = pow(3, -1, q)
     acc = 0

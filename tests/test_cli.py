@@ -848,9 +848,9 @@ _PADIC_RUNS = {
                          ids=list(_PADIC_RUNS))
 def test_padic_runs_build_one_base_context_per_prime(capsys, monkeypatch,
                                                      names):
-    # one context at K = 6 per prime, and one at 6 + 2 for the 3G3 table at
-    # p = 1 mod 6, whose scale is 2 (9G9's is 0, so prop6.5 needs none);
-    # each context builds one Gamma_p engine, at its own K
+    # one context at K = 6 per prime and nothing else: prop6.4 and prop6.5
+    # read their nGn tables at the suites' K, so each prime builds one
+    # Gamma_p engine, at K = 6
     from ntlab import padic
     built, real_init = Counter(), padic.PadicCtx.__init__
     engines, real_engine = Counter(), padic._GammaEngine
@@ -871,7 +871,5 @@ def test_padic_runs_build_one_base_context_per_prime(capsys, monkeypatch,
     capsys.readouterr()
     primes = [p for p in range(7, 71) if all(p % d for d in range(2, p))]
     want = Counter({(p, 6): 1 for p in primes})   # thm6.2 and 6.3 cover all
-    if "prop6.4" in names:
-        want.update((p, 8) for p in primes if p % 6 == 1)
     assert built == want and engines == want
-    assert sum(engines.values()) == (24 if "prop6.4" in names else 16)
+    assert sum(engines.values()) == 16

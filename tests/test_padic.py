@@ -797,12 +797,107 @@ def test_theorem_records_raise_off_their_class(build, p):
         build(pa.make_padic_ctx(p))
 
 
-def test_precision_raise_pathway(pctx13):
-    # 3G3's table premultiplies p^2, so it works at K + 2; 9G9's needs none
-    hctx = pa._ngn_table(pctx13, "3g3").ctx
-    assert hctx.K == 6 and hctx.p == 13
-    assert pa.gamma_p(hctx, 5) % 13 ** 4 == pa.gamma_p(pctx13, 5) % 13 ** 4
-    assert pa._ngn_table(pctx13, "9g9").ctx is pctx13
+def test_precision_raise_pathway(monkeypatch):
+    # the suites' tables of both families live on the context they are read
+    # from, at its own K; only ngn_evaluate reads 3G3, whose table
+    # premultiplies p^2, from the context at K + 2
+    release_tables()
+    ctx = pa.make_padic_ctx(13)
+    for family in pa.NGN_FAMILIES:
+        assert pa._ngn_table(ctx, family).ctx is ctx
+    read, real_at = [], pa._ngn_at
+    monkeypatch.setattr(pa, "_ngn_at",
+                        lambda tab, t: read.append(tab) or real_at(tab, t))
+    pa.ngn_evaluate(ctx, "3g3", 2)
+    pa.ngn_evaluate(ctx, "9g9", 2)
+    t3, t9 = read
+    assert t3.ctx is pa.make_padic_ctx(13, 8) and t3.scale == 2
+    assert t9.ctx is ctx and t9.scale == 0
+
+
+def test_ngn_scales_are_2_for_3g3_and_0_for_9g9():
+    # prop6.4 divides out 3G3's p^2 and prop6.5 assumes no p-power at all
+    for p in primerange(5, 2000):
+        assert pa._ngn_exponents("3g3", p - 1)[3] == 2, p
+        assert pa._ngn_exponents("9g9", p - 1)[3] == 0, p
+
+
+def test_prop64_raises_off_scale_2(monkeypatch):
+    # 9G9's parameters under 3G3's name give a table of scale 0, whose
+    # values carry no p^2 for the constants to drop
+    release_tables()
+    monkeypatch.setitem(pa.NGN_FAMILIES, "3g3", pa.NGN_FAMILIES["9g9"])
+    try:
+        with pytest.raises(ArithmeticError, match="scale is 0, not 2"):
+            pa.prop64_check(pa.make_padic_ctx(13))
+    finally:
+        release_tables()
+
+
+@pytest.mark.parametrize("p", [13, 61])
+def test_prop64_compares_I_mod_p6(monkeypatch, p):
+    # the corrected flag holds for I + p^6 and fails for I + p^5: prop6.4
+    # reads I to exactly K = 6 digits
+    release_tables()
+    ctx = pa.make_padic_ctx(p)
+    I = pa.gk_I_integer(ctx)
+    for d, want in ((0, True), (p ** 5, False), (p ** 6, True),
+                    (-p ** 6, True)):
+        monkeypatch.setattr(pa, "gk_I_integer", lambda c, d=d: I + d)
+        rec = pa.prop64_check(ctx)
+        assert (rec.lhs, rec.match) == (I + d, want), d
+        assert f"corrected-const/theorem-twist={want}" in rec.detail
+
+
+@pytest.mark.parametrize("p", [7, 13, 61])
+def test_ngn_table_at_K_is_the_K_plus_2_table_mod_p_K(p):
+    for family in pa.NGN_FAMILIES:
+        lo = pa._ngn_table(pa.PadicCtx(make_field_ctx(p), 6), family)
+        hi = pa._ngn_table(pa.PadicCtx(make_field_ctx(p), 8), family)
+        assert lo.scale == hi.scale
+        mod = p ** 6
+        assert lo.coeffs == tuple(c % mod for c in hi.coeffs), family
+        assert lo.values == [v % mod for v in hi.values], family
+
+
+@pytest.mark.parametrize("family,lam", [("3g3", 3), ("9g9", 5)])
+def test_gfun_builds_one_ngn_table(capsys, monkeypatch, family, lam):
+    from ntlab import cli
+    built, real = [], pa.NgnTable
+
+    def counting(*args):
+        built.append(args[0].K)
+        return real(*args)
+
+    monkeypatch.setattr(pa, "NgnTable", counting)
+    release_tables()
+    assert cli.main(["gfun", "--p", "13", "--family", family, "--lambda",
+                     str(lam)]) == 0
+    capsys.readouterr()
+    assert built == [6 + pa._ngn_exponents(family, 12)[3]]
+
+
+def test_collapsed_product_formulas_are_formula_1_at_tj():
+    # (2) at j reads formula (1)'s entries at t j mod (p-1), and (3) at
+    # -t j, so the flags agree even on a row with corrupted entries
+    rng = random.Random(13)
+    failed = 0
+    for p in (7, 13, 37):
+        q, ts = p - 1, (2, 3, 4, 6, 12)
+        for trial in range(5):
+            ctx = pa.PadicCtx(make_field_ctx(p), 4)
+            for t in ts:
+                for j in range(q):
+                    pa.gamma_product_checks(ctx, t, j)
+            for i in rng.sample(sorted(_filled(ctx)), 1 + trial):
+                ctx._row[i] += rng.randrange(1, ctx.mod)
+            for t in ts:
+                ok = [pa.gamma_product_checks(ctx, t, j).lhs for j in range(q)]
+                failed += sum(not all(f) for f in ok)
+                for j in range(q):
+                    assert ok[j][1] == ok[t * j % q][0], (p, t, j)
+                    assert ok[j][2] == ok[-t * j % q][0], (p, t, j)
+    assert failed
 
 
 # Each probe runs under python -O, where an assert would vanish, and sets

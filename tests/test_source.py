@@ -207,6 +207,32 @@ def test_tables_are_built_and_bypassed_only_where_allowed():
     assert not found, "; ".join(found)
 
 
+# the one reader that needs K digits of a unit behind p^-scale, and the
+# command that passes the user's K to it
+RAISE_K = {("padic", "ngn_evaluate"), ("cli", "cmd_gfun")}
+
+
+def test_only_gfun_asks_for_a_precision():
+    # every suite and sweep reads one context per prime, make_padic_ctx(p),
+    # at its default K; a call naming K anywhere else would give a prime a
+    # second context, Gamma_p engine and row
+    found = []
+    for path in sorted(SRC.glob("**/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            fn = getattr(top, "name", None)
+            if (path.stem, fn) in RAISE_K:
+                continue
+            for node in ast.walk(top):
+                f = getattr(node, "func", None)
+                if (isinstance(node, ast.Call) and "make_padic_ctx" in (
+                        getattr(f, "id", None), getattr(f, "attr", None))
+                        and (len(node.args) > 1
+                             or any(k.arg == "K" for k in node.keywords))):
+                    found.append(f"{path.name}:{node.lineno} {fn}")
+    assert not found, f"make_padic_ctx called with a K: {', '.join(found)}"
+
+
 def test_only_the_cli_sweeps_primes():
     # cli._run_suites is the one sweep driver: a claim names its class of
     # primes in the registry, so no other module walks a prime range
