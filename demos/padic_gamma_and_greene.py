@@ -33,9 +33,9 @@ for lam in (2, 3, 7):
     print(f"2F1(lam={lam}) = {val}, trace formula gives {pred}, equal: {val == pred}")
 
 # the two G-function families at a point, as p-adic numbers
-val, unit = ngn_evaluate(make_padic_ctx(7, 6), "3g3", 3)
+val, unit = ngn_evaluate(7, "3g3", 3, 6)
 print(f"3G3 family at t=3, p=7: valuation {val}, unit {unit}")
-val, unit = ngn_evaluate(ctx, "9g9", 5)
+val, unit = ngn_evaluate(p, "9g9", 5, K)
 print(f"9G9 family at t=5, p=13: valuation {val}, unit {unit}")
 
 # weighted-sum identities mod p^6, each checked against its stated constant

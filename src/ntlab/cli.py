@@ -469,8 +469,7 @@ def cmd_sweep(cfg: RunConfig, claim: str, p: int | None,
 
 
 def cmd_gfun(p: int, family: str, lam: int, K: int) -> int:
-    ctx = pa.make_padic_ctx(p, K)
-    v = pa.ngn_evaluate(ctx, family, lam)
+    v = pa.ngn_evaluate(p, family, lam, K)
     if v is None:
         print(f"p={p} family={family} lambda={lam} K={K} value=0 "
               f"(to precision p^{K})")

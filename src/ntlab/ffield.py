@@ -5,14 +5,13 @@ FieldCtx: an odd prime together with its smallest primitive root, a discrete
 log table, and the quadratic character table. Characters are handled as
 exponents of the generator, never as floating point roots of unity.
 cyclic_convolve is the exact convolution the routes share, as code only:
-one product of two packed inputs, or one squaring when both inputs are the
-same list, folded mod n. It has two multipliers, chosen by n b, the bits
-of its n slots of b bits each. Up to _BINARY_BITS the inputs are Python
-ints, b // 8 + 1 bytes a slot (Kronecker substitution); above, they are
-decimals, d digits a slot, which libmpdec multiplies by its
-number-theoretic transform. Below that transform's threshold libmpdec's
-multiply is quadratic, so small products go binary. One call, u*v and u*u,
-on a 2-core Xeon with Python 3.11.7 (ms):
+one product of two packed inputs, or one squaring of one list, folded mod
+x^n - 1, or mod x^n + 1 (negacyclic). Its two multipliers are chosen by
+n b, the bits of its n slots of b bits each. Up to _BINARY_BITS the inputs
+are Python ints, b // 8 + 1 bytes a slot (Kronecker substitution); above,
+decimals, d digits a slot, which libmpdec multiplies by its transform,
+quadratic below that transform's threshold, so small products go binary.
+One call, u*v and u*u, on a 2-core Xeon with Python 3.11.7 (ms):
 
     n      b     n b       decimal        binary
     120    91    11k       0.53  0.46     0.19  0.14
@@ -36,6 +35,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import wraps
+from itertools import accumulate
 from typing import NamedTuple
 
 # the C module itself: without libmpdec this fails here, rather than
@@ -154,52 +154,61 @@ def make_field_ctx(p: int) -> FieldCtx:
     return FieldCtx(p=p, g=g, dlog=tuple(dlog), qr=tuple(qr))
 
 
-def cyclic_convolve(u: list[int], v: list[int]) -> list[int]:
-    """w[k] = sum over i + j = k (mod n) of u[i] v[j], exact, n = len(u).
+def cyclic_convolve(u: list[int], v: list[int], sign: int = 1) -> list[int]:
+    """w[k] = sum over i + j = k of u[i] v[j], plus sign times the sum over
+    i + j = k + n, n = len(u): the exact product mod x^n - sign, cyclic at
+    sign 1, negacyclic at sign -1.
 
-    U (V) is added to every entry of u (v) so none is negative; every
-    folded slot is then a full cyclic sum, at most n max u max v < 2^b, b
-    its bit length, so none carries, and the shifts add
-    U sum v + V sum u + n U V to every output, which is subtracted. When v
-    is u the one packed input is squared, one transform or pass fewer.
+    U (V) is added to every entry of u (v) so none is negative; the sums
+    folded into a slot then total at most M = n max u max v < 2^b, so none
+    carries. The negacyclic fold subtracts the high half and adds M to
+    every slot, which then lies in [0, 2M], and b bounds 2M. The shifts add
+    U v_j + V u_j + U V, summed with the same signs: C = U sum v + V sum u
+    + n U V to a cyclic slot, 2 c_k - C to negacyclic slot k, where c_k sums
+    over j <= k. They and M are subtracted. When v is u the one packed input
+    is squared, one transform or pass fewer.
 
-    Up to n b = _BINARY_BITS bits, _binary_cyclic multiplies Python ints,
-    which is faster than libmpdec below its transform threshold, where its
-    multiply is quadratic; above, _decimal_cyclic uses libmpdec's
-    number-theoretic transform; the module docstring times both.
-
-    A slot of more decimal digits than a nonzero
-    sys.get_int_max_str_digits() allows takes the binary path at any size,
-    as it converts no strings.
+    Up to n b = _BINARY_BITS bits _binary_cyclic multiplies Python ints;
+    above, _decimal_cyclic uses libmpdec's number-theoretic transform, as
+    the module docstring times. A slot of more decimal digits than a
+    nonzero sys.get_int_max_str_digits() allows takes the binary path at
+    any size, as it converts no strings.
     """
     n = len(u)
-    if len(v) != n:
-        raise ValueError(f"lengths differ: {n} and {len(v)}")
+    if len(v) != n or sign not in (1, -1):
+        raise ValueError(f"lengths {n} and {len(v)}, sign {sign}")
     if not n:
         return []
     square = v is u
     U = max(0, -min(u))
     V = U if square else max(0, -min(v))
-    offset = U * sum(v) + V * sum(u) + n * U * V
+    mu, mv = max(u) + U, max(v) + V
+    M = 0 if sign > 0 else n * mu * mv
+    C = U * sum(v) + V * sum(u) + n * U * V
+    offsets = [C + M] * n
+    if sign < 0 and (U or V):
+        offsets = [2 * c - C + M for c in accumulate(
+            U * y + V * x + U * V for x, y in zip(u, v))]
     u = [x + U for x in u]
     v = u if square else [y + V for y in v]
-    mu, mv = max(u), max(v)
-    b = max(n * mu * mv, mu, mv).bit_length()
+    b = max(n * mu * mv + M, mu, mv).bit_length()
     # 30103/100000 > log10(2) makes 10^d > 2^b; before 3.10.7 sys has no
     # limit to read, and int() gives 0, no limit
     d = b * 30103 // 100000 + 1
-    if n * b <= _BINARY_BITS or 0 < getattr(sys, "get_int_max_str_digits",
-                                            int)() < d:
-        return _binary_cyclic(u, v, n, b // 8 + 1, offset)
-    return _decimal_cyclic(u, v, n, d, offset)
+    binary = n * b <= _BINARY_BITS or 0 < getattr(
+        sys, "get_int_max_str_digits", int)() < d
+    slots = (_binary_cyclic(u, v, n, b // 8 + 1, M) if binary
+             else _decimal_cyclic(u, v, n, d, M))
+    return [s - o for s, o in zip(slots, offsets)]
 
 
-def _binary_cyclic(u, v, n, w, offset):
+def _binary_cyclic(u, v, n, w, M):
     """cyclic_convolve's small products, on non-negative slots below
     2^(8w - 1): each input packed into one int, w bytes a slot, low slot
     first; their product is folded mod n by one mask, one shift and one
-    add. Slot widths of 1, 2, 4 or 8 bytes pack and unpack by array, one C
-    call each way; others by one to_bytes or from_bytes per slot."""
+    add, or at M > 0 one subtraction and M in every slot. Slot widths of 1,
+    2, 4 or 8 bytes pack and unpack by array, one C call each way; others
+    by one to_bytes or from_bytes per slot."""
     t = _ARRAY.get(w)
 
     def pack(xs):
@@ -210,20 +219,20 @@ def _binary_cyclic(u, v, n, w, offset):
     X = pack(u)
     X *= X if v is u else pack(v)
     bits = 8 * w * n
-    raw = ((X & ((1 << bits) - 1)) + (X >> bits)).to_bytes(w * n, "little")
-    if t:
-        return [s - offset for s in array(t, raw)]
-    return [int.from_bytes(raw[i:i + w], "little") - offset
-            for i in range(0, w * n, w)]
+    lo, hi = X & ((1 << bits) - 1), X >> bits
+    ones = int.from_bytes((b"\1" + bytes(w - 1)) * n, "little")
+    raw = (lo - hi + M * ones if M else lo + hi).to_bytes(w * n, "little")
+    return array(t, raw) if t else [int.from_bytes(raw[i:i + w], "little")
+                                    for i in range(0, w * n, w)]
 
 
-def _decimal_cyclic(u, v, n, d, offset):
+def _decimal_cyclic(u, v, n, d, M):
     """cyclic_convolve's large products, by libmpdec's number-theoretic
     transform: each input written as one decimal string of d digits a slot,
     and the product's 2n - 1 slots folded mod n in the decimal domain: its
     top n slots and its other n - 1 with one zero slot appended are split
-    off by digit shifts and joined by one exact decimal add, and only the n
-    folded slots are parsed."""
+    off by digit shifts and joined by one exact decimal add, or at M > 0 one
+    subtraction and M in every slot; only the n folded slots are parsed."""
     slots = f"%0{d}d" * n
     X = Decimal(slots % tuple(u))
     X = _EXACT.multiply(X, X if v is u else Decimal(slots % tuple(v)))
@@ -231,5 +240,7 @@ def _decimal_cyclic(u, v, n, d, offset):
     # n slots, lo the other n - 1 with a zero slot appended
     hi = _EXACT.shift(X, -(n - 1) * d)
     lo = _EXACT.shift(_EXACT.subtract(X, _EXACT.shift(hi, (n - 1) * d)), d)
-    s = format(_EXACT.add(hi, lo), "f").zfill(n * d)
-    return [int(s[i:i + d]) - offset for i in range(0, n * d, d)]
+    X = (_EXACT.add(_EXACT.subtract(hi, lo), Decimal(slots % ((M,) * n)))
+         if M else _EXACT.add(hi, lo))
+    s = format(X, "f").zfill(n * d)
+    return [int(s[i:i + d]) for i in range(0, n * d, d)]

@@ -12,34 +12,27 @@ Teichmueller character is one power chain: omega(g) is the one Hensel lift
 a context makes, and omega^c(x) = omega(g)^(c dlog x).
 
 A character sum wanted at every character, or at every lambda, is one
-teichmuller_dft, a chirp correlation through cyclic_convolve: of an O(p)
-histogram over discrete logs (_character_sums: the Jacobi table J_c, the
-w_c of prop6.6, the lambda-sum inside the Gauss-sum integer I), of J_c^2
-(S(lambda) = p(p-1) 2F1(lambda), shared by greene and prop6.6), or of the
-nGn coefficients (their sums at every t). The literal O(p) sums, jacobi_sum
-and _greene_S, stay as the oracles of those tables; jacobi_sum is also the
-independent validator of Gross-Koblitz in gk_consistency_check. Suites and
-sweeps read every table of a prime on one context, make_padic_ctx(p), at the
-K = 6 their Weil bounds need; only gfun's ngn_evaluate raises K by the scale.
+teichmuller_dft, a chirp correlation taken as one negacyclic
+cyclic_convolve of p-1 slots: of an O(p) histogram over discrete logs
+(_character_sums: the Jacobi table J_c, the w_c of prop6.6, the
+lambda-sum inside the Gauss-sum integer I), of J_c^2 (S(lambda) = p(p-1)
+2F1(lambda), shared by greene and prop6.6), or of the nGn coefficients
+(their sums at every t). The literal O(p) sums, jacobi_sum and _greene_S,
+stay as the oracles of those tables; jacobi_sum is also the independent
+validator of Gross-Koblitz in gk_consistency_check. Suites and sweeps read
+every table of a prime on one context, make_padic_ctx(p), at the K = 6
+their Weil bounds need; only gfun's ngn_evaluate raises K by the scale.
 
-Gamma_p at a rational x reduces x to an integer n mod p^K through
-PadicCtx.residue: Gamma_p is 1-Lipschitz for odd p, |Gamma_p(x)-Gamma_p(y)|
-<= |x-y|, so x = y mod p^K gives equal values mod p^K. _GammaEngine takes
-the defining product in blocks of p integers: Q(m) = Gamma_p(m p) =
-prod_{t<m} (-R(t)), R(t) = prod_{0<i<p} (tp+i), has Newton differences
-D_k = Delta^k Q(0) with v_p(D_k) >= ceil(k/2), so its Newton form cut at
-k < 2K-1 is Q(m) mod p^K exactly: one polynomial in m, no log, no exp, no
-guard digit. The r - 1 leftover factors are a prefix product at z = m p, so
-a call costs O(K) time instead of O(n), at every n >= 0: two Horner passes
-on unreduced ints, each reduced once at its end. Each engine checks itself
-against the literal product, gamma_p_direct, at every n in [64p, 65p];
-that product is otherwise only the oracle of tests and demos.
-
-Every Gamma_p value a check reads is Gamma_p(i/(12(p-1))), 0 <= i <
-12(p-1): the Gauss units at j/(p-1), the product formulas at t and t(p-1)
-for t | 12, and the nGn parameters, all in twelfths. _gamma_at reads them
-from one row per context, each entry computed on its first read, so a
-check pays once per distinct value.
+Gamma_p at a rational x is Gamma_p at x mod p^K, as Gamma_p is 1-Lipschitz
+for odd p. _GammaEngine evaluates it at any integer n >= 0 in O(K) time,
+from a Newton form in the number of whole blocks of p factors, and checks
+itself against the literal product, gamma_p_direct, on [64p, 65p].
+Every value a check reads is Gamma_p(i/(12(p-1))), 0 <= i < 12(p-1): the
+Gauss units at j/(p-1), the product formulas at t and t(p-1) for t | 12,
+and the nGn parameters, all in twelfths. _gamma_run reads them from one
+row per context, a run at a time (a formula's t factors, every Gauss
+unit, an nGn parameter at every a), and fills the entries the row lacks
+in one loop over the engine, so a check pays once per distinct value.
 """
 
 from __future__ import annotations
@@ -47,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .ecurve import ap_table
@@ -188,40 +182,39 @@ class _GammaEngine:
 class PadicCtx:
     """Tables mod p^K: the powers pw[k] = omega(g)^k, which every
     Teichmueller value is read from, and, filled on first use, the Gamma_p
-    engine at the context's own K and the row _gamma_at reads. omega(g) is
-    the fixed point of t -> t^p from t = g, reached in at most K steps.
+    engine at its own K and the entries of the row _gamma_run reads. omega(g)
+    is the fixed point of t -> t^p from t = g, reached in at most K steps.
     Gamma_p arguments live mod p^K, with no guard digit. Every other table
     of a context is a per_prime builder's; the package builds contexts
     through make_padic_ctx alone.
     """
 
     def __init__(self, field: FieldCtx, K: int):
-        if field.p < 5:
-            raise ValueError("p-adic engine needs p >= 5")
-        if K < 1:
-            raise ValueError("precision K must be >= 1")
-        self.field = field
-        self.p = field.p
-        self.q = field.p - 1
-        self.K = K
-        self.mod = field.p ** K
+        if field.p < 5 or K < 1:
+            raise ValueError(f"p-adic engine needs p >= 5 and precision "
+                             f"K >= 1, got p={field.p}, K={K}")
+        self.field, self.p, self.q, self.K = field, field.p, field.p - 1, K
+        self.mod = mod = field.p ** K
         wg, prev = field.g, None
         while wg != prev:
-            prev, wg = wg, pow(wg, field.p, self.mod)
-        self.pw = [1] * self.q
-        for e in range(1, self.q):
-            self.pw[e] = self.pw[e - 1] * wg % self.mod
+            prev, wg = wg, pow(wg, field.p, mod)
+        self.pw = list(accumulate(range(self.q - 1),
+                                  lambda x, _: x * wg % mod, initial=1))
         self._engine: _GammaEngine | None = None
         # Gamma_p(i/(12(p-1))) at entry i, and 1/(12(p-1)) mod p^K
-        self._row: list[int | None] | None = None
+        self._row: list[int | None] = [None] * (12 * self.q)
         self._row_step = pow(12 * self.q, -1, self.mod)
 
     def residue(self, num: int, den: int) -> int:
         """num/den mod p^K, the integer gamma_p reduces a rational to."""
         if den % self.p == 0:
-            raise ValueError(
-                f"{num}/{den} is not a p-adic integer for p={self.p}")
+            raise ValueError(f"{num}/{den} is not p-integral, p={self.p}")
         return num * pow(den, -1, self.mod) % self.mod
+
+    @property
+    def engine(self) -> _GammaEngine:
+        self._engine = self._engine or _GammaEngine(self.p, self.K)
+        return self._engine
 
     def omega(self, x: int, c: int = 1) -> int:
         """omega^c(x) mod p^K; zero for x = 0 mod p."""
@@ -238,11 +231,10 @@ def make_padic_ctx(p: int, K: int = 6) -> PadicCtx:
 
 @per_prime
 def _chirps(ctx: PadicCtx) -> tuple[list[int], list[int]]:
-    """teichmuller_dft's chirps: omega^-C(k,2) for k < q and omega^C(m,2)
-    for m < 2q."""
+    """teichmuller_dft's chirps omega^-C(k,2) and omega^C(k,2), k < q."""
     q, pw = ctx.q, ctx.pw
-    tri = [m * (m - 1) // 2 % q for m in range(2 * q)]
-    return [pw[-t % q] for t in tri[:q]], [pw[t] for t in tri]
+    tri = [k * (k - 1) // 2 % q for k in range(q)]
+    return [pw[-t % q] for t in tri], [pw[t] for t in tri]
 
 
 def teichmuller_dft(ctx: PadicCtx, x: list[int]) -> list[int]:
@@ -251,17 +243,18 @@ def teichmuller_dft(ctx: PadicCtx, x: list[int]) -> list[int]:
     Z_p holds no 2q-th root of unity, so the Bluestein chirp omega^(k^2/2)
     does not exist; the triangular chirp does: a k = C(a+k, 2) - C(a, 2)
     - C(k, 2) gives F[a] = omega^-C(a,2) sum_k (x_k omega^-C(k,2))
-    omega^C(a+k,2), a correlation of length 2q, so the whole transform is
-    one zero-padded cyclic_convolve of residues below p^K.
+    omega^C(a+k,2). As C(m+q, 2) = C(m, 2) + q/2 mod q, that chirp changes
+    sign at q: the correlation is one negacyclic cyclic_convolve of q slots
+    of residues below p^K, with u reversed, whose slot q - 1 is F[0]'s sum
+    and slot a - 1 minus F[a]'s.
     """
     q, mod = ctx.q, ctx.mod
     if len(x) != q:
         raise ValueError(f"need {q} values, got {len(x)}")
     down, up = _chirps(ctx)
     u = [xk * d % mod for xk, d in zip(x, down)]
-    # with u reversed, slot q - 1 + a of the product is sum_k u_k up[a + k]
-    w = cyclic_convolve(u[::-1] + [0] * q, up)
-    return [d * c % mod for d, c in zip(down, w[q - 1:])]
+    w = cyclic_convolve(u[::-1], up, -1)
+    return [-d * c % mod for d, c in zip(down, [-w[-1], *w])]
 
 
 def _character_sums(ctx: PadicCtx, pairs) -> list[int]:
@@ -285,33 +278,35 @@ def gamma_p(ctx: PadicCtx, x: int | Fraction) -> int:
     makes that exact mod p^K with no guard digit. Anything else (a float, a
     Decimal) raises TypeError.
     """
-    if isinstance(x, Fraction):
-        n = ctx.residue(x.numerator, x.denominator)
-    else:
-        n = operator.index(x) % ctx.mod
-    if ctx._engine is None:
-        ctx._engine = _GammaEngine(ctx.p, ctx.K)
-    return ctx._engine.at_int(n)
+    n = (ctx.residue(x.numerator, x.denominator) if isinstance(x, Fraction)
+         else operator.index(x) % ctx.mod)
+    return ctx.engine.at_int(n)
+
+
+def _gamma_run(ctx: PadicCtx, idx) -> list[int]:
+    """Gamma_p(i/(12(p-1))) mod p^K at each index i of idx into the context's
+    row, each entry computed on its first read. Callers build every i in
+    [0, 12(p-1)) (_gamma_at checks its num/den): a negative i would read
+    another entry, and one past the row raises IndexError."""
+    row = ctx._row
+    vals = [row[i] for i in idx]
+    if None in vals:
+        at, step, mod = ctx.engine.at_int, ctx._row_step, ctx.mod
+        for k, i in enumerate(idx):
+            if row[i] is None:
+                row[i] = at(i * step % mod)
+            vals[k] = row[i]
+    return vals
 
 
 def _gamma_at(ctx: PadicCtx, num: int, den: int) -> int:
-    """Gamma_p(num/den) mod p^K for 0 <= num < den, den | 12(p-1): entry
-    num 12(p-1)/den of the context's row of 12(p-1) slots, made on its first
-    read, each entry computed through gamma_p on its own first read. Any
-    other num or den raises ValueError."""
-    row = ctx._row
-    if row is None:
-        row = ctx._row = [None] * (12 * ctx.q)
-    size = len(row)
-    step = size // den
-    if step * den != size or not 0 <= num < den:
+    """Gamma_p(num/den) mod p^K for 0 <= num < den, den | 12(p-1), else
+    ValueError: a one-entry _gamma_run, unless filled (no unit is 0)."""
+    step, rest = divmod(12 * ctx.q, den)
+    if rest or not 0 <= num < den:
         raise ValueError(f"{num}/{den} is not in [0, 1) over a divisor of "
-                         f"12(p-1) = {size}")
-    i = num * step
-    g = row[i]
-    if g is None:
-        g = row[i] = gamma_p(ctx, i * ctx._row_step % ctx.mod)
-    return g
+                         f"12(p-1) = {12 * ctx.q}")
+    return ctx._row[num * step] or _gamma_run(ctx, (num * step,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +406,16 @@ def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecor
     p, q, mod = ctx.p, ctx.q, ctx.mod
     if t not in (2, 3, 4, 6, 12):
         raise ValueError("t must be one of 2, 3, 4, 6, 12")
-    if p % t == 0:
-        raise ValueError("t must be coprime to p")
     j %= q
-    qt = q * t
-    const = 1
-    for h in range(1, t):
-        const = const * _gamma_at(ctx, h, t) % mod
+    # (x + h)/t at x = i/(p-1) is row entry 12 i/t + h s, h/t is h s
+    s = 12 * q // t
+    const = math.prod(_gamma_run(ctx, range(s, 12 * q, s)))
 
     def formula1(i: int) -> bool:
-        lhs = 1
-        for h in range(t):
-            lhs = lhs * _gamma_at(ctx, i + h * q, qt) % mod
+        lhs = math.prod(_gamma_run(ctx, range(12 // t * i, 12 * q, s)))
         # (1-x)(1-p) = i - (p-1) when x = i/(p-1), an integer
-        rhs = ctx.omega(t % p, i) * _gamma_at(ctx, i, q) % mod * const % mod
-        return lhs == rhs
+        rhs = ctx.omega(t % p, i) * _gamma_at(ctx, i, q) * const
+        return (lhs - rhs) % mod == 0
 
     ok1, ok2, ok3 = (formula1(i) for i in (j, t * j % q, -t * j % q))
     return VerificationRecord(
@@ -564,22 +554,20 @@ def _ngn_table(ctx: PadicCtx, family: str) -> NgnTable:
     for n pairs (a_k, b_k) and every a mod p-1, with al = a/(p-1),
         c_a = -(1/(p-1)) (-1)^(a n + E_a) p^(E_a + scale) G(a) / G(0),
     G(a) = prod_k Gamma_p(<a_k - al>) Gamma_p(<-b_k + al>). Row 0
-    normalises: its arguments are exactly <a_k> and <-b_k>. A bottom
-    parameter repeated e times is read once per a and raised to the e-th
-    power: 3G3's three bottom factors are one value, 9G9's nine are three.
+    normalises: its arguments are exactly <a_k> and <-b_k>. Each distinct
+    parameter is one row run over a, at 12 an q/ad - 12 a or 12 bn q/bd +
+    12 a, and a bottom repeated e times enters the product e times: 3G3's
+    three bottom factors are one run, 9G9's nine are three.
     Every step is a ring operation: a larger K's table is this one mod p^K."""
     p, q, mod = ctx.p, ctx.q, ctx.mod
     tops, bots, Es, scale = _ngn_exponents(family, q)
-    n = len(tops)
-    G = []
-    for a in range(q):
-        g = 1
-        for an, ad in tops:
-            g = g * _gamma_at(ctx, (an * q - a * ad) % (ad * q), ad * q) % mod
-        for bn, bd, e in bots:
-            g = g * pow(_gamma_at(ctx, (bn * q + a * bd) % (bd * q), bd * q),
-                        e, mod) % mod
-        G.append(g)
+    n, size = len(tops), 12 * q
+    cols = [_gamma_run(ctx, [(12 * an * q // ad - 12 * a) % size
+                             for a in range(q)]) for an, ad in tops]
+    for bn, bd, e in bots:
+        cols += [_gamma_run(ctx, [(12 * bn * q // bd + 12 * a) % size
+                                  for a in range(q)])] * e
+    G = [math.prod(c) % mod for c in zip(*cols)]
     norm = -pow(q * G[0], -1, mod)
     # the sign is a parity, as (-1) ** E is a float at E < 0; pow raises
     # at a negative E + scale, since p has no inverse mod p^K
@@ -598,24 +586,24 @@ def _ngn_at(table: NgnTable, t: int) -> int:
     return table.values[-ctx.field.dlog[t % ctx.p] % ctx.q]
 
 
-def ngn_evaluate(ctx: PadicCtx, family: str, t: int) -> tuple[int, int] | None:
+def ngn_evaluate(p: int, family: str, t: int, K: int) -> tuple | None:
     """The full a-sum of the hypergeometric G-function of one family at t,
     with exact (-p)-power bookkeeping, as (valuation v, unit); None when it
     is 0 mod p^K, as at every t = 0 mod p, where each omega-bar(t) term
     vanishes. The unit is known mod p^(K - max(0, v)): a positive valuation
-    spends v of the K digits. Its one table is built at K + scale."""
-    if t % ctx.p == 0:
+    spends v of the K digits. Its one table and context are at K + scale."""
+    if t % p == 0:
         return None
-    scale = _ngn_exponents(family, ctx.q)[3]
-    table = _ngn_table(make_padic_ctx(ctx.p, ctx.K + scale), family)
+    scale = _ngn_exponents(family, p - 1)[3]
+    table = _ngn_table(make_padic_ctx(p, K + scale), family)
     raw = _ngn_at(table, t)
     if raw == 0:
         return None
     v = 0
-    while raw % ctx.p == 0:
-        raw //= ctx.p
+    while raw % p == 0:
+        raw //= p
         v += 1
-    return v - table.scale, raw % ctx.mod
+    return v - table.scale, raw % p ** K
 
 
 # ---------------------------------------------------------------------------
@@ -638,17 +626,19 @@ def gk_I_integer(ctx: PadicCtx) -> int:
     Weil bound (p-1)^2 p^(5/2), so K = 6 always reconstructs the integer.
     """
     p, q, mod = ctx.p, ctx.q, ctx.mod
-    half = q // 2
     bound = (p - 1) ** 2 * (math.isqrt(p ** 5) + 1)
     if 2 * bound >= mod:
         raise ArithmeticError("raise K: Weil bound does not clear p^K/2")
+    g = _gamma_run(ctx, range(0, 12 * q, 12))
     tot = 0
     for a, w in enumerate(_gk_I_weights(ctx)):
-        deg, unit = gauss_product(ctx, (half - a, a, a, a, half - 2 * a))
+        b, c = (q // 2 - a) % q, (q // 2 - 2 * a) % q
+        e, deg = divmod(b + 3 * a + c, q)
         if deg:
             raise ArithmeticError("Gauss-sum product not degree-0")
-        tot = (tot + unit * w) % mod
-    return _centered(tot, mod, bound, "I")
+        # five factors -Gamma_p(j/(p-1)), and pi^(e(p-1)) = (-p)^e
+        tot -= g[b] * g[a] ** 3 * g[c] % mod * (-p) ** e * w
+    return _centered(tot % mod, mod, bound, "I")
 
 
 def prop64_check(ctx: PadicCtx) -> VerificationRecord:

@@ -398,6 +398,24 @@ def test_gfun_eval(capsys):
     assert "value=0" in out
 
 
+def test_gfun_builds_only_the_context_its_table_reads(capsys, monkeypatch):
+    # 3G3's table premultiplies p^2, so gfun at the default K = 6 reads it
+    # at K = 8, and builds no context at K = 6 beside it
+    from ntlab import padic
+    built, real_init = Counter(), padic.PadicCtx.__init__
+
+    def counting(self, field, K):
+        built[field.p, K] += 1
+        real_init(self, field, K)
+
+    monkeypatch.setattr(padic.PadicCtx, "__init__", counting)
+    release_tables()
+    code, out, _ = run(capsys, "gfun", "--p", "61", "--family", "3g3",
+                       "--lambda", "3")
+    assert code == 0 and "valuation=" in out
+    assert built == Counter({(61, 8): 1})
+
+
 def test_gfun_prints_the_digits_a_positive_valuation_leaves(capsys):
     # the unit is 1771560 mod 11^6 (read at K = 8), so K = 6 fixes it only
     # mod 11^5

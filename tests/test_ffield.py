@@ -69,13 +69,20 @@ def test_dlog_is_multiplicative(p, a, b):
     assert ctx.dlog[x * y % p] == (ctx.dlog[x] + ctx.dlog[y]) % (p - 1)
 
 
-def _naive_cyclic(u, v):
+def _naive_cyclic(u, v, sign=1):
+    """The double loop mod x^n - sign: a product that wraps past slot n - 1
+    enters with the sign, so sign -1 is the negacyclic product."""
     n = len(u)
     w = [0] * n
     for i in range(n):
         for j in range(n):
-            w[(i + j) % n] += u[i] * v[j]
+            w[(i + j) % n] += (sign if i + j >= n else 1) * u[i] * v[j]
     return w
+
+
+# cyclic_convolve's two folds, cyclic and negacyclic, which every oracle
+# test below runs in turn
+SIGNS = (1, -1)
 
 
 # the multiplier that must not run when the size rule picks the other
@@ -122,14 +129,18 @@ _entries = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 200), 2 ** 200))
                         st.lists(_entries, min_size=n, max_size=n))))
 def test_cyclic_convolve_matches_double_loop(uv):
     u, v = uv
-    assert _on_both(cyclic_convolve, u, v) == _naive_cyclic(u, v)
+    for sign in SIGNS:
+        assert (_on_both(cyclic_convolve, u, v, sign)
+                == _naive_cyclic(u, v, sign)), sign
 
 
 @given(st.integers(1, 12).flatmap(
     lambda n: st.lists(_entries, min_size=n, max_size=n)))
 def test_cyclic_convolve_squaring_matches_double_loop(u):
     # one list passed twice takes the squaring path
-    assert _on_both(cyclic_convolve, u, u) == _naive_cyclic(u, u)
+    for sign in SIGNS:
+        assert (_on_both(cyclic_convolve, u, u, sign)
+                == _naive_cyclic(u, u, sign)), sign
 
 
 @pytest.mark.parametrize("u,v", [
@@ -137,19 +148,24 @@ def test_cyclic_convolve_squaring_matches_double_loop(u):
     ([0, 0, 0], [2 ** 200, -(2 ** 200), 1]),
     ([-1, 2, -3, 4], [4, -3, 2, -1])])
 def test_cyclic_convolve_edge_cases(u, v):
-    assert _on_both(cyclic_convolve, u, v) == _naive_cyclic(u, v)
+    for sign in SIGNS:
+        assert (_on_both(cyclic_convolve, u, v, sign)
+                == _naive_cyclic(u, v, sign)), sign
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
 def test_cyclic_convolve_threshold_is_inclusive(n):
-    # n b exactly at _BINARY_BITS is binary, one bit above it decimal
+    # n b exactly at _BINARY_BITS is binary, one bit above it decimal; the
+    # negacyclic fold's slots hold up to twice the cyclic bound
     m = math.isqrt((2 ** 300 - 1) // n)
     u, v = [m - i for i in range(n)], [m - 3 * i for i in range(n)]
-    bits = n * (n * m * m).bit_length()
-    for path, threshold in (("binary", bits), ("decimal", bits - 1)):
-        with _forced(path, threshold):
-            assert cyclic_convolve(u, v) == _naive_cyclic(u, v), path
-            assert cyclic_convolve(u, u) == _naive_cyclic(u, u), path
+    for sign, top in ((1, n * m * m), (-1, 2 * n * m * m)):
+        bits = n * top.bit_length()
+        for path, threshold in (("binary", bits), ("decimal", bits - 1)):
+            with _forced(path, threshold):
+                for a, b in ((u, v), (u, u)):
+                    assert (cyclic_convolve(a, b, sign)
+                            == _naive_cyclic(a, b, sign)), (path, sign)
 
 
 def test_cyclic_convolve_slots_past_the_int_str_limit(monkeypatch):
@@ -164,14 +180,18 @@ def test_cyclic_convolve_slots_past_the_int_str_limit(monkeypatch):
 
 @pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (3, 9), (5, 26), (8, 26)])
 def test_cyclic_convolve_tight_slot_width(n, k):
-    # every product is +max|u| max|v| and each slot holds n m^2, just under
+    # every product is +max|u| max|v|, and the bound of a slot, n m^2, or
+    # 2 n m^2 for the negacyclic fold's shifted slots, is just under
     # 2^(8k - 1): the sign bit of a k-byte slot is the only bit to spare
-    m = math.isqrt((2 ** (8 * k - 1) - 1) // n)
-    assert (n * m * m).bit_length() == 8 * k - 1
-    for sign in (1, -1):
-        u = [sign * m] * n
-        assert _on_both(cyclic_convolve, u, [sign * m] * n) == [n * m * m] * n
-        assert _on_both(cyclic_convolve, u, u) == [n * m * m] * n
+    for sign, top in ((1, n), (-1, 2 * n)):
+        m = math.isqrt((2 ** (8 * k - 1) - 1) // top)
+        assert (top * m * m).bit_length() == 8 * k - 1
+        for s in (1, -1):
+            u = [s * m] * n
+            want = _naive_cyclic(u, u, sign)
+            assert want[-1] == n * m * m
+            assert _on_both(cyclic_convolve, u, [s * m] * n, sign) == want
+            assert _on_both(cyclic_convolve, u, u, sign) == want
 
 
 def _kronecker_cyclic(u, v):
@@ -256,19 +276,26 @@ def test_kloosterman_input_folds_the_cosine_of_every_root():
 
 @pytest.mark.parametrize("k", [1, 2, 19, 20, 43, 120])
 def test_cyclic_convolve_all_nines_slots(k):
-    # every slot of the product is 9 (10^k - 1)/9 = 10^k - 1, all nines at
-    # the widest slot value the inputs can give
+    # every cyclic slot of the product is 9 (10^k - 1)/9 = 10^k - 1, all
+    # nines at the widest slot value the inputs can give; negacyclic, the
+    # last slot, which nothing wraps into, is that sum too
     rep = (10 ** k - 1) // 9
-    for u, want in (([1] * 9, 10 ** k - 1), ([-1] * 9, 1 - 10 ** k),
+    for u, last in (([1] * 9, 10 ** k - 1), ([-1] * 9, 1 - 10 ** k),
                     ([0] * 8 + [9], 10 ** k - 1)):
-        assert _on_both(cyclic_convolve, u, [rep] * 9) == [want] * 9
+        for sign in SIGNS:
+            want = _naive_cyclic(u, [rep] * 9, sign)
+            assert want[-1] == last
+            assert _on_both(cyclic_convolve, u, [rep] * 9, sign) == want
 
 
 @pytest.mark.parametrize("u,v", [
     ([-3, -5, -7], [-2, -9, -1]), ([-(2 ** 90)] * 4, [-1, -2, -3, -4]),
-    ([-1] * 5, [1] * 5), ([0] * 7, [0] * 7), ([0, 0], [-5, 3]), ([], [])])
+    ([-1] * 5, [1] * 5), ([0] * 7, [0] * 7), ([0, 0], [-5, 3]), ([], []),
+    ([-4], [6]), ([7], [7])])
 def test_cyclic_convolve_negative_zero_and_empty(u, v):
-    assert _on_both(cyclic_convolve, u, v) == _naive_cyclic(u, v)
+    for sign in SIGNS:
+        assert (_on_both(cyclic_convolve, u, v, sign)
+                == _naive_cyclic(u, v, sign)), sign
 
 
 def test_cyclic_convolve_ignores_the_thread_decimal_context():
@@ -285,6 +312,9 @@ def test_cyclic_convolve_ignores_the_thread_decimal_context():
 def test_cyclic_convolve_rejects_unequal_lengths():
     with pytest.raises(ValueError):
         cyclic_convolve([1, 2], [1, 2, 3])
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError):
+            cyclic_convolve([1, 2], [1, 2], sign)
 
 
 def test_per_prime_holds_one_prime_and_releases_it_before_a_rebuild():

@@ -465,10 +465,10 @@ def test_gauss_product_equals_the_per_factor_product(p, K, js, c):
 
 def test_the_row_fills_only_the_entries_read():
     ctx = pa.PadicCtx(make_field_ctx(61), 6)
-    assert ctx._row is None
+    assert len(ctx._row) == 720 and not _filled(ctx)
     pa.gauss_product(ctx, (7, -3, 67))
     # j = 7 and 57 (= -3 and 67 mod 60) sit at 12 j; the row has 720 slots
-    assert len(ctx._row) == 720 and sorted(_filled(ctx)) == [84, 684]
+    assert sorted(_filled(ctx)) == [84, 684]
     pa.gamma_product_checks(ctx, 3, 5)
     # the constant's h/3 at 240 h; (5 + 60 h)/180 at 4 (5 + 60 h); j and the
     # collapsed 3 j and 3 (60 - j) mod 60 over 60 at 12 times themselves,
@@ -477,6 +477,28 @@ def test_the_row_fills_only_the_entries_read():
                                  540, 180, 660, 420}
     for i, g in _filled(ctx).items():
         assert g == pa.gamma_p(ctx, Fraction(i, 720)), i
+    for bad in ([720], [0, 720]):
+        with pytest.raises(IndexError):
+            pa._gamma_run(ctx, bad)
+    # gk_I_integer's one run is the Gauss units, at 12 j; an nGn table's
+    # runs are <a_k - a/q> and <a/q - b_k> at every a. Each fills exactly
+    # those entries of a context of its own, at p = 1, 7 and 11 mod 12
+    release_tables()
+    for p in (61, 67, 71):
+        q = p - 1
+        ctx = pa.PadicCtx(make_field_ctx(p), 6)
+        pa.gk_I_integer(ctx)
+        assert set(_filled(ctx)) == set(range(0, 12 * q, 12)), p
+        for family, (tops, bots) in pa.NGN_FAMILIES.items():
+            ctx = pa.PadicCtx(make_field_ctx(p), 6)
+            pa._ngn_table(ctx, family)
+            assert set(_filled(ctx)) == {
+                int((x % 1) * 12 * q) for a in range(q)
+                for x in [ak - Fraction(a, q) for ak in tops]
+                + [Fraction(a, q) - bk for bk in bots]}, (p, family)
+            for i, g in _filled(ctx).items():
+                assert g == pa.gamma_p(ctx, Fraction(i, 12 * q)), (p, i)
+    release_tables()
 
 
 @pytest.mark.parametrize("p", [7, 13])
@@ -737,14 +759,13 @@ def test_greene_3f2_at_one(p):
 
 
 def test_gfun_evaluations_frozen():
-    assert pa.ngn_evaluate(pa.make_padic_ctx(7, 6), "3g3", 3) == (-2, 85926)
-    assert pa.ngn_evaluate(pa.make_padic_ctx(13, 6), "9g9", 5) == (0, 9)
+    assert pa.ngn_evaluate(7, "3g3", 3, 6) == (-2, 85926)
+    assert pa.ngn_evaluate(13, "9g9", 5, 6) == (0, 9)
 
 
 def test_gfun_zero_argument():
-    ctx = pa.make_padic_ctx(7, 6)
-    assert pa.ngn_evaluate(ctx, "3g3", 0) is None
-    assert pa.ngn_evaluate(ctx, "3g3", 7) is None
+    assert pa.ngn_evaluate(7, "3g3", 0, 6) is None
+    assert pa.ngn_evaluate(7, "3g3", 7, 6) is None
 
 
 @pytest.mark.parametrize("p", [7, 13, 19, 31])
@@ -808,8 +829,8 @@ def test_precision_raise_pathway(monkeypatch):
     read, real_at = [], pa._ngn_at
     monkeypatch.setattr(pa, "_ngn_at",
                         lambda tab, t: read.append(tab) or real_at(tab, t))
-    pa.ngn_evaluate(ctx, "3g3", 2)
-    pa.ngn_evaluate(ctx, "9g9", 2)
+    pa.ngn_evaluate(13, "3g3", 2, 6)
+    pa.ngn_evaluate(13, "9g9", 2, 6)
     t3, t9 = read
     assert t3.ctx is pa.make_padic_ctx(13, 8) and t3.scale == 2
     assert t9.ctx is ctx and t9.scale == 0

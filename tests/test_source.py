@@ -167,16 +167,19 @@ def test_gamma_engine_computes_without_floats():
 
 
 # callee -> the one (module, top-level function) allowed to call it, None
-# for any function of that module: a suite reads a_p from ap_table and H
-# from the table the cli builds once, and the per-value routes stay oracles;
-# the literal Gamma_p product starts the engine's self-test and nothing else;
-# the package reads Gamma_p through the row alone and builds p-adic contexts
-# through make_padic_ctx alone; curve classes are evaluated one by one only
-# at the census's CM points
+# for any function of that module, (None, None) for no package code at all:
+# a suite reads a_p from ap_table and H from the table the cli builds once,
+# and the per-value routes stay oracles; the literal Gamma_p product starts
+# the engine's self-test and nothing else; the package reads Gamma_p
+# through the row alone, so gamma_p is only the entry of tests and demos,
+# each context builds its one engine, and p-adic contexts are built through
+# make_padic_ctx alone; curve classes are evaluated one by one only at the
+# census's CM points
 ONLY_CALLER = {
     "_class_of": ("ecurve", "curve_census"),
     "gamma_p_direct": ("padic", "_GammaEngine"),
-    "gamma_p": ("padic", "_gamma_at"),
+    "gamma_p": (None, None),
+    "_GammaEngine": ("padic", "PadicCtx"),
     "PadicCtx": ("padic", "make_padic_ctx"),
     "build_hurwitz_table": ("cli", None),
     "ap_legendre": ("ecurve", "l_set"),
@@ -207,9 +210,9 @@ def test_tables_are_built_and_bypassed_only_where_allowed():
     assert not found, "; ".join(found)
 
 
-# the one reader that needs K digits of a unit behind p^-scale, and the
-# command that passes the user's K to it
-RAISE_K = {("padic", "ngn_evaluate"), ("cli", "cmd_gfun")}
+# the one reader that needs K digits of a unit behind p^-scale; gfun passes
+# it the user's K and builds no context of its own
+RAISE_K = {("padic", "ngn_evaluate")}
 
 
 def test_only_gfun_asks_for_a_precision():
