@@ -62,9 +62,18 @@ def class_number_h(D: int) -> int:
 
 
 class HurwitzTable(NamedTuple):
+    """hfull and hstar12 for every D <= bound, indexed by D, and squares,
+    squares[r] = r^2 for r <= isqrt(4 bound + 49).
+
+    The fourth moment's window sums (identities._window_sum12) write each
+    trace s = 2 sigma and read a window as strided slices of squares, the
+    sigma^2 < p of a class of sigma mod 4 or 8, each at D = p - sigma^2 or
+    (p - sigma^2)/4. identities.window8 and window16, the literal windows,
+    are that reader's oracle."""
     bound: int
     hfull: tuple[int, ...]
     hstar12: tuple[int, ...]
+    squares: tuple[int, ...]
 
 
 def build_hurwitz_table(bound: int) -> HurwitzTable:
@@ -82,6 +91,11 @@ def build_hurwitz_table(bound: int) -> HurwitzTable:
     The mod-8 and mod-16 windows of the fourth moment read (4p - s^2)/4 and
     (4p - s^2)/16, both at most p; only the n = 1 Schoof count reads
     4p - s^2, past p.
+
+    squares, the sigma^2 the window sums slice, runs to r = isqrt(4 bound
+    + 49): a mod-16 window at p reads D = (p - sigma^2)/4 at some odd
+    sigma <= 7, so D >= (p - 49)/4, and every p whose windows the table
+    serves has p <= 4 bound + 49, so every sigma^2 < p is in squares.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -104,7 +118,8 @@ def build_hurwitz_table(bound: int) -> HurwitzTable:
         for f in range(1, math.isqrt(bound // d) + 1):
             hstar12[d * f * f] -= excess
     hstar12[0] = -1
-    return HurwitzTable(bound, tuple(hfull), tuple(hstar12))
+    squares = tuple([r * r for r in range(math.isqrt(4 * bound + 49) + 1)])
+    return HurwitzTable(bound, tuple(hfull), tuple(hstar12), squares)
 
 
 def hurwitz_hstar12(D: int) -> int:

@@ -51,19 +51,48 @@ def window16(p: int) -> list[int]:
 
 def _window_sum12(p: int, k: int, e: int, table: cn.HurwitzTable) -> int:
     """sum of 12 H*((4p - s^2)/k) s^e, e = 0 or 2, over window8 (k = 4) or
-    window16 (k = 16), as an exact integer read straight from the table.
+    window16 (k = 16) at a prime p, as an exact integer read straight from
+    the table.
 
-    Every D read is at most p. A table that stops short of the largest D
-    raises.
+    Both windows hold even s = 2 sigma with sigma^2 < p, read as slices of
+    table.squares (t = sigma^2, s^2 = 4t):
+      k = 4, p = 1 mod 4: sigma = (p + 1)/2 mod 4 is odd, and as s runs over
+        the window |sigma| meets every odd sigma once; D = p - t.
+      k = 4, p = 3 mod 4: sigma = (p + 1)/2 mod 4 is 2 or 0, a class closed
+        under sigma -> -sigma: twice the sum over sigma > 0, and sigma = 0
+        adds H*(p) to the e = 0 sum; D = p - t.
+      k = 16: empty unless p = 1 mod 4; the odd sigma = +-(p + 1)/2 mod 8,
+        two slices; D = (p - t)/4.
+    window8 and window16 stay the literal windows, this reader's oracle.
+
+    Every D read is at most p. A table that stops short of the largest D,
+    or whose squares stop short of sigma^2 < p, raises.
     """
-    window = window8(p) if k == 4 else window16(p)
-    h12 = table.hstar12
-    q = 4 * p
+    if p == 2 or k == 16 and p % 4 != 1:   # the window is empty
+        return 0
+    h12, sq = table.hstar12, table.squares
+    stop = math.isqrt(p - 1) + 1          # sigma^2 < p
     try:
+        if stop > len(sq):
+            raise IndexError
+        if k == 16:
+            c = (p + 1) // 2 % 8
+            ts = sq[c:stop:8] + sq[8 - c:stop:8]
+            if e:
+                return 4 * sum([h12[(p - t) // 4] * t for t in ts])
+            return sum([h12[(p - t) // 4] for t in ts])
+        c = (p + 1) // 2 % 4
+        if c % 2:
+            ts, signs, zero = sq[1:stop:2], 1, 0
+        else:
+            # class 0 reads D = p at sigma = 0, as the literal window does:
+            # a table short of p raises at e = 2 too, where it adds nothing
+            ts, signs, zero = sq[c or 4:stop:4], 2, 0 if c else h12[p]
         if e:
-            return sum([h12[(q - s * s) // k] * s * s for s in window])
-        return sum([h12[(q - s * s) // k] for s in window])
+            return 4 * signs * sum([h12[p - t] * t for t in ts])
+        return signs * sum([h12[p - t] for t in ts]) + zero
     except IndexError:
+        window = window8(p) if k == 4 else window16(p)
         top = max((4 * p - s * s) // k for s in window)
         raise ValueError(f"Hurwitz table to D={table.bound} is too small for "
                          f"the k={k} window at p={p}, which reads D={top}"

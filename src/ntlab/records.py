@@ -41,14 +41,23 @@ def records_to_csv(records) -> str:
     float prints to 12 significant digits and any other lhs or rhs as its
     str, None, a bool and a Fraction included. A field holding a comma, a
     double quote, a newline or a carriage return is quoted."""
-    # csv quotes a field holding a character of the line terminator: rows
-    # are written with "\r\n", handed back by write=str, and end in "\n"
+    # csv quotes a field holding a comma, a double quote or a character of
+    # the line terminator: rows are written with "\r\n", handed back by
+    # write=str, and end in "\n". A joined line with seven commas and no
+    # quote, CR or LF holds no such field, and csv would write it unchanged
+    # (name and detail are str; csv alone would write None as "").
     row = csv.writer(SimpleNamespace(write=str),
                      lineterminator="\r\n").writerow
-    return f"{SCHEMA_HEADER}\n{CSV_COLUMNS}\n" + "".join(
-        row((p, name,
-             f"{lhs:.12g}" if isinstance(lhs, float) else str(lhs),
-             f"{rhs:.12g}" if isinstance(rhs, float) else str(rhs),
-             str(match).lower(), "" if ratio is None else f"{ratio:.12g}",
-             f"{ms:.3f}", detail))[:-2] + "\n"
-        for p, name, lhs, rhs, match, ratio, ms, detail in records)
+    lines = [SCHEMA_HEADER, CSV_COLUMNS]
+    for p, name, lhs, rhs, match, ratio, ms, detail in records:
+        lhs = f"{lhs:.12g}" if isinstance(lhs, float) else str(lhs)
+        rhs = f"{rhs:.12g}" if isinstance(rhs, float) else str(rhs)
+        match = str(match).lower()
+        ratio = "" if ratio is None else f"{ratio:.12g}"
+        ms = f"{ms:.3f}"
+        line = f"{p},{name},{lhs},{rhs},{match},{ratio},{ms},{detail}"
+        if line.count(",") != 7 or '"' in line or "\r" in line or "\n" in line:
+            line = row((p, name, lhs, rhs, match, ratio, ms, detail))[:-2]
+        lines.append(line)
+    lines.append("")
+    return "\n".join(lines)

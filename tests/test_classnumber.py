@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ntlab import classnumber as cn
+from ntlab.identities import window16
+from ntlab.primes import primerange
 
 
 @pytest.mark.parametrize("D,h", [(3, 1), (4, 1), (7, 1), (8, 1), (11, 1),
@@ -66,6 +68,22 @@ def test_table_agrees_with_the_oracles_at_every_small_bound(bound):
     assert table.bound == bound
     assert table.hfull == tuple(map(cn.hurwitz_hfull, range(bound + 1)))
     assert table.hstar12 == tuple(map(cn.hurwitz_hstar12, range(bound + 1)))
+    assert table.squares == tuple(r * r for r in range(
+        math.isqrt(4 * bound + 49) + 1))
+
+
+def test_table_squares_cover_every_mod16_window_it_serves():
+    # a table to D = 8000 serves the mod-16 window of each p = 1 mod 4 whose
+    # top D = (p - sigma^2)/4 is at most 8000, so p <= 4 * 8000 + 49, and its
+    # squares hold sigma^2 for every sigma^2 < p there
+    table = cn.build_hurwitz_table(8000)
+    assert len(table.squares) == math.isqrt(4 * 8000 + 49) + 1 == 180
+    assert table.squares == tuple(r * r for r in range(180))
+    served = [p for p in primerange(5, 4 * 8000 + 50) if p % 4 == 1
+              and max([(4 * p - s * s) // 16 for s in window16(p)],
+                      default=0) <= 8000]
+    assert served[-1] > 4 * 8000
+    assert all(math.isqrt(p - 1) < len(table.squares) for p in served)
 
 
 def test_table_agrees_with_the_oracles_at_every_cm_point():

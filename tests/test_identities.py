@@ -45,25 +45,69 @@ def test_class_number_route_raises_on_a_remainder(htable):
         idn.s4_via_classnumbers(p, bad)
 
 
-def test_window_sums_read_the_table_and_refuse_a_short_one():
-    # p = 1 mod 4 opens both windows; they read D <= p and D <= p/4
-    p = 101
-    tops = {k: max((4 * p - s * s) // k for s in w(p))
-            for k, w in ((4, idn.window8), (16, idn.window16))}
-    assert tops[4] <= p and tops[16] <= p // 4
+WINDOWS = {4: idn.window8, 16: idn.window16}
+
+
+def _literal_window_sum12(p, k, e, table):
+    return sum(table.hstar12[(4 * p - s * s) // k] * s ** e
+               for s in WINDOWS[k](p))
+
+
+def _top(p, k):
+    return max((4 * p - s * s) // k for s in WINDOWS[k](p))
+
+
+@pytest.mark.parametrize("p", [97, 101, 89, 109, 107, 103])
+def test_window_sums_read_the_table_and_refuse_a_short_one(p):
+    # one prime per branch of the sliced reader: p = 1, 5, 9, 13 mod 16 and
+    # p = 3, 7 mod 8. p = 1 mod 4 opens both windows, which read D <= p and
+    # D <= p/4; at p = 7 mod 8 the mod-8 window reads D = p at s = 0
+    ks = (4, 16) if p % 4 == 1 else (4,)
+    tops = {k: _top(p, k) for k in ks}
+    assert tops[4] <= p and tops.get(16, 0) <= p // 4
+    assert (tops[4] == p) == (p % 8 == 7)
     want = idn.s4_via_ap(make_field_ctx(p))
     exact = cn.build_hurwitz_table(tops[4])
     assert idn.s4_via_classnumbers(p, exact) == want
-    for k in (4, 16):
+    for k in ks:
         short = cn.build_hurwitz_table(tops[k] - 1)
-        with pytest.raises(ValueError, match=rf"to D={tops[k] - 1} .* k={k} "
-                           rf"window at p={p}, which reads D={tops[k]}"):
-            idn._window_sum12(p, k, 0, short)
+        for e in (0, 2):
+            with pytest.raises(ValueError, match=rf"to D={tops[k] - 1} .* "
+                               rf"k={k} window at p={p}, which reads "
+                               rf"D={tops[k]}$"):
+                idn._window_sum12(p, k, e, short)
     with pytest.raises(ValueError):
         idn.s4_via_classnumbers(p, cn.build_hurwitz_table(tops[4] - 1))
-    with pytest.raises(ValueError):
-        idn.counting_lemma_check(make_field_ctx(p),
-                                 cn.build_hurwitz_table(tops[16] - 1))
+    if p % 4 == 1:
+        with pytest.raises(ValueError):
+            idn.counting_lemma_check(make_field_ctx(p),
+                                     cn.build_hurwitz_table(tops[16] - 1))
+    else:
+        assert idn._window_sum12(p, 16, 0, cn.build_hurwitz_table(0)) == 0
+
+
+def test_window_sums_match_the_literal_windows():
+    # the sliced reader against the sum over window8 / window16 at every
+    # prime, on one table of bound 3000 and on a table sized exactly to each
+    # window's top D, whose squares run only just past sigma^2 < p; a table
+    # one short of that top raises, and an empty window reads no table
+    big, empty = cn.build_hurwitz_table(3000), cn.build_hurwitz_table(0)
+    for p in primerange(2, 3000):
+        for k in (4, 16):
+            want = [_literal_window_sum12(p, k, e, big) for e in (0, 2)]
+            assert [idn._window_sum12(p, k, e, big) for e in (0, 2)] == want
+            if not WINDOWS[k](p):
+                assert want == [0, 0], (p, k)
+                assert [idn._window_sum12(p, k, e, empty)
+                        for e in (0, 2)] == want, (p, k)
+                continue
+            top = _top(p, k)
+            exact = cn.build_hurwitz_table(top)
+            short = cn.build_hurwitz_table(top - 1)
+            for e, w in zip((0, 2), want):
+                assert idn._window_sum12(p, k, e, exact) == w, (p, k, e)
+                with pytest.raises(ValueError, match=f"reads D={top}$"):
+                    idn._window_sum12(p, k, e, short)
 
 
 @pytest.mark.parametrize("p", [7, 11, 19])

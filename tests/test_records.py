@@ -107,3 +107,45 @@ def test_csv_prints_none_bools_and_fractions_as_their_str():
         "7,b,True,1/3,true,,0.000,",
         "7,c,1/3,None,false,,0.000,",
     ]
+
+
+def _csv_writer_report(records):
+    """The report with every row written by csv.writer: the oracle of
+    records_to_csv, which joins a row itself when no field needs quoting.
+    csv.writer quotes a lone CR only when it is in the line terminator, so
+    rows are written with "\r\n" and end in "\n"."""
+    rows = []
+    for p, name, lhs, rhs, match, ratio, ms, detail in records:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow((
+            p, name,
+            f"{lhs:.12g}" if isinstance(lhs, float) else str(lhs),
+            f"{rhs:.12g}" if isinstance(rhs, float) else str(rhs),
+            str(match).lower(), "" if ratio is None else f"{ratio:.12g}",
+            f"{ms:.3f}", detail))
+        rows.append(buf.getvalue()[:-2] + "\n")
+    return f"{SCHEMA_HEADER}\n{CSV_COLUMNS}\n" + "".join(rows)
+
+
+def test_joined_rows_match_the_csv_writer():
+    # rows csv would write as joined and rows it quotes, side by side: each
+    # of a comma, a double quote, CR, LF and CRLF in each of name, lhs, rhs
+    # and detail, over float, None, Fraction, tuple and bool values
+    values = [0.1 + 0.2, None, Fraction(-7, 3), (True, 2, "x"), False, -315,
+              "plain", 2.5e-13]
+    texts = ["a,b", 'say "x"', "a\rb", "a\nb", "a\r\nb", ",", '"', "\r\n"]
+    recs = [VerificationRecord(7, f"r{i}", lhs, rhs, i % 2 == 0, ratio=ratio,
+                               elapsed_ms=i / 7, detail=f"d{i}")
+            for i, (lhs, rhs, ratio) in enumerate(
+                (v, w, r) for v in values for w in values[::-1]
+                for r in (None, 1 / 3))]
+    for i, t in enumerate(texts):
+        recs += [VerificationRecord(11, t, 1, 2, True, detail=f"n{i}"),
+                 VerificationRecord(11, f"l{i}", t, 1.5, False),
+                 VerificationRecord(11, f"r{i}", None, t, True, ratio=0.5),
+                 VerificationRecord(11, f"d{i}", Fraction(1, 3), False,
+                                    False, detail=t)]
+    text = records_to_csv(recs)
+    assert text == _csv_writer_report(recs)
+    assert text.split("\n")[2] == "7,r0,0.3,2.5e-13,true,,0.000,d0"
+    assert records_to_csv([]) == _csv_writer_report([])
