@@ -10,9 +10,10 @@ x = -2/3 the cubic factors as (3x + 2)(k - rho(x)), rho(x) = -x^3/(3x + 2),
 so every a_p is one correlation of phi with the weights of rho's fibres,
 and the fibre over k holds the curve's roots. Only the at most ten classes
 at j = 0 and 1728 are evaluated one by one.
-Isomorphism testing uses the cheap (j, a_p) key in the generic case and falls
-back to explicit twist tests (quadratic / quartic / sextic, depending on j)
-whenever the key is ambiguous (a_p = 0 or j in {0, 1728}).
+F_p-isomorphism classes are keyed by _iso_class, j and the twist class
+that the isomorphisms (A, B) -> (u^4 A, u^6 B) leave fixed; l_set_sizes
+tallies it, and curves_isomorphic (the literal search for u) and l_set
+(a (j, a_p) match by ap_legendre) are its oracles.
 """
 
 from __future__ import annotations
@@ -111,41 +112,47 @@ def short_weierstrass(ctx: FieldCtx, lam: int) -> tuple[int, int]:
     return A, B
 
 
-def _nth_power(ctx: FieldCtx, x: int, n: int) -> bool:
-    """Is x a (gcd(n, p-1))-th power in F_p^* ?"""
-    if x % ctx.p == 0:
-        raise ValueError("zero is not in F_p^*")
-    return ctx.dlog[x % ctx.p] % math.gcd(n, ctx.p - 1) == 0
+def _iso_class(ctx: FieldCtx, lam: int) -> tuple[int, int]:
+    """(j, twist class) of E_lambda: equal keys exactly when the curves are
+    F_p-isomorphic, as (A, B) -> (u^4 A, u^6 B) are the isomorphisms.
+
+    With c = lambda^2 - lambda + 1 and d = (lambda + 1)(lambda - 2)
+    (2 lambda - 1), short_weierstrass gives A = -c/3 and B = -d/27. Off
+    j in {0, 1728} the class is phi(B/A) = phi(c) phi(d), as phi(81) = 1;
+    at j = 1728 (B = 0) it is dlog A mod gcd(4, p - 1), at j = 0 (A = 0)
+    dlog B mod gcd(6, p - 1).
+    """
+    p, qr = ctx.p, ctx.qr
+    lam = _check_lambda(ctx, lam)
+    c = (lam * lam - lam + 1) % p
+    d = (lam + 1) * (lam - 2) * (2 * lam - 1) % p
+    if c and d:
+        return j_invariant(ctx, lam), qr[c] * qr[d]
+    A, B = short_weierstrass(ctx, lam)   # not both 0: E_lambda is smooth
+    n = 4 if B == 0 else 6
+    return j_invariant(ctx, lam), ctx.dlog[A or B] % math.gcd(n, p - 1)
 
 
 def curves_isomorphic(ctx: FieldCtx, lam1: int, lam2: int) -> bool:
-    """F_p-isomorphism of E_lam1 and E_lam2 by explicit twist tests.
+    """F_p-isomorphism of E_lam1 and E_lam2 by its definition: some u in
+    F_p^* has A2 = u^4 A1 and B2 = u^6 B1 in short Weierstrass form.
 
-    Works at every j: quadratic twist factor for j not in {0, 1728},
-    quartic at j = 1728, sextic at j = 0.
+    An O(p) oracle, like ap_legendre: l_set's test at ambiguous keys and
+    the test oracle of _iso_class.
     """
     p = ctx.p
-    j1 = j_invariant(ctx, lam1)
-    if j1 != j_invariant(ctx, lam2):
-        return False
     A1, B1 = short_weierstrass(ctx, lam1)
     A2, B2 = short_weierstrass(ctx, lam2)
-    if B1 == 0:  # j = 1728, so B2 = 0 too; quartic twist class of A decides
-        return _nth_power(ctx, A2 * pow(A1, p - 2, p) % p, 4)
-    if A1 == 0:  # j = 0; sextic twist class of B decides
-        return _nth_power(ctx, B2 * pow(B1, p - 2, p) % p, 6)
-    # an iso scales (A, B) by (u^4, u^6); with equal j the element
-    # d = (B2/B1)/(A2/A1) automatically satisfies d^2 = A2/A1 and
-    # d^3 = B2/B1, so the iso exists iff d = u^2 for some u
-    d = B2 * pow(B1, p - 2, p) % p * A1 % p * pow(A2, p - 2, p) % p
-    return ctx.qr[d] == 1
+    return any((s * s * A1 - A2) % p == 0 and (s * s * s * B1 - B2) % p == 0
+               for s in (u * u % p for u in range(1, p)))
 
 
 def l_set(ctx: FieldCtx, lam: int) -> set[int]:
     """L(lambda): all mu (both signs) with E_{lambda^2} isomorphic to E_{mu^2}.
 
-    Matching is by (j, a_p) key, with explicit twist tests whenever the key
-    is degenerate (a_p = 0 or j in {0, 1728}).
+    Matching is by (j, a_p) key, a_p from ap_legendre, with curves_isomorphic
+    whenever the key is ambiguous (a_p = 0 or j in {0, 1728}): the oracle
+    of l_set_sizes, sharing no step with its _iso_class tally.
     """
     p = ctx.p
     lam %= p
@@ -169,26 +176,14 @@ def l_set(ctx: FieldCtx, lam: int) -> set[int]:
 
 
 def l_set_sizes(ctx: FieldCtx) -> dict[int, int]:
-    """|L(lambda)| for every lambda not in {0, +-1}, batched by (j, a_p) key."""
+    """|L(lambda)| for every lambda not in {0, +-1}: one tally of the
+    _iso_class key of E_{mu^2} over mu < p/2; -mu has the same mu^2, so
+    each key counts twice and p - mu reads the size of mu."""
     p = ctx.p
-    aps = ap_table(ctx)
-    keys: dict[int, tuple[int, int]] = {}
-    degenerates: list[int] = []
-    for mu in range(2, p - 1):
-        mu2 = mu * mu % p
-        j, a = j_invariant(ctx, mu2), aps[mu2]
-        if a == 0 or j == 0 or j == 1728 % p:
-            degenerates.append(mu)
-        else:
-            keys[mu] = (j, a)
+    keys = {mu: _iso_class(ctx, mu * mu % p) for mu in range(2, (p + 1) // 2)}
     tally = Counter(keys.values())
-    sizes = {mu: tally[k] for mu, k in keys.items()}
-    for mu in degenerates:
-        mu2 = mu * mu % p
-        sizes[mu] = sum(
-            1 for nu in degenerates
-            if curves_isomorphic(ctx, mu2, nu * nu % p))
-    return sizes
+    sizes = {mu: 2 * tally[k] for mu, k in keys.items()}
+    return sizes | {p - mu: n for mu, n in sizes.items()}
 
 
 # --- full isomorphism-class census ------------------------------------------

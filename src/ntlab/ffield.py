@@ -5,23 +5,23 @@ FieldCtx: an odd prime together with its smallest primitive root, a discrete
 log table, and the quadratic character table. Characters are handled as
 exponents of the generator, never as floating point roots of unity.
 cyclic_convolve is the exact convolution the routes share, as code only:
-one product of two packed inputs, or one squaring of one list, folded mod
-x^n - 1, or mod x^n + 1 (negacyclic). Its two multipliers are chosen by
-n b, the bits of its n slots of b bits each. Up to _BINARY_BITS the inputs
-are Python ints, b // 8 + 1 bytes a slot (Kronecker substitution); above,
-decimals, d digits a slot, which libmpdec multiplies by its transform,
-quadratic below that transform's threshold, so small products go binary.
-One call, u*v and u*u, on a 2-core Xeon with Python 3.11.7 (ms):
+one product of two packed inputs, folded mod x^n - 1, or mod x^n + 1
+(negacyclic). Its two multipliers are chosen by n b, the bits of its n
+slots of b bits each. Up to _BINARY_BITS the inputs are Python ints,
+b // 8 + 1 bytes a slot (Kronecker substitution); above, decimals, d digits
+a slot, which libmpdec multiplies by its transform, quadratic below that
+transform's threshold, so small products go binary.
+One call u*v on a 2-core Xeon with Python 3.11.7 (ms):
 
-    n      b     n b       decimal        binary
-    120    91    11k       0.53  0.46     0.19  0.14
-    500    93    47k       1.58  1.09     1.16  0.84
-    652    96    63k       1.68  1.13     1.94  1.33
-    712    96    68k       2.58  1.86     2.08  1.50
-    869    96    83k       2.99  1.91     2.91  1.96
-    978    96    94k       2.81  1.95     3.29  2.38
-    1500   95    143k      5.34  3.81     5.42  3.90
-    4000   48    192k      8.23  5.51     11.8  8.39
+    n      b     n b       decimal   binary
+    120    91    11k       0.53      0.19
+    500    93    47k       1.58      1.16
+    652    96    63k       1.68      1.94
+    712    96    68k       2.58      2.08
+    869    96    83k       2.99      2.91
+    978    96    94k       2.81      3.29
+    1500   95    143k      5.34      5.42
+    4000   48    192k      8.23      11.8
 
 The crossover is near 85k bits; libmpdec is also ahead from about 52k to
 63k, just before its own cost steps up. _BINARY_BITS is 80k.
@@ -165,8 +165,7 @@ def cyclic_convolve(u: list[int], v: list[int], sign: int = 1) -> list[int]:
     every slot, which then lies in [0, 2M], and b bounds 2M. The shifts add
     U v_j + V u_j + U V, summed with the same signs: C = U sum v + V sum u
     + n U V to a cyclic slot, 2 c_k - C to negacyclic slot k, where c_k sums
-    over j <= k. They and M are subtracted. When v is u the one packed input
-    is squared, one transform or pass fewer.
+    over j <= k. They and M are subtracted.
 
     Up to n b = _BINARY_BITS bits _binary_cyclic multiplies Python ints;
     above, _decimal_cyclic uses libmpdec's number-theoretic transform, as
@@ -179,9 +178,7 @@ def cyclic_convolve(u: list[int], v: list[int], sign: int = 1) -> list[int]:
         raise ValueError(f"lengths {n} and {len(v)}, sign {sign}")
     if not n:
         return []
-    square = v is u
-    U = max(0, -min(u))
-    V = U if square else max(0, -min(v))
+    U, V = max(0, -min(u)), max(0, -min(v))
     mu, mv = max(u) + U, max(v) + V
     M = 0 if sign > 0 else n * mu * mv
     C = U * sum(v) + V * sum(u) + n * U * V
@@ -190,7 +187,7 @@ def cyclic_convolve(u: list[int], v: list[int], sign: int = 1) -> list[int]:
         offsets = [2 * c - C + M for c in accumulate(
             U * y + V * x + U * V for x, y in zip(u, v))]
     u = [x + U for x in u]
-    v = u if square else [y + V for y in v]
+    v = [y + V for y in v]
     b = max(n * mu * mv + M, mu, mv).bit_length()
     # 30103/100000 > log10(2) makes 10^d > 2^b; before 3.10.7 sys has no
     # limit to read, and int() gives 0, no limit
@@ -216,8 +213,7 @@ def _binary_cyclic(u, v, n, w, M):
                                               for x in xs)
         return int.from_bytes(raw, "little")
 
-    X = pack(u)
-    X *= X if v is u else pack(v)
+    X = pack(u) * pack(v)
     bits = 8 * w * n
     lo, hi = X & ((1 << bits) - 1), X >> bits
     ones = int.from_bytes((b"\1" + bytes(w - 1)) * n, "little")
@@ -234,8 +230,7 @@ def _decimal_cyclic(u, v, n, d, M):
     off by digit shifts and joined by one exact decimal add, or at M > 0 one
     subtraction and M in every slot; only the n folded slots are parsed."""
     slots = f"%0{d}d" * n
-    X = Decimal(slots % tuple(u))
-    X = _EXACT.multiply(X, X if v is u else Decimal(slots % tuple(v)))
+    X = _EXACT.multiply(Decimal(slots % tuple(u)), Decimal(slots % tuple(v)))
     # shift moves the coefficient by whole digits, exactly: hi is the top
     # n slots, lo the other n - 1 with a zero slot appended
     hi = _EXACT.shift(X, -(n - 1) * d)

@@ -4,9 +4,9 @@ import pytest
 
 from ntlab.ffield import make_field_ctx
 from ntlab.primes import primerange
-from ntlab.ecurve import (_class_of, ap_legendre, ap_table, curve_census,
-                          curves_isomorphic, j_invariant, l_set, l_set_sizes,
-                          short_weierstrass, torsion_class,
+from ntlab.ecurve import (_class_of, _iso_class, ap_legendre, ap_table,
+                          curve_census, curves_isomorphic, j_invariant, l_set,
+                          l_set_sizes, short_weierstrass, torsion_class,
                           twist_relation_check)
 
 
@@ -101,12 +101,40 @@ def test_isomorphism_is_equivalence(ctx11):
             assert curves_isomorphic(ctx11, a, b) == curves_isomorphic(ctx11, b, a)
 
 
+def test_iso_class_is_the_literal_isomorphism():
+    # every pair at p < 60, a range that holds j = 0 and 1728 (p = 13, 37),
+    # generic classes with a_p = 0 (p = 23, 31, 47) and j = 1728 with
+    # gcd(4, p - 1) = 4 (p = 17, 41)
+    seen = {"j=0": set(), "j=1728": set(), "a_p=0": set()}
+    for p in primerange(5, 60):
+        ctx = make_field_ctx(p)
+        aps = ap_table(ctx)
+        keys = {lam: _iso_class(ctx, lam) for lam in range(2, p)}
+        for a, ka in keys.items():
+            for b, kb in keys.items():
+                assert (ka == kb) == curves_isomorphic(ctx, a, b), (p, a, b)
+            j = ka[0]
+            if j == 0:
+                seen["j=0"].add(p)
+            elif j == 1728 % p:
+                seen["j=1728"].add(p)
+            elif aps[a] == 0:
+                seen["a_p=0"].add(p)
+    assert {13, 37} <= seen["j=0"]
+    assert {13, 17, 37, 41} <= seen["j=1728"]
+    assert {23, 31, 47} <= seen["a_p=0"]
+
+
 EXPECTED_SIZES = {
     7: {4: 4},
     11: {4: 8},
     13: {2: 2, 4: 8},
     17: {4: 8, 6: 6},
+    23: {4: 20},
     29: {2: 2, 4: 12, 12: 12},
+    37: {2: 2, 4: 20, 12: 12},
+    73: {4: 40, 6: 6, 12: 24},
+    199: {4: 196},
 }
 
 

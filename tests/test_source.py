@@ -174,7 +174,9 @@ def test_gamma_engine_computes_without_floats():
 # through the row alone, so gamma_p is only the entry of tests and demos,
 # each context builds its one engine, and p-adic contexts are built through
 # make_padic_ctx alone; curve classes are evaluated one by one only at the
-# census's CM points
+# census's CM points; the literal O(p) isomorphism search serves l_set, the
+# oracle, alone, so no suite tests curves pair by pair where l_set_sizes
+# tallies the _iso_class key
 ONLY_CALLER = {
     "_class_of": ("ecurve", "curve_census"),
     "gamma_p_direct": ("padic", "_GammaEngine"),
@@ -183,6 +185,7 @@ ONLY_CALLER = {
     "PadicCtx": ("padic", "make_padic_ctx"),
     "build_hurwitz_table": ("cli", None),
     "ap_legendre": ("ecurve", "l_set"),
+    "curves_isomorphic": ("ecurve", "l_set"),
     "class_number_h": ("classnumber", None),
     "hurwitz_hstar12": ("classnumber", None),
     "hurwitz_hfull": ("classnumber", None),
