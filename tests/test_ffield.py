@@ -128,12 +128,19 @@ _entries = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 200), 2 ** 200))
     lambda n: st.tuples(st.lists(_entries, min_size=n, max_size=n),
                         st.lists(_entries, min_size=n, max_size=n))))
 def test_cyclic_convolve_matches_double_loop(uv):
-    # one list passed twice is one more input, as cp_count_brute passes it
     u, v = uv
-    for a, b in ((u, v), (u, u)):
-        for sign in SIGNS:
-            assert (_on_both(cyclic_convolve, a, b, sign)
-                    == _naive_cyclic(a, b, sign)), sign
+    for sign in SIGNS:
+        assert (_on_both(cyclic_convolve, u, v, sign)
+                == _naive_cyclic(u, v, sign)), sign
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(_entries, min_size=n, max_size=n)))
+def test_cyclic_convolve_squaring_matches_double_loop(u):
+    # one list passed twice, as cp_count_brute passes it
+    for sign in SIGNS:
+        assert (_on_both(cyclic_convolve, u, u, sign)
+                == _naive_cyclic(u, u, sign)), sign
 
 
 @pytest.mark.parametrize("u,v", [
