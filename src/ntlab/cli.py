@@ -371,12 +371,17 @@ def _run_tasks(tasks: list[tuple], table: cn.HurwitzTable | None,
                workers: int) -> list[list[VerificationRecord]]:
     """The one place tasks are mapped, serially or over a process pool
     whose workers get the table from the initializer (any start method).
-    Only a pool groups the index-sorted tasks into batches, one index each,
-    so the tasks of a prime share one worker and its per-prime tables. It
-    starts no more workers than there are indices, as a fork pool starts
-    all of them at the first submit; a run of one index is a serial run."""
+    Only a pool groups the index-sorted tasks into batches of whole
+    indices, so the tasks of a prime share one worker and its per-prime
+    tables: about four batches a worker, one index each under 8 workers'
+    worth, so cheap primes share a round trip. It starts no more workers
+    than there are batches, as a fork pool starts all of them at the
+    first submit; a run of one index is a serial run."""
     if workers > 1:
         batches = [list(ts) for _, ts in groupby(tasks, key=itemgetter(2))]
+        size = max(1, len(batches) // (4 * workers))
+        batches = [sum(batches[k:k + size], [])
+                   for k in range(0, len(batches), size)]
         if len(batches) > 1:
             # imported here: the pool machinery is a large import a serial
             # run never uses

@@ -27,7 +27,9 @@ The crossover is near 85k bits; libmpdec is also ahead from about 52k to
 63k, just before its own cost steps up. _BINARY_BITS is 80k.
 
 per_prime is the one home of a prime's tables: it keeps every object
-built for the current prime, so the checks of a prime build each once.
+built for the current prime, keyed by the builder and its positional
+arguments, so the checks of a prime build each once. Its builders take no
+defaults or keywords; padic.make_padic_ctx fills K before its builder.
 """
 
 from __future__ import annotations
@@ -71,26 +73,22 @@ _SHARED: dict = {}   # "p": the prime; (builder, its arguments): the object
 def per_prime(build):
     """Memo of a builder whose first argument is a prime or has it as .p:
     every object built for the current prime is kept, keyed by the builder
-    and its arguments with the defaults filled in, so f(13), f(13, 6) and
-    f(13, K=6) are one entry and f(13, 8) another. Keys are hashed. A call
-    for another prime first drops every entry, so one prime's tables are
-    held at a time; callers share them read-only."""
-    names = build.__code__.co_varnames[:build.__code__.co_argcount]
-    defaults = dict(zip(names[::-1], (build.__defaults__ or ())[::-1]))
+    and its positional arguments, so f(13, 6) and f(13, 8) are two entries.
+    Builders take neither defaults nor keywords (make_padic_ctx fills its K
+    before it calls one). Keys are hashed. A call for another prime first
+    drops every entry, so one prime's tables are held at a time; callers
+    share them read-only."""
 
     @wraps(build)
-    def cached(*args, **kwargs):
-        # any other keyword stays in the key as given, and the builder raises
-        rest = names[len(args):]
-        key = (build, *args, *(kwargs.get(n, defaults.get(n)) for n in rest),
-               tuple((k, v) for k, v in kwargs.items() if k not in rest))
-        p = getattr(key[1], "p", key[1])
+    def cached(*args):
+        key = (build, *args)
+        p = getattr(args[0], "p", args[0])
         if _SHARED.get("p") != p:
             release_tables()
             _SHARED["p"] = p
         obj = _SHARED.get(key, _SHARED)   # _SHARED itself marks a miss
         if obj is _SHARED:
-            obj = _SHARED[key] = build(*args, **kwargs)
+            obj = _SHARED[key] = build(*args)
         return obj
 
     return cached

@@ -29,10 +29,11 @@ from a Newton form in the number of whole blocks of p factors, and checks
 itself against the literal product, gamma_p_direct, on [64p, 65p].
 Every value a check reads is Gamma_p(i/(12(p-1))), 0 <= i < 12(p-1): the
 Gauss units at j/(p-1), the product formulas at t and t(p-1) for t | 12,
-and the nGn parameters, all in twelfths. _gamma_run reads them from one
-row per context, a run at a time (a formula's t factors, every Gauss
-unit, an nGn parameter at every a), and fills the entries the row lacks
-in one loop over the engine, so a check pays once per distinct value.
+and the nGn parameters, all in twelfths. _gamma_run, the row's one
+reader, reads them from one row per context, a run at a time (a Gauss
+product's factors, a product formula's constant, runs and units, every
+Gauss unit, an nGn parameter at every a), and fills the entries the row
+lacks in one loop over the engine, so a check pays once per distinct value.
 """
 
 from __future__ import annotations
@@ -182,11 +183,11 @@ class _GammaEngine:
 class PadicCtx:
     """Tables mod p^K: the powers pw[k] = omega(g)^k, which every
     Teichmueller value is read from, and, filled on first use, the Gamma_p
-    engine at its own K and the entries of the row _gamma_run reads. omega(g)
-    is the fixed point of t -> t^p from t = g, reached in at most K steps.
-    Gamma_p arguments live mod p^K, with no guard digit. Every other table
-    of a context is a per_prime builder's; the package builds contexts
-    through make_padic_ctx alone.
+    engine at its own K and the entries of the row that _gamma_run alone
+    reads. omega(g) is the fixed point of t -> t^p from t = g, reached in at
+    most K steps. Gamma_p arguments live mod p^K, with no guard digit. Every
+    other table of a context is a per_prime builder's; the package builds
+    contexts through make_padic_ctx alone.
     """
 
     def __init__(self, field: FieldCtx, K: int):
@@ -223,9 +224,14 @@ class PadicCtx:
         return self.pw[c * self.field.dlog[x % self.p] % self.q]
 
 
-@per_prime
 def make_padic_ctx(p: int, K: int = 6) -> PadicCtx:
-    """The context at (p, K), one per pair at the current prime."""
+    """The context at (p, K), one per pair at the current prime: K is filled
+    here, so make_padic_ctx(13) and make_padic_ctx(13, K=6) are one."""
+    return _padic_ctx(p, K)
+
+
+@per_prime
+def _padic_ctx(p: int, K: int) -> PadicCtx:
     return PadicCtx(make_field_ctx(p), K)
 
 
@@ -285,9 +291,9 @@ def gamma_p(ctx: PadicCtx, x: int | Fraction) -> int:
 
 def _gamma_run(ctx: PadicCtx, idx) -> list[int]:
     """Gamma_p(i/(12(p-1))) mod p^K at each index i of idx into the context's
-    row, each entry computed on its first read. Callers build every i in
-    [0, 12(p-1)) (_gamma_at checks its num/den): a negative i would read
-    another entry, and one past the row raises IndexError."""
+    row, each entry computed on its first read; the row's one reader.
+    Callers build every i in [0, 12(p-1)): a negative i would read another
+    entry, and one past the row raises IndexError."""
     row = ctx._row
     vals = [row[i] for i in idx]
     if None in vals:
@@ -297,16 +303,6 @@ def _gamma_run(ctx: PadicCtx, idx) -> list[int]:
                 row[i] = at(i * step % mod)
             vals[k] = row[i]
     return vals
-
-
-def _gamma_at(ctx: PadicCtx, num: int, den: int) -> int:
-    """Gamma_p(num/den) mod p^K for 0 <= num < den, den | 12(p-1), else
-    ValueError: a one-entry _gamma_run, unless filled (no unit is 0)."""
-    step, rest = divmod(12 * ctx.q, den)
-    if rest or not 0 <= num < den:
-        raise ValueError(f"{num}/{den} is not in [0, 1) over a divisor of "
-                         f"12(p-1) = {12 * ctx.q}")
-    return ctx._row[num * step] or _gamma_run(ctx, (num * step,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +317,11 @@ def gauss_product(ctx: PadicCtx, js, c: int = 1) -> tuple[int, int]:
     yields -1, the direct value g(eps) = sum of psi over F_p^*.
     """
     q, mod = ctx.q, ctx.mod
-    deg, unit = 0, c
-    for j in js:
-        j %= q
-        deg += j
-        unit = -unit * _gamma_at(ctx, j, q) % mod
-    e, deg = divmod(deg, q)
-    unit = unit * pow(-ctx.p, e, mod) % mod
+    idx = [12 * (j % q) for j in js]
+    e, deg = divmod(sum(idx) // 12, q)
+    unit = c * pow(-ctx.p, e, mod) % mod
+    for g in _gamma_run(ctx, idx):
+        unit = -unit * g % mod
     return (deg, unit) if unit else (0, 0)
 
 
@@ -407,17 +401,18 @@ def gamma_product_checks(ctx: PadicCtx, t: int, j: CharIdx) -> VerificationRecor
     if t not in (2, 3, 4, 6, 12):
         raise ValueError("t must be one of 2, 3, 4, 6, 12")
     j %= q
-    # (x + h)/t at x = i/(p-1) is row entry 12 i/t + h s, h/t is h s
-    s = 12 * q // t
-    const = math.prod(_gamma_run(ctx, range(s, 12 * q, s)))
-
-    def formula1(i: int) -> bool:
-        lhs = math.prod(_gamma_run(ctx, range(12 // t * i, 12 * q, s)))
-        # (1-x)(1-p) = i - (p-1) when x = i/(p-1), an integer
-        rhs = ctx.omega(t % p, i) * _gamma_at(ctx, i, q) * const
-        return (lhs - rhs) % mod == 0
-
-    ok1, ok2, ok3 = (formula1(i) for i in (j, t * j % q, -t * j % q))
+    # (x + h)/t at x = i/(p-1) is row entry 12 i/t + h s, h/t is h s, x is
+    # 12 i: one run of the constant's t - 1, each i's t, then the 3 units
+    s, m = 12 * q // t, 12 // t
+    a, b, c = j, t * j % q, -t * j % q
+    g = _gamma_run(ctx, [*range(s, 12 * q, s), *range(m * a, 12 * q, s),
+                         *range(m * b, 12 * q, s), *range(m * c, 12 * q, s),
+                         12 * a, 12 * b, 12 * c])
+    const = math.prod(g[:t - 1])
+    # (1-x)(1-p) = i - (p-1) when x = i/(p-1), an integer
+    ok1, ok2, ok3 = ((math.prod(g[t - 1 + k * t:t - 1 + (k + 1) * t])
+                      - ctx.omega(t % p, i) * g[k - 3] * const) % mod == 0
+                     for k, i in enumerate((a, b, c)))
     return VerificationRecord(
         p, f"gamma-prod-t{t}-j{j}", (ok1, ok2, ok3), (True, True, True),
         ok1 and ok2 and ok3,

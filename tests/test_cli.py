@@ -73,10 +73,20 @@ def test_timings_flag_breaks_zeroing(capsys):
         assert rows and all(float(r["elapsed_ms"]) > 0 for r in rows)
 
 
-@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
-def test_pool_matches_serial_under_every_start_method(capsys, method):
-    argv = ("verify", "--suite", "counting,s4-triroute,eichler,schoof",
-            "--pmin", "13", "--pmax", "29", "--nmax", "19")
+# a few primes, one index a batch; and 143 primes, 17 indices a batch
+_POOL_ARGV = {
+    "": ("verify", "--suite", "counting,s4-triroute,eichler,schoof",
+         "--pmin", "13", "--pmax", "29", "--nmax", "19"),
+    "-sweep": ("sweep", "--claim", "thm1.1", "--pmin", "100", "--pmax",
+               "1000"),
+}
+
+
+@pytest.mark.parametrize("method,argv", [
+    pytest.param(method, argv, id=method + name)
+    for name, argv in _POOL_ARGV.items()
+    for method in ("fork", "spawn", "forkserver")])
+def test_pool_matches_serial_under_every_start_method(capsys, method, argv):
     _, serial, _ = run(capsys, *argv, "--workers", "1")
     old = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method(method, force=True)

@@ -24,8 +24,9 @@ def pctx13():
 
 
 def test_one_context_whether_K_is_defaulted_positional_or_keyword():
-    # per_prime keys a call with the builder's defaults filled in, so the
-    # forms neither build three contexts nor evict one another
+    # make_padic_ctx fills K before it calls its per_prime builder, which
+    # keys on (p, K) alone, so the forms neither build three contexts nor
+    # evict one another
     pa.make_padic_ctx(7)
     ctx = pa.make_padic_ctx(p=13)
     assert pa.make_padic_ctx(13) is ctx
@@ -34,7 +35,7 @@ def test_one_context_whether_K_is_defaulted_positional_or_keyword():
     assert pa.make_padic_ctx(p=13, K=6) is ctx
     assert ctx.K == 6
     assert pa.make_padic_ctx(13, 4) is not ctx
-    # a call the builder cannot take still reaches it, and raises
+    # a call make_padic_ctx's own signature cannot take raises
     with pytest.raises(TypeError):
         pa.make_padic_ctx(13, k=6)
     with pytest.raises(TypeError):
@@ -480,6 +481,19 @@ def test_the_row_fills_only_the_entries_read():
     for bad in ([720], [0, 720]):
         with pytest.raises(IndexError):
             pa._gamma_run(ctx, bad)
+    # on a context of its own, gamma_product_checks(ctx, t, j) fills exactly
+    # what its formulas read: Gamma_p(h/t) for 0 < h < t, and Gamma_p(x) and
+    # Gamma_p((x + h)/t) for h < t, at x = i/60 for i = j, tj and -tj
+    for t in (2, 3, 4, 6, 12):
+        for j in (0, 1, 7, 59):
+            ctx = pa.PadicCtx(make_field_ctx(61), 6)
+            assert pa.gamma_product_checks(ctx, t, j).match, (t, j)
+            xs = {Fraction(i % 60, 60) for i in (j, t * j, -t * j)}
+            read = xs | {Fraction(h, t) for h in range(1, t)} | {
+                (x + h) / t for x in xs for h in range(t)}
+            assert set(_filled(ctx)) == {int(x * 720) for x in read}, (t, j)
+            for i, g in _filled(ctx).items():
+                assert g == pa.gamma_p(ctx, Fraction(i, 720)), (t, j, i)
     # gk_I_integer's one run is the Gauss units, at 12 j; an nGn table's
     # runs are <a_k - a/q> and <a/q - b_k> at every a. Each fills exactly
     # those entries of a context of its own, at p = 1, 7 and 11 mod 12
@@ -525,19 +539,6 @@ def test_contexts_at_K_and_K_plus_2_keep_their_own_rows_and_constants(p):
     # the K + 2 values reduce to the K = 6 ones, and carry digits past them
     assert [g if g is None else g % lo.mod for g in hi._row] == lo._row
     assert hi._row != lo._row
-
-
-def test_gamma_at_reads_only_denominators_dividing_12_p_minus_1():
-    ctx = _row_ctx(13, 4)
-    assert pa._gamma_at(ctx, 5, 144) == pa.gamma_p(ctx, Fraction(5, 144))
-    assert pa._gamma_at(ctx, 1, 3) == pa.gamma_p(ctx, Fraction(1, 3))
-    for num, den in ((1, 5), (1, 13), (1, 288), (1, 7)):
-        with pytest.raises(ValueError):
-            pa._gamma_at(ctx, num, den)
-    # and only 0 <= num < den, as a negative index would read the wrong slot
-    for num, den in ((-1, 12), (12, 12), (144, 144)):
-        with pytest.raises(ValueError):
-            pa._gamma_at(ctx, num, den)
 
 
 def test_ngn_parameters_are_twelfths():

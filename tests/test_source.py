@@ -172,17 +172,19 @@ def test_gamma_engine_computes_without_floats():
 # and the per-value routes stay oracles; the literal Gamma_p product starts
 # the engine's self-test and nothing else; the package reads Gamma_p
 # through the row alone, so gamma_p is only the entry of tests and demos,
-# each context builds its one engine, and p-adic contexts are built through
-# make_padic_ctx alone; curve classes are evaluated one by one only at the
-# census's CM points; the literal O(p) isomorphism search serves l_set, the
-# oracle, alone, so no suite tests curves pair by pair where l_set_sizes
-# tallies the _iso_class key
+# each context builds its one engine, and p-adic contexts are built by
+# _padic_ctx, the per_prime builder make_padic_ctx alone calls; curve
+# classes are evaluated one by one only at the census's CM points; the
+# literal O(p) isomorphism search serves l_set, the oracle, alone, so no
+# suite tests curves pair by pair where l_set_sizes tallies the _iso_class
+# key
 ONLY_CALLER = {
     "_class_of": ("ecurve", "curve_census"),
     "gamma_p_direct": ("padic", "_GammaEngine"),
     "gamma_p": (None, None),
     "_GammaEngine": ("padic", "PadicCtx"),
-    "PadicCtx": ("padic", "make_padic_ctx"),
+    "PadicCtx": ("padic", "_padic_ctx"),
+    "_padic_ctx": ("padic", "make_padic_ctx"),
     "build_hurwitz_table": ("cli", None),
     "ap_legendre": ("ecurve", "l_set"),
     "curves_isomorphic": ("ecurve", "l_set"),
@@ -211,6 +213,25 @@ def test_tables_are_built_and_bypassed_only_where_allowed():
                     found.append(f"{path.name}:{node.lineno} {fn} calls "
                                  f"{callee}")
     assert not found, "; ".join(found)
+
+
+def test_only_gamma_run_touches_the_gamma_row():
+    # every read of a context's Gamma_p row goes through _gamma_run, the one
+    # door a tracer or a counter can wrap; PadicCtx.__init__ allocates it
+    allowed = {("padic", "_gamma_run"), ("padic", "PadicCtx.__init__")}
+    found = []
+    for path in sorted(SRC.glob("**/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        units = [(f"{top.name}.{getattr(item, 'name', None)}", item)
+                 for top in tree.body if isinstance(top, ast.ClassDef)
+                 for item in top.body]
+        units += [(getattr(top, "name", None), top) for top in tree.body
+                  if not isinstance(top, ast.ClassDef)]
+        found += [f"{path.name}:{node.lineno} {name}" for name, unit in units
+                  if (path.stem, name) not in allowed
+                  for node in ast.walk(unit)
+                  if isinstance(node, ast.Attribute) and node.attr == "_row"]
+    assert not found, f"the Gamma_p row read in: {', '.join(found)}"
 
 
 # the one reader that needs K digits of a unit behind p^-scale; gfun passes
