@@ -8,7 +8,7 @@ from collections import Counter
 from ntlab import (ap_legendre, ap_table, build_hurwitz_table, curve_census,
                    counting_lemma_check, j_invariant, l_set, l_set_sizes,
                    make_field_ctx, schoof_count_check, torsion_class,
-                   twist_relation_check, window8)
+                   twist_relation_misses, window8)
 
 p = 29
 ctx = make_field_ctx(p)
@@ -25,7 +25,7 @@ print(f"L-set size histogram: {dict(Counter(sizes.values()))}")
 print(f"L(2) = {sorted(l_set(ctx, 2))}")
 
 # the six lambda values sharing a j-invariant, and the quadratic twist signs
-print(f"twist relations at lam=3: {twist_relation_check(ctx, 3)}")
+print(f"lam where a twist relation fails: {twist_relation_misses(ctx)}")
 
 # every F_p-isomorphism class once, with automorphism mass adding up
 census = curve_census(ctx)

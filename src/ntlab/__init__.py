@@ -12,7 +12,7 @@ from .classnumber import (HurwitzTable, build_hurwitz_table, class_number_h,
                           hurwitz_hfull, hurwitz_hstar12)
 from .ecurve import (CurveClass, ap_legendre, ap_table, curve_census,
                      curves_isomorphic, j_invariant, l_set, l_set_sizes,
-                     short_weierstrass, torsion_class, twist_relation_check)
+                     short_weierstrass, torsion_class, twist_relation_misses)
 from .ffield import FieldCtx, cyclic_convolve, make_field_ctx
 from .identities import (counting_lemma_check, cp_count_brute,
                          cp_count_formula, s4_direct, s4_via_ap,

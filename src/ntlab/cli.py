@@ -26,7 +26,7 @@ from . import classnumber as cn
 from . import identities as idn
 from . import kloosterman as km
 from . import padic as pa
-from .ecurve import l_set_sizes, twist_relation_check
+from .ecurve import l_set_sizes, twist_relation_misses
 from .ffield import make_field_ctx, per_prime, release_tables
 from .primes import isprime, primerange
 from .records import (SCHEMA_HEADER, VerificationRecord, merge_records,
@@ -184,8 +184,7 @@ def _suite_cohen(_: int, cfg: RunConfig, table) -> list[VerificationRecord]:
 
 def _suite_curves(p: int, cfg: RunConfig, table) -> list[VerificationRecord]:
     ctx = make_field_ctx(p)
-    twists = [lam for lam in range(2, p - 1)
-              if not all(twist_relation_check(ctx, lam))]
+    twists = twist_relation_misses(ctx)
     hist = Counter(l_set_sizes(ctx).values())
     # L(lambda) carries both signs of each mu, so sizes are 2, 4, 6 or 12,
     # and each size-k class contributes k lambdas to the tally

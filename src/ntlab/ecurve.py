@@ -57,40 +57,34 @@ def j_invariant(ctx: FieldCtx, lam: int) -> int:
     lam = _check_lambda(ctx, lam)
     num = 256 * pow(lam * lam - lam + 1, 3, p)
     den = pow(lam, 2, p) * pow(lam - 1, 2, p) % p
-    return num * pow(den, p - 2, p) % p
+    return num * pow(den, -1, p) % p
 
 
-def twist_relation_check(ctx: FieldCtx, lam: int) -> tuple[bool, bool, bool]:
-    """The three quadratic-twist trace relations along the lambda-orbit,
-    read from ap_table: they are identities among a_p values, not a
-    comparison of routes."""
-    p = ctx.p
-    lam = _check_lambda(ctx, lam)
-    aps, qr = ap_table(ctx), ctx.qr
-    a = aps[lam]
-    r1 = a == qr[lam] * aps[pow(lam, p - 2, p)]
-    r2 = a == qr[p - 1] * aps[(1 - lam) % p]
-    mu = lam * pow(lam - 1, p - 2, p) % p
-    r3 = a == qr[(1 - lam) % p] * aps[mu]
-    return r1, r2, r3
-
-
-def _halvable(ctx: FieldCtx, e: int, others: tuple[int, int]) -> bool:
-    """(e, 0) is in 2 E(F_p) iff e - e' is a square for both other roots."""
-    return all(ctx.qr[(e - o) % ctx.p] == 1 for o in others)
+def twist_relation_misses(ctx: FieldCtx) -> list[int]:
+    """The lambda in 2..p-2 where a quadratic-twist trace relation along the
+    lambda-orbit fails: a(lam) = phi(lam) a(1/lam) = phi(-1) a(1-lam)
+    = phi(1-lam) a(lam/(lam-1)), read from ap_table. They are identities
+    among a_p values, not a comparison of routes."""
+    p, qr, a = ctx.p, ctx.qr, ap_table(ctx)
+    inv = [0] + [pow(x, -1, p) for x in range(1, p)]
+    return [lam for lam in range(2, p - 1)
+            if not (a[lam] == qr[lam] * a[inv[lam]] == qr[-1] * a[1 - lam]
+                    == qr[1 - lam] * a[lam * inv[lam - 1] % p])]
 
 
 def torsion_class(ctx: FieldCtx, lam: int) -> str:
     """2-power torsion bucket of E_lambda: '2x2', '2x4' or '4x4'.
 
-    All three 2-torsion points are rational; (e,0) halves iff the two root
-    differences at e are squares. The halvable points form a subgroup of
-    E[2] meeting 2E(F_p), so the count is 0, 1 or 3.
+    All three 2-torsion points are rational; (e,0) halves iff e - e' is a
+    square for both other roots e': 0 iff phi(-1) = phi(-lambda) = 1, 1 iff
+    phi(1 - lambda) = 1, lambda iff phi(lambda) = phi(lambda - 1) = 1. The
+    halvable points form a subgroup of E[2] meeting 2E(F_p), so the count
+    is 0, 1 or 3.
     """
     lam = _check_lambda(ctx, lam)
-    roots = (0, 1, lam)
-    n = sum(_halvable(ctx, roots[i], (roots[(i + 1) % 3], roots[(i + 2) % 3]))
-            for i in range(3))
+    qr = ctx.qr
+    n = ((qr[-1] == qr[-lam] == 1) + (qr[1 - lam] == 1)
+         + (qr[lam] == qr[lam - 1] == 1))
     if n == 0:
         return "2x2"
     if n == 1:
@@ -105,8 +99,8 @@ def short_weierstrass(ctx: FieldCtx, lam: int) -> tuple[int, int]:
     p = ctx.p
     lam = _check_lambda(ctx, lam)
     s1, s2 = (1 + lam) % p, lam
-    inv3 = pow(3, p - 2, p)
-    inv27 = pow(27, p - 2, p)
+    inv3 = pow(3, -1, p)
+    inv27 = pow(27, -1, p)
     A = (s2 - s1 * s1 % p * inv3) % p
     B = (s1 * s2 % p * inv3 - 2 * s1 * pow(s1, 2, p) % p * inv27) % p
     return A, B

@@ -165,7 +165,7 @@ def cp_count_brute(ctx: FieldCtx) -> int:
         raise ValueError(f"brute-force cap exceeded: p={p} > {CP_CAP}")
     cnt = [0] * p
     for x in range(1, p):
-        cnt[(x + pow(x, p - 2, p)) % p] += 1
+        cnt[(x + pow(x, -1, p)) % p] += 1
     conv = cyclic_convolve(cyclic_convolve(cnt, cnt), cnt)
     return sum(c * (1 + ctx.qr[(t * t - 4) % p]) for t, c in enumerate(conv))
 
@@ -223,6 +223,8 @@ def schoof_count_check(ctx: FieldCtx, n: int, s: int,
     says which held, rather than presuming either.
     """
     p = ctx.p
+    if n not in (1, 2, 4):
+        raise ValueError(f"n must be 1, 2 or 4, got {n}")
     if p > CENSUS_CAP:
         raise ValueError(f"census cap exceeded: p={p} > {CENSUS_CAP}")
     if s * s >= 4 * p or s % p == 0:
@@ -236,8 +238,6 @@ def schoof_count_check(ctx: FieldCtx, n: int, s: int,
         raise ValueError(f"Hurwitz table to D={table.bound} does not "
                          f"cover D={D}")
     tally = _schoof_tally(ctx)
-    if n not in (1, 2, 4):
-        raise ValueError(f"n must be 1, 2 or 4, got {n}")
     plain, weighted12 = tally.get((n, s), (0, 0))
     rhs_plain = table.hfull[D]
     rhs_w12 = table.hstar12[D]

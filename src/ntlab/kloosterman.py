@@ -357,7 +357,7 @@ def symmetric_moment_rhs(ctx: FieldCtx, m: int) -> int:
     w = 2 * p - 1
     base = [0] * (p * w)
     for x in range(1, p):
-        base[x * w + pow(x, p - 2, p)] = 1
+        base[x * w + pow(x, -1, p)] = 1
     dist = base
     for _ in range(m - 1):
         dist = cyclic_convolve(dist, base)

@@ -660,7 +660,7 @@ def prop64_check(ctx: PadicCtx) -> VerificationRecord:
     acc_printed = 0
     acc_theorem = 0
     for lam in range(2, p):
-        val = _ngn_at(table, (lam - 1) * pow(lam, p - 2, p))
+        val = _ngn_at(table, (lam - 1) * pow(lam, -1, p))
         acc_printed = (acc_printed + psi6(lam * (1 - lam * lam)) * val) % mod
         acc_theorem = (acc_theorem + psi6(lam * (1 - lam) ** 2) * val) % mod
     # acc = p^2 Sigma mod p^K, so each constant drops that p^2: printed,
@@ -737,7 +737,7 @@ def prop66_check(ctx: PadicCtx) -> VerificationRecord:
     B = Fraction(p3B, p ** 3)
     I = gk_I_integer(ctx)
 
-    inv2 = pow(2, p - 2, p)
+    inv2 = pow(2, -1, p)
     Sphi = sum(phi(lam) * aps[lam] ** 2
                for lam in range(2, p) if lam != p - 1)
     # 2F1(lam) = S(lam)/(p(p-1)), so A's sum of 2F1^2 is one integer sum

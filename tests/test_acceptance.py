@@ -19,7 +19,7 @@ from sympy import primerange
 from ntlab import classnumber as cn
 from ntlab import identities as idn
 from ntlab import padic as pa
-from ntlab.ecurve import ap_table, l_set_sizes, twist_relation_check
+from ntlab.ecurve import ap_table, l_set_sizes, twist_relation_misses
 from ntlab.ffield import make_field_ctx
 from ntlab.kloosterman import (closed_forms, sheaf_moment, twisted_moment,
                                untwisted_moment)
@@ -137,9 +137,7 @@ def test_c5_torsion_and_census(htable):
     problems = []
     for p in primerange(7, 201):
         ctx = make_field_ctx(p)
-        for lam in range(2, p - 1):
-            if twist_relation_check(ctx, lam) != (True, True, True):
-                problems.append(("twist", p, lam))
+        problems += [("twist", p, lam) for lam in twist_relation_misses(ctx)]
         sizes = l_set_sizes(ctx)
         hist = Counter(sizes.values())
         if len(sizes) != p - 3 or not set(hist) <= {2, 4, 6, 12} \

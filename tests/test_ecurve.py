@@ -4,10 +4,11 @@ import pytest
 
 from ntlab.ffield import make_field_ctx
 from ntlab.primes import primerange
+from ntlab import ecurve
 from ntlab.ecurve import (_class_of, _iso_class, ap_legendre, ap_table,
                           curve_census, curves_isomorphic, j_invariant, l_set,
                           l_set_sizes, short_weierstrass, torsion_class,
-                          twist_relation_check)
+                          twist_relation_misses)
 
 
 @pytest.mark.parametrize("p", [11, 13])
@@ -40,19 +41,40 @@ def test_lambda_guardrails(ctx11):
     assert ap_legendre(ctx11, 10) == 0
 
 
+def _literal_twist_misses(ctx, a):
+    """The lambda where a(lam) = phi(lam) a(1/lam), a(lam) = phi(-1) a(1-lam)
+    or a(lam) = phi(1-lam) a(lam/(lam-1)) fails, each written out."""
+    p, qr = ctx.p, ctx.qr
+    out = []
+    for lam in range(2, p - 1):
+        mu = lam * pow(lam - 1, -1, p) % p
+        if not (a(lam) == qr[lam] * a(pow(lam, -1, p))
+                and a(lam) == qr[p - 1] * a((1 - lam) % p)
+                and a(lam) == qr[(1 - lam) % p] * a(mu)):
+            out.append(lam)
+    return out
+
+
 @pytest.mark.parametrize("p", [11, 13, 17, 401])
 def test_twist_relations_exhaustive(p):
-    # the check reads ap_table; each relation is also taken literally, with
+    # the misses read ap_table; each relation is also taken literally, with
     # every trace summed by ap_legendre
     ctx = make_field_ctx(p)
-    qr = ctx.qr
-    for lam in range(2, p - 1):
-        a = ap_legendre(ctx, lam)
-        mu = lam * pow(lam - 1, p - 2, p) % p
-        literal = (a == qr[lam] * ap_legendre(ctx, pow(lam, p - 2, p)),
-                   a == qr[p - 1] * ap_legendre(ctx, 1 - lam),
-                   a == qr[1 - lam] * ap_legendre(ctx, mu))
-        assert twist_relation_check(ctx, lam) == literal == (True, True, True)
+    literal = _literal_twist_misses(ctx, lambda lam: ap_legendre(ctx, lam))
+    assert twist_relation_misses(ctx) == literal == []
+
+
+@pytest.mark.parametrize("p, lam", [(13, 5), (29, 2), (101, 99)])
+def test_twist_relation_misses_find_a_planted_fault(monkeypatch, p, lam):
+    # one trace off by one breaks the relations at lam and along its orbit
+    ctx = make_field_ctx(p)
+    planted = list(ap_table(ctx))
+    planted[lam] += 1
+    planted = tuple(planted)
+    monkeypatch.setattr(ecurve, "ap_table", lambda _: planted)
+    misses = twist_relation_misses(ctx)
+    assert lam in misses
+    assert misses == _literal_twist_misses(ctx, planted.__getitem__)
 
 
 def test_j_invariant_constant_on_orbit(ctx13):
@@ -68,6 +90,31 @@ def test_torsion_class_partition(ctx13):
     for lam in range(2, 12):
         buckets[torsion_class(ctx13, lam)] += 1
     assert sum(buckets.values()) == 10
+
+
+def _halved_roots(p, lam):
+    """The roots e in {0, 1, lam} whose (e, 0) is 2P for some P in
+    E_lambda(F_p), by doubling every affine point."""
+    sqrts = {}
+    for y in range(p):
+        sqrts.setdefault(y * y % p, []).append(y)
+    doubles = set()
+    for x in range(p):
+        for y in sqrts.get(x * (x - 1) * (x - lam) % p, ()):
+            if y == 0:
+                continue   # 2P = O
+            m = (3 * x * x - 2 * (1 + lam) * x + lam) * pow(2 * y, -1, p) % p
+            x3 = (m * m + 1 + lam - 2 * x) % p
+            doubles.add((x3, (m * (x - x3) - y) % p))
+    return [e for e in (0, 1, lam) if (e, 0) in doubles]
+
+
+@pytest.mark.parametrize("p", list(primerange(5, 60)))
+def test_torsion_class_against_point_halving(p):
+    ctx = make_field_ctx(p)
+    bucket = {0: "2x2", 1: "2x4", 3: "4x4"}
+    for lam in range(2, p - 1):
+        assert torsion_class(ctx, lam) == bucket[len(_halved_roots(p, lam))], lam
 
 
 def test_square_parameters_always_halve():

@@ -186,6 +186,16 @@ def test_schoof_rejects_inadmissible(ctx13, htable):
         idn.schoof_count_check(ctx13, 3, 5, htable)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_schoof_rejects_a_bad_n_before_using_it(monkeypatch, ctx13, htable, n):
+    # n = 0 used to divide by zero, and n = 3 to read the tally first
+    def no_tally(ctx):
+        raise AssertionError("the census tally was read")
+    monkeypatch.setattr(idn, "_schoof_tally", no_tally)
+    with pytest.raises(ValueError, match=f"n must be 1, 2 or 4, got {n}"):
+        idn.schoof_count_check(ctx13, n, 5, htable)
+
+
 def test_schoof_refuses_a_table_short_of_its_discriminant(ctx13):
     # n = 1, s = 1 reads D = 4p - s^2 = 51, past p
     assert idn.schoof_count_check(ctx13, 1, 1,

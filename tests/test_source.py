@@ -133,20 +133,19 @@ def test_public_callables_are_plain_functions_or_classes():
     assert not found, f"not a plain function or class: {', '.join(found)}"
 
 
-def test_padic_passes_no_fraction_to_gamma_p():
-    # gamma_p's caller in padic.py passes the row entry's integer residue,
-    # one multiplication by the row's inverse, instead of building a
-    # Fraction per call
-    path = SRC / "padic.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    found = [f"padic.py:{node.lineno}" for node in ast.walk(tree)
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Name) and node.func.id == "gamma_p"
-             and any(isinstance(sub, ast.Call)
-                     and isinstance(sub.func, ast.Name)
-                     and sub.func.id == "Fraction"
-                     for arg in node.args for sub in ast.walk(arg))]
-    assert not found, f"Fraction passed to gamma_p: {', '.join(found)}"
+def test_inverses_are_taken_with_pow_minus_one():
+    # pow(x, -1, p) raises on x = 0 mod p where Fermat's pow(x, p - 2, p)
+    # silently returns 0, so a zero denominator cannot pass unnoticed
+    found = []
+    for path in sorted(SRC.glob("**/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "pow" and len(node.args) == 3
+                  and ast.unparse(node.args[1])
+                  == f"{ast.unparse(node.args[2])} - 2"]
+    assert not found, f"Fermat inverse in: {', '.join(found)}"
 
 
 def test_gamma_engine_computes_without_floats():
